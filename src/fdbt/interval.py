@@ -21,8 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import ztrmm
 
 from .errors import (
+    ConvergenceFailure,
+    FdbtError,
     InvalidParameters,
     NotHurwitz,
     OrderOutOfRange,
@@ -101,28 +106,45 @@ class EtaTerms:
     per_step: tuple
 
 
-def _band_factors(a: np.ndarray, cfg: IntervalConfig):
-    """(M, N) factors of a state matrix over the band.
+def _schur_band(a: np.ndarray, cfg: IntervalConfig):
+    """Band factors of a state matrix in its complex Schur basis.
 
-    Both shifted resolvents are computed by linear solves; all three
-    matrices involved are rational in A and therefore commute.
+    Returns (Z, S, U) with A = Z T Z*, T upper triangular, and the upper
+    triangular images S = Z* M Z and U = Z* N Z. Every factor is rational
+    in T (or its square root), so one Schur form serves the shift guard,
+    both resolvents, the branch-cut guard and the square root.
     """
     k = a.shape[0]
     if k == 0:
         z = np.zeros((0, 0), dtype=complex)
-        return z, z
-    lam = np.linalg.eigvals(a)
+        return z, z, z
+    try:
+        t, z = scipy.linalg.schur(a, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Schur form failed: {exc}") from exc
+    lam = np.diag(t)
     for w in (cfg.w1, cfg.w2):
         if float(np.min(np.abs(1j * w - lam))) < SHIFT_TOL:
             raise SingularShift(
                 f"band edge frequency {w} is within {SHIFT_TOL} of an eigenvalue"
             )
+    # numpy and scipy wheels each bundle an OpenBLAS with its own thread
+    # pool, and a threaded call into one while the other's workers still
+    # spin runs several times slower; the k-cubed kernels of the chain
+    # therefore all go through scipy (ztrmm here, svdvals in _EtaOrder)
     eye = np.eye(k, dtype=complex)
-    inv_r2 = np.linalg.solve(1j * cfg.w2 * eye - a, eye)
-    inv_r1r2 = np.linalg.solve(1j * cfg.w1 * eye - a, inv_r2)
-    m = sqrt_principal(cfg.wd**2 * inv_r1r2)
-    n = (1j * cfg.wc * eye - a) @ inv_r1r2
-    return m, n
+    inv_r2 = solve_triangular(1j * cfg.w2 * eye - t, eye)
+    inv_r1r2 = solve_triangular(1j * cfg.w1 * eye - t, inv_r2)
+    s = sqrt_principal(cfg.wd**2 * inv_r1r2)
+    u = ztrmm(1.0, 1j * cfg.wc * eye - t, inv_r1r2)
+    return z, s, u
+
+
+def _band_factors(a: np.ndarray, cfg: IntervalConfig):
+    """(M, N) factors of a state matrix over the band, as dense matrices."""
+    z, s, u = _schur_band(a, cfg)
+    zh = z.conj().T
+    return z @ s @ zh, z @ u @ zh
 
 
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> IntervalExtended:
@@ -142,6 +164,24 @@ def interval_gramians(ext: IntervalExtended) -> IntervalGramians:
     t, tinv, sigma, flags = balance_gramians(wc, wo)
     deficient = tuple(int(i) for i in np.flatnonzero(flags))
     return IntervalGramians(wc, wo, sigma, t, tinv, ext.config, deficient)
+
+
+class _EtaOrder:
+    """One order of the eta chain: its Schur-basis band factors and norms."""
+
+    def __init__(self, z: np.ndarray, s: np.ndarray, u: np.ndarray):
+        self.z, self.s, self.u = z, s, u
+        # Z is unitary, so S and M = Z S Z* share their singular values,
+        # and so do U and N
+        self.sv = scipy.linalg.svdvals(s) if s.size else np.zeros(0)
+        self.u_norm = float(scipy.linalg.svdvals(u)[0]) if u.size else 0.0
+
+    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Z* M^(-1) rhs, or Z* M^(-*) rhs with adjoint=True."""
+        if self.s.shape[0] == 0:
+            return rhs
+        trans = "C" if adjoint else "N"
+        return solve_triangular(self.s, self.z.conj().T @ rhs, trans=trans)
 
 
 def _solve_left(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -170,8 +210,8 @@ def interval_reduce(
     Stability of the input is required and is preserved by construction.
 
     with_bounds=False skips the eta chain and the whole-axis sweeps, which
-    matters for high orders (the eta chain costs one principal square root
-    per retained-through-dropped order). with_ef_bound=False keeps the
+    matters for high orders (the eta chain costs one complex Schur form per
+    order from r to n). with_ef_bound=False keeps the
     in-band bound but drops only the whole-axis sweep terms, whose cost
     grows with the full order rather than the reduced one.
     """
@@ -205,11 +245,9 @@ def interval_reduce(
     if with_bounds:
         eta = interval_eta(sys_b, gram, cfg, r)
         bounds["interval"] = interval_bound(eta)
-        if not with_ef_bound:
-            pass
-        elif stable:
+        if with_ef_bound and stable:
             bounds["ef"] = interval_ef_bound(sys, reduced, gram, r)
-        else:
+        elif with_ef_bound:
             warnings += ("ef bound unavailable: reduced system not Hurwitz",)
     return ReductionResult(
         reduced=reduced,
@@ -242,6 +280,12 @@ def interval_eta(
     with Bx, Cx the band-weighted input/output in balanced coordinates.
     Then K = -(Cdil NN Bdil) S with S the sigma_i-scaled block swap, and
     eta_i = sigma_max of (2 sigma_i)^2 I + (K + K*)/2.
+
+    MM and NN are never formed: each order is factored once in its complex
+    Schur basis (M_k = Z S_k Z*, N_k = Z U_k Z*, S_k and U_k triangular),
+    and the two diagonal blocks are applied one order at a time there, by
+    triangular solves with S_k and S_k*. The unitary Z drops out of every
+    norm, so the diagnostics are read off the Schur-basis blocks.
     """
     n = sys_balanced.n
     r = int(r)
@@ -254,16 +298,16 @@ def interval_eta(
     cutoff = n * np.finfo(float).eps * (sigma[0] if sigma.size and sigma[0] > 0 else 1.0)
     m_io, p_io = sys_balanced.m, sys_balanced.p
 
-    factors = {}
-    for k in range(r, n + 1):
+    def order(k):
         try:
-            factors[k] = _band_factors(sys_balanced.A[:k, :k], cfg)
-        except Exception as exc:
+            return _EtaOrder(*_schur_band(sys_balanced.A[:k, :k], cfg))
+        except FdbtError as exc:
             raise type(exc)(f"truncation order {k}: {exc}") from exc
 
-    m_full = factors[n][0]
-    bx = m_full @ sys_balanced.B
-    cx = sys_balanced.C @ m_full
+    full = order(n)
+    zh = full.z.conj().T
+    bx = full.z @ (full.s @ (zh @ sys_balanced.B))
+    cx = ((sys_balanced.C @ full.z) @ full.s) @ zh
 
     swap = np.zeros((m_io + p_io, p_io + m_io), dtype=complex)
     swap[:m_io, p_io:] = np.eye(m_io)
@@ -271,42 +315,34 @@ def interval_eta(
 
     etas = []
     steps = []
+    lo = order(r)
     for i in range(r + 1, n + 1):
+        hi = full if i == n else order(i)
         if sigma[i - 1] <= cutoff:
             raise SingularReconstruction(
                 f"truncation order {i}: sigma below numerical rank, eta undefined"
             )
-        m_lo, n_lo = factors[i - 1]
-        m_hi, n_hi = factors[i]
-        dim = 2 * i - 1
-        mm = np.zeros((dim, dim), dtype=complex)
-        mm[: i - 1, : i - 1] = m_lo
-        mm[i - 1 :, i - 1 :] = m_hi
-        nn = np.zeros((dim, dim), dtype=complex)
-        nn[: i - 1, : i - 1] = n_lo
-        nn[i - 1 :, i - 1 :] = n_hi
-        sig_e = np.concatenate([sigma[: i - 1], sigma[:i]])
+        # the guard the dense diag(M_{i-1}, M_i) solve applied to its
+        # singular values, which are those of S_{i-1} and S_i together
+        sv = np.concatenate([lo.sv, hi.sv])
+        if sv.max() == 0.0 or sv.min() <= (2 * i - 1) * np.finfo(float).eps * sv.max():
+            raise SingularReconstruction(
+                f"truncation order {i}: band factor is numerically singular"
+            )
         s_i = float(sigma[i - 1])
+        b_dil, c_dil_h, core = [], [], 0.0
+        for blk, k, sign in ((lo, i - 1, 1.0), (hi, i, -1.0)):
+            bk = bx[:k, :]
+            ck = cx[:, :k].conj().T
+            scaled = s_i / sigma[:k, None]
+            # rows of Bdil and of Cdil* for this diagonal block, in its
+            # Schur basis: S^(-1) Z* [...] and S^(-*) Z* [...]
+            b_blk = blk.solve(np.hstack([bk, sign * scaled * ck]))
+            c_blk = blk.solve(np.hstack([-sign * ck, -scaled * bk]), adjoint=True)
+            core = core + c_blk.conj().T @ blk.u @ b_blk
+            b_dil.append(b_blk)
+            c_dil_h.append(c_blk)
 
-        b_stack = np.vstack([bx[: i - 1, :], bx[:i, :]])
-        c_stack = np.vstack([cx[:, : i - 1].conj().T, -cx[:, :i].conj().T])
-        b_dil = np.hstack(
-            [
-                _solve_left(mm, b_stack),
-                s_i * _solve_left(mm, c_stack / sig_e[:, None]),
-            ]
-        )
-        c2_stack = np.vstack([-cx[:, : i - 1].conj().T, cx[:, :i].conj().T])
-        b2_stack = np.vstack([-bx[: i - 1, :], -bx[:i, :]])
-        mstar = mm.conj().T
-        c_dil = np.vstack(
-            [
-                _solve_left(mstar, c2_stack).conj().T,
-                s_i * _solve_left(mstar, b2_stack / sig_e[:, None]).conj().T,
-            ]
-        )
-
-        core = c_dil @ nn @ b_dil
         k_mat = -(core @ (s_i * swap))
         # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
         herm = (2.0 * s_i) ** 2 * np.eye(p_io + m_io) + (k_mat + k_mat.conj().T) / 2.0
@@ -316,11 +352,12 @@ def interval_eta(
             EtaStep(
                 index=i,
                 eta=eta_i,
-                dilated_input_norm=float(np.linalg.norm(b_dil, 2)),
-                dilated_output_norm=float(np.linalg.norm(c_dil, 2)),
-                coupler_norm=float(np.linalg.norm(nn, 2)),
+                dilated_input_norm=float(np.linalg.norm(np.vstack(b_dil), 2)),
+                dilated_output_norm=float(np.linalg.norm(np.vstack(c_dil_h), 2)),
+                coupler_norm=max(lo.u_norm, hi.u_norm),
             )
         )
+        lo = hi
     return EtaTerms(np.array(etas), tuple(steps))
 
 

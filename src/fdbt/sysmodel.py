@@ -145,9 +145,15 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     eye = np.eye(sys.n, dtype=complex)
     block = max(1, _STACK_BLOCK_BYTES // (16 * sys.n * sys.n))
     out = np.empty((k, sys.p, sys.m), dtype=complex)
+    # one buffer for every block's sI - A: fresh temporaries per block kept
+    # three or four blocks resident at the peak, the count varying from run
+    # to run with the allocator's state
+    buf = np.empty((min(block, k), sys.n, sys.n), dtype=complex)
     for lo in range(0, k, block):
         pts = points[lo : lo + block]
-        lhs = pts[:, None, None] * eye - sys.A
+        lhs = buf[: pts.shape[0]]
+        np.multiply(pts[:, None, None], eye, out=lhs)
+        lhs -= sys.A
         rhs = np.broadcast_to(sys.B, (pts.shape[0], sys.n, sys.m))
         x = np.linalg.solve(lhs, rhs)
         out[lo : lo + block] = sys.C[None, :, :] @ x + sys.D

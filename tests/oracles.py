@@ -2,7 +2,8 @@
 
 Everything in this module is deliberately naive: Kronecker vectorization
 for Lyapunov solves, dense eigendecompositions for matrix functions,
-adaptive quadrature for band-limited Gramians, plain matrix inverses for
+adaptive quadrature for band-limited Gramians, the eta chain with its
+block-diagonal matrices formed densely, plain matrix inverses for
 frequency responses, and symbolic circuit analysis for the ladder
 fixture. Slow and simple is the point. The package under test must agree
 with these, never the other way around.
@@ -12,6 +13,7 @@ No function here imports from fdbt. Oracles take raw arrays.
 
 import numpy as np
 from scipy.integrate import quad_vec
+from scipy.linalg import sqrtm
 
 
 def lyap_kron(a, q):
@@ -38,6 +40,81 @@ def log_eig(m):
     m = np.asarray(m, dtype=complex)
     lam, v = np.linalg.eig(m)
     return v @ np.diag(np.log(lam.astype(complex))) @ np.linalg.inv(v)
+
+
+def band_factors_dense(a, w1, w2):
+    # (M, N) of the interval extension by dense solves and a dense sqrtm
+    a = np.asarray(a, dtype=complex)
+    k = a.shape[0]
+    eye = np.eye(k, dtype=complex)
+    wd, wc = (w2 - w1) / 2.0, (w2 + w1) / 2.0
+    inv_r1r2 = np.linalg.solve(1j * w1 * eye - a, np.linalg.solve(1j * w2 * eye - a, eye))
+    m = sqrtm(wd**2 * inv_r1r2) if k else np.zeros((0, 0), complex)
+    return m, (1j * wc * eye - a) @ inv_r1r2
+
+
+def _solve_guarded(m, rhs):
+    # m^(-1) rhs, refusing a numerically singular m by its singular values
+    if m.shape[0] == 0:
+        return rhs
+    sv = np.linalg.svd(m, compute_uv=False)
+    assert sv[-1] > m.shape[0] * np.finfo(float).eps * sv[0], "singular band factor"
+    return np.linalg.solve(m, rhs)
+
+
+def eta_dense(a, b, c, sigma, w1, w2, r):
+    """The eta chain of the in-band bound, assembled as dense matrices.
+
+    a, b, c are the balanced state-space matrices and sigma their band
+    Hankel values. Every step builds the (2i-1)-square block-diagonal
+    MM = diag(M_{i-1}, M_i) and NN = diag(N_{i-1}, N_i) and solves with
+    them directly. Returns (eta, norms) with norms[j] the triple
+    (||Bdil||_2, ||Cdil||_2, ||NN||_2) of step r+1+j.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    sigma = np.asarray(sigma, dtype=float)
+    n, m_io, p_io = a.shape[0], b.shape[1], c.shape[0]
+    factors = {k: band_factors_dense(a[:k, :k], w1, w2) for k in range(r, n + 1)}
+    bx = factors[n][0] @ b
+    cx = c @ factors[n][0]
+    swap = np.zeros((m_io + p_io, p_io + m_io), dtype=complex)
+    swap[:m_io, p_io:] = np.eye(m_io)
+    swap[m_io:, :p_io] = np.eye(p_io)
+    etas, norms = [], []
+    for i in range(r + 1, n + 1):
+        (m_lo, n_lo), (m_hi, n_hi) = factors[i - 1], factors[i]
+        dim = 2 * i - 1
+        mm = np.zeros((dim, dim), dtype=complex)
+        mm[: i - 1, : i - 1] = m_lo
+        mm[i - 1 :, i - 1 :] = m_hi
+        nn = np.zeros((dim, dim), dtype=complex)
+        nn[: i - 1, : i - 1] = n_lo
+        nn[i - 1 :, i - 1 :] = n_hi
+        sig_e = np.concatenate([sigma[: i - 1], sigma[:i]])
+        s_i = float(sigma[i - 1])
+        b_stack = np.vstack([bx[: i - 1, :], bx[:i, :]])
+        c_stack = np.vstack([cx[:, : i - 1].conj().T, -cx[:, :i].conj().T])
+        b_dil = np.hstack(
+            [_solve_guarded(mm, b_stack), s_i * _solve_guarded(mm, c_stack / sig_e[:, None])]
+        )
+        c2_stack = np.vstack([-cx[:, : i - 1].conj().T, cx[:, :i].conj().T])
+        b2_stack = np.vstack([-bx[: i - 1, :], -bx[:i, :]])
+        mstar = mm.conj().T
+        c_dil = np.vstack(
+            [
+                _solve_guarded(mstar, c2_stack).conj().T,
+                s_i * _solve_guarded(mstar, b2_stack / sig_e[:, None]).conj().T,
+            ]
+        )
+        k_mat = -(c_dil @ nn @ b_dil @ (s_i * swap))
+        herm = (2.0 * s_i) ** 2 * np.eye(p_io + m_io) + (k_mat + k_mat.conj().T) / 2.0
+        etas.append(float(np.linalg.svd(herm, compute_uv=False)[0]))
+        norms.append(
+            (np.linalg.norm(b_dil, 2), np.linalg.norm(c_dil, 2), np.linalg.norm(nn, 2))
+        )
+    return np.array(etas), norms
 
 
 def hankel_eig(wc, wo):

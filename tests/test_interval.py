@@ -11,14 +11,20 @@ from helpers import (
     well_conditioned_transform,
 )
 from fdbt import (
+    BranchCutViolation,
     FrequencyGrid,
     IntervalConfig,
+    IntervalGramians,
     InvalidParameters,
     NotHurwitz,
     OrderOutOfRange,
+    SingularReconstruction,
+    SingularShift,
     StateSpace,
     build_interval_extended,
     error_system,
+    example_fixture,
+    generate_ladder,
     interval_bound,
     interval_ef_bound,
     interval_eta,
@@ -66,6 +72,15 @@ class TestBandFactors:
             @ np.linalg.inv(1j * cfg.w2 * eye - a)
         )
         assert np.linalg.norm(m @ m - target) <= 1e-10 * np.linalg.norm(target)
+
+    def test_band_edge_on_eigenvalue_rejected(self):
+        with pytest.raises(SingularShift):
+            _band_factors(np.array([[1j]]), UNIT_BAND)
+
+    def test_branch_cut_rejected(self):
+        # the square-root argument maps eigenvalue 3j to 1/((-4j)(-2j)) = -1/8
+        with pytest.raises(BranchCutViolation):
+            _band_factors(np.array([[3j]]), UNIT_BAND)
 
     def test_similarity_commutes_with_factors(self):
         sys = random_stable(71, 5)
@@ -150,6 +165,56 @@ class TestEta:
         eta = interval_eta(bal, gram, cfg, 3)
         assert eta.eta.size == 0
         assert interval_bound(eta) == 0.0
+
+    @staticmethod
+    def _hand_built(a, sigma):
+        n = len(sigma)
+        sys = StateSpace(a, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)))
+        eye = np.eye(n, dtype=complex)
+        gram = IntervalGramians(eye, eye, np.array(sigma, dtype=float), eye, eye, UNIT_BAND)
+        return sys, gram
+
+    def test_shift_guard_names_truncation_order(self):
+        sys, gram = self._hand_built(np.diag([-1.0, 1j]), [1.0, 0.5])
+        with pytest.raises(SingularShift, match="^truncation order 2:"):
+            interval_eta(sys, gram, UNIT_BAND, 1)
+
+    def test_vanishing_sigma_rejected(self):
+        sys, gram = self._hand_built(np.diag([-1.0, -2.0]), [1.0, 0.0])
+        with pytest.raises(SingularReconstruction, match="^truncation order 2:"):
+            interval_eta(sys, gram, UNIT_BAND, 1)
+
+
+def _oracle_cases():
+    ex2 = example_fixture("ex2").system
+    for band in ((-0.4, 0.4), (-0.8, 0.8), (0.2, 0.9)):
+        yield pytest.param(ex2, band, 0, id=f"ex2{band}")
+    for seed in range(95, 103):
+        for cplx in (False, True):
+            sys = random_stable(seed, 7, m=2, p=3, complex_entries=cplx)
+            kind = "complex" if cplx else "real"
+            yield pytest.param(sys, (-1.0, 1.5), 0, id=f"seed{seed}-{kind}-r0")
+            yield pytest.param(sys, (0.3, 2.0), 2, id=f"seed{seed}-{kind}-r2")
+    yield pytest.param(generate_ladder(31), (-0.5, 0.5), 0, id="ladder31")
+
+
+@pytest.mark.parametrize("sys, band, r", _oracle_cases())
+def test_eta_chain_matches_dense_oracle(sys, band, r):
+    # the Schur-basis chain against the block-diagonal one formed densely;
+    # single eta_i carry cancellation inside (2 sigma_i)^2 I + He(K), hence
+    # their looser tolerance than the bound's
+    cfg = IntervalConfig(*band)
+    gram = interval_gramians(build_interval_extended(sys, cfg))
+    bal = sys.transformed(gram.T, gram.Tinv)
+    eta = interval_eta(bal, gram, cfg, r)
+    ref_eta, ref_norms = orc.eta_dense(bal.A, bal.B, bal.C, gram.sigma, cfg.w1, cfg.w2, r)
+    assert interval_bound(eta) == pytest.approx(np.sum(np.sqrt(ref_eta)), rel=1e-10)
+    np.testing.assert_allclose(eta.eta, ref_eta, rtol=1e-9, atol=0)
+    norms = [
+        (st.dilated_input_norm, st.dilated_output_norm, st.coupler_norm)
+        for st in eta.per_step
+    ]
+    np.testing.assert_allclose(norms, ref_norms, rtol=1e-9, atol=0)
 
 
 class TestReduce:
