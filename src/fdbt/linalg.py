@@ -45,12 +45,6 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def norm_scale(*mats: np.ndarray) -> float:
-    """Common relative scale for tolerance checks: largest 2-norm, floored."""
-    s = max((float(np.linalg.norm(m, 2)) for m in mats if m.size), default=0.0)
-    return max(s, ABS_FLOOR)
-
-
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square complex matrix, typed on non-convergence."""
     try:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import OrderOutOfRange
 from .linalg import balance_gramians
-from .sysmodel import StateSpace, is_hurwitz
+from .sysmodel import StateSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +84,3 @@ def partition(sys_b: StateSpace, r: int):
         a[:r, :r], a[:r, r:], a[r:, :r], a[r:, r:],
         b[:r, :], b[r:, :], c[:, :r], c[:, r:],
     )
-
-
-def stability_flag(sys: StateSpace):
-    """(stable, warnings) pair used when assembling results."""
-    verdict = is_hurwitz(sys)
-    if verdict.stable:
-        return True, ()
-    return False, ("reduced system is not Hurwitz",)

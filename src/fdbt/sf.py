@@ -12,7 +12,6 @@ is Hurwitz, so unstable plants can be reduced at the anchor too.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -51,21 +50,12 @@ class SfConfig:
         object.__setattr__(self, "epsilon", epsilon)
 
 
-def _system_hash(sys: StateSpace) -> str:
-    h = hashlib.sha256()
-    h.update(np.array([sys.n, sys.m, sys.p], dtype=np.int64).tobytes())
-    for mat in (sys.A, sys.B, sys.C, sys.D):
-        h.update(mat.tobytes())
-    return h.hexdigest()[:16]
-
-
 @dataclass(frozen=True, eq=False)
 class SfExtended:
-    """Substituted realization plus the config and source fingerprint."""
+    """Substituted realization plus the config that built it."""
 
     sys: StateSpace
     config: SfConfig
-    source_hash: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +89,7 @@ def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> SfExtended:
     eps, varpi = cfg.epsilon, cfg.varpi
     n = sys.n
     if n == 0:
-        return SfExtended(sys, cfg, _system_hash(sys))
+        return SfExtended(sys, cfg)
     z = eps + 1j * varpi
     if float(np.min(np.abs(z - sys.poles))) < SHIFT_TOL:
         raise SingularShift(
@@ -113,7 +103,7 @@ def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> SfExtended:
     b_new = eps * rinv_b
     c_new = eps * np.linalg.solve(r_mat.T, sys.C.T).T
     d_new = sys.D + sys.C @ rinv_b
-    return SfExtended(StateSpace(a_new, b_new, c_new, d_new), cfg, _system_hash(sys))
+    return SfExtended(StateSpace(a_new, b_new, c_new, d_new), cfg)
 
 
 def stability_epsilon_cap(sys: StateSpace, varpi: float) -> float:

@@ -3,9 +3,9 @@
 Everything in this module is deliberately naive: Kronecker vectorization
 for Lyapunov solves, dense eigendecompositions for matrix functions,
 adaptive quadrature for band-limited Gramians, the eta chain with its
-block-diagonal matrices formed densely, plain matrix inverses for
-frequency responses, and symbolic circuit analysis for the ladder
-fixture. Slow and simple is the point. The package under test must agree
+block-diagonal matrices formed densely, plain matrix inverses and
+per-point LU solves for frequency responses, and symbolic circuit
+analysis for the ladder fixture. Slow and simple is the point. The package under test must agree
 with these, never the other way around.
 
 No function here imports from fdbt. Oracles take raw arrays.
@@ -132,6 +132,36 @@ def response_inv(a, b, c, d, s):
         return np.asarray(d, dtype=complex)
     r = np.linalg.inv(s * np.eye(n) - a)
     return np.asarray(c) @ r @ np.asarray(b) + np.asarray(d)
+
+
+def response_stack_lu(a, b, c, d, points):
+    """C (sI - A)^(-1) B + D at a vector of points, one dense LU per point.
+
+    The frequency-response kernel fdbt used before its Schur-form sweep:
+    a batched np.linalg.solve on sI - A in memory-capped blocks. Returns
+    shape (k, p, m).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    d = np.asarray(d, dtype=complex)
+    points = np.asarray(points, dtype=complex)
+    n, k = a.shape[0], points.shape[0]
+    if n == 0:
+        return np.broadcast_to(d, (k, c.shape[0], b.shape[1])).copy()
+    eye = np.eye(n, dtype=complex)
+    block = max(1, 32 * 1024 * 1024 // (16 * n * n))
+    out = np.empty((k, c.shape[0], b.shape[1]), dtype=complex)
+    buf = np.empty((min(block, k), n, n), dtype=complex)
+    for lo in range(0, k, block):
+        pts = points[lo : lo + block]
+        lhs = buf[: pts.shape[0]]
+        np.multiply(pts[:, None, None], eye, out=lhs)
+        lhs -= a
+        rhs = np.broadcast_to(b, (pts.shape[0], n, b.shape[1]))
+        x = np.linalg.solve(lhs, rhs)
+        out[lo : lo + block] = c[None, :, :] @ x + d
+    return out
 
 
 def peak_on_grid(a, b, c, d, omegas):

@@ -18,6 +18,8 @@ from fdbt import (
     error_system,
     evaluate,
     evaluate_at,
+    fibt_reduce,
+    generate_ladder,
     hinf_estimate,
     is_hurwitz,
     moebius_substitute,
@@ -262,3 +264,93 @@ class TestWholeAxisEstimate:
         assert val == pytest.approx(2.0 + 1e-3, rel=1e-3)
         # the estimate must never undershoot the w -> inf level
         assert val >= 2.0
+
+
+# 57 axis points plus two points off the axis, in the right half-plane
+_ORACLE_POINTS = np.concatenate([1j * np.linspace(-4.0, 4.0, 57), [0.3 + 0.7j, 2.0]])
+
+
+def _worst_gap(sys, points, scale_sys=None):
+    """max over points of ||G - G_lu|| / (1 + ||G_scale||): G from the
+    package's Schur stack, G_lu from the per-point LU oracle, and G_scale
+    the oracle response of scale_sys (default: sys itself)."""
+    got = sysmodel._response_stack(sys, points)
+    ref = orc.response_stack_lu(sys.A, sys.B, sys.C, sys.D, points)
+    scale = ref if scale_sys is None else orc.response_stack_lu(
+        scale_sys.A, scale_sys.B, scale_sys.C, scale_sys.D, points
+    )
+    gap = np.linalg.norm(got - ref, axis=(1, 2))
+    return float(np.max(gap / (1.0 + np.linalg.norm(scale, axis=(1, 2)))))
+
+
+class TestSchurResponses:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    @pytest.mark.parametrize("seed", range(95, 103))
+    def test_matches_lu_oracle(self, seed, n, m, p, complex_entries):
+        sys = random_stable(seed, n, m=m, p=p, complex_entries=complex_entries)
+        assert _worst_gap(sys, _ORACLE_POINTS) <= 1e-12
+
+    @pytest.mark.parametrize("r", [5, 20, 29])
+    def test_ladder_error_system_matches_lu_oracle(self, r):
+        ladder = generate_ladder(31)
+        err = error_system(ladder, fibt_reduce(ladder, r).reduced)
+        assert _worst_gap(err, _ORACLE_POINTS, scale_sys=ladder) <= 1e-11
+
+
+class TestSeededErrorSystem:
+    def _pair(self):
+        full = random_stable(18, 9, m=2, p=3, complex_entries=True)
+        return full, fibt_reduce(full, 4).reduced
+
+    def test_responses_match_unseeded_realization(self):
+        err = error_system(*self._pair())
+        fresh = StateSpace(err.A, err.B, err.C, err.D)
+        got = sysmodel._response_stack(err, _ORACLE_POINTS)
+        ref = sysmodel._response_stack(fresh, _ORACLE_POINTS)
+        gap = np.linalg.norm(got - ref, axis=(1, 2))
+        assert np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(ref, axis=(1, 2))))
+
+    def test_poles_are_the_spectrum_of_the_stacked_matrix(self):
+        err = error_system(*self._pair())
+        assert orc.match_spectra(err.poles, np.linalg.eigvals(err.A)) <= 1e-9
+
+    def test_pole_of_a_part_still_raises(self):
+        err = error_system(_oscillator(), random_stable(19, 1))
+        with pytest.raises(PoleOnGrid) as info:
+            sweep(err, FrequencyGrid.explicit([0.0, 1.0, 2.0]), on_pole="raise")
+        assert info.value.omega == pytest.approx(1.0)
+        with pytest.raises(PoleOnGrid):
+            sigma_max_at(err, 1.0)
+
+    def test_empty_reduced_part(self):
+        full = random_stable(20, 5, m=2, p=2)
+        empty = StateSpace(
+            np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), [[1.0, 0.0], [0.5, -2.0]]
+        )
+        err = error_system(full, empty)
+        assert err.n == 5
+        assert orc.match_spectra(err.poles, full.poles) == 0.0
+        for w in (0.0, 0.8, -3.1):
+            ref = evaluate(full, w) - empty.D
+            assert np.linalg.norm(evaluate(err, w) - ref) <= 1e-12 * (
+                1.0 + np.linalg.norm(ref)
+            )
+
+    def test_each_model_is_factored_once(self, monkeypatch):
+        full = random_stable(21, 12, m=2, p=2)
+        reduced = [fibt_reduce(full, r).reduced for r in (2, 4, 6)]
+        factored = []
+        real_schur = sysmodel.schur
+
+        def counting_schur(a, *args, **kwargs):
+            factored.append(a.shape[0])
+            return real_schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(sysmodel, "schur", counting_schur)
+        errs = [error_system(full, red) for red in reduced]
+        sweep(errs[0], FrequencyGrid.linear(-3.0, 3.0, 61), refine=True)
+        for j in range(20):
+            sigma_max_at(errs[j % 3], 0.1 * j)
+        assert sorted(factored) == [2, 4, 6, 12]
