@@ -5,6 +5,11 @@ All three balance a Gramian pair and keep the leading states; they differ
 in which Gramians they balance and how the discarded states are folded
 back. Only the first two carry an error bound (twice the dropped singular
 values, whole-axis; the residualization variant only at rho = 0).
+
+Each method is a prepare step, which balances once per system (and band),
+and a truncate step per order: prepare_standard serves fibt_truncate and
+gspa_truncate, prepare_band serves fgbt_truncate. The *_reduce functions
+are one prepare followed by one truncate.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from .errors import (
     NotHurwitz,
     SingularResidualization,
 )
-from .linalg import balance_gramians, hermitize, log_principal, solve_lyapunov
+from .linalg import hermitize, log_principal, solve_lyapunov
 from .reduction import (
+    Balanced,
     ReductionResult,
+    balance,
     check_order,
     leading_block,
     partition,
@@ -38,31 +45,57 @@ def standard_gramians(sys: StateSpace):
     return wc, wo
 
 
-def fibt_reduce(sys: StateSpace, r: int) -> ReductionResult:
-    """Balanced truncation on the standard Gramian pair.
+def prepare_standard(sys: StateSpace) -> Balanced:
+    """sys balanced on its standard Gramian pair, for fibt and gspa."""
+    return balance(sys, *standard_gramians(sys))
 
-    Attaches the classical whole-axis bound: twice the sum of the dropped
-    singular values.
-    """
-    r = check_order(r, sys.n, allow_full=True)
-    wc, wo = standard_gramians(sys)
-    t, tinv, sigma, _ = balance_gramians(wc, wo)
-    reduced = leading_block(sys.transformed(t, tinv), r)
+
+def _result(
+    prep: Balanced, method: str, reduced: StateSpace, bounds: dict, warnings=()
+) -> ReductionResult:
     stable = is_hurwitz(reduced).stable
-    warnings = () if stable else ("reduced system is not Hurwitz",)
+    if not stable:
+        warnings += ("reduced system is not Hurwitz",)
     return ReductionResult(
         reduced=reduced,
-        method="fibt",
-        order=r,
-        bounds={"ef": 2.0 * float(np.sum(sigma[r:]))},
+        method=method,
+        order=reduced.n,
+        bounds=bounds,
         stable=stable,
-        sigma=tuple(float(s) for s in sigma),
+        sigma=tuple(float(s) for s in prep.sigma),
         warnings=warnings,
     )
 
 
-def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
-    """Balanced residualization with an adjustable matching point rho >= 0.
+def _tail_bound(prep: Balanced, r: int) -> dict:
+    return {"ef": 2.0 * float(np.sum(prep.sigma[r:]))}
+
+
+def fibt_truncate(prep: Balanced, r: int) -> ReductionResult:
+    """Plain truncation of a standard-balanced realization to order r.
+
+    Attaches the classical whole-axis bound: twice the sum of the dropped
+    singular values.
+    """
+    r = check_order(r, prep.sys.n, allow_full=True)
+    return _result(prep, "fibt", leading_block(prep.sys, r), _tail_bound(prep, r))
+
+
+def fibt_reduce(sys: StateSpace, r: int) -> ReductionResult:
+    """Balanced truncation on the standard Gramian pair (see fibt_truncate)."""
+    check_order(r, sys.n, allow_full=True)
+    return fibt_truncate(prepare_standard(sys), r)
+
+
+def _check_rho(rho: float) -> float:
+    rho = float(rho)
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise InvalidParameters("rho must be finite and >= 0")
+    return rho
+
+
+def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
+    """Residualize a standard-balanced realization to order r at rho >= 0.
 
     The dropped balanced states are folded back through (rho I - A22)^(-1)
     instead of being discarded. rho = 0 matches the response exactly at
@@ -70,14 +103,9 @@ def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
     truncation. Intermediate rho carries no published bound, so none is
     attached there.
     """
-    r = check_order(r, sys.n, allow_full=True)
-    rho = float(rho)
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise InvalidParameters("rho must be finite and >= 0")
-    wc, wo = standard_gramians(sys)
-    t, tinv, sigma, _ = balance_gramians(wc, wo)
-    bal = sys.transformed(t, tinv)
-    a11, a12, a21, a22, b1, b2, c1, c2 = partition(bal, r)
+    r = check_order(r, prep.sys.n, allow_full=True)
+    rho = _check_rho(rho)
+    a11, a12, a21, a22, b1, b2, c1, c2 = partition(prep.sys, r)
 
     k = a22.shape[0]
     shifted = rho * np.eye(k, dtype=complex) - a22
@@ -93,22 +121,16 @@ def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
         a11 + a12 @ fold_a,
         b1 + a12 @ fold_b,
         c1 + c2 @ fold_a,
-        bal.D + c2 @ fold_b,
+        prep.sys.D + c2 @ fold_b,
     )
-    stable = is_hurwitz(reduced).stable
-    warnings = () if stable else ("reduced system is not Hurwitz",)
-    bounds = {}
-    if rho == 0.0:
-        bounds["ef"] = 2.0 * float(np.sum(sigma[r:]))
-    return ReductionResult(
-        reduced=reduced,
-        method="gspa",
-        order=r,
-        bounds=bounds,
-        stable=stable,
-        sigma=tuple(float(s) for s in sigma),
-        warnings=warnings,
-    )
+    return _result(prep, "gspa", reduced, _tail_bound(prep, r) if rho == 0.0 else {})
+
+
+def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
+    """Balanced residualization with matching point rho (see gspa_truncate)."""
+    check_order(r, sys.n, allow_full=True)
+    _check_rho(rho)
+    return gspa_truncate(prepare_standard(sys), r, rho)
 
 
 def _band_primitive(a: np.ndarray, w1: float, w2: float) -> np.ndarray:
@@ -157,27 +179,29 @@ def band_gramians(sys: StateSpace, w1: float, w2: float):
     return wc_band, wo_band
 
 
-def fgbt_reduce(sys: StateSpace, r: int, w1: float, w2: float) -> ReductionResult:
-    """Balanced truncation on band-limited Gramians.
+def prepare_band(sys: StateSpace, w1: float, w2: float) -> Balanced:
+    """sys balanced on its band-limited Gramian pair, for fgbt."""
+    return balance(sys, *band_gramians(sys, w1, w2))
+
+
+def fgbt_truncate(prep: Balanced, r: int) -> ReductionResult:
+    """Plain truncation of a band-balanced realization to order r.
 
     No error bound exists for this scheme, and neither stability of the
     reduced model nor positive semidefiniteness of the Gramians is
-    guaranteed; indefinite Gramians raise IndefiniteGramian.
+    guaranteed; indefinite Gramians raise IndefiniteGramian in prepare_band.
     """
-    r = check_order(r, sys.n, allow_full=True)
-    wc_band, wo_band = band_gramians(sys, w1, w2)
-    t, tinv, sigma, _ = balance_gramians(wc_band, wo_band)
-    reduced = leading_block(sys.transformed(t, tinv), r)
-    stable = is_hurwitz(reduced).stable
+    r = check_order(r, prep.sys.n, allow_full=True)
     warnings = ("no error bound available for band-limited Gramian truncation",)
-    if not stable:
-        warnings += ("reduced system is not Hurwitz",)
-    return ReductionResult(
-        reduced=reduced,
-        method="fgbt",
-        order=r,
-        bounds={},
-        stable=stable,
-        sigma=tuple(float(s) for s in sigma),
-        warnings=warnings,
-    )
+    return _result(prep, "fgbt", leading_block(prep.sys, r), {}, warnings)
+
+
+def fgbt_reduce(sys: StateSpace, r: int, w1: float, w2: float) -> ReductionResult:
+    """Balanced truncation on band-limited Gramians (see fgbt_truncate).
+
+    The band Gramians, and with them the two matrix logarithms per band
+    piece, depend only on the system and the band: a caller truncating at
+    several orders calls prepare_band once and fgbt_truncate per order.
+    """
+    check_order(r, sys.n, allow_full=True)
+    return fgbt_truncate(prepare_band(sys, w1, w2), r)

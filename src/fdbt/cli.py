@@ -16,7 +16,7 @@ import sys as _sys
 
 import numpy as np
 
-from .baselines import fgbt_reduce, fibt_reduce, gspa_reduce, standard_gramians
+from .baselines import fgbt_reduce, fibt_reduce, gspa_reduce, prepare_standard
 from .errors import DimensionMismatch, FdbtError, InvalidParameters
 from .harness import (
     EXAMPLE_NAMES,
@@ -29,7 +29,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .interval import IntervalConfig, interval_reduce
-from .reduction import ReductionResult, pair_gramians
+from .reduction import ReductionResult
 from .sf import SfConfig, sf_reduce
 from .sysmodel import FrequencyGrid, StateSpace, error_system, is_hurwitz, sweep
 
@@ -310,11 +310,10 @@ def cmd_sweep(args) -> int:
 def cmd_bench_random(args) -> int:
     try:
         spec = RandomModelSpec(n=args.n, seed=args.seed, count=args.count)
-        _require(args.workers >= 1, "--workers must be >= 1")
     except FdbtError as exc:
         return _fail(exc, 2)
     try:
-        report = run_randomized_experiment(spec, workers=args.workers)
+        report = run_randomized_experiment(spec)
     except FdbtError as exc:
         return _fail(exc, 3)
     os.makedirs(args.out, exist_ok=True)
@@ -365,7 +364,7 @@ def cmd_bench_ladder(args) -> int:
     try:
         grid = FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS)
         response = sweep(ladder, grid, refine=False, on_pole="skip")
-        sigma = pair_gramians(*standard_gramians(ladder)).sigma
+        sigma = prepare_standard(ladder).sigma
     except FdbtError as exc:
         return _fail(exc, 3)
     os.makedirs(args.out, exist_ok=True)
@@ -466,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100, help="models to draw")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=4, help="full model order")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=".", help="report directory")
     p.set_defaults(func=cmd_bench_random)
 

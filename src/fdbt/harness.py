@@ -10,15 +10,20 @@ documents.
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import fgbt_reduce, fibt_reduce, gspa_reduce
+from .baselines import (
+    fgbt_truncate,
+    fibt_truncate,
+    gspa_truncate,
+    prepare_band,
+    prepare_standard,
+)
 from .errors import ConvergenceFailure, FdbtError, InvalidParameters
-from .interval import IntervalConfig, interval_reduce
+from .interval import IntervalConfig, interval_truncate, prepare_interval
 from .reduction import ReductionResult
 from .sf import SfConfig, epsilon_sweep, sf_reduce
 from .sysmodel import (
@@ -272,34 +277,50 @@ class ExperimentReport:
         }
 
 
+def _prepared(prepare, *args):
+    """prepare(*args), or the FdbtError it raised, kept for every order."""
+    try:
+        return prepare(*args)
+    except FdbtError as exc:
+        return exc
+
+
+def _truncated(truncate, prepared, r, **flags):
+    """truncate(prepared, r), re-raising the error a failed prepare kept."""
+    if isinstance(prepared, FdbtError):
+        raise prepared
+    return truncate(prepared, r, **flags)
+
+
 def _model_records(index: int, model: StateSpace, half_widths, orders):
+    # Gramians, balancing and the eta chain depend on the model and the
+    # band, not on the order: prepare once, truncate per order. The
+    # int-fdbt ef bound is never read here, so it is not computed.
     rows = []
-    fibt_cache = {r: fibt_reduce(model, r) for r in orders}
-    err_fibt = {r: error_system(model, fibt_cache[r].reduced) for r in orders}
+    standard = prepare_standard(model)
+    fibt = {r: fibt_truncate(standard, r) for r in orders}
+    err_fibt = {r: error_system(model, fibt[r].reduced) for r in orders}
     for wl in half_widths:
         grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
-        cfg = IntervalConfig(-wl, wl)
+        fdbt = _prepared(prepare_interval, model, IntervalConfig(-wl, wl))
+        fgbt = _prepared(prepare_band, model, -wl, wl)
         for r in orders:
             peak_fibt = sweep(err_fibt[r], grid, refine=True, on_pole="skip").peak_value
-            bound_fibt = float(fibt_cache[r].bounds["ef"])
+            bound_fibt = float(fibt[r].bounds["ef"])
             note = []
 
             peak_fdbt = bound_fdbt = math.nan
             try:
-                res = interval_reduce(model, cfg, r, with_bounds=True)
-                peak_fdbt = sweep(
-                    error_system(model, res.reduced), grid, refine=True, on_pole="skip"
-                ).peak_value
+                res = _truncated(interval_truncate, fdbt, r, with_ef_bound=False)
+                peak_fdbt = _error_sweep(model, res.reduced, grid).peak_value
                 bound_fdbt = float(res.bounds["interval"])
             except FdbtError as exc:
                 note.append(f"fdbt: {exc}")
 
             peak_fgbt = math.nan
             try:
-                res = fgbt_reduce(model, r, -wl, wl)
-                peak_fgbt = sweep(
-                    error_system(model, res.reduced), grid, refine=True, on_pole="skip"
-                ).peak_value
+                res = _truncated(fgbt_truncate, fgbt, r)
+                peak_fgbt = _error_sweep(model, res.reduced, grid).peak_value
             except FdbtError as exc:
                 note.append(f"fgbt: {exc}")
 
@@ -337,18 +358,16 @@ def run_randomized_experiment(
     spec: RandomModelSpec,
     wl_list=EXPERIMENT_HALF_WIDTHS,
     r_list=EXPERIMENT_ORDERS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Table-style comparison over a seeded random population.
 
     Each cell reports means of per-model ratios (mean of ratios, not ratio
     of means) plus the fraction of models where the ratio is below one.
     Models where a method failed are excluded from that method's columns
-    only, with the exclusion counted. Per-model runs are independent and
-    aggregation is an ordered reduce over the model index; workers > 1
-    dispatches them to a thread pool, but the default stays serial because
-    concurrent BLAS calls are not reproducible to the last bit and the
-    report is contractually bitwise-deterministic for a given seed.
+    only, with the exclusion counted. Models run one after another in
+    index order. Each model is prepared once for fibt and once per
+    half-width for int-fdbt and fgbt, then truncated at every order; the
+    int-fdbt whole-axis ef bound, which no cell reads, is not computed.
     """
     wl_list = tuple(float(w) for w in wl_list)
     r_list = tuple(int(r) for r in r_list)
@@ -360,18 +379,7 @@ def run_randomized_experiment(
         raise InvalidParameters(f"orders must satisfy 1 <= r < n = {spec.n}")
 
     models, resamples = draw_random_models(spec)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(models))) as pool:
-            per_model = list(
-                pool.map(
-                    lambda pair: _model_records(pair[0], pair[1], wl_list, r_list),
-                    enumerate(models),
-                )
-            )
-    else:
-        per_model = [
-            _model_records(i, m, wl_list, r_list) for i, m in enumerate(models)
-        ]
+    per_model = [_model_records(i, m, wl_list, r_list) for i, m in enumerate(models)]
     records = tuple(row for rows in per_model for row in rows)
 
     cells = []
@@ -584,13 +592,14 @@ def _reproduce_ex1() -> ExampleBundle:
     grid = FrequencyGrid.linear(-20.0, 20.0, EXAMPLE_GRID_POINTS)
     sweeps, records, values = {}, [], {}
 
-    fibt = fibt_reduce(sys, 3)
+    standard = prepare_standard(sys)
+    fibt = fibt_truncate(standard, 3)
     sweeps["error_fibt_r3"] = _error_sweep(sys, fibt.reduced, grid)
     values["err0_fibt"] = _dc_error(sys, fibt.reduced)
     records.append(verify_bound(sys, fibt, _ef_grid(sys), "ef"))
 
     for rho in EX1_GSPA_RHOS:
-        res = gspa_reduce(sys, 3, rho)
+        res = gspa_truncate(standard, 3, rho)
         label = f"rho{rho:g}".replace(".", "p")
         sweeps[f"error_gspa_{label}_r3"] = _error_sweep(sys, res.reduced, grid)
         values[f"err0_gspa_{label}"] = _dc_error(sys, res.reduced)
@@ -638,10 +647,13 @@ def _reproduce_ex2(case: str) -> ExampleBundle:
     band = FrequencyGrid.linear(w1, w2, EXAMPLE_GRID_POINTS)
     sweeps, records, values, assertions = {}, [], {}, {}
 
+    standard = prepare_standard(sys)
+    interval = prepare_interval(sys, cfg)
+    band_limited = prepare_band(sys, w1, w2)
     for r in EX2_ORDERS:
-        fibt = fibt_reduce(sys, r)
-        intr = interval_reduce(sys, cfg, r, with_bounds=True)
-        fgbt = fgbt_reduce(sys, r, w1, w2)
+        fibt = fibt_truncate(standard, r)
+        intr = interval_truncate(interval, r)
+        fgbt = fgbt_truncate(band_limited, r)
         rep = {
             "fibt": _error_sweep(sys, fibt.reduced, band),
             "int": _error_sweep(sys, intr.reduced, band),
@@ -678,7 +690,8 @@ def _reproduce_ex3_case1() -> ExampleBundle:
 
     sweeps["response_full"] = sweep(sys, grid, on_pole="skip")
 
-    fibt = fibt_reduce(sys, LADDER_BASELINE_ORDER)
+    standard = prepare_standard(sys)
+    fibt = fibt_truncate(standard, LADDER_BASELINE_ORDER)
     sweeps["error_fibt_r181"] = _error_sweep(sys, fibt.reduced, grid)
     values["err0_fibt_r181"] = _dc_error(sys, fibt.reduced)
     records.append(verify_bound(sys, fibt, _ef_grid(sys, 600), "ef"))
@@ -690,7 +703,7 @@ def _reproduce_ex3_case1() -> ExampleBundle:
         _error_sweep(sys, fibt.reduced, nbhd).peak_value
     )
     try:
-        gspa = gspa_reduce(sys, LADDER_BASELINE_ORDER, 0.0)
+        gspa = gspa_truncate(standard, LADDER_BASELINE_ORDER, 0.0)
         sweeps["error_gspa_r181"] = _error_sweep(sys, gspa.reduced, grid)
         values["err0_gspa_r181"] = _dc_error(sys, gspa.reduced)
         values["peak_nbhd_gspa_r181"] = float(
@@ -734,10 +747,14 @@ def _reproduce_ex3_case2() -> ExampleBundle:
     band = FrequencyGrid.linear(w1, w2, LADDER_GRID_POINTS)
     sweeps, records, values, assertions, notes = {}, [], {}, {}, []
 
+    # one prepare per method: the eta chain walked for the lowest order
+    # already holds every higher order's steps
+    interval = prepare_interval(sys, cfg)
+    band_limited = _prepared(prepare_band, sys, w1, w2)
     for r in LADDER_INTERVAL_ORDERS:
         # in-band bound only: the ef gap terms sweep systems whose order
         # scales with the full 201 states and add nothing to this scenario
-        intr = interval_reduce(sys, cfg, r, with_bounds=True, with_ef_bound=False)
+        intr = interval_truncate(interval, r, with_ef_bound=False)
         sweeps[f"error_int_r{r}"] = _error_sweep(sys, intr.reduced, band)
         values[f"peak_int_r{r}"] = float(sweeps[f"error_int_r{r}"].peak_value)
         values[f"interval_bound_r{r}"] = float(intr.bounds["interval"])
@@ -745,7 +762,7 @@ def _reproduce_ex3_case2() -> ExampleBundle:
         records.append(verify_bound(sys, intr, band, "interval"))
 
         try:
-            fgbt = fgbt_reduce(sys, r, w1, w2)
+            fgbt = _truncated(fgbt_truncate, band_limited, r)
             sweeps[f"error_fgbt_r{r}"] = _error_sweep(sys, fgbt.reduced, band)
             values[f"peak_fgbt_r{r}"] = float(sweeps[f"error_fgbt_r{r}"].peak_value)
             values[f"stable_fgbt_r{r}"] = float(fgbt.stable)

@@ -194,70 +194,108 @@ def _solve_left(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, rhs)
 
 
-def interval_reduce(
-    sys: StateSpace,
-    cfg: IntervalConfig,
-    r: int,
-    with_bounds: bool = True,
-    with_ef_bound: bool = True,
-) -> ReductionResult:
-    """Reduce to order r by band-weighted balanced truncation.
+class _EtaChain:
+    """The eta chain of one balanced system, memoized by step index.
 
-    The reduced state matrix is the leading balanced block; the reduced
-    B, C, D are reassembled through the band factors of the reduced state
-    matrix itself, so that building the band-weighted realization of the
-    result matches plain truncation of the balanced band-weighted one.
-    Stability of the input is required and is preserved by construction.
-
-    with_bounds=False skips the eta chain and the whole-axis sweeps, which
-    matters for high orders (the eta chain costs one complex Schur form per
-    order from r to n). with_ef_bound=False keeps the
-    in-band bound but drops only the whole-axis sweep terms, whose cost
-    grows with the full order rather than the reduced one.
+    eta_i couples the orders i-1 and i of the fixed balanced coordinates,
+    so it depends on i and not on the order truncated at: steps computed
+    for one order serve every higher one, bit for bit. Only steps that
+    succeeded are kept, and a failing step is recomputed when asked again,
+    so every order raises exactly what a fresh chain from it raises: order
+    n's factorization first, then order r's, then steps r+1, r+2, ...
+    (order i, the sigma cutoff, the singular-factor guard). A walk keeps
+    two consecutive orders' factors alive besides order n's, and none
+    once it ends.
     """
-    r = check_order(r, sys.n, allow_full=True)
-    if not is_hurwitz(sys).stable:
-        raise NotHurwitz("band-limited reduction requires a Hurwitz system")
-    ext = build_interval_extended(sys, cfg)
-    gram = interval_gramians(ext)
-    sys_b = sys.transformed(gram.T, gram.Tinv)
-    bx = gram.Tinv @ ext.sys.B
-    cx = ext.sys.C @ gram.T
 
-    a_r = sys_b.A[:r, :r]
-    m_r, n_r = _band_factors(a_r, cfg)
-    b_r = _solve_left(m_r, bx[:r, :])
-    c_r = _solve_left(m_r.T, cx[:, :r].T).T
-    d_r = ext.sys.D - c_r @ n_r @ b_r
-    reduced = StateSpace(a_r, b_r, c_r, d_r)
+    def __init__(self, sys_balanced: StateSpace, sigma, cfg: IntervalConfig):
+        self.sys, self.cfg = sys_balanced, cfg
+        self.sigma = np.asarray(sigma, dtype=float)
+        top = self.sigma[0] if self.sigma.size and self.sigma[0] > 0 else 1.0
+        self.cutoff = sys_balanced.n * np.finfo(float).eps * top
+        m_io, p_io = sys_balanced.m, sys_balanced.p
+        self.swap = np.zeros((m_io + p_io, p_io + m_io), dtype=complex)
+        self.swap[:m_io, p_io:] = np.eye(m_io)
+        self.swap[m_io:, :p_io] = np.eye(p_io)
+        self.io = None  # (Bx, Cx) once order n has been factored
+        self.steps = {}  # i -> EtaStep
 
-    stable = is_hurwitz(reduced).stable
-    warnings = ()
-    if not stable:
-        # theory says this cannot happen for a Hurwitz input; keep honest
-        warnings += ("reduced system is not Hurwitz",)
-    if gram.rank_deficient:
-        warnings += (
-            f"{len(gram.rank_deficient)} balanced directions below numerical rank",
+    def _order(self, k: int) -> _EtaOrder:
+        try:
+            return _EtaOrder(*_schur_band(self.sys.A[:k, :k], self.cfg))
+        except FdbtError as exc:
+            raise type(exc)(f"truncation order {k}: {exc}") from exc
+
+    def terms(self, r: int) -> EtaTerms:
+        n = self.sys.n
+        r = int(r)
+        if not 0 <= r <= n:
+            raise OrderOutOfRange(f"order {r} outside 0..{n}")
+        if r == n:
+            return EtaTerms(np.zeros(0), ())
+        full = None
+        if self.io is None:
+            full = self._order(n)
+            zh = full.z.conj().T
+            self.io = (
+                full.z @ (full.s @ (zh @ self.sys.B)),
+                ((self.sys.C @ full.z) @ full.s) @ zh,
+            )
+        lo = None
+        for i in range(r + 1, n + 1):
+            if i in self.steps:
+                lo = None
+                continue
+            if lo is None:
+                lo = self._order(i - 1)
+            if i < n:
+                hi = self._order(i)
+            else:
+                hi = full if full is not None else self._order(n)
+            self.steps[i] = self._step(i, lo, hi)
+            lo = hi
+        steps = tuple(self.steps[i] for i in range(r + 1, n + 1))
+        return EtaTerms(np.array([st.eta for st in steps]), steps)
+
+    def _step(self, i: int, lo: _EtaOrder, hi: _EtaOrder) -> EtaStep:
+        sigma = self.sigma
+        if sigma[i - 1] <= self.cutoff:
+            raise SingularReconstruction(
+                f"truncation order {i}: sigma below numerical rank, eta undefined"
+            )
+        # the guard the dense diag(M_{i-1}, M_i) solve applied to its
+        # singular values, which are those of S_{i-1} and S_i together
+        sv = np.concatenate([lo.sv, hi.sv])
+        if sv.max() == 0.0 or sv.min() <= (2 * i - 1) * np.finfo(float).eps * sv.max():
+            raise SingularReconstruction(
+                f"truncation order {i}: band factor is numerically singular"
+            )
+        bx, cx = self.io
+        s_i = float(sigma[i - 1])
+        b_dil, c_dil_h, core = [], [], 0.0
+        for blk, k, sign in ((lo, i - 1, 1.0), (hi, i, -1.0)):
+            bk = bx[:k, :]
+            ck = cx[:, :k].conj().T
+            scaled = s_i / sigma[:k, None]
+            # rows of Bdil and of Cdil* for this diagonal block, in its
+            # Schur basis: S^(-1) Z* [...] and S^(-*) Z* [...]
+            b_blk = blk.solve(np.hstack([bk, sign * scaled * ck]))
+            c_blk = blk.solve(np.hstack([-sign * ck, -scaled * bk]), adjoint=True)
+            core = core + c_blk.conj().T @ blk.u @ b_blk
+            b_dil.append(b_blk)
+            c_dil_h.append(c_blk)
+
+        k_mat = -(core @ (s_i * self.swap))
+        # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
+        herm = (2.0 * s_i) ** 2 * np.eye(k_mat.shape[0]) + (k_mat + k_mat.conj().T) / 2.0
+        eta_i = float(np.linalg.svd(herm, compute_uv=False)[0])
+        return EtaStep(
+            index=i,
+            eta=eta_i,
+            dilated_input_norm=float(np.linalg.norm(np.vstack(b_dil), 2)),
+            dilated_output_norm=float(np.linalg.norm(np.vstack(c_dil_h), 2)),
+            coupler_norm=max(lo.u_norm, hi.u_norm),
         )
-
-    bounds = {}
-    if with_bounds:
-        eta = interval_eta(sys_b, gram, cfg, r)
-        bounds["interval"] = interval_bound(eta)
-        if with_ef_bound and stable:
-            bounds["ef"] = interval_ef_bound(sys, reduced, gram, r)
-        elif with_ef_bound:
-            warnings += ("ef bound unavailable: reduced system not Hurwitz",)
-    return ReductionResult(
-        reduced=reduced,
-        method="int-fdbt",
-        order=r,
-        bounds=bounds,
-        stable=stable,
-        sigma=tuple(float(s) for s in gram.sigma),
-        warnings=warnings,
-    )
 
 
 def interval_eta(
@@ -286,79 +324,127 @@ def interval_eta(
     and the two diagonal blocks are applied one order at a time there, by
     triangular solves with S_k and S_k*. The unitary Z drops out of every
     norm, so the diagnostics are read off the Schur-basis blocks.
+
+    This is a fresh chain from r. eta_i does not depend on r, so a caller
+    bounding several orders of one system and band should prepare it once
+    (prepare_interval) and ask IntervalBalanced.eta, which walks the chain
+    once for all of them and returns the same values bit for bit.
     """
-    n = sys_balanced.n
-    r = int(r)
-    if not 0 <= r <= n:
-        raise OrderOutOfRange(f"order {r} outside 0..{n}")
-    if r == n:
-        return EtaTerms(np.zeros(0), ())
+    return _EtaChain(sys_balanced, gram.sigma, cfg).terms(r)
 
-    sigma = np.asarray(gram.sigma, dtype=float)
-    cutoff = n * np.finfo(float).eps * (sigma[0] if sigma.size and sigma[0] > 0 else 1.0)
-    m_io, p_io = sys_balanced.m, sys_balanced.p
 
-    def order(k):
-        try:
-            return _EtaOrder(*_schur_band(sys_balanced.A[:k, :k], cfg))
-        except FdbtError as exc:
-            raise type(exc)(f"truncation order {k}: {exc}") from exc
+@dataclass(frozen=True, eq=False)
+class IntervalBalanced:
+    """The order-independent part of int-fdbt for one system and band.
 
-    full = order(n)
-    zh = full.z.conj().T
-    bx = full.z @ (full.s @ (zh @ sys_balanced.B))
-    cx = ((sys_balanced.C @ full.z) @ full.s) @ zh
+    Holds the input system, its band-weighted realization, the band
+    Gramians, the input in their balanced coordinates, and the
+    band-weighted input and output maps Bx, Cx there; interval_truncate
+    does the per-order rest. The eta chain behind the in-band bound is
+    shared by every order (eta_i depends on i, not on r), so truncating at
+    several orders walks it once.
+    """
 
-    swap = np.zeros((m_io + p_io, p_io + m_io), dtype=complex)
-    swap[:m_io, p_io:] = np.eye(m_io)
-    swap[m_io:, :p_io] = np.eye(p_io)
+    sys: StateSpace
+    ext: IntervalExtended
+    gram: IntervalGramians
+    balanced: StateSpace
+    bx: np.ndarray
+    cx: np.ndarray
 
-    etas = []
-    steps = []
-    lo = order(r)
-    for i in range(r + 1, n + 1):
-        hi = full if i == n else order(i)
-        if sigma[i - 1] <= cutoff:
-            raise SingularReconstruction(
-                f"truncation order {i}: sigma below numerical rank, eta undefined"
-            )
-        # the guard the dense diag(M_{i-1}, M_i) solve applied to its
-        # singular values, which are those of S_{i-1} and S_i together
-        sv = np.concatenate([lo.sv, hi.sv])
-        if sv.max() == 0.0 or sv.min() <= (2 * i - 1) * np.finfo(float).eps * sv.max():
-            raise SingularReconstruction(
-                f"truncation order {i}: band factor is numerically singular"
-            )
-        s_i = float(sigma[i - 1])
-        b_dil, c_dil_h, core = [], [], 0.0
-        for blk, k, sign in ((lo, i - 1, 1.0), (hi, i, -1.0)):
-            bk = bx[:k, :]
-            ck = cx[:, :k].conj().T
-            scaled = s_i / sigma[:k, None]
-            # rows of Bdil and of Cdil* for this diagonal block, in its
-            # Schur basis: S^(-1) Z* [...] and S^(-*) Z* [...]
-            b_blk = blk.solve(np.hstack([bk, sign * scaled * ck]))
-            c_blk = blk.solve(np.hstack([-sign * ck, -scaled * bk]), adjoint=True)
-            core = core + c_blk.conj().T @ blk.u @ b_blk
-            b_dil.append(b_blk)
-            c_dil_h.append(c_blk)
+    def __post_init__(self):
+        chain = _EtaChain(self.balanced, self.gram.sigma, self.gram.config)
+        object.__setattr__(self, "_chain", chain)
 
-        k_mat = -(core @ (s_i * swap))
-        # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
-        herm = (2.0 * s_i) ** 2 * np.eye(p_io + m_io) + (k_mat + k_mat.conj().T) / 2.0
-        eta_i = float(np.linalg.svd(herm, compute_uv=False)[0])
-        etas.append(eta_i)
-        steps.append(
-            EtaStep(
-                index=i,
-                eta=eta_i,
-                dilated_input_norm=float(np.linalg.norm(np.vstack(b_dil), 2)),
-                dilated_output_norm=float(np.linalg.norm(np.vstack(c_dil_h), 2)),
-                coupler_norm=max(lo.u_norm, hi.u_norm),
-            )
+    def eta(self, r: int) -> EtaTerms:
+        """eta_i for i = r+1 .. n, equal bit for bit to a fresh interval_eta."""
+        return self._chain.terms(r)
+
+
+def prepare_interval(sys: StateSpace, cfg: IntervalConfig) -> IntervalBalanced:
+    """Everything int-fdbt computes before it picks an order.
+
+    Requires a Hurwitz input: builds the band-weighted realization, its
+    band Gramians and the balancing transform, once per system and band.
+    """
+    if not is_hurwitz(sys).stable:
+        raise NotHurwitz("band-limited reduction requires a Hurwitz system")
+    ext = build_interval_extended(sys, cfg)
+    gram = interval_gramians(ext)
+    sys_b = sys.transformed(gram.T, gram.Tinv)
+    return IntervalBalanced(
+        sys, ext, gram, sys_b, gram.Tinv @ ext.sys.B, ext.sys.C @ gram.T
+    )
+
+
+def interval_truncate(
+    prep: IntervalBalanced, r: int, with_bounds: bool = True, with_ef_bound: bool = True
+) -> ReductionResult:
+    """Reduce a prepared system and band to order r (see interval_reduce)."""
+    r = check_order(r, prep.sys.n, allow_full=True)
+    a_r = prep.balanced.A[:r, :r]
+    m_r, n_r = _band_factors(a_r, prep.gram.config)
+    b_r = _solve_left(m_r, prep.bx[:r, :])
+    c_r = _solve_left(m_r.T, prep.cx[:, :r].T).T
+    d_r = prep.ext.sys.D - c_r @ n_r @ b_r
+    reduced = StateSpace(a_r, b_r, c_r, d_r)
+
+    stable = is_hurwitz(reduced).stable
+    warnings = ()
+    if not stable:
+        # theory says this cannot happen for a Hurwitz input; keep honest
+        warnings += ("reduced system is not Hurwitz",)
+    if prep.gram.rank_deficient:
+        warnings += (
+            f"{len(prep.gram.rank_deficient)} balanced directions below numerical rank",
         )
-        lo = hi
-    return EtaTerms(np.array(etas), tuple(steps))
+
+    bounds = {}
+    if with_bounds:
+        bounds["interval"] = interval_bound(prep.eta(r))
+        if with_ef_bound and stable:
+            bounds["ef"] = interval_ef_bound(prep.sys, reduced, prep.gram, r)
+        elif with_ef_bound:
+            warnings += ("ef bound unavailable: reduced system not Hurwitz",)
+    return ReductionResult(
+        reduced=reduced,
+        method="int-fdbt",
+        order=r,
+        bounds=bounds,
+        stable=stable,
+        sigma=tuple(float(s) for s in prep.gram.sigma),
+        warnings=warnings,
+    )
+
+
+def interval_reduce(
+    sys: StateSpace,
+    cfg: IntervalConfig,
+    r: int,
+    with_bounds: bool = True,
+    with_ef_bound: bool = True,
+) -> ReductionResult:
+    """Reduce to order r by band-weighted balanced truncation.
+
+    The reduced state matrix is the leading balanced block; the reduced
+    B, C, D are reassembled through the band factors of the reduced state
+    matrix itself, so that building the band-weighted realization of the
+    result matches plain truncation of the balanced band-weighted one.
+    Stability of the input is required and is preserved by construction.
+
+    This is interval_truncate(prepare_interval(sys, cfg), r, ...). A caller
+    reducing one system and band at several orders should prepare once and
+    truncate per order: the Gramians, the balancing and the eta chain are
+    then computed once.
+
+    with_bounds=False skips the eta chain and the whole-axis sweeps, which
+    matters for high orders (the eta chain costs one complex Schur form per
+    order from r to n). with_ef_bound=False keeps the in-band bound but
+    drops the whole-axis sweep terms: two dense H-infinity estimates whose
+    cost grows with the full order rather than the reduced one.
+    """
+    check_order(r, sys.n, allow_full=True)
+    return interval_truncate(prepare_interval(sys, cfg), r, with_bounds, with_ef_bound)
 
 
 def interval_bound(eta: EtaTerms) -> float:

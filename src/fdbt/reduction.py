@@ -1,5 +1,5 @@
-"""Shared plumbing for balancing-based reductions: Gramian pairs,
-balanced coordinates, truncation, and the result record all methods return.
+"""Shared plumbing for balancing-based reductions: balanced realizations,
+truncation, and the result record all methods return.
 """
 
 from __future__ import annotations
@@ -14,20 +14,22 @@ from .sysmodel import StateSpace
 
 
 @dataclass(frozen=True, eq=False)
-class GramianPair:
-    """Controllability/observability Gramians with their balancing data.
+class Balanced:
+    """A realization in the balanced coordinates of one Gramian pair.
 
-    T and Tinv satisfy Tinv Wc Tinv* = T* Wo T = diag(sigma), sigma
-    non-increasing. rank_deficient lists indices whose singular value fell
-    below the numerical-rank cutoff during balancing.
+    Both Gramians of the pair become diag(sigma), sigma non-increasing.
+    Nothing here depends on the truncation order, so one record serves
+    every order a caller truncates at.
     """
 
-    Wc: np.ndarray
-    Wo: np.ndarray
+    sys: StateSpace
     sigma: np.ndarray
-    T: np.ndarray
-    Tinv: np.ndarray
-    rank_deficient: tuple = ()
+
+
+def balance(sys: StateSpace, wc: np.ndarray, wo: np.ndarray) -> Balanced:
+    """Balance a Gramian pair of sys and apply the transform to sys."""
+    t, tinv, sigma, _ = balance_gramians(wc, wo)
+    return Balanced(sys.transformed(t, tinv), sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,18 +48,6 @@ class ReductionResult:
     stable: bool
     sigma: tuple
     warnings: tuple = ()
-
-
-def pair_gramians(wc: np.ndarray, wo: np.ndarray) -> GramianPair:
-    """Balance a Gramian pair and package the transform."""
-    t, tinv, sigma, flags = balance_gramians(wc, wo)
-    deficient = tuple(int(i) for i in np.flatnonzero(flags))
-    return GramianPair(wc, wo, sigma, t, tinv, deficient)
-
-
-def balanced_realization(sys: StateSpace, gram: GramianPair) -> StateSpace:
-    """Apply the balancing transform of a Gramian pair to a system."""
-    return sys.transformed(gram.T, gram.Tinv)
 
 
 def check_order(r: int, n: int, allow_full: bool = True) -> int:

@@ -104,6 +104,22 @@ class StateSpace:
         return cached
 
     @property
+    def _pole_radius(self) -> float:
+        """Largest pole magnitude (0 for n = 0), computed once and cached.
+
+        An error system takes the larger of its two parts' radii.
+        """
+        cached = self.__dict__.get("_radius_cache")
+        if cached is None:
+            parts = self.__dict__.get("_parts")
+            if parts is not None:
+                cached = max(parts[0]._pole_radius, parts[1]._pole_radius)
+            else:
+                cached = float(np.max(np.abs(self.poles))) if self.n else 0.0
+            object.__setattr__(self, "_radius_cache", cached)
+        return cached
+
+    @property
     def _schur_form(self) -> tuple:
         """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, cached.
 
@@ -152,8 +168,7 @@ def is_hurwitz(sys: StateSpace) -> Stability:
 
 
 def _pole_tolerance(sys: StateSpace) -> float:
-    radius = float(np.max(np.abs(sys.poles))) if sys.n else 0.0
-    return 1e-12 * max(1.0, radius)
+    return 1e-12 * max(1.0, sys._pole_radius)
 
 
 def _pole_distances(sys: StateSpace, points: np.ndarray) -> np.ndarray:

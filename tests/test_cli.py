@@ -353,15 +353,6 @@ class TestBenchRandom:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
 
-    def test_worker_count_validated(self, capsys, tmp_path):
-        code, _, stderr = run_cli(
-            capsys,
-            ["bench", "random", "--count", "1", "--workers", "0",
-             "--out", str(tmp_path)],
-        )
-        assert code == 2
-        assert "--workers" in json.loads(stderr)["message"]
-
 
 class TestBenchExample:
     def test_ex1_bundle_written(self, capsys, tmp_path):

@@ -24,17 +24,25 @@ from fdbt import (
     generate_ladder,
     interval_reduce,
     is_hurwitz,
-    pair_gramians,
     reproduce_example,
     run_randomized_experiment,
     sigma_max_at,
-    standard_gramians,
     sweep,
     verify_bound,
     write_json,
     write_sweep_csv,
 )
-from fdbt.harness import _dc_error
+import fdbt
+from fdbt import fgbt_reduce
+from fdbt.baselines import prepare_standard
+from fdbt.errors import FdbtError
+from fdbt.harness import (
+    EXPERIMENT_GRID_POINTS,
+    EXPERIMENT_HALF_WIDTHS,
+    EXPERIMENT_ORDERS,
+    ModelCellRecord,
+    _dc_error,
+)
 
 
 class TestVerifyBound:
@@ -161,6 +169,115 @@ class TestExperiment:
         )
 
 
+def _records_by_public_calls(models, half_widths, orders):
+    """The experiment's records from one public reduce call per order."""
+    rows = []
+    for index, model in enumerate(models):
+        for wl in half_widths:
+            grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
+            cfg = fdbt.IntervalConfig(-wl, wl)
+
+            def peak(res):
+                err = error_system(model, res.reduced)
+                return sweep(err, grid, refine=True, on_pole="skip").peak_value
+
+            for r in orders:
+                fibt = fibt_reduce(model, r)
+                peak_fibt, bound_fibt = peak(fibt), float(fibt.bounds["ef"])
+                note = []
+                peak_fdbt = bound_fdbt = peak_fgbt = math.nan
+                try:
+                    res = interval_reduce(model, cfg, r, with_ef_bound=False)
+                    peak_fdbt, bound_fdbt = peak(res), float(res.bounds["interval"])
+                except FdbtError as exc:
+                    note.append(f"fdbt: {exc}")
+                try:
+                    peak_fgbt = peak(fgbt_reduce(model, r, -wl, wl))
+                except FdbtError as exc:
+                    note.append(f"fgbt: {exc}")
+                usable = peak_fibt > 0.0 and math.isfinite(peak_fibt)
+                if not usable:
+                    note.append("fibt peak degenerate; ratios undefined")
+                rows.append(
+                    ModelCellRecord(
+                        model_index=index,
+                        half_width=wl,
+                        order=r,
+                        peak_fibt=float(peak_fibt),
+                        peak_fdbt=float(peak_fdbt),
+                        peak_fgbt=float(peak_fgbt),
+                        bound_fibt=bound_fibt,
+                        bound_fdbt=bound_fdbt,
+                        err_fdbt=float(peak_fdbt / peak_fibt) if usable else math.nan,
+                        err_fgbt=float(peak_fgbt / peak_fibt) if usable else math.nan,
+                        eb_fdbt=float(bound_fdbt / bound_fibt) if bound_fibt > 0 else math.nan,
+                        note="; ".join(note),
+                    )
+                )
+    return rows
+
+
+def _counting(monkeypatch, module, name, counts):
+    """Count calls to module.name at every fdbt namespace that binds it."""
+    original = getattr(module, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in (fdbt, fdbt.baselines, fdbt.harness, fdbt.interval, fdbt.sysmodel):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+class TestPreparedExperiment:
+    SPEC = RandomModelSpec(n=4, seed=3, count=3)
+
+    def test_records_equal_per_order_public_calls_bitwise(self):
+        report = run_randomized_experiment(self.SPEC)
+        models, _ = draw_random_models(self.SPEC)
+        want = _records_by_public_calls(models, EXPERIMENT_HALF_WIDTHS, EXPERIMENT_ORDERS)
+        assert len(report.records) == len(want)
+        for got, ref in zip(report.records, want):
+            for key, value in vars(ref).items():
+                other = getattr(got, key)
+                if isinstance(value, float):
+                    # bitwise, NaN included
+                    assert np.float64(other).tobytes() == np.float64(value).tobytes(), key
+                else:
+                    assert other == value, key
+
+    def test_prepares_once_per_model_and_band(self, monkeypatch):
+        counts = {}
+        for module, name in (
+            (fdbt.baselines, "band_gramians"),
+            (fdbt.baselines, "standard_gramians"),
+            (fdbt.baselines, "log_principal"),
+            (fdbt.interval, "interval_gramians"),
+            (fdbt.interval, "interval_eta"),
+            (fdbt.interval, "interval_ef_bound"),
+            (fdbt.interval, "_schur_band"),
+            (fdbt.sysmodel, "hinf_estimate"),
+        ):
+            _counting(monkeypatch, module, name, counts)
+        report = run_randomized_experiment(self.SPEC)
+        assert not any("fdbt: " in rec.note for rec in report.records)
+        k, b = self.SPEC.count, len(EXPERIMENT_HALF_WIDTHS)
+        n, orders = self.SPEC.n, len(EXPERIMENT_ORDERS)
+        # one for fibt, one inside each band_gramians
+        assert counts["standard_gramians"] == k + k * b
+        assert counts["band_gramians"] == k * b
+        assert counts["log_principal"] == 2 * k * b  # every band straddles 0
+        assert counts["interval_gramians"] == k * b
+        assert counts["interval_eta"] <= k * b
+        assert counts["interval_ef_bound"] == 0
+        assert counts["hinf_estimate"] == 0
+        # per model and band: the band-weighted realization, one chain from
+        # the lowest order (orders n, 1, 2, .., n-1), one factor per truncation
+        assert counts["_schur_band"] == k * b * (1 + n + orders)
+
+
 class TestLadder:
     def test_order_validation(self):
         for bad in (0, 2, 4, -3, True, 1.5):
@@ -193,7 +310,7 @@ class TestLadder:
         assert lad.n == 201
         verdict = is_hurwitz(lad)
         assert verdict.stable
-        sigma = pair_gramians(*standard_gramians(lad)).sigma
+        sigma = prepare_standard(lad).sigma
         # slow singular-value decay is the point of the benchmark: truncation
         # at mid order must leave a visible tail
         assert sigma[49] / sigma[0] >= 0.01

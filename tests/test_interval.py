@@ -34,7 +34,12 @@ from fdbt import (
     solve_lyapunov,
     sweep,
 )
-from fdbt.interval import _band_factors
+from fdbt.interval import (
+    IntervalBalanced,
+    _band_factors,
+    interval_truncate,
+    prepare_interval,
+)
 
 SCALAR = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 UNIT_BAND = IntervalConfig(-1.0, 1.0)
@@ -215,6 +220,110 @@ def test_eta_chain_matches_dense_oracle(sys, band, r):
         for st in eta.per_step
     ]
     np.testing.assert_allclose(norms, ref_norms, rtol=1e-9, atol=0)
+
+
+def _chain_cases():
+    ex2 = example_fixture("ex2").system
+    for band in ((-0.4, 0.4), (-0.8, 0.8)):
+        yield pytest.param(ex2, band, id=f"ex2{band}")
+    for seed in range(95, 103):
+        for cplx in (False, True):
+            sys = random_stable(seed, 7, m=2, p=3, complex_entries=cplx)
+            kind = "complex" if cplx else "real"
+            yield pytest.param(sys, (-1.0, 1.5), id=f"seed{seed}-{kind}")
+    yield pytest.param(generate_ladder(31), (-0.5, 0.5), id="ladder31")
+
+
+def _eta_outcome(chain, r):
+    """The chain's EtaTerms at r, or the (type, message) it raised."""
+    try:
+        return chain(r)
+    except Exception as exc:  # the parity checked is of the exception itself
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        # bitwise: every eta_i and every per-step norm is the same double
+        assert got.eta.tobytes() == want.eta.tobytes()
+        assert got.per_step == want.per_step
+        assert interval_bound(got) == interval_bound(want)
+
+
+class TestPreparedChain:
+    """One memoized eta chain per prepared system and band."""
+
+    @pytest.mark.parametrize("ascending", [True, False], ids=["up", "down"])
+    @pytest.mark.parametrize("sys, band", _chain_cases())
+    def test_memoized_chain_equals_fresh_chain_bitwise(self, sys, band, ascending):
+        cfg = IntervalConfig(*band)
+        prep = prepare_interval(sys, cfg)
+        orders = list(range(sys.n))
+        for r in orders if ascending else orders[::-1]:
+            fresh = interval_eta(prep.balanced, prep.gram, cfg, r)
+            _assert_same_outcome(prep.eta(r), fresh)
+
+    def test_truncation_matches_one_shot_reduction(self):
+        sys = random_stable(96, 7, m=2, p=3, complex_entries=True)
+        cfg = IntervalConfig(-1.0, 1.5)
+        prep = prepare_interval(sys, cfg)
+        for r in (5, 1, 3):
+            got = interval_truncate(prep, r)
+            want = interval_reduce(sys, cfg, r)
+            assert got.bounds == want.bounds and got.warnings == want.warnings
+            for name in "ABCD":
+                assert np.array_equal(getattr(got.reduced, name), getattr(want.reduced, name))
+
+    @staticmethod
+    def _hand_prepared(a, sigma):
+        sys, gram = TestEta._hand_built(a, sigma)
+        ext = build_interval_extended(sys, UNIT_BAND)
+        # T = I: the balanced coordinates are the given ones
+        return IntervalBalanced(sys, ext, gram, sys, ext.sys.B, ext.sys.C)
+
+    # step 2 fails its sigma cutoff (sigma_2 is positive, below n eps sigma_1),
+    # so orders 0 and 1 raise while orders 2.. need only steps 3..
+    CUTOFF_CASE = (
+        np.diag([-1.0, -2.0, -3.0, -4.0, -5.0]) + 0.1 * np.triu(np.ones((5, 5)), 1),
+        [1.0, 1e-17, 0.5, 0.25, 0.125],
+    )
+    # the leading 2x2 block rotates at the band edges +-1, so factoring
+    # order 2 raises: orders 0..2 need it, order 3 does not
+    SHIFT_CASE = (
+        np.array(
+            [[0.0, 1.0, 0.5, 0.0], [-1.0, 0.0, 0.0, 0.5],
+             [0.3, 0.0, -2.0, 0.0], [0.0, 0.3, 0.0, -3.0]]
+        ),
+        [1.0, 0.5, 0.25, 0.125],
+    )
+
+    @pytest.mark.parametrize("ascending", [True, False], ids=["up", "down"])
+    @pytest.mark.parametrize(
+        "case, error, first_ok",
+        [
+            (CUTOFF_CASE, (SingularReconstruction, "truncation order 2: sigma below"), 2),
+            (SHIFT_CASE, (SingularShift, "truncation order 2: band edge"), 3),
+        ],
+        ids=["cutoff", "shift"],
+    )
+    def test_failing_step_raises_what_a_fresh_chain_raises(
+        self, case, error, first_ok, ascending
+    ):
+        prep = self._hand_prepared(*case)
+        n = prep.sys.n
+        orders = list(range(n)) if ascending else list(range(n))[::-1]
+        for r in orders:
+            got = _eta_outcome(prep.eta, r)
+            fresh = _eta_outcome(
+                lambda k: interval_eta(prep.balanced, prep.gram, UNIT_BAND, k), r
+            )
+            _assert_same_outcome(got, fresh)
+            if r < first_ok:
+                assert got[0] is error[0] and got[1].startswith(error[1]), r
+            else:
+                assert np.all(np.isfinite(got.eta)) and got.eta.size == n - r
 
 
 class TestReduce:

@@ -338,6 +338,21 @@ class TestSeededErrorSystem:
                 1.0 + np.linalg.norm(ref)
             )
 
+    def test_pole_tolerance_is_cached_and_assembled_from_parts(self, monkeypatch):
+        full, reduced = self._pair()
+        empty = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)), full.D)
+        errs = [error_system(full, reduced), error_system(full, empty)]
+        # the stacked spectrum's largest magnitude, as computed before caching
+        want = [1e-12 * max(1.0, float(np.max(np.abs(e.poles)))) for e in errs]
+        fresh = [error_system(full, reduced), error_system(full, empty)]
+        assert [sysmodel._pole_tolerance(e) for e in fresh] == want
+        # later calls read the cache: no pole magnitude is recomputed
+        monkeypatch.setattr(
+            StateSpace, "poles", property(lambda self: pytest.fail("poles read"))
+        )
+        for _ in range(3):
+            assert [sysmodel._pole_tolerance(e) for e in fresh] == want
+
     def test_each_model_is_factored_once(self, monkeypatch):
         full = random_stable(21, 12, m=2, p=2)
         reduced = [fibt_reduce(full, r).reduced for r in (2, 4, 6)]
