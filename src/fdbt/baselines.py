@@ -24,7 +24,7 @@ from .errors import (
     NotHurwitz,
     SingularResidualization,
 )
-from .linalg import hermitize, log_principal, solve_lyapunov
+from .linalg import hermitize, log_principal, solve_guarded, solve_lyapunov
 from .reduction import (
     Balanced,
     ReductionResult,
@@ -32,6 +32,7 @@ from .reduction import (
     check_order,
     leading_block,
     partition,
+    tail_bound,
 )
 from .sysmodel import StateSpace, is_hurwitz
 
@@ -68,7 +69,7 @@ def _result(
 
 
 def _tail_bound(prep: Balanced, r: int) -> dict:
-    return {"ef": 2.0 * float(np.sum(prep.sigma[r:]))}
+    return {"ef": tail_bound(prep.sigma, r)}
 
 
 def fibt_truncate(prep: Balanced, r: int) -> ReductionResult:
@@ -107,15 +108,11 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
     rho = _check_rho(rho)
     a11, a12, a21, a22, b1, b2, c1, c2 = partition(prep.sys, r)
 
-    k = a22.shape[0]
-    shifted = rho * np.eye(k, dtype=complex) - a22
-    if k:
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= k * np.finfo(float).eps * sv[0]:
-            raise SingularResidualization(
-                f"rho I - A22 is numerically singular at rho = {rho}"
-            )
-    fold_a = np.linalg.solve(shifted, a21)
+    shifted = rho * np.eye(a22.shape[0], dtype=complex) - a22
+    singular = SingularResidualization(
+        f"rho I - A22 is numerically singular at rho = {rho}"
+    )
+    fold_a = solve_guarded(shifted, a21, singular)
     fold_b = np.linalg.solve(shifted, b2)
     reduced = StateSpace(
         a11 + a12 @ fold_a,

@@ -25,6 +25,7 @@ import scipy.linalg
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import ztrmm
 
+from .baselines import standard_gramians
 from .errors import (
     ConvergenceFailure,
     FdbtError,
@@ -34,11 +35,9 @@ from .errors import (
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import balance_gramians, solve_lyapunov, sqrt_principal
-from .reduction import ReductionResult, check_order
-from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz
-
-SHIFT_TOL = 1e-10
+from .linalg import SHIFT_TOL, solve_guarded, sqrt_principal
+from .reduction import Balanced, ReductionResult, balance, check_order, ef_bound
+from .sysmodel import StateSpace, is_hurwitz
 
 
 @dataclass(frozen=True)
@@ -66,25 +65,10 @@ class IntervalConfig:
 
 @dataclass(frozen=True, eq=False)
 class IntervalExtended:
-    """Band-weighted realization plus the two factors it was built from."""
+    """Band-weighted realization plus the band that built it."""
 
     sys: StateSpace
-    M: np.ndarray
-    N: np.ndarray
     config: IntervalConfig
-
-
-@dataclass(frozen=True, eq=False)
-class IntervalGramians:
-    """Band Gramians with balancing data; sigma non-increasing."""
-
-    Wc: np.ndarray
-    Wo: np.ndarray
-    sigma: np.ndarray
-    T: np.ndarray
-    Tinv: np.ndarray
-    config: IntervalConfig
-    rank_deficient: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -151,19 +135,19 @@ def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> IntervalExt
     """Band-weighted realization: (A, M B, C M, D + C N B)."""
     m, n = _band_factors(sys.A, cfg)
     ext = StateSpace(sys.A, m @ sys.B, sys.C @ m, sys.D + sys.C @ n @ sys.B)
-    return IntervalExtended(ext, m, n, cfg)
+    return IntervalExtended(ext, cfg)
 
 
-def interval_gramians(ext: IntervalExtended) -> IntervalGramians:
-    """Band Gramians (state matrix unchanged, band-weighted B and C)."""
+def interval_gramians(ext: IntervalExtended) -> Balanced:
+    """The band-weighted realization balanced on its band Gramians.
+
+    The band Gramians are the standard Gramian pair of the band-weighted
+    realization (state matrix unchanged, band-weighted B and C); .sys is
+    that realization in their balanced coordinates.
+    """
     if not is_hurwitz(ext.sys).stable:
         raise NotHurwitz("band Gramians need a Hurwitz state matrix")
-    a, b, c = ext.sys.A, ext.sys.B, ext.sys.C
-    wc = solve_lyapunov(a, b @ b.conj().T)
-    wo = solve_lyapunov(a.conj().T, c.conj().T @ c)
-    t, tinv, sigma, flags = balance_gramians(wc, wo)
-    deficient = tuple(int(i) for i in np.flatnonzero(flags))
-    return IntervalGramians(wc, wo, sigma, t, tinv, ext.config, deficient)
+    return balance(ext.sys, *standard_gramians(ext.sys))
 
 
 class _EtaOrder:
@@ -182,16 +166,6 @@ class _EtaOrder:
             return rhs
         trans = "C" if adjoint else "N"
         return solve_triangular(self.s, self.z.conj().T @ rhs, trans=trans)
-
-
-def _solve_left(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """m^(-1) rhs with a singularity guard (SingularReconstruction)."""
-    if m.shape[0] == 0:
-        return rhs
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= m.shape[0] * np.finfo(float).eps * sv[0]:
-        raise SingularReconstruction("band factor is numerically singular")
-    return np.linalg.solve(m, rhs)
 
 
 class _EtaChain:
@@ -299,10 +273,12 @@ class _EtaChain:
 
 
 def interval_eta(
-    sys_balanced: StateSpace, gram: IntervalGramians, cfg: IntervalConfig, r: int
+    sys_balanced: StateSpace, gram: Balanced, cfg: IntervalConfig, r: int
 ) -> EtaTerms:
     """The eta_i ingredients of the in-band bound, for i = r+1 .. n.
 
+    sys_balanced is the input in the band-balanced coordinates and gram the
+    Balanced record of interval_gramians, of which only sigma is read.
     Works on the one-step truncation chain A_k = A_b[:k, :k] of the fixed
     balanced coordinates. For each dropped index i the dilated matrices
     couple the order-(i-1) and order-i truncations:
@@ -337,23 +313,22 @@ def interval_eta(
 class IntervalBalanced:
     """The order-independent part of int-fdbt for one system and band.
 
-    Holds the input system, its band-weighted realization, the band
-    Gramians, the input in their balanced coordinates, and the
-    band-weighted input and output maps Bx, Cx there; interval_truncate
-    does the per-order rest. The eta chain behind the in-band bound is
-    shared by every order (eta_i depends on i, not on r), so truncating at
-    several orders walks it once.
+    Holds the input system, its band-weighted realization, that
+    realization balanced on its band Gramians (gram.sys carries the
+    band-weighted input and output maps Bx, Cx in balanced coordinates),
+    and the input in the same coordinates; interval_truncate does the
+    per-order rest. The eta chain behind the in-band bound is shared by
+    every order (eta_i depends on i, not on r), so truncating at several
+    orders walks it once.
     """
 
     sys: StateSpace
     ext: IntervalExtended
-    gram: IntervalGramians
+    gram: Balanced
     balanced: StateSpace
-    bx: np.ndarray
-    cx: np.ndarray
 
     def __post_init__(self):
-        chain = _EtaChain(self.balanced, self.gram.sigma, self.gram.config)
+        chain = _EtaChain(self.balanced, self.gram.sigma, self.ext.config)
         object.__setattr__(self, "_chain", chain)
 
     def eta(self, r: int) -> EtaTerms:
@@ -366,15 +341,15 @@ def prepare_interval(sys: StateSpace, cfg: IntervalConfig) -> IntervalBalanced:
 
     Requires a Hurwitz input: builds the band-weighted realization, its
     band Gramians and the balancing transform, once per system and band.
+    The band-weighted realization keeps the input's A, so the balanced
+    input shares the balanced state matrix of gram.sys.
     """
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("band-limited reduction requires a Hurwitz system")
     ext = build_interval_extended(sys, cfg)
     gram = interval_gramians(ext)
-    sys_b = sys.transformed(gram.T, gram.Tinv)
-    return IntervalBalanced(
-        sys, ext, gram, sys_b, gram.Tinv @ ext.sys.B, ext.sys.C @ gram.T
-    )
+    balanced = StateSpace(gram.sys.A, gram.Tinv @ sys.B, sys.C @ gram.T, sys.D)
+    return IntervalBalanced(sys, ext, gram, balanced)
 
 
 def interval_truncate(
@@ -383,9 +358,10 @@ def interval_truncate(
     """Reduce a prepared system and band to order r (see interval_reduce)."""
     r = check_order(r, prep.sys.n, allow_full=True)
     a_r = prep.balanced.A[:r, :r]
-    m_r, n_r = _band_factors(a_r, prep.gram.config)
-    b_r = _solve_left(m_r, prep.bx[:r, :])
-    c_r = _solve_left(m_r.T, prep.cx[:, :r].T).T
+    m_r, n_r = _band_factors(a_r, prep.ext.config)
+    singular = SingularReconstruction("band factor is numerically singular")
+    b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)
+    c_r = solve_guarded(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
     d_r = prep.ext.sys.D - c_r @ n_r @ b_r
     reduced = StateSpace(a_r, b_r, c_r, d_r)
 
@@ -403,7 +379,7 @@ def interval_truncate(
     if with_bounds:
         bounds["interval"] = interval_bound(prep.eta(r))
         if with_ef_bound and stable:
-            bounds["ef"] = interval_ef_bound(prep.sys, reduced, prep.gram, r)
+            bounds["ef"] = interval_ef_bound(prep, reduced, r)
         elif with_ef_bound:
             warnings += ("ef bound unavailable: reduced system not Hurwitz",)
     return ReductionResult(
@@ -454,21 +430,13 @@ def interval_bound(eta: EtaTerms) -> float:
     return float(np.sum(np.sqrt(eta.eta)))
 
 
-def interval_ef_bound(
-    sys: StateSpace, reduced: StateSpace, gram: IntervalGramians, r: int
-) -> float:
+def interval_ef_bound(prep: IntervalBalanced, reduced: StateSpace, r: int) -> float:
     """Entire-frequency bound: twice the sigma tail plus two sweep terms.
 
-    The sweep terms estimate the whole-axis gaps between each system and
-    its band-weighted counterpart; both systems must be Hurwitz.
+    The sweep terms estimate the whole-axis gaps between the prepared
+    system and the reduced one and their band-weighted counterparts (see
+    reduction.ef_bound); both systems must be Hurwitz.
     """
-    cfg = gram.config
-    for label, g in (("original", sys), ("reduced", reduced)):
-        if not is_hurwitz(g).stable:
-            raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
-    tail = 2.0 * float(np.sum(gram.sigma[int(r) :]))
-    ext_full = build_interval_extended(sys, cfg).sys
-    ext_red = build_interval_extended(reduced, cfg).sys
-    gap_full, _ = hinf_estimate(error_system(sys, ext_full))
-    gap_red, _ = hinf_estimate(error_system(reduced, ext_red))
-    return tail + gap_full + gap_red
+    return ef_bound(
+        prep.sys, prep.ext, reduced, build_interval_extended, prep.gram.sigma, r
+    )

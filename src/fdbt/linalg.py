@@ -14,11 +14,14 @@ from .errors import (
     BranchCutViolation,
     ConvergenceFailure,
     DimensionMismatch,
+    FdbtError,
     NotPSD,
     SingularSylvester,
 )
 
 ABS_FLOOR = 1e-14
+# a shift point closer than this to an eigenvalue of A is refused
+SHIFT_TOL = 1e-10
 
 
 def as_cmatrix(x, name: str = "matrix") -> np.ndarray:
@@ -88,6 +91,19 @@ def solve_lyapunov(a, q) -> np.ndarray:
         # near-singular pairings that slipped past the eigenvalue check
         raise SingularSylvester(f"Lyapunov residual {rel:.3e} exceeds 1e-10")
     return x
+
+
+def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
+    """m^(-1) rhs, raising error when m is numerically singular.
+
+    Singular means the smallest singular value of m is at most
+    n·eps times the largest (or m is zero).
+    """
+    if m.shape[0]:
+        sv = np.linalg.svd(m, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= m.shape[0] * np.finfo(float).eps * sv[0]:
+            raise error
+    return np.linalg.solve(m, rhs)
 
 
 def _check_off_branch_cut(m: np.ndarray, what: str) -> None:

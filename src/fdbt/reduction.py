@@ -1,5 +1,6 @@
 """Shared plumbing for balancing-based reductions: balanced realizations,
-truncation, and the result record all methods return.
+truncation, the tail and entire-frequency bounds, and the result record
+all methods return.
 """
 
 from __future__ import annotations
@@ -8,28 +9,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderOutOfRange
+from .errors import NotHurwitz, OrderOutOfRange
 from .linalg import balance_gramians
-from .sysmodel import StateSpace
+from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz
 
 
 @dataclass(frozen=True, eq=False)
 class Balanced:
     """A realization in the balanced coordinates of one Gramian pair.
 
-    Both Gramians of the pair become diag(sigma), sigma non-increasing.
-    Nothing here depends on the truncation order, so one record serves
-    every order a caller truncates at.
+    Every method balances through this record: the baselines the input's
+    standard or band-limited pair, sf-fdbt and int-fdbt the standard pair
+    of their extended realization. sys is the balanced realization
+    (T^-1 A T, T^-1 B, C T, D), where both Gramians of the pair (Wc, Wo)
+    become diag(sigma), sigma non-increasing; rank_deficient lists the
+    indices whose sigma fell below the numerical-rank cutoff. Nothing here
+    depends on the truncation order, so one record serves every order a
+    caller truncates at.
     """
 
     sys: StateSpace
     sigma: np.ndarray
+    Wc: np.ndarray
+    Wo: np.ndarray
+    T: np.ndarray
+    Tinv: np.ndarray
+    rank_deficient: tuple
 
 
 def balance(sys: StateSpace, wc: np.ndarray, wo: np.ndarray) -> Balanced:
-    """Balance a Gramian pair of sys and apply the transform to sys."""
-    t, tinv, sigma, _ = balance_gramians(wc, wo)
-    return Balanced(sys.transformed(t, tinv), sigma)
+    """Balance a Gramian pair (wc, wo) of sys and apply the transform to sys."""
+    t, tinv, sigma, flags = balance_gramians(wc, wo)
+    deficient = tuple(int(i) for i in np.flatnonzero(flags))
+    return Balanced(sys.transformed(t, tinv), sigma, wc, wo, t, tinv, deficient)
+
+
+def tail_bound(sigma: np.ndarray, r: int) -> float:
+    """Twice the sum of the balanced singular values dropped at order r."""
+    n = int(sigma.size)
+    r = int(r)
+    if not 0 <= r <= n:
+        raise OrderOutOfRange(f"order {r} outside 0..{n}")
+    return 2.0 * float(np.sum(sigma[r:]))
+
+
+def ef_bound(sys: StateSpace, ext, reduced: StateSpace, build, sigma, r: int) -> float:
+    """Entire-frequency bound: twice the sigma tail plus two sweep terms.
+
+    ext is sys's extended realization (with .sys and .config), sigma its
+    balanced singular values, and build(reduced, ext.config) extends the
+    reduced system the same way. The sweep terms are dense-grid peak
+    estimates (refined lower estimates of the true sup) of the whole-axis
+    gaps between each system and its extension; all four systems must be
+    Hurwitz.
+    """
+    for label, g in (("original", sys), ("reduced", reduced)):
+        if not is_hurwitz(g).stable:
+            raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
+    ext_full, ext_red = ext.sys, build(reduced, ext.config).sys
+    for label, g in (("substituted original", ext_full), ("substituted reduced", ext_red)):
+        if not is_hurwitz(g).stable:
+            raise NotHurwitz(f"{label} system is not Hurwitz")
+    gap_full, _ = hinf_estimate(error_system(sys, ext_full))
+    gap_red, _ = hinf_estimate(error_system(reduced, ext_red))
+    return tail_bound(sigma, r) + gap_full + gap_red
 
 
 @dataclass(frozen=True, eq=False)

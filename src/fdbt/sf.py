@@ -17,19 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import standard_gramians
 from .errors import (
     FdbtError,
     InvalidParameters,
     NotHurwitz,
-    OrderOutOfRange,
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import balance_gramians, solve_lyapunov
-from .reduction import ReductionResult, check_order, leading_block
-from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz
-
-SHIFT_TOL = 1e-10
+from .linalg import SHIFT_TOL, solve_guarded
+from .reduction import (
+    Balanced,
+    ReductionResult,
+    balance,
+    check_order,
+    ef_bound,
+    leading_block,
+    tail_bound,
+)
+from .sysmodel import StateSpace, is_hurwitz
 
 
 @dataclass(frozen=True)
@@ -56,23 +62,6 @@ class SfExtended:
 
     sys: StateSpace
     config: SfConfig
-
-
-@dataclass(frozen=True, eq=False)
-class SfGramians:
-    """Gramians of the substituted system, already balanced.
-
-    sigma holds the substituted singular values in non-increasing order;
-    T / Tinv move the substituted realization into balanced coordinates.
-    """
-
-    Wc: np.ndarray
-    Wo: np.ndarray
-    sigma: np.ndarray
-    T: np.ndarray
-    Tinv: np.ndarray
-    config: SfConfig
-    rank_deficient: tuple = ()
 
 
 def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> SfExtended:
@@ -129,19 +118,17 @@ def stability_epsilon_cap(sys: StateSpace, varpi: float) -> float:
     return min(caps) if caps else math.inf
 
 
-def sf_gramians(ext: SfExtended) -> SfGramians:
-    """Solve the two Lyapunov equations of the substituted system and balance."""
-    verdict = is_hurwitz(ext.sys)
-    if not verdict.stable:
+def sf_gramians(ext: SfExtended) -> Balanced:
+    """The substituted system balanced on its standard Gramian pair.
+
+    sigma holds the substituted singular values in non-increasing order,
+    and .sys is the substituted realization in their balanced coordinates.
+    """
+    if not is_hurwitz(ext.sys).stable:
         raise NotHurwitz(
             "substituted system is not Hurwitz; see stability_epsilon_cap"
         )
-    a, b, c = ext.sys.A, ext.sys.B, ext.sys.C
-    wc = solve_lyapunov(a, b @ b.conj().T)
-    wo = solve_lyapunov(a.conj().T, c.conj().T @ c)
-    t, tinv, sigma, flags = balance_gramians(wc, wo)
-    deficient = tuple(int(i) for i in np.flatnonzero(flags))
-    return SfGramians(wc, wo, sigma, t, tinv, ext.config, deficient)
+    return balance(ext.sys, *standard_gramians(ext.sys))
 
 
 def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
@@ -160,14 +147,11 @@ def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
         return trunc
     eye = np.eye(r, dtype=complex)
     k = 1j * varpi * eye - trunc.A
-    lhs = eps * eye - k
-    sv = np.linalg.svd(lhs, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= r * np.finfo(float).eps * sv[0]:
-        raise SingularReconstruction(
-            "epsilon I - K is numerically singular; back-substitution undefined"
-        )
+    singular = SingularReconstruction(
+        "epsilon I - K is numerically singular; back-substitution undefined"
+    )
     # K and (eps I - K)^(-1) commute, both being rational in A_t
-    a_r = 1j * varpi * eye - eps * np.linalg.solve(lhs, k)
+    a_r = 1j * varpi * eye - eps * solve_guarded(eps * eye - k, k, singular)
     shift = (eps + 1j * varpi) * eye - a_r
     b_r = shift @ trunc.B / eps
     c_r = trunc.C @ shift / eps
@@ -175,36 +159,20 @@ def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
     return StateSpace(a_r, b_r, c_r, d_r)
 
 
-def sf_bound(gram: SfGramians, r: int) -> float:
+def sf_bound(gram: Balanced, r: int) -> float:
     """Error bound at the anchor frequency: 2 * sum of the dropped sigma."""
-    n = int(gram.sigma.size)
-    r = int(r)
-    if not 0 <= r <= n:
-        raise OrderOutOfRange(f"order {r} outside 0..{n}")
-    return 2.0 * float(np.sum(gram.sigma[r:]))
+    return tail_bound(gram.sigma, r)
 
 
 def sf_ef_bound(
-    sys: StateSpace, reduced: StateSpace, gram: SfGramians, r: int
+    sys: StateSpace, ext: SfExtended, reduced: StateSpace, gram: Balanced, r: int
 ) -> float:
     """Entire-frequency bound: anchor tail plus two whole-axis sweep terms.
 
-    The sweep terms are dense-grid peak estimates (refined lower estimates
-    of the true sup), one for the original-vs-substituted gap and one for
-    the reduced-vs-substituted gap.
+    ext is sys's substituted realization and gram its balancing; see
+    reduction.ef_bound for the sweep terms.
     """
-    cfg = gram.config
-    for label, g in (("original", sys), ("reduced", reduced)):
-        if not is_hurwitz(g).stable:
-            raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
-    ext_full = build_sf_extended(sys, cfg).sys
-    ext_red = build_sf_extended(reduced, cfg).sys
-    for label, g in (("substituted original", ext_full), ("substituted reduced", ext_red)):
-        if not is_hurwitz(g).stable:
-            raise NotHurwitz(f"{label} system is not Hurwitz")
-    gap_full, _ = hinf_estimate(error_system(sys, ext_full))
-    gap_red, _ = hinf_estimate(error_system(reduced, ext_red))
-    return sf_bound(gram, r) + gap_full + gap_red
+    return ef_bound(sys, ext, reduced, build_sf_extended, gram.sigma, r)
 
 
 def sf_reduce(
@@ -221,8 +189,7 @@ def sf_reduce(
     r = check_order(r, sys.n, allow_full=True)
     ext = build_sf_extended(sys, cfg)
     gram = sf_gramians(ext)
-    balanced = ext.sys.transformed(gram.T, gram.Tinv)
-    reduced = invert_sf_extension(leading_block(balanced, r), cfg)
+    reduced = invert_sf_extension(leading_block(gram.sys, r), cfg)
 
     stable = is_hurwitz(reduced).stable
     warnings = ()
@@ -237,7 +204,7 @@ def sf_reduce(
     bounds = {"sf": sf_bound(gram, r)}
     if with_ef_bound:
         if stable and is_hurwitz(sys).stable:
-            bounds["ef"] = sf_ef_bound(sys, reduced, gram, r)
+            bounds["ef"] = sf_ef_bound(sys, ext, reduced, gram, r)
         else:
             warnings += ("ef bound unavailable: whole-axis sup needs Hurwitz systems",)
     return ReductionResult(

@@ -21,7 +21,7 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import as_cmatrix
+from .linalg import as_cmatrix, solve_guarded
 
 REAL_TOL = 1e-14
 
@@ -446,10 +446,8 @@ def moebius_substitute(
     if n == 0:
         return sys
     f = a * np.eye(n, dtype=complex) - c * sys.A
-    sv = np.linalg.svd(f, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= n * np.finfo(float).eps * sv[0]:
-        raise SingularSubstitution("aI - cA is numerically singular")
-    finv_b = np.linalg.solve(f, sys.B)
+    singular = SingularSubstitution("aI - cA is numerically singular")
+    finv_b = solve_guarded(f, sys.B, singular)
     a_new = np.linalg.solve(f, d * sys.A - b * np.eye(n, dtype=complex))
     c_new = np.linalg.solve(f.T, sys.C.T).T
     b_new = det * finv_b

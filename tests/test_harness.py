@@ -226,7 +226,8 @@ def _counting(monkeypatch, module, name, counts):
         counts[name] += 1
         return original(*args, **kwargs)
 
-    for mod in (fdbt, fdbt.baselines, fdbt.harness, fdbt.interval, fdbt.sysmodel):
+    modules = (fdbt.baselines, fdbt.harness, fdbt.interval, fdbt.linalg, fdbt.reduction)
+    for mod in (fdbt, *modules, fdbt.sf, fdbt.sysmodel):
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
 
@@ -254,6 +255,7 @@ class TestPreparedExperiment:
             (fdbt.baselines, "band_gramians"),
             (fdbt.baselines, "standard_gramians"),
             (fdbt.baselines, "log_principal"),
+            (fdbt.linalg, "solve_lyapunov"),
             (fdbt.interval, "interval_gramians"),
             (fdbt.interval, "interval_eta"),
             (fdbt.interval, "interval_ef_bound"),
@@ -265,8 +267,10 @@ class TestPreparedExperiment:
         assert not any("fdbt: " in rec.note for rec in report.records)
         k, b = self.SPEC.count, len(EXPERIMENT_HALF_WIDTHS)
         n, orders = self.SPEC.n, len(EXPERIMENT_ORDERS)
-        # one for fibt, one inside each band_gramians
-        assert counts["standard_gramians"] == k + k * b
+        # fibt's pair once per model, and per band one pair each inside
+        # band_gramians and interval_gramians
+        assert counts["solve_lyapunov"] == 2 * k + 4 * k * b
+        assert counts["standard_gramians"] == k + 2 * k * b
         assert counts["band_gramians"] == k * b
         assert counts["log_principal"] == 2 * k * b  # every band straddles 0
         assert counts["interval_gramians"] == k * b

@@ -1,5 +1,7 @@
 """Band-restricted reduction: factors, Gramians, eta chain, bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from fdbt import (
     BranchCutViolation,
     FrequencyGrid,
     IntervalConfig,
-    IntervalGramians,
     InvalidParameters,
     NotHurwitz,
     OrderOutOfRange,
@@ -34,6 +35,7 @@ from fdbt import (
     solve_lyapunov,
     sweep,
 )
+from fdbt.reduction import Balanced
 from fdbt.interval import (
     IntervalBalanced,
     _band_factors,
@@ -173,10 +175,11 @@ class TestEta:
 
     @staticmethod
     def _hand_built(a, sigma):
+        # T = I: the given coordinates are the balanced ones
         n = len(sigma)
         sys = StateSpace(a, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)))
         eye = np.eye(n, dtype=complex)
-        gram = IntervalGramians(eye, eye, np.array(sigma, dtype=float), eye, eye, UNIT_BAND)
+        gram = Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye, ())
         return sys, gram
 
     def test_shift_guard_names_truncation_order(self):
@@ -280,8 +283,9 @@ class TestPreparedChain:
     def _hand_prepared(a, sigma):
         sys, gram = TestEta._hand_built(a, sigma)
         ext = build_interval_extended(sys, UNIT_BAND)
-        # T = I: the balanced coordinates are the given ones
-        return IntervalBalanced(sys, ext, gram, sys, ext.sys.B, ext.sys.C)
+        # T = I: the balanced band-weighted realization is ext.sys itself
+        gram = dataclasses.replace(gram, sys=ext.sys)
+        return IntervalBalanced(sys, ext, gram, sys)
 
     # step 2 fails its sigma cutoff (sigma_2 is positive, below n eps sigma_1),
     # so orders 0 and 1 raise while orders 2.. need only steps 3..
@@ -430,8 +434,6 @@ class TestEfBound:
     def test_requires_reduced_result_pieces(self):
         sys = random_stable(108, 4)
         cfg = IntervalConfig(-0.5, 0.5)
-        ext = build_interval_extended(sys, cfg)
-        gram = interval_gramians(ext)
         res = interval_reduce(sys, cfg, 2, with_ef_bound=False)
-        val = interval_ef_bound(sys, res.reduced, gram, 2)
+        val = interval_ef_bound(prepare_interval(sys, cfg), res.reduced, 2)
         assert val >= res.bounds["interval"] - 1e-12

@@ -9,14 +9,27 @@ from helpers import random_stable
 from fdbt import (
     BranchCutViolation,
     DimensionMismatch,
+    IntervalConfig,
     NotPSD,
+    SfConfig,
+    SingularReconstruction,
+    SingularResidualization,
+    SingularSubstitution,
     SingularSylvester,
+    StateSpace,
     balance_gramians,
+    build_interval_extended,
     hermitize,
     log_principal,
+    moebius_substitute,
+    sf_reduce,
     solve_lyapunov,
     sqrt_principal,
 )
+from fdbt.baselines import gspa_truncate
+from fdbt.interval import IntervalBalanced, interval_truncate
+from fdbt.linalg import solve_guarded
+from fdbt.reduction import Balanced
 
 
 def _rand_complex(rng, n):
@@ -170,3 +183,72 @@ class TestBalanceGramians:
         wc = np.diag([1.0, 0.0])
         flags = balance_gramians(wc, np.eye(2))[3]
         assert np.any(flags)
+
+
+def _identity_balanced(sys, sigma):
+    """A record that declares sys balanced as given (T = I)."""
+    eye = np.eye(sys.n, dtype=complex)
+    return Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye, ())
+
+
+def _moebius_at_a_pole():
+    sys = random_stable(17, 3)
+    return moebius_substitute(sys, complex(sys.poles[0]), 1.0, 1.0, 0.0)
+
+
+def _gspa_singular_a22():
+    # hand-balanced: a Hurwitz system balanced on its own Gramians has a
+    # Hurwitz A22, so rho >= 0 never meets its spectrum from prepare_standard
+    sys = StateSpace(np.diag([-1.0, 0.0, -2.0]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
+    return gspa_truncate(_identity_balanced(sys, [1.0, 0.5, 0.25]), 1, 0.0)
+
+
+def _sf_stiff_pole():
+    # the substitution maps a pole at -1e16 within rounding of
+    # -epsilon + j varpi, where epsilon I - K loses rank
+    sys = StateSpace(np.diag([-1.0, -1e16]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    return sf_reduce(sys, SfConfig(varpi=0.0, epsilon=1.0), 2, with_ef_bound=False)
+
+
+def _interval_nonnormal_block():
+    # hand-prepared (T = I): a strongly non-normal balanced A makes the band
+    # factor M of the kept block singular to working precision
+    sys = StateSpace([[-1.0, 1e12], [0.0, -1.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    ext = build_interval_extended(sys, IntervalConfig(-1.0, 1.0))
+    prep = IntervalBalanced(sys, ext, _identity_balanced(ext.sys, [1.0, 0.5]), sys)
+    return interval_truncate(prep, 2, with_bounds=False)
+
+
+class TestSolveGuarded:
+    def test_nonsingular_solve_is_numpy_solve(self):
+        rng = np.random.default_rng(30)
+        m, rhs = _rand_complex(rng, 4), _rand_complex(rng, 4)[:, :2]
+        got = solve_guarded(m, rhs, SingularReconstruction("unused"))
+        assert got.tobytes() == np.linalg.solve(m, rhs).tobytes()
+
+    @pytest.mark.parametrize(
+        "reach, error, message",
+        [
+            (_moebius_at_a_pole, SingularSubstitution, "aI - cA is numerically singular"),
+            (
+                _gspa_singular_a22,
+                SingularResidualization,
+                "rho I - A22 is numerically singular at rho = 0.0",
+            ),
+            (
+                _sf_stiff_pole,
+                SingularReconstruction,
+                "epsilon I - K is numerically singular; back-substitution undefined",
+            ),
+            (
+                _interval_nonnormal_block,
+                SingularReconstruction,
+                "band factor is numerically singular",
+            ),
+        ],
+        ids=["moebius", "gspa", "sf-back-substitution", "int-fdbt-band-factor"],
+    )
+    def test_each_guard_keeps_its_type_and_message(self, reach, error, message):
+        with pytest.raises(error) as info:
+            reach()
+        assert type(info.value) is error and str(info.value) == message

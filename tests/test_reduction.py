@@ -5,10 +5,17 @@ import pytest
 
 import oracles as orc
 from helpers import random_stable
+import fdbt.interval
+import fdbt.sf
 from fdbt import (
+    IntervalConfig,
     OrderOutOfRange,
+    SfConfig,
+    example_fixture,
+    interval_reduce,
     leading_block,
     partition,
+    sf_reduce,
     solve_lyapunov,
 )
 from fdbt.reduction import balance, check_order
@@ -68,3 +75,29 @@ def test_check_order_full_toggle():
     assert check_order(6, 6, allow_full=True) == 6
     with pytest.raises(OrderOutOfRange):
         check_order(6, 6, allow_full=False)
+
+
+def _builds_of(monkeypatch, module, name, full):
+    """Record, per call of module.name, whether it extends the full model."""
+    original = getattr(module, name)
+    seen = []
+
+    def counted(sys, cfg):
+        seen.append(sys is full)
+        return original(sys, cfg)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_ef_bound_reuses_the_full_models_extension(monkeypatch):
+    # the ef bound compares each system with its extended realization; the
+    # full model's is the one the reduction already built
+    sys = example_fixture("ex2").system
+    sf_builds = _builds_of(monkeypatch, fdbt.sf, "build_sf_extended", sys)
+    int_builds = _builds_of(monkeypatch, fdbt.interval, "build_interval_extended", sys)
+    assert "ef" in sf_reduce(sys, SfConfig(varpi=0.0, epsilon=1.0), 2).bounds
+    assert "ef" in interval_reduce(sys, IntervalConfig(-0.4, 0.4), 2).bounds
+    # the full model once, then the reduced one for the ef bound
+    assert sf_builds == [True, False]
+    assert int_builds == [True, False]
