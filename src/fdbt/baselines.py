@@ -141,7 +141,7 @@ def _band_primitive(a: np.ndarray, w1: float, w2: float) -> np.ndarray:
     )
 
 
-def band_gramians(sys: StateSpace, w1: float, w2: float):
+def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
     """Frequency-limited Gramian pair restricted to a band.
 
     The band is taken literally when it straddles zero, and as the union
@@ -151,12 +151,13 @@ def band_gramians(sys: StateSpace, w1: float, w2: float):
         S = (j/2pi) (log(j x1 I - A) - log(j x2 I - A))
         Wc_band = S Wc + Wc S*,   Wo_band = S* Wo + Wo S.
     Either Gramian may come out indefinite; that is reported as
-    IndefiniteGramian, not repaired.
+    IndefiniteGramian, not repaired. standard is sys's whole-axis pair
+    (Wc, Wo) if the caller holds it; otherwise it is solved here.
     """
     w1, w2 = float(w1), float(w2)
     if not (math.isfinite(w1) and math.isfinite(w2) and w1 < w2):
         raise InvalidParameters("band needs finite w1 < w2")
-    wc, wo = standard_gramians(sys)
+    wc, wo = standard_gramians(sys) if standard is None else standard
     if w1 <= 0.0 <= w2:
         pieces = [(w1, w2)]
     else:
@@ -176,9 +177,9 @@ def band_gramians(sys: StateSpace, w1: float, w2: float):
     return wc_band, wo_band
 
 
-def prepare_band(sys: StateSpace, w1: float, w2: float) -> Balanced:
-    """sys balanced on its band-limited Gramian pair, for fgbt."""
-    return balance(sys, *band_gramians(sys, w1, w2))
+def prepare_band(sys: StateSpace, w1: float, w2: float, standard=None) -> Balanced:
+    """sys balanced on its band-limited Gramian pair, for fgbt (see band_gramians)."""
+    return balance(sys, *band_gramians(sys, w1, w2, standard))
 
 
 def fgbt_truncate(prep: Balanced, r: int) -> ReductionResult:

@@ -294,8 +294,9 @@ def _truncated(truncate, prepared, r, **flags):
 
 def _model_records(index: int, model: StateSpace, half_widths, orders):
     # Gramians, balancing and the eta chain depend on the model and the
-    # band, not on the order: prepare once, truncate per order. The
-    # int-fdbt ef bound is never read here, so it is not computed.
+    # band, not on the order: prepare once, truncate per order, and give
+    # fgbt's band step the standard pair fibt has solved. The int-fdbt ef
+    # bound is never read here, so it is not computed.
     rows = []
     standard = prepare_standard(model)
     fibt = {r: fibt_truncate(standard, r) for r in orders}
@@ -303,7 +304,7 @@ def _model_records(index: int, model: StateSpace, half_widths, orders):
     for wl in half_widths:
         grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
         fdbt = _prepared(prepare_interval, model, IntervalConfig(-wl, wl))
-        fgbt = _prepared(prepare_band, model, -wl, wl)
+        fgbt = _prepared(prepare_band, model, -wl, wl, (standard.Wc, standard.Wo))
         for r in orders:
             peak_fibt = sweep(err_fibt[r], grid, refine=True, on_pole="skip").peak_value
             bound_fibt = float(fibt[r].bounds["ef"])
@@ -649,7 +650,7 @@ def _reproduce_ex2(case: str) -> ExampleBundle:
 
     standard = prepare_standard(sys)
     interval = prepare_interval(sys, cfg)
-    band_limited = prepare_band(sys, w1, w2)
+    band_limited = prepare_band(sys, w1, w2, (standard.Wc, standard.Wo))
     for r in EX2_ORDERS:
         fibt = fibt_truncate(standard, r)
         intr = interval_truncate(interval, r)

@@ -12,7 +12,9 @@ resulting Gramian pair and truncating preserves stability, and the
 truncated tail yields a bound on the error at every frequency inside the
 band: sum over dropped indices of sqrt(eta_i), where each eta_i is
 assembled from dilated two-row-block matrices of the one-step truncation
-chain in fixed balanced coordinates.
+chain in fixed balanced coordinates. M squares back to its argument and
+commutes with N and A, so the chain's one product M^(-1) N M^(-1) is
+(j wc I - A) / wd^2 and no order below n needs a square root.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from .errors import (
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import SHIFT_TOL, solve_guarded, sqrt_principal
+from .linalg import (
+    SHIFT_TOL,
+    check_off_branch_cut,
+    eigvals,
+    solve_guarded,
+    sqrt_principal,
+)
 from .reduction import Balanced, ReductionResult, balance, check_order, ef_bound
 from .sysmodel import StateSpace, is_hurwitz
 
@@ -73,13 +81,10 @@ class IntervalExtended:
 
 @dataclass(frozen=True)
 class EtaStep:
-    """Diagnostics for one truncation step of the eta chain."""
+    """One truncation step of the eta chain: its index i and eta_i."""
 
     index: int
     eta: float
-    dilated_input_norm: float
-    dilated_output_norm: float
-    coupler_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +95,32 @@ class EtaTerms:
     per_step: tuple
 
 
+def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> None:
+    """Refuse a state-matrix spectrum lam for which M or N is undefined.
+
+    SingularShift when a band edge j w lies within SHIFT_TOL of an
+    eigenvalue (a resolvent is singular), BranchCutViolation when an
+    eigenvalue of wd^2 (j w1 I - A)^(-1) (j w2 I - A)^(-1), the argument
+    of M's square root, lies on the closed negative real axis.
+    """
+    if lam.size == 0:
+        return
+    for w in (cfg.w1, cfg.w2):
+        if float(np.min(np.abs(1j * w - lam))) < SHIFT_TOL:
+            raise SingularShift(
+                f"band edge frequency {w} is within {SHIFT_TOL} of an eigenvalue"
+            )
+    values = cfg.wd**2 / ((1j * cfg.w1 - lam) * (1j * cfg.w2 - lam))
+    check_off_branch_cut(values, "principal square root")
+
+
 def _schur_band(a: np.ndarray, cfg: IntervalConfig):
     """Band factors of a state matrix in its complex Schur basis.
 
     Returns (Z, S, U) with A = Z T Z*, T upper triangular, and the upper
     triangular images S = Z* M Z and U = Z* N Z. Every factor is rational
-    in T (or its square root), so one Schur form serves the shift guard,
-    both resolvents, the branch-cut guard and the square root.
+    in T (or its square root), so one Schur form serves the spectrum
+    guards, both resolvents and the square root.
     """
     k = a.shape[0]
     if k == 0:
@@ -106,22 +130,26 @@ def _schur_band(a: np.ndarray, cfg: IntervalConfig):
         t, z = scipy.linalg.schur(a, output="complex")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Schur form failed: {exc}") from exc
-    lam = np.diag(t)
-    for w in (cfg.w1, cfg.w2):
-        if float(np.min(np.abs(1j * w - lam))) < SHIFT_TOL:
-            raise SingularShift(
-                f"band edge frequency {w} is within {SHIFT_TOL} of an eigenvalue"
-            )
+    _check_band_spectrum(np.diag(t), cfg)
     # numpy and scipy wheels each bundle an OpenBLAS with its own thread
     # pool, and a threaded call into one while the other's workers still
-    # spin runs several times slower; the k-cubed kernels of the chain
-    # therefore all go through scipy (ztrmm here, svdvals in _EtaOrder)
+    # spin runs several times slower; the k-cubed kernels here therefore
+    # all go through scipy
     eye = np.eye(k, dtype=complex)
     inv_r2 = solve_triangular(1j * cfg.w2 * eye - t, eye)
     inv_r1r2 = solve_triangular(1j * cfg.w1 * eye - t, inv_r2)
     s = sqrt_principal(cfg.wd**2 * inv_r1r2)
     u = ztrmm(1.0, 1j * cfg.wc * eye - t, inv_r1r2)
     return z, s, u
+
+
+def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
+    """M^(-1) N M^(-1) y for the band factors of a, without forming them.
+
+    M, N and a commute and M^2 = wd^2 (j w1 I - a)^(-1) (j w2 I - a)^(-1),
+    so M^(-1) N M^(-1) = N M^(-2) = (j wc I - a) / wd^2.
+    """
+    return (1j * cfg.wc * y - a @ y) / cfg.wd**2
 
 
 def _band_factors(a: np.ndarray, cfg: IntervalConfig):
@@ -150,24 +178,6 @@ def interval_gramians(ext: IntervalExtended) -> Balanced:
     return balance(ext.sys, *standard_gramians(ext.sys))
 
 
-class _EtaOrder:
-    """One order of the eta chain: its Schur-basis band factors and norms."""
-
-    def __init__(self, z: np.ndarray, s: np.ndarray, u: np.ndarray):
-        self.z, self.s, self.u = z, s, u
-        # Z is unitary, so S and M = Z S Z* share their singular values,
-        # and so do U and N
-        self.sv = scipy.linalg.svdvals(s) if s.size else np.zeros(0)
-        self.u_norm = float(scipy.linalg.svdvals(u)[0]) if u.size else 0.0
-
-    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Z* M^(-1) rhs, or Z* M^(-*) rhs with adjoint=True."""
-        if self.s.shape[0] == 0:
-            return rhs
-        trans = "C" if adjoint else "N"
-        return solve_triangular(self.s, self.z.conj().T @ rhs, trans=trans)
-
-
 class _EtaChain:
     """The eta chain of one balanced system, memoized by step index.
 
@@ -176,10 +186,9 @@ class _EtaChain:
     for one order serve every higher one, bit for bit. Only steps that
     succeeded are kept, and a failing step is recomputed when asked again,
     so every order raises exactly what a fresh chain from it raises: order
-    n's factorization first, then order r's, then steps r+1, r+2, ...
-    (order i, the sigma cutoff, the singular-factor guard). A walk keeps
-    two consecutive orders' factors alive besides order n's, and none
-    once it ends.
+    n's factorization first, then order r's spectrum guards, then steps
+    r+1, r+2, ... (order i's spectrum guards, then the sigma cutoff). A
+    guard that passed passes again, so each order's is run once.
     """
 
     def __init__(self, sys_balanced: StateSpace, sigma, cfg: IntervalConfig):
@@ -193,12 +202,17 @@ class _EtaChain:
         self.swap[m_io:, :p_io] = np.eye(p_io)
         self.io = None  # (Bx, Cx) once order n has been factored
         self.steps = {}  # i -> EtaStep
+        self.guarded = {sys_balanced.n}  # orders whose spectrum guards passed
 
-    def _order(self, k: int) -> _EtaOrder:
+    def _guard(self, k: int) -> None:
+        """Order k's spectrum guards, the rules _schur_band applies at order n."""
+        if k in self.guarded:
+            return
         try:
-            return _EtaOrder(*_schur_band(self.sys.A[:k, :k], self.cfg))
+            _check_band_spectrum(eigvals(self.sys.A[:k, :k]), self.cfg)
         except FdbtError as exc:
             raise type(exc)(f"truncation order {k}: {exc}") from exc
+        self.guarded.add(k)
 
     def terms(self, r: int) -> EtaTerms:
         n = self.sys.n
@@ -207,69 +221,44 @@ class _EtaChain:
             raise OrderOutOfRange(f"order {r} outside 0..{n}")
         if r == n:
             return EtaTerms(np.zeros(0), ())
-        full = None
         if self.io is None:
-            full = self._order(n)
-            zh = full.z.conj().T
-            self.io = (
-                full.z @ (full.s @ (zh @ self.sys.B)),
-                ((self.sys.C @ full.z) @ full.s) @ zh,
-            )
-        lo = None
+            try:
+                z, s, _ = _schur_band(self.sys.A, self.cfg)
+            except FdbtError as exc:
+                raise type(exc)(f"truncation order {n}: {exc}") from exc
+            zh = z.conj().T
+            self.io = (z @ (s @ (zh @ self.sys.B)), ((self.sys.C @ z) @ s) @ zh)
         for i in range(r + 1, n + 1):
-            if i in self.steps:
-                lo = None
-                continue
-            if lo is None:
-                lo = self._order(i - 1)
-            if i < n:
-                hi = self._order(i)
-            else:
-                hi = full if full is not None else self._order(n)
-            self.steps[i] = self._step(i, lo, hi)
-            lo = hi
+            if i not in self.steps:
+                self._guard(i - 1)
+                self._guard(i)
+                self.steps[i] = self._step(i)
         steps = tuple(self.steps[i] for i in range(r + 1, n + 1))
         return EtaTerms(np.array([st.eta for st in steps]), steps)
 
-    def _step(self, i: int, lo: _EtaOrder, hi: _EtaOrder) -> EtaStep:
+    def _step(self, i: int) -> EtaStep:
         sigma = self.sigma
         if sigma[i - 1] <= self.cutoff:
             raise SingularReconstruction(
                 f"truncation order {i}: sigma below numerical rank, eta undefined"
             )
-        # the guard the dense diag(M_{i-1}, M_i) solve applied to its
-        # singular values, which are those of S_{i-1} and S_i together
-        sv = np.concatenate([lo.sv, hi.sv])
-        if sv.max() == 0.0 or sv.min() <= (2 * i - 1) * np.finfo(float).eps * sv.max():
-            raise SingularReconstruction(
-                f"truncation order {i}: band factor is numerically singular"
-            )
         bx, cx = self.io
         s_i = float(sigma[i - 1])
-        b_dil, c_dil_h, core = [], [], 0.0
-        for blk, k, sign in ((lo, i - 1, 1.0), (hi, i, -1.0)):
+        core = 0.0
+        for k, sign in ((i - 1, 1.0), (i, -1.0)):
             bk = bx[:k, :]
             ck = cx[:, :k].conj().T
             scaled = s_i / sigma[:k, None]
-            # rows of Bdil and of Cdil* for this diagonal block, in its
-            # Schur basis: S^(-1) Z* [...] and S^(-*) Z* [...]
-            b_blk = blk.solve(np.hstack([bk, sign * scaled * ck]))
-            c_blk = blk.solve(np.hstack([-sign * ck, -scaled * bk]), adjoint=True)
-            core = core + c_blk.conj().T @ blk.u @ b_blk
-            b_dil.append(b_blk)
-            c_dil_h.append(c_blk)
+            # this diagonal block's part of Cdil NN Bdil: X* M^(-1) N M^(-1) Y
+            # with Y, X the right-hand sides of its rows of Bdil and Cdil*
+            y = np.hstack([bk, sign * scaled * ck])
+            x = np.hstack([-sign * ck, -scaled * bk])
+            core = core + x.conj().T @ _sandwich(self.sys.A[:k, :k], y, self.cfg)
 
         k_mat = -(core @ (s_i * self.swap))
         # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
         herm = (2.0 * s_i) ** 2 * np.eye(k_mat.shape[0]) + (k_mat + k_mat.conj().T) / 2.0
-        eta_i = float(np.linalg.svd(herm, compute_uv=False)[0])
-        return EtaStep(
-            index=i,
-            eta=eta_i,
-            dilated_input_norm=float(np.linalg.norm(np.vstack(b_dil), 2)),
-            dilated_output_norm=float(np.linalg.norm(np.vstack(c_dil_h), 2)),
-            coupler_norm=max(lo.u_norm, hi.u_norm),
-        )
+        return EtaStep(index=i, eta=float(np.linalg.svd(herm, compute_uv=False)[0]))
 
 
 def interval_eta(
@@ -295,11 +284,18 @@ def interval_eta(
     Then K = -(Cdil NN Bdil) S with S the sigma_i-scaled block swap, and
     eta_i = sigma_max of (2 sigma_i)^2 I + (K + K*)/2.
 
-    MM and NN are never formed: each order is factored once in its complex
-    Schur basis (M_k = Z S_k Z*, N_k = Z U_k Z*, S_k and U_k triangular),
-    and the two diagonal blocks are applied one order at a time there, by
-    triangular solves with S_k and S_k*. The unitary Z drops out of every
-    norm, so the diagnostics are read off the Schur-basis blocks.
+    MM, NN and the dilated matrices are never formed. Cdil NN Bdil is a sum
+    of one term per diagonal block, X_k* M_k^(-1) N_k M_k^(-1) Y_k with Y_k
+    and X_k the right-hand sides above, and since M_k, N_k and A_k commute
+    with M_k^2 = wd^2 (j w1 I - A_k)^(-1) (j w2 I - A_k)^(-1),
+
+        M_k^(-1) N_k M_k^(-1) = N_k M_k^(-2) = (j wc I - A_k) / wd^2,
+
+    so each term needs one product with A_k and no factor of M_k. Only order n
+    is factored (one complex Schur form and square root, for Bx and Cx);
+    every lower order of the chain is checked by the same spectrum guards
+    (band edge on an eigenvalue, square-root branch cut) on the eigenvalues
+    of A_k.
 
     This is a fresh chain from r. eta_i does not depend on r, so a caller
     bounding several orders of one system and band should prepare it once
@@ -413,9 +409,9 @@ def interval_reduce(
     truncate per order: the Gramians, the balancing and the eta chain are
     then computed once.
 
-    with_bounds=False skips the eta chain and the whole-axis sweeps, which
-    matters for high orders (the eta chain costs one complex Schur form per
-    order from r to n). with_ef_bound=False keeps the in-band bound but
+    with_bounds=False skips the eta chain and the whole-axis sweeps (the eta
+    chain costs one complex Schur form at order n and one eigenvalue solve
+    per order from r to n-1). with_ef_bound=False keeps the in-band bound but
     drops the whole-axis sweep terms: two dense H-infinity estimates whose
     cost grows with the full order rather than the reduced one.
     """

@@ -48,10 +48,10 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _eigvals(a: np.ndarray) -> np.ndarray:
+def eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a square complex matrix, typed on non-convergence."""
     try:
-        return np.linalg.eigvals(a)
+        return scipy.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
 
@@ -74,7 +74,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), complex)
 
-    lam = _eigvals(a)
+    lam = eigvals(a)
     # pairing λ_i + conj(λ_j) = 0 makes the operator singular
     pair_sums = np.abs(lam[:, None] + lam.conj()[None, :])
     tol = max(ABS_FLOOR, 1e-12 * max(1.0, float(np.max(np.abs(lam)))))
@@ -106,11 +106,10 @@ def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarra
     return np.linalg.solve(m, rhs)
 
 
-def _check_off_branch_cut(m: np.ndarray, what: str) -> None:
-    """Reject spectra touching the closed negative real axis (incl. 0)."""
-    if m.shape[0] == 0:
+def check_off_branch_cut(values: np.ndarray, what: str) -> None:
+    """Reject a spectrum touching the closed negative real axis (incl. 0)."""
+    if values.size == 0:
         return
-    values = _eigvals(m)
     # tolerance relative to the spectral radius: an all-tiny but strictly
     # right-half-plane spectrum is legitimate (band factors over narrow
     # frequency intervals produce exactly that)
@@ -151,7 +150,7 @@ def sqrt_principal(m) -> np.ndarray:
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), complex)
-    _check_off_branch_cut(m, "principal square root")
+    check_off_branch_cut(eigvals(m), "principal square root")
     # the Schur method draws no random probes, unlike logm's estimator
     x = scipy.linalg.sqrtm(m)
     x = np.asarray(x, dtype=np.complex128)
@@ -166,7 +165,7 @@ def log_principal(m) -> np.ndarray:
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), complex)
-    _check_off_branch_cut(m, "principal logarithm")
+    check_off_branch_cut(eigvals(m), "principal logarithm")
     x = _pinned_probes(scipy.linalg.logm, m)
     x = np.asarray(x, dtype=np.complex128)
     if not np.all(np.isfinite(x.view(np.float64))):

@@ -68,8 +68,7 @@ def eta_dense(a, b, c, sigma, w1, w2, r):
     a, b, c are the balanced state-space matrices and sigma their band
     Hankel values. Every step builds the (2i-1)-square block-diagonal
     MM = diag(M_{i-1}, M_i) and NN = diag(N_{i-1}, N_i) and solves with
-    them directly. Returns (eta, norms) with norms[j] the triple
-    (||Bdil||_2, ||Cdil||_2, ||NN||_2) of step r+1+j.
+    them directly. Returns eta_{r+1} .. eta_n.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -82,7 +81,7 @@ def eta_dense(a, b, c, sigma, w1, w2, r):
     swap = np.zeros((m_io + p_io, p_io + m_io), dtype=complex)
     swap[:m_io, p_io:] = np.eye(m_io)
     swap[m_io:, :p_io] = np.eye(p_io)
-    etas, norms = [], []
+    etas = []
     for i in range(r + 1, n + 1):
         (m_lo, n_lo), (m_hi, n_hi) = factors[i - 1], factors[i]
         dim = 2 * i - 1
@@ -111,10 +110,7 @@ def eta_dense(a, b, c, sigma, w1, w2, r):
         k_mat = -(c_dil @ nn @ b_dil @ (s_i * swap))
         herm = (2.0 * s_i) ** 2 * np.eye(p_io + m_io) + (k_mat + k_mat.conj().T) / 2.0
         etas.append(float(np.linalg.svd(herm, compute_uv=False)[0]))
-        norms.append(
-            (np.linalg.norm(b_dil, 2), np.linalg.norm(c_dil, 2), np.linalg.norm(nn, 2))
-        )
-    return np.array(etas), norms
+    return np.array(etas)
 
 
 def hankel_eig(wc, wo):

@@ -266,20 +266,20 @@ class TestPreparedExperiment:
         report = run_randomized_experiment(self.SPEC)
         assert not any("fdbt: " in rec.note for rec in report.records)
         k, b = self.SPEC.count, len(EXPERIMENT_HALF_WIDTHS)
-        n, orders = self.SPEC.n, len(EXPERIMENT_ORDERS)
-        # fibt's pair once per model, and per band one pair each inside
-        # band_gramians and interval_gramians
-        assert counts["solve_lyapunov"] == 2 * k + 4 * k * b
-        assert counts["standard_gramians"] == k + 2 * k * b
+        orders = len(EXPERIMENT_ORDERS)
+        # fibt's pair once per model, which band_gramians reuses, and per
+        # band the pair of interval_gramians
+        assert counts["solve_lyapunov"] == 2 * k + 2 * k * b
+        assert counts["standard_gramians"] == k + k * b
         assert counts["band_gramians"] == k * b
         assert counts["log_principal"] == 2 * k * b  # every band straddles 0
         assert counts["interval_gramians"] == k * b
         assert counts["interval_eta"] <= k * b
         assert counts["interval_ef_bound"] == 0
         assert counts["hinf_estimate"] == 0
-        # per model and band: the band-weighted realization, one chain from
-        # the lowest order (orders n, 1, 2, .., n-1), one factor per truncation
-        assert counts["_schur_band"] == k * b * (1 + n + orders)
+        # per model and band: the band-weighted realization, the chain's
+        # order n (its lower orders need no factor), one factor per truncation
+        assert counts["_schur_band"] == k * b * (1 + 1 + orders)
 
 
 class TestLadder:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fdbt.interval
 import oracles as orc
 from helpers import (
     random_stable,
@@ -14,6 +15,7 @@ from helpers import (
 )
 from fdbt import (
     BranchCutViolation,
+    FdbtError,
     FrequencyGrid,
     IntervalConfig,
     InvalidParameters,
@@ -39,6 +41,9 @@ from fdbt.reduction import Balanced
 from fdbt.interval import (
     IntervalBalanced,
     _band_factors,
+    _EtaChain,
+    _sandwich,
+    _schur_band,
     interval_truncate,
     prepare_interval,
 )
@@ -58,6 +63,20 @@ class TestConfig:
         cfg = IntervalConfig(-0.4, 0.8)
         assert cfg.wd == pytest.approx(0.6)
         assert cfg.wc == pytest.approx(0.2)
+
+
+def _sandwich_cases():
+    for seed in range(95, 103):
+        for cplx in (False, True):
+            a = np.asarray(random_stable(seed, 7, m=2, p=3, complex_entries=cplx).A)
+            kind = "complex" if cplx else "real"
+            for band in ((-1.0, 1.5), (0.3, 2.0)):
+                cfg = IntervalConfig(*band)
+                yield pytest.param(a, cfg, id=f"seed{seed}-{kind}{band}")
+    cfg = IntervalConfig(-0.5, 0.5)
+    a = np.asarray(prepare_interval(generate_ladder(31), cfg).balanced.A)
+    for k in (1, 2, 5, 10, 20, 30, 31):
+        yield pytest.param(a[:k, :k], cfg, id=f"ladder31-order{k}")
 
 
 class TestBandFactors:
@@ -88,6 +107,16 @@ class TestBandFactors:
         # the square-root argument maps eigenvalue 3j to 1/((-4j)(-2j)) = -1/8
         with pytest.raises(BranchCutViolation):
             _band_factors(np.array([[3j]]), UNIT_BAND)
+
+    @pytest.mark.parametrize("a, cfg", _sandwich_cases())
+    def test_sandwich_is_the_closed_form_of_the_dense_factors(self, a, cfg):
+        # M^(-1) N M^(-1) = (j wc I - A) / wd^2, the identity the eta chain
+        # rests on, against the oracle's dense solves and dense sqrtm
+        m, n = orc.band_factors_dense(a, cfg.w1, cfg.w2)
+        m_inv = np.linalg.inv(m)
+        ref = m_inv @ n @ m_inv
+        got = _sandwich(a, np.eye(a.shape[0]), cfg)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_similarity_commutes_with_factors(self):
         sys = random_stable(71, 5)
@@ -215,14 +244,9 @@ def test_eta_chain_matches_dense_oracle(sys, band, r):
     gram = interval_gramians(build_interval_extended(sys, cfg))
     bal = sys.transformed(gram.T, gram.Tinv)
     eta = interval_eta(bal, gram, cfg, r)
-    ref_eta, ref_norms = orc.eta_dense(bal.A, bal.B, bal.C, gram.sigma, cfg.w1, cfg.w2, r)
+    ref_eta = orc.eta_dense(bal.A, bal.B, bal.C, gram.sigma, cfg.w1, cfg.w2, r)
     assert interval_bound(eta) == pytest.approx(np.sum(np.sqrt(ref_eta)), rel=1e-10)
     np.testing.assert_allclose(eta.eta, ref_eta, rtol=1e-9, atol=0)
-    norms = [
-        (st.dilated_input_norm, st.dilated_output_norm, st.coupler_norm)
-        for st in eta.per_step
-    ]
-    np.testing.assert_allclose(norms, ref_norms, rtol=1e-9, atol=0)
 
 
 def _chain_cases():
@@ -302,6 +326,34 @@ class TestPreparedChain:
         ),
         [1.0, 0.5, 0.25, 0.125],
     )
+    # the same state matrix with sigma_2 below the cutoff as well: order 2's
+    # spectrum guards run before step 2's sigma cutoff
+    SHIFT_AND_CUTOFF_CASE = (SHIFT_CASE[0], [1.0, 1e-17, 0.25, 0.125])
+
+    @pytest.mark.parametrize(
+        "a, k",
+        [
+            (np.array([[1j]]), 1),
+            (np.array([[3j]]), 1),
+            (SHIFT_CASE[0], 2),
+            (np.diag([-1.0, 1j]), 2),
+        ],
+        ids=["shift", "branch-cut", "shift-case", "second-state"],
+    )
+    def test_chain_guard_matches_factored_order(self, a, k):
+        # the chain checks orders below n on eigvals(A_k), the factored
+        # order n on its Schur diagonal: one rule, one message
+        with pytest.raises(FdbtError) as factored:
+            _schur_band(a[:k, :k], UNIT_BAND)
+        # one more state, so that order k lies below the chain's order n
+        padded = np.diag(np.full(k + 1, -1.0 + 0j))
+        padded[:k, :k] = a[:k, :k]
+        sys = StateSpace(padded, np.ones((k + 1, 1)), np.ones((1, k + 1)), [[0.0]])
+        chain = _EtaChain(sys, np.ones(k + 1), UNIT_BAND)
+        with pytest.raises(FdbtError) as guarded:
+            chain._guard(k)
+        assert type(guarded.value) is type(factored.value)
+        assert str(guarded.value) == f"truncation order {k}: {factored.value}"
 
     @pytest.mark.parametrize("ascending", [True, False], ids=["up", "down"])
     @pytest.mark.parametrize(
@@ -309,8 +361,13 @@ class TestPreparedChain:
         [
             (CUTOFF_CASE, (SingularReconstruction, "truncation order 2: sigma below"), 2),
             (SHIFT_CASE, (SingularShift, "truncation order 2: band edge"), 3),
+            (
+                SHIFT_AND_CUTOFF_CASE,
+                (SingularShift, "truncation order 2: band edge"),
+                3,
+            ),
         ],
-        ids=["cutoff", "shift"],
+        ids=["cutoff", "shift", "shift-before-cutoff"],
     )
     def test_failing_step_raises_what_a_fresh_chain_raises(
         self, case, error, first_ok, ascending
@@ -328,6 +385,34 @@ class TestPreparedChain:
                 assert got[0] is error[0] and got[1].startswith(error[1]), r
             else:
                 assert np.all(np.isfinite(got.eta)) and got.eta.size == n - r
+
+
+class TestClosedFormChain:
+    # the in-band bound of interval_reduce(generate_ladder(101), [-0.5, 0.5],
+    # 26, with_ef_bound=False) as computed by the chain that factored every
+    # order (one complex Schur form and square root per order from 26 to 101)
+    LADDER101_R26_BOUND = 7.864712825806392
+
+    def test_ladder_bound_matches_factored_chain(self):
+        res = interval_reduce(
+            generate_ladder(101), IntervalConfig(-0.5, 0.5), 26, with_ef_bound=False
+        )
+        bound = res.bounds["interval"]
+        assert bound == pytest.approx(self.LADDER101_R26_BOUND, rel=1e-10)
+
+    def test_three_square_roots_per_reduction(self, monkeypatch):
+        # the band-weighted realization, the chain's order n and the
+        # reduced model's factors; at r = n there is no chain
+        calls = []
+        real = fdbt.interval.sqrt_principal
+        monkeypatch.setattr(
+            fdbt.interval, "sqrt_principal", lambda m: calls.append(1) or real(m)
+        )
+        lad = generate_ladder(31)
+        for r in range(1, lad.n + 1):
+            calls.clear()
+            interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
+            assert len(calls) == (3 if r < lad.n else 2), r
 
 
 class TestReduce:
