@@ -41,8 +41,9 @@ def standard_gramians(sys: StateSpace):
     """Whole-axis controllability and observability Gramians (wc, wo)."""
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("standard Gramians need a Hurwitz system")
-    wc = solve_lyapunov(sys.A, sys.B @ sys.B.conj().T)
-    wo = solve_lyapunov(sys.A.conj().T, sys.C.conj().T @ sys.C)
+    lam = sys.poles
+    wc = solve_lyapunov(sys.A, sys.B @ sys.B.conj().T, lam)
+    wo = solve_lyapunov(sys.A.conj().T, sys.C.conj().T @ sys.C, lam.conj())
     return wc, wo
 
 
@@ -108,7 +109,7 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
     rho = _check_rho(rho)
     a11, a12, a21, a22, b1, b2, c1, c2 = partition(prep.sys, r)
 
-    shifted = rho * np.eye(a22.shape[0], dtype=complex) - a22
+    shifted = rho * np.eye(a22.shape[0]) - a22
     singular = SingularResidualization(
         f"rho I - A22 is numerically singular at rho = {rho}"
     )
@@ -130,15 +131,14 @@ def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
     return gspa_truncate(prepare_standard(sys), r, rho)
 
 
+def _log_shift(a: np.ndarray, w: float) -> np.ndarray:
+    """log(j w I - A), principal branch."""
+    return log_principal(1j * w * np.eye(a.shape[0], dtype=complex) - a)
+
+
 def _band_primitive(a: np.ndarray, w1: float, w2: float) -> np.ndarray:
     """(1/2pi) integral over [w1, w2] of (j nu I - A)^(-1) d nu, closed form."""
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    return (
-        1j
-        / (2.0 * math.pi)
-        * (log_principal(1j * w1 * eye - a) - log_principal(1j * w2 * eye - a))
-    )
+    return 1j / (2.0 * math.pi) * (_log_shift(a, w1) - _log_shift(a, w2))
 
 
 def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
@@ -150,20 +150,32 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
     closed form uses the principal matrix logarithm; for a band [x1, x2]
         S = (j/2pi) (log(j x1 I - A) - log(j x2 I - A))
         Wc_band = S Wc + Wc S*,   Wo_band = S* Wo + Wo S.
-    Either Gramian may come out indefinite; that is reported as
-    IndefiniteGramian, not repaired. standard is sys's whole-axis pair
-    (Wc, Wo) if the caller holds it; otherwise it is solved here.
+    For a real A, log(-j x I - A) = conj(log(j x I - A)), so a band mirrored
+    about zero needs the logarithms at its positive edges only, and S is
+    real: Im log(j x I - A) / pi for [-x, x], and the difference of two such
+    terms for a one-sided band. Either Gramian may come out indefinite;
+    that is reported as IndefiniteGramian, not repaired. standard is sys's
+    whole-axis pair (Wc, Wo) if the caller holds it; otherwise it is solved
+    here.
     """
     w1, w2 = float(w1), float(w2)
     if not (math.isfinite(w1) and math.isfinite(w2) and w1 < w2):
         raise InvalidParameters("band needs finite w1 < w2")
     wc, wo = standard_gramians(sys) if standard is None else standard
-    if w1 <= 0.0 <= w2:
-        pieces = [(w1, w2)]
+    a = sys.A
+    mirrored = w1 == -w2 or not w1 <= 0.0 <= w2
+    if mirrored and not np.iscomplexobj(a):
+        lo, hi = (0.0, w2) if w1 == -w2 else sorted((abs(w1), abs(w2)))
+        s = _log_shift(a, hi).imag / math.pi
+        if lo > 0.0:
+            s = s - _log_shift(a, lo).imag / math.pi
     else:
-        lo, hi = sorted((abs(w1), abs(w2)))
-        pieces = [(-hi, -lo), (lo, hi)]
-    s = sum(_band_primitive(sys.A, x1, x2) for (x1, x2) in pieces)
+        if w1 <= 0.0 <= w2:
+            pieces = [(w1, w2)]
+        else:
+            lo, hi = sorted((abs(w1), abs(w2)))
+            pieces = [(-hi, -lo), (lo, hi)]
+        s = sum(_band_primitive(a, x1, x2) for (x1, x2) in pieces)
     wc_band = hermitize(s @ wc + wc @ s.conj().T)
     wo_band = hermitize(s.conj().T @ wo + wo @ s)
     for name, w in (("controllability", wc_band), ("observability", wo_band)):
@@ -197,8 +209,8 @@ def fgbt_truncate(prep: Balanced, r: int) -> ReductionResult:
 def fgbt_reduce(sys: StateSpace, r: int, w1: float, w2: float) -> ReductionResult:
     """Balanced truncation on band-limited Gramians (see fgbt_truncate).
 
-    The band Gramians, and with them the two matrix logarithms per band
-    piece, depend only on the system and the band: a caller truncating at
+    The band Gramians, and with them the matrix logarithms at the band
+    edges, depend only on the system and the band: a caller truncating at
     several orders calls prepare_band once and fgbt_truncate per order.
     """
     check_order(r, sys.n, allow_full=True)

@@ -14,7 +14,12 @@ band: sum over dropped indices of sqrt(eta_i), where each eta_i is
 assembled from dilated two-row-block matrices of the one-step truncation
 chain in fixed balanced coordinates. M squares back to its argument and
 commutes with N and A, so the chain's one product M^(-1) N M^(-1) is
-(j wc I - A) / wd^2 and no order below n needs a square root.
+(j wc I - A) / wd^2 and no order of the chain needs a square root.
+
+For a real A and a band centred at zero (wc = 0, w1 = -wd) both factors
+are real, M^2 = wd^2 (A^2 + wd^2 I)^(-1) and N = -A (A^2 + wd^2 I)^(-1), so
+the band-weighted realization, its Gramians, the balancing transform and
+the whole chain stay in real arithmetic.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .linalg import (
     SHIFT_TOL,
     check_off_branch_cut,
     eigvals,
+    jw,
     solve_guarded,
     sqrt_principal,
 )
@@ -149,20 +155,36 @@ def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     M, N and a commute and M^2 = wd^2 (j w1 I - a)^(-1) (j w2 I - a)^(-1),
     so M^(-1) N M^(-1) = N M^(-2) = (j wc I - a) / wd^2.
     """
-    return (1j * cfg.wc * y - a @ y) / cfg.wd**2
+    return (jw(cfg.wc) * y - a @ y) / cfg.wd**2
 
 
-def _band_factors(a: np.ndarray, cfg: IntervalConfig):
-    """(M, N) factors of a state matrix over the band, as dense matrices."""
-    z, s, u = _schur_band(a, cfg)
-    zh = z.conj().T
-    return z @ s @ zh, z @ u @ zh
+def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
+    """(M, N) factors of a state matrix over the band, as dense matrices.
+
+    A real a over a band centred at zero has real factors, built in real
+    arithmetic from X = a^2 + wd^2 I: M = sqrt(wd^2 X^(-1)), N = -a X^(-1).
+    Their spectrum guards run on lam, the eigenvalues of a if the caller
+    holds them. Anything else goes through the complex Schur form.
+    """
+    if np.iscomplexobj(a) or cfg.wc != 0.0:
+        z, s, u = _schur_band(a, cfg)
+        zh = z.conj().T
+        return z @ s @ zh, z @ u @ zh
+    _check_band_spectrum(eigvals(a) if lam is None else lam, cfg)
+    k = a.shape[0]
+    lu = scipy.linalg.lu_factor(a @ a + cfg.wd**2 * np.eye(k))
+    # a commutes with X, so X^(-1) a = a X^(-1): one factorization, one solve
+    xinv, xinv_a = np.hsplit(scipy.linalg.lu_solve(lu, np.hstack([np.eye(k), a])), 2)
+    return sqrt_principal(cfg.wd**2 * xinv), -xinv_a
 
 
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> IntervalExtended:
-    """Band-weighted realization: (A, M B, C M, D + C N B)."""
-    m, n = _band_factors(sys.A, cfg)
-    ext = StateSpace(sys.A, m @ sys.B, sys.C @ m, sys.D + sys.C @ n @ sys.B)
+    """Band-weighted realization: (A, M B, C M, D + C N B).
+
+    It keeps sys's state matrix, so it shares sys's cached poles.
+    """
+    m, n = _band_factors(sys.A, cfg, sys.poles)
+    ext = sys.with_io(m @ sys.B, sys.C @ m, sys.D + sys.C @ n @ sys.B)
     return IntervalExtended(ext, cfg)
 
 
@@ -186,26 +208,32 @@ class _EtaChain:
     for one order serve every higher one, bit for bit. Only steps that
     succeeded are kept, and a failing step is recomputed when asked again,
     so every order raises exactly what a fresh chain from it raises: order
-    n's factorization first, then order r's spectrum guards, then steps
-    r+1, r+2, ... (order i's spectrum guards, then the sigma cutoff). A
-    guard that passed passes again, so each order's is run once.
+    n's spectrum guards first, then order r's, then steps r+1, r+2, ...
+    (order i's spectrum guards, then the sigma cutoff). A guard that passed
+    passes again, so each order's is run once.
+
+    The band-weighted input and output maps in balanced coordinates, Bx and
+    Cx, are gram.sys.B and gram.sys.C (T^(-1) M B and C M T), so no order is
+    factored. A real balanced system over a band centred at zero keeps
+    every block, guard and product real.
     """
 
-    def __init__(self, sys_balanced: StateSpace, sigma, cfg: IntervalConfig):
+    def __init__(self, sys_balanced: StateSpace, gram: Balanced, cfg: IntervalConfig):
         self.sys, self.cfg = sys_balanced, cfg
-        self.sigma = np.asarray(sigma, dtype=float)
+        self.io = (gram.sys.B, gram.sys.C)
+        self.sigma = np.asarray(gram.sigma, dtype=float)
         top = self.sigma[0] if self.sigma.size and self.sigma[0] > 0 else 1.0
         self.cutoff = sys_balanced.n * np.finfo(float).eps * top
         m_io, p_io = sys_balanced.m, sys_balanced.p
-        self.swap = np.zeros((m_io + p_io, p_io + m_io), dtype=complex)
+        dtype = np.result_type(sys_balanced.A, *self.io)
+        self.swap = np.zeros((m_io + p_io, p_io + m_io), dtype=dtype)
         self.swap[:m_io, p_io:] = np.eye(m_io)
         self.swap[m_io:, :p_io] = np.eye(p_io)
-        self.io = None  # (Bx, Cx) once order n has been factored
         self.steps = {}  # i -> EtaStep
-        self.guarded = {sys_balanced.n}  # orders whose spectrum guards passed
+        self.guarded = set()  # orders whose spectrum guards passed
 
     def _guard(self, k: int) -> None:
-        """Order k's spectrum guards, the rules _schur_band applies at order n."""
+        """Order k's spectrum guards, the rules _schur_band applies to its diagonal."""
         if k in self.guarded:
             return
         try:
@@ -221,13 +249,7 @@ class _EtaChain:
             raise OrderOutOfRange(f"order {r} outside 0..{n}")
         if r == n:
             return EtaTerms(np.zeros(0), ())
-        if self.io is None:
-            try:
-                z, s, _ = _schur_band(self.sys.A, self.cfg)
-            except FdbtError as exc:
-                raise type(exc)(f"truncation order {n}: {exc}") from exc
-            zh = z.conj().T
-            self.io = (z @ (s @ (zh @ self.sys.B)), ((self.sys.C @ z) @ s) @ zh)
+        self._guard(n)
         for i in range(r + 1, n + 1):
             if i not in self.steps:
                 self._guard(i - 1)
@@ -267,7 +289,8 @@ def interval_eta(
     """The eta_i ingredients of the in-band bound, for i = r+1 .. n.
 
     sys_balanced is the input in the band-balanced coordinates and gram the
-    Balanced record of interval_gramians, of which only sigma is read.
+    Balanced record of interval_gramians, of which sigma and the balanced
+    band-weighted maps gram.sys.B and gram.sys.C are read.
     Works on the one-step truncation chain A_k = A_b[:k, :k] of the fixed
     balanced coordinates. For each dropped index i the dilated matrices
     couple the order-(i-1) and order-i truncations:
@@ -291,18 +314,18 @@ def interval_eta(
 
         M_k^(-1) N_k M_k^(-1) = N_k M_k^(-2) = (j wc I - A_k) / wd^2,
 
-    so each term needs one product with A_k and no factor of M_k. Only order n
-    is factored (one complex Schur form and square root, for Bx and Cx);
-    every lower order of the chain is checked by the same spectrum guards
-    (band edge on an eigenvalue, square-root branch cut) on the eigenvalues
-    of A_k.
+    so each term needs one product with A_k and no factor of M_k. Bx and Cx
+    are read off gram.sys, so no order is factored either: each order from r
+    to n costs one eigenvalue solve of A_k for the spectrum guards (band edge
+    on an eigenvalue, square-root branch cut), real for a real system over
+    a band centred at zero, plus O(k^2 (m + p)) products.
 
     This is a fresh chain from r. eta_i does not depend on r, so a caller
     bounding several orders of one system and band should prepare it once
     (prepare_interval) and ask IntervalBalanced.eta, which walks the chain
     once for all of them and returns the same values bit for bit.
     """
-    return _EtaChain(sys_balanced, gram.sigma, cfg).terms(r)
+    return _EtaChain(sys_balanced, gram, cfg).terms(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +347,7 @@ class IntervalBalanced:
     balanced: StateSpace
 
     def __post_init__(self):
-        chain = _EtaChain(self.balanced, self.gram.sigma, self.ext.config)
+        chain = _EtaChain(self.balanced, self.gram, self.ext.config)
         object.__setattr__(self, "_chain", chain)
 
     def eta(self, r: int) -> EtaTerms:
@@ -410,10 +433,11 @@ def interval_reduce(
     then computed once.
 
     with_bounds=False skips the eta chain and the whole-axis sweeps (the eta
-    chain costs one complex Schur form at order n and one eigenvalue solve
-    per order from r to n-1). with_ef_bound=False keeps the in-band bound but
-    drops the whole-axis sweep terms: two dense H-infinity estimates whose
-    cost grows with the full order rather than the reduced one.
+    chain costs one eigenvalue solve per order from r to n, real for a real
+    system over a band centred at zero). with_ef_bound=False keeps the
+    in-band bound but drops the whole-axis sweep terms: two dense H-infinity
+    estimates whose cost grows with the full order rather than the reduced
+    one.
     """
     check_order(r, sys.n, allow_full=True)
     return interval_truncate(prepare_interval(sys, cfg), r, with_bounds, with_ef_bound)

@@ -1,8 +1,9 @@
-"""Dense complex-matrix kernels used by every reduction method.
+"""Dense matrix kernels used by every reduction method.
 
-All routines work on square numpy arrays of dtype complex128 and are pure:
-inputs are never mutated. Tolerances are relative to input norms with an
-absolute floor of 1e-14.
+All routines work on square numpy arrays and are pure: inputs are never
+mutated. They are dtype-generic: real (float64) input is solved in real
+arithmetic and comes back real, anything complex runs in complex128.
+Tolerances are relative to input norms with an absolute floor of 1e-14.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ ABS_FLOOR = 1e-14
 SHIFT_TOL = 1e-10
 
 
-def as_cmatrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D complex128 array.
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """Validate and convert to a 2-D float64 or complex128 array.
 
+    Complex input (by dtype) becomes complex128, anything else float64.
     Rejects non-2-D input and non-finite entries. Returns a fresh array,
     never a view of the caller's data.
     """
-    a = np.array(x, dtype=np.complex128, order="C")
+    dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    a = np.array(x, dtype=dtype, order="C")
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a.view(np.float64))):
@@ -48,33 +51,43 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
+def jw(w: float):
+    """The scalar j*w, as a real 0.0 at w = 0 so that real data stays real."""
+    return 1j * w if w else 0.0
+
+
 def eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square complex matrix, typed on non-convergence."""
+    """Eigenvalues of a square matrix (dgeev or zgeev), typed on non-convergence."""
     try:
         return scipy.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
 
 
-def solve_lyapunov(a, q) -> np.ndarray:
+def solve_lyapunov(a, q, spectrum=None) -> np.ndarray:
     """Solve A·X + X·A* + Q = 0 for Hermitian Q.
 
-    Uses the Schur-form (Bartels-Stewart) solver. The result is
-    Hermitian-symmetrized. Raises SingularSylvester when the spectrum of A
-    makes the equation singular (some λ_i + conj(λ_j) ≈ 0), which the
-    pre-check detects before the factorization is attempted.
+    Uses the Schur-form (Bartels-Stewart) solver, in real arithmetic when
+    A and Q are real. The result is Hermitian-symmetrized. Raises
+    SingularSylvester when the spectrum of A makes the equation singular
+    (some λ_i + conj(λ_j) ≈ 0), which the pre-check detects before the
+    factorization is attempted; spectrum, the eigenvalues of A if the
+    caller holds them, spares that check its own eigenvalue solve.
     """
-    a = as_cmatrix(a, "A")
-    q = as_cmatrix(q, "Q")
+    a = as_matrix(a, "A")
+    q = as_matrix(q, "Q")
+    # real only when both are: scipy's solver mishandles a real A with a complex Q
+    dtype = np.result_type(a, q)
+    a, q = a.astype(dtype, copy=False), q.astype(dtype, copy=False)
     _require_square(a, "A")
     _require_square(q, "Q")
     if a.shape != q.shape:
         raise DimensionMismatch(f"A is {a.shape} but Q is {q.shape}")
     n = a.shape[0]
     if n == 0:
-        return np.zeros((0, 0), complex)
+        return np.zeros((0, 0), dtype)
 
-    lam = eigvals(a)
+    lam = eigvals(a) if spectrum is None else np.asarray(spectrum)
     # pairing λ_i + conj(λ_j) = 0 makes the operator singular
     pair_sums = np.abs(lam[:, None] + lam.conj()[None, :])
     tol = max(ABS_FLOOR, 1e-12 * max(1.0, float(np.max(np.abs(lam)))))
@@ -144,30 +157,34 @@ def _pinned_probes(fn, m):
 def sqrt_principal(m) -> np.ndarray:
     """Principal matrix square root: X·X = M with spectrum of X in the open RHP.
 
-    Schur-based. Input must have no eigenvalue on (−∞, 0].
+    Schur-based (the real Schur form for real input, whose root is real).
+    Input must have no eigenvalue on (−∞, 0].
     """
-    m = as_cmatrix(m, "M")
+    m = as_matrix(m, "M")
     _require_square(m, "M")
     if m.shape[0] == 0:
-        return np.zeros((0, 0), complex)
+        return np.zeros((0, 0), m.dtype)
     check_off_branch_cut(eigvals(m), "principal square root")
     # the Schur method draws no random probes, unlike logm's estimator
     x = scipy.linalg.sqrtm(m)
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x, dtype=m.dtype)
     if not np.all(np.isfinite(x.view(np.float64))):
         raise ConvergenceFailure("sqrtm produced non-finite entries")
     return x
 
 
 def log_principal(m) -> np.ndarray:
-    """Principal matrix logarithm (eigenvalue imaginary parts in (−π, π))."""
-    m = as_cmatrix(m, "M")
+    """Principal matrix logarithm (eigenvalue imaginary parts in (−π, π)).
+
+    Real input, off the branch cut, has a real logarithm and gets one.
+    """
+    m = as_matrix(m, "M")
     _require_square(m, "M")
     if m.shape[0] == 0:
-        return np.zeros((0, 0), complex)
+        return np.zeros((0, 0), m.dtype)
     check_off_branch_cut(eigvals(m), "principal logarithm")
     x = _pinned_probes(scipy.linalg.logm, m)
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x, dtype=m.dtype)
     if not np.all(np.isfinite(x.view(np.float64))):
         raise ConvergenceFailure("logm produced non-finite entries")
     return x
@@ -194,17 +211,19 @@ def balance_gramians(wc, wo):
     the reported sigma keeps the true values.
 
     flags[i] is True when sigma[i] fell below the numerical-rank cutoff
-    n·eps·sigma[0].
+    n·eps·sigma[0]. Two real Gramians are balanced in real arithmetic, so
+    T is real: that fixes the gauge (the free phase of each balanced
+    direction) that the complex factorizations leave to LAPACK.
     """
-    wc = as_cmatrix(wc, "Wc")
-    wo = as_cmatrix(wo, "Wo")
+    wc = as_matrix(wc, "Wc")
+    wo = as_matrix(wo, "Wo")
     _require_square(wc, "Wc")
     _require_square(wo, "Wo")
     if wc.shape != wo.shape:
         raise DimensionMismatch(f"Wc is {wc.shape} but Wo is {wo.shape}")
     n = wc.shape[0]
     if n == 0:
-        z = np.zeros((0, 0), complex)
+        z = np.zeros((0, 0), np.result_type(wc, wo))
         return z, z, np.zeros(0), np.zeros(0, dtype=bool)
 
     lc = _psd_factor(wc, "Wc")

@@ -25,7 +25,7 @@ from .errors import (
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import SHIFT_TOL, solve_guarded
+from .linalg import SHIFT_TOL, jw, solve_guarded
 from .reduction import (
     Balanced,
     ReductionResult,
@@ -79,16 +79,17 @@ def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> SfExtended:
     n = sys.n
     if n == 0:
         return SfExtended(sys, cfg)
-    z = eps + 1j * varpi
+    z = eps + jw(varpi)
     if float(np.min(np.abs(z - sys.poles))) < SHIFT_TOL:
         raise SingularShift(
-            f"epsilon + j*varpi = {z} is within {SHIFT_TOL} of an eigenvalue of A"
+            f"epsilon + j*varpi = {complex(z)} is within {SHIFT_TOL} "
+            "of an eigenvalue of A"
         )
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n)
     r_mat = z * eye - sys.A
-    jw_minus_a = 1j * varpi * eye - sys.A
+    jw_minus_a = jw(varpi) * eye - sys.A
     rinv_b = np.linalg.solve(r_mat, sys.B)
-    a_new = 1j * varpi * eye - eps * np.linalg.solve(r_mat, jw_minus_a)
+    a_new = jw(varpi) * eye - eps * np.linalg.solve(r_mat, jw_minus_a)
     b_new = eps * rinv_b
     c_new = eps * np.linalg.solve(r_mat.T, sys.C.T).T
     d_new = sys.D + sys.C @ rinv_b
@@ -145,14 +146,14 @@ def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
     r = trunc.n
     if r == 0:
         return trunc
-    eye = np.eye(r, dtype=complex)
-    k = 1j * varpi * eye - trunc.A
+    eye = np.eye(r)
+    k = jw(varpi) * eye - trunc.A
     singular = SingularReconstruction(
         "epsilon I - K is numerically singular; back-substitution undefined"
     )
     # K and (eps I - K)^(-1) commute, both being rational in A_t
-    a_r = 1j * varpi * eye - eps * solve_guarded(eps * eye - k, k, singular)
-    shift = (eps + 1j * varpi) * eye - a_r
+    a_r = jw(varpi) * eye - eps * solve_guarded(eps * eye - k, k, singular)
+    shift = (eps + jw(varpi)) * eye - a_r
     b_r = shift @ trunc.B / eps
     c_r = trunc.C @ shift / eps
     d_r = trunc.D - c_r @ np.linalg.solve(shift, b_r)

@@ -2,8 +2,10 @@
 
 The realization G(jw) = C (jwI - A)^(-1) B + D is the currency every
 reduction method trades in. Realizations are immutable values; complex
-matrices are first-class, and realness (all imaginary parts below 1e-14)
-is tracked so methods that promise real reduced models can be checked.
+matrices are first-class, and a realization whose data is exactly real is
+held in float64, so every method downstream runs in real arithmetic on it.
+Realness up to rounding (all imaginary parts below 1e-14) is tracked so
+methods that promise real reduced models can be checked.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import as_cmatrix, solve_guarded
+from .linalg import as_matrix, solve_guarded
 
 REAL_TOL = 1e-14
 
@@ -30,11 +32,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Immutable complex state-space realization (A, B, C, D).
+    """Immutable state-space realization (A, B, C, D).
 
     n = 0 is legal and means a pure feed-through: G(jw) = D everywhere.
-    Matrices are validated, converted to complex128, and marked read-only
-    on construction.
+    Matrices are validated and marked read-only on construction. The dtype
+    is chosen once, for all four: float64 when every imaginary part is
+    exactly zero, complex128 otherwise.
     """
 
     A: np.ndarray
@@ -43,10 +46,13 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        a = as_cmatrix(self.A, "A")
-        b = as_cmatrix(self.B, "B")
-        c = as_cmatrix(self.C, "C")
-        d = as_cmatrix(self.D, "D")
+        given = (self.A, self.B, self.C, self.D)
+        mats = [as_matrix(x, name) for x, name in zip(given, "ABCD")]
+        if any(x.dtype.kind == "c" and np.any(x.imag) for x in mats):
+            mats = [x.astype(np.complex128, copy=False) for x in mats]
+        else:
+            mats = [np.ascontiguousarray(x.real) for x in mats]
+        a, b, c, d = mats
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"A must be square, got {a.shape}")
         n = a.shape[0]
@@ -96,7 +102,7 @@ class StateSpace:
             if parts is not None:
                 cached = np.concatenate([parts[0].poles, parts[1].poles])
             elif self.n:
-                cached = np.linalg.eigvals(self.A)
+                cached = np.linalg.eigvals(self.A).astype(complex, copy=False)
             else:
                 cached = np.zeros(0, complex)
             cached.setflags(write=False)
@@ -147,9 +153,15 @@ class StateSpace:
 
     def transformed(self, t: np.ndarray, tinv: np.ndarray) -> "StateSpace":
         """Similarity transform: (T^-1 A T, T^-1 B, C T, D)."""
-        t = as_cmatrix(t, "T")
-        tinv = as_cmatrix(tinv, "Tinv")
+        t = as_matrix(t, "T")
+        tinv = as_matrix(tinv, "Tinv")
         return StateSpace(tinv @ self.A @ t, tinv @ self.B, self.C @ t, self.D)
+
+    def with_io(self, b, c, d) -> "StateSpace":
+        """(A, b, c, d): the same state matrix, sharing its cached poles."""
+        out = StateSpace(self.A, b, c, d)
+        object.__setattr__(out, "_pole_cache", self.poles)
+        return out
 
 
 class Stability(NamedTuple):
@@ -271,7 +283,7 @@ def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
             f"reduced {(reduced.p, reduced.m)}"
         )
     nr, n = reduced.n, full.n
-    a = np.zeros((nr + n, nr + n), dtype=complex)
+    a = np.zeros((nr + n, nr + n), dtype=np.result_type(reduced.A, full.A))
     a[:nr, :nr] = reduced.A
     a[nr:, nr:] = full.A
     b = np.vstack([reduced.B, full.B])

@@ -260,6 +260,7 @@ class TestPreparedExperiment:
             (fdbt.interval, "interval_eta"),
             (fdbt.interval, "interval_ef_bound"),
             (fdbt.interval, "_schur_band"),
+            (fdbt.interval, "_band_factors"),
             (fdbt.sysmodel, "hinf_estimate"),
         ):
             _counting(monkeypatch, module, name, counts)
@@ -272,14 +273,17 @@ class TestPreparedExperiment:
         assert counts["solve_lyapunov"] == 2 * k + 2 * k * b
         assert counts["standard_gramians"] == k + k * b
         assert counts["band_gramians"] == k * b
-        assert counts["log_principal"] == 2 * k * b  # every band straddles 0
+        # the models are real and every band is [-x, x]: one logarithm
+        # serves both edges, since log(-j x I - A) = conj(log(j x I - A))
+        assert counts["log_principal"] == k * b
         assert counts["interval_gramians"] == k * b
         assert counts["interval_eta"] <= k * b
         assert counts["interval_ef_bound"] == 0
         assert counts["hinf_estimate"] == 0
-        # per model and band: the band-weighted realization, the chain's
-        # order n (its lower orders need no factor), one factor per truncation
-        assert counts["_schur_band"] == k * b * (1 + 1 + orders)
+        # per model and band: the band-weighted realization and one factor
+        # per truncation (the chain factors no order), all of them real
+        assert counts["_band_factors"] == k * b * (1 + orders)
+        assert counts["_schur_band"] == 0
 
 
 class TestLadder:

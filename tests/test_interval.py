@@ -216,6 +216,13 @@ class TestEta:
         with pytest.raises(SingularShift, match="^truncation order 2:"):
             interval_eta(sys, gram, UNIT_BAND, 1)
 
+    def test_order_n_guard_runs_first(self):
+        # orders 1 and 3 both hold the band edge j; order n is checked first,
+        # as when it was the one order the chain factored
+        sys, gram = self._hand_built(np.diag([1j, -1.0, 1j]), [1.0, 0.5, 0.25])
+        with pytest.raises(SingularShift, match="^truncation order 3:"):
+            interval_eta(sys, gram, UNIT_BAND, 1)
+
     def test_vanishing_sigma_rejected(self):
         sys, gram = self._hand_built(np.diag([-1.0, -2.0]), [1.0, 0.0])
         with pytest.raises(SingularReconstruction, match="^truncation order 2:"):
@@ -341,15 +348,17 @@ class TestPreparedChain:
         ids=["shift", "branch-cut", "shift-case", "second-state"],
     )
     def test_chain_guard_matches_factored_order(self, a, k):
-        # the chain checks orders below n on eigvals(A_k), the factored
-        # order n on its Schur diagonal: one rule, one message
+        # the chain checks every order on eigvals(A_k), the band factors on
+        # their Schur diagonal: one rule, one message
         with pytest.raises(FdbtError) as factored:
             _schur_band(a[:k, :k], UNIT_BAND)
         # one more state, so that order k lies below the chain's order n
         padded = np.diag(np.full(k + 1, -1.0 + 0j))
         padded[:k, :k] = a[:k, :k]
         sys = StateSpace(padded, np.ones((k + 1, 1)), np.ones((1, k + 1)), [[0.0]])
-        chain = _EtaChain(sys, np.ones(k + 1), UNIT_BAND)
+        eye = np.eye(k + 1)
+        gram = Balanced(sys, np.ones(k + 1), eye, eye, eye, eye, ())
+        chain = _EtaChain(sys, gram, UNIT_BAND)
         with pytest.raises(FdbtError) as guarded:
             chain._guard(k)
         assert type(guarded.value) is type(factored.value)
@@ -400,9 +409,9 @@ class TestClosedFormChain:
         bound = res.bounds["interval"]
         assert bound == pytest.approx(self.LADDER101_R26_BOUND, rel=1e-10)
 
-    def test_three_square_roots_per_reduction(self, monkeypatch):
-        # the band-weighted realization, the chain's order n and the
-        # reduced model's factors; at r = n there is no chain
+    def test_two_square_roots_per_reduction(self, monkeypatch):
+        # the band-weighted realization and the reduced model's factors; the
+        # chain reads Bx and Cx off the balanced band-weighted realization
         calls = []
         real = fdbt.interval.sqrt_principal
         monkeypatch.setattr(
@@ -412,7 +421,7 @@ class TestClosedFormChain:
         for r in range(1, lad.n + 1):
             calls.clear()
             interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
-            assert len(calls) == (3 if r < lad.n else 2), r
+            assert len(calls) == 2, r
 
 
 class TestReduce:
