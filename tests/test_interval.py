@@ -218,7 +218,7 @@ class TestEta:
 
     def test_order_n_guard_runs_first(self):
         # orders 1 and 3 both hold the band edge j; order n is checked first,
-        # as when it was the one order the chain factored
+        # so the error names the full order
         sys, gram = self._hand_built(np.diag([1j, -1.0, 1j]), [1.0, 0.5, 0.25])
         with pytest.raises(SingularShift, match="^truncation order 3:"):
             interval_eta(sys, gram, UNIT_BAND, 1)

@@ -20,6 +20,7 @@ import fdbt.interval
 import fdbt.linalg
 from helpers import random_stable
 from fdbt import (
+    FdbtError,
     IntervalConfig,
     SfConfig,
     StateSpace,
@@ -201,6 +202,24 @@ class TestPairedLogarithms:
         # only a band mirrored about zero has real Gramians for real data
         real_pair = band_gramians(sys, w1, w2)
         assert np.isrealobj(real_pair[0]) == (kind != "asymmetric")
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 3.0], [-3.0, 0.0]]],
+    ids=["band-edge", "branch-cut"],
+)
+def test_real_band_factor_guards_match_schur_path(a):
+    # eigenvalues +-j sit on the band edges of [-1, 1]; +-3j put the square
+    # root's argument 1 / (lambda^2 + 1) = -1/8 on the branch cut
+    a = np.array(a)
+    cfg = IntervalConfig(-1.0, 1.0)
+    with pytest.raises(FdbtError) as real:
+        fdbt.interval._band_factors(a, cfg)
+    with pytest.raises(FdbtError) as cplx:
+        fdbt.interval._band_factors(a.astype(complex), cfg)
+    assert type(real.value) is type(cplx.value)
+    assert str(real.value) == str(cplx.value)
 
 
 class TestTripwire:
