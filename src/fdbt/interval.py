@@ -219,6 +219,12 @@ class _EtaChain:
     """
 
     def __init__(self, sys_balanced: StateSpace, gram: Balanced, cfg: IntervalConfig):
+        # Bx and Cx come from gram.sys; another record's maps would give a
+        # wrong bound without an error
+        if not np.array_equal(gram.sys.A, sys_balanced.A):
+            raise InvalidParameters(
+                "gram must be interval_gramians' record of sys_balanced's band"
+            )
         self.sys, self.cfg = sys_balanced, cfg
         self.io = (gram.sys.B, gram.sys.C)
         self.sigma = np.asarray(gram.sigma, dtype=float)
@@ -289,8 +295,10 @@ def interval_eta(
     """The eta_i ingredients of the in-band bound, for i = r+1 .. n.
 
     sys_balanced is the input in the band-balanced coordinates and gram the
-    Balanced record of interval_gramians, of which sigma and the balanced
-    band-weighted maps gram.sys.B and gram.sys.C are read.
+    Balanced record of interval_gramians for the same system and band, of
+    which sigma and the balanced band-weighted maps gram.sys.B and
+    gram.sys.C are read. A record whose state matrix differs from
+    sys_balanced's raises InvalidParameters.
     Works on the one-step truncation chain A_k = A_b[:k, :k] of the fixed
     balanced coordinates. For each dropped index i the dilated matrices
     couple the order-(i-1) and order-i truncations:

@@ -207,8 +207,9 @@ def balance_gramians(wc, wo):
     Returns (T, Tinv, sigma, flags) with T⁻¹·Wc·T⁻* ≈ Σ and T*·Wo·T ≈ Σ,
     Σ = diag(sigma) non-increasing. Square-root balancing: PSD factors of
     both Gramians, then an SVD of L_o*·L_c. Rank-deficient directions are
-    regularized (their scaling is clamped at the rank cutoff) and flagged;
-    the reported sigma keeps the true values.
+    regularized (their scaling is clamped at the rank cutoff, their rows
+    of T⁻¹ taken from a pseudo-inverse of T) and flagged; the reported
+    sigma keeps the true values.
 
     flags[i] is True when sigma[i] fell below the numerical-rank cutoff
     n·eps·sigma[0]. Two real Gramians are balanced in real arithmetic, so
@@ -237,7 +238,9 @@ def balance_gramians(wc, wo):
 
     t = lc @ vh.conj().T * scale[None, :]
     tinv = (u * scale[None, :]).conj().T @ lo.conj().T
-    # rank-deficient directions leave T⁻¹·T ≠ I; patch with a pseudo-inverse
+    # a rank-deficient direction's row of T⁻¹ misses T⁻¹·T = I; patch that
+    # row alone, since the pseudo-inverse's other rows lose the accuracy
+    # the square-root formula gives the leading directions
     if flags.any():
-        tinv = np.linalg.pinv(t)
+        tinv[flags] = np.linalg.pinv(t)[flags]
     return t, tinv, sigma, flags

@@ -37,6 +37,7 @@ from fdbt import (
     solve_lyapunov,
     sweep,
 )
+from fdbt.baselines import prepare_standard
 from fdbt.reduction import Balanced
 from fdbt.interval import (
     IntervalBalanced,
@@ -222,6 +223,15 @@ class TestEta:
         sys, gram = self._hand_built(np.diag([1j, -1.0, 1j]), [1.0, 0.5, 0.25])
         with pytest.raises(SingularShift, match="^truncation order 3:"):
             interval_eta(sys, gram, UNIT_BAND, 1)
+
+    def test_record_of_other_gramians_rejected(self):
+        # Bx and Cx are read off gram.sys, so the whole-axis balanced record
+        # of the same system must not pass for the band's
+        sys = random_stable(77, 5)
+        cfg = IntervalConfig(-0.6, 0.6)
+        bal, _ = self._balanced(sys, cfg)
+        with pytest.raises(InvalidParameters, match="interval_gramians"):
+            interval_eta(bal, prepare_standard(sys), cfg, 2)
 
     def test_vanishing_sigma_rejected(self):
         sys, gram = self._hand_built(np.diag([-1.0, -2.0]), [1.0, 0.0])

@@ -21,11 +21,15 @@ import fdbt.linalg
 from helpers import random_stable
 from fdbt import (
     FdbtError,
+    FrequencyGrid,
     IntervalConfig,
+    RandomModelSpec,
     SfConfig,
     StateSpace,
     band_gramians,
     cli,
+    draw_random_models,
+    error_system,
     evaluate,
     fgbt_reduce,
     fibt_reduce,
@@ -33,7 +37,9 @@ from fdbt import (
     gspa_reduce,
     interval_reduce,
     sf_reduce,
+    sweep,
 )
+from fdbt.baselines import fgbt_truncate, prepare_band
 from fdbt.interval import prepare_interval
 
 BAND = (-0.5, 0.5)
@@ -118,26 +124,32 @@ def test_cli_reduce_writes_real_model(tmp_path, method):
     assert all(entry[1] == 0.0 for key in "ABCD" for row in doc[key] for entry in row)
 
 
+# Cases the oracle cannot hold to 1e-10 relative, for reasons of
+# conditioning that both paths share: the ladder's leading standard Hankel
+# values are 0.7% apart, so its order-1 truncation direction moves by
+# 2e-10; at r = 10 its fgbt and sf Hankel values sit near 7e-7 and 4e-7 of
+# sigma_1, so the kept direction r is known to about eps / 5e-7, and sf's
+# bound is a tail sum of Hankel values whose absolute rounding error is
+# 1e-14 sigma_1.
+CONDITIONING_LIMITED = {
+    "ladder31-fibt-r1": "order-1 cut inside a 0.7% Hankel gap: tf 2.3e-10",
+    "ladder31-fgbt-r10": "sigma_10 = 6.9e-7 sigma_1: tf 4.2e-10",
+    "ladder31-sf-fdbt-r10": "sigma_10 = 4.1e-7 sigma_1: tf 4.8e-9, bound 1.4e-7",
+}
+
+
 def _oracle_cases():
-    # The ladder's band and sf Gramians have 14-15 directions below
-    # numerical rank; balancing then replaces T^-1 by pinv(T) with cond(T)
-    # near 1e52, and the reduced models of both paths carry rounding noise
-    # from 1e-5 up. Their Hankel values and bounds stay well-defined. The
-    # ladder's leading standard Hankel values cluster near 0.5, so its
-    # transfer functions are compared from r = 3 on.
     for name, sys in _real_systems():
-        ladder = name == "ladder31"
         for method in sorted(METHODS):
-            for r in (3, 10) if ladder else (1, 3):
-                compare_tf = not (ladder and method in ("fgbt", "sf-fdbt"))
-                if ladder and method == "sf-fdbt" and r == 10:
-                    continue  # its bound is a tail sum of sigma at rounding level
+            for r in (1, 3, 10) if name == "ladder31" else (1, 3):
                 case = f"{name}-{method}-r{r}"
-                yield pytest.param(sys, method, r, compare_tf, id=case)
+                reason = CONDITIONING_LIMITED.get(case)
+                marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+                yield pytest.param(sys, method, r, id=case, marks=marks)
 
 
-@pytest.mark.parametrize("sys, method, r, compare_tf", _oracle_cases())
-def test_real_path_matches_complex_path(sys, method, r, compare_tf):
+@pytest.mark.parametrize("sys, method, r", _oracle_cases())
+def test_real_path_matches_complex_path(sys, method, r):
     rotated = _phase_rotated(sys, 3)
     assert not rotated.is_real
     real, cplx = METHODS[method](sys, r), METHODS[method](rotated, r)
@@ -148,11 +160,31 @@ def test_real_path_matches_complex_path(sys, method, r, compare_tf):
     assert sorted(real.bounds) == sorted(cplx.bounds)
     for key, value in real.bounds.items():
         assert cplx.bounds[key] == pytest.approx(value, rel=1e-10), key
-    if compare_tf:
-        grid = np.linspace(-3.0, 3.0, 41)
-        g_r = np.array([evaluate(real.reduced, w) for w in grid])
-        g_c = np.array([evaluate(cplx.reduced, w) for w in grid])
-        assert np.max(np.abs(g_r - g_c)) <= 1e-10 * np.max(np.abs(g_r))
+    grid = np.linspace(-3.0, 3.0, 41)
+    g_r = np.array([evaluate(real.reduced, w) for w in grid])
+    g_c = np.array([evaluate(cplx.reduced, w) for w in grid])
+    assert np.max(np.abs(g_r - g_c)) <= 1e-10 * np.max(np.abs(g_r))
+
+
+def test_rank_deficient_direction_keeps_leading_rows():
+    # Model 13 of the n = 4, seed 5 experiment: over [-0.2, 0.2] its fourth
+    # fgbt Hankel value is exactly 0 in real arithmetic (flagged) but 1e-18
+    # on the complex path (not flagged). Only the flagged row of T^-1 may
+    # come from a pseudo-inverse; the leading rows, and so every truncation
+    # that drops the flagged direction, must match the complex path.
+    models, _ = draw_random_models(RandomModelSpec(n=4, seed=5, count=20))
+    sys = models[13]
+    grid = FrequencyGrid.linear(-0.2, 0.2, 201)
+    real, cplx = prepare_band(sys, -0.2, 0.2), prepare_band(_phase_rotated(sys, 1), -0.2, 0.2)
+    assert real.rank_deficient == (3,) and cplx.rank_deficient == ()
+
+    def peak(prep, r):
+        reduced = fgbt_truncate(prep, r).reduced
+        return sweep(error_system(sys, reduced), grid).peak_value
+
+    # the complex path's peaks, as before real balancing: 5.30e-10 and 5e-16
+    assert peak(real, 2) == pytest.approx(peak(cplx, 2), rel=1e-6)
+    assert peak(real, 3) <= 1e-14
 
 
 class TestPairedLogarithms:
