@@ -175,7 +175,8 @@ def test_rank_deficient_direction_keeps_leading_rows():
     models, _ = draw_random_models(RandomModelSpec(n=4, seed=5, count=20))
     sys = models[13]
     grid = FrequencyGrid.linear(-0.2, 0.2, 201)
-    real, cplx = prepare_band(sys, -0.2, 0.2), prepare_band(_phase_rotated(sys, 1), -0.2, 0.2)
+    real = prepare_band(sys, -0.2, 0.2)
+    cplx = prepare_band(_phase_rotated(sys, 1), -0.2, 0.2)
     assert real.rank_deficient == (3,) and cplx.rank_deficient == ()
 
     def peak(prep, r):
