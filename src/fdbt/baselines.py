@@ -24,7 +24,15 @@ from .errors import (
     NotHurwitz,
     SingularResidualization,
 )
-from .linalg import hermitize, log_principal, solve_guarded, solve_lyapunov
+from .linalg import (
+    eigh,
+    gemm,
+    hermitize,
+    log_principal,
+    solve,
+    solve_guarded,
+    solve_lyapunov,
+)
 from .reduction import (
     Balanced,
     ReductionResult,
@@ -42,8 +50,8 @@ def standard_gramians(sys: StateSpace):
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("standard Gramians need a Hurwitz system")
     lam = sys.poles
-    wc = solve_lyapunov(sys.A, sys.B @ sys.B.conj().T, lam)
-    wo = solve_lyapunov(sys.A.conj().T, sys.C.conj().T @ sys.C, lam.conj())
+    wc = solve_lyapunov(sys.A, gemm(sys.B, sys.B, hb=True), lam)
+    wo = solve_lyapunov(sys.A.conj().T, gemm(sys.C, sys.C, ha=True), lam.conj())
     return wc, wo
 
 
@@ -114,12 +122,12 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
         f"rho I - A22 is numerically singular at rho = {rho}"
     )
     fold_a = solve_guarded(shifted, a21, singular)
-    fold_b = np.linalg.solve(shifted, b2)
+    fold_b = solve(shifted, b2, singular)
     reduced = StateSpace(
-        a11 + a12 @ fold_a,
-        b1 + a12 @ fold_b,
-        c1 + c2 @ fold_a,
-        prep.sys.D + c2 @ fold_b,
+        a11 + gemm(a12, fold_a),
+        b1 + gemm(a12, fold_b),
+        c1 + gemm(c2, fold_a),
+        prep.sys.D + gemm(c2, fold_b),
     )
     return _result(prep, "gspa", reduced, _tail_bound(prep, r) if rho == 0.0 else {})
 
@@ -176,10 +184,10 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
             lo, hi = sorted((abs(w1), abs(w2)))
             pieces = [(-hi, -lo), (lo, hi)]
         s = sum(_band_primitive(a, x1, x2) for (x1, x2) in pieces)
-    wc_band = hermitize(s @ wc + wc @ s.conj().T)
-    wo_band = hermitize(s.conj().T @ wo + wo @ s)
+    wc_band = hermitize(gemm(s, wc) + gemm(wc, s, hb=True))
+    wo_band = hermitize(gemm(s, wo, ha=True) + gemm(wo, s))
     for name, w in (("controllability", wc_band), ("observability", wo_band)):
-        evals = np.linalg.eigvalsh(w)
+        evals = eigh(w, vectors=False)
         scale = max(float(np.max(np.abs(evals))) if evals.size else 0.0, 1e-14)
         if evals.size and float(np.min(evals)) < -1e-8 * scale:
             raise IndefiniteGramian(

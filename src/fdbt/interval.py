@@ -34,7 +34,6 @@ from scipy.linalg.blas import ztrmm
 
 from .baselines import standard_gramians
 from .errors import (
-    ConvergenceFailure,
     FdbtError,
     InvalidParameters,
     NotHurwitz,
@@ -46,7 +45,9 @@ from .linalg import (
     SHIFT_TOL,
     check_off_branch_cut,
     eigvals,
+    gemm,
     jw,
+    schur,
     solve_guarded,
     sqrt_principal,
 )
@@ -101,16 +102,17 @@ class EtaTerms:
     per_step: tuple
 
 
-def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> None:
+def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     """Refuse a state-matrix spectrum lam for which M or N is undefined.
 
     SingularShift when a band edge j w lies within SHIFT_TOL of an
     eigenvalue (a resolvent is singular), BranchCutViolation when an
     eigenvalue of wd^2 (j w1 I - A)^(-1) (j w2 I - A)^(-1), the argument
-    of M's square root, lies on the closed negative real axis.
+    of M's square root, lies on the closed negative real axis. Returns
+    those eigenvalues, the guarded spectrum of the square root's argument.
     """
     if lam.size == 0:
-        return
+        return np.zeros(0, complex)
     for w in (cfg.w1, cfg.w2):
         if float(np.min(np.abs(1j * w - lam))) < SHIFT_TOL:
             raise SingularShift(
@@ -118,6 +120,7 @@ def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> None:
             )
     values = cfg.wd**2 / ((1j * cfg.w1 - lam) * (1j * cfg.w2 - lam))
     check_off_branch_cut(values, "principal square root")
+    return values
 
 
 def _schur_band(a: np.ndarray, cfg: IntervalConfig):
@@ -132,19 +135,13 @@ def _schur_band(a: np.ndarray, cfg: IntervalConfig):
     if k == 0:
         z = np.zeros((0, 0), dtype=complex)
         return z, z, z
-    try:
-        t, z = scipy.linalg.schur(a, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Schur form failed: {exc}") from exc
-    _check_band_spectrum(np.diag(t), cfg)
-    # numpy and scipy wheels each bundle an OpenBLAS with its own thread
-    # pool, and a threaded call into one while the other's workers still
-    # spin runs several times slower; the k-cubed kernels here therefore
-    # all go through scipy
+    t, z = schur(a, output="complex")
+    values = _check_band_spectrum(np.diag(t), cfg)
     eye = np.eye(k, dtype=complex)
     inv_r2 = solve_triangular(1j * cfg.w2 * eye - t, eye)
     inv_r1r2 = solve_triangular(1j * cfg.w1 * eye - t, inv_r2)
-    s = sqrt_principal(cfg.wd**2 * inv_r1r2)
+    # triangular: its spectrum is its diagonal, which values guarded already
+    s = sqrt_principal(cfg.wd**2 * inv_r1r2, values)
     u = ztrmm(1.0, 1j * cfg.wc * eye - t, inv_r1r2)
     return z, s, u
 
@@ -155,7 +152,7 @@ def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     M, N and a commute and M^2 = wd^2 (j w1 I - a)^(-1) (j w2 I - a)^(-1),
     so M^(-1) N M^(-1) = N M^(-2) = (j wc I - a) / wd^2.
     """
-    return (jw(cfg.wc) * y - a @ y) / cfg.wd**2
+    return (jw(cfg.wc) * y - gemm(a, y)) / cfg.wd**2
 
 
 def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
@@ -168,14 +165,13 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
     """
     if np.iscomplexobj(a) or cfg.wc != 0.0:
         z, s, u = _schur_band(a, cfg)
-        zh = z.conj().T
-        return z @ s @ zh, z @ u @ zh
-    _check_band_spectrum(eigvals(a) if lam is None else lam, cfg)
+        return gemm(gemm(z, s), z, hb=True), gemm(gemm(z, u), z, hb=True)
+    values = _check_band_spectrum(eigvals(a) if lam is None else lam, cfg)
     k = a.shape[0]
-    lu = scipy.linalg.lu_factor(a @ a + cfg.wd**2 * np.eye(k))
+    lu = scipy.linalg.lu_factor(gemm(a, a) + cfg.wd**2 * np.eye(k))
     # a commutes with X, so X^(-1) a = a X^(-1): one factorization, one solve
     xinv, xinv_a = np.hsplit(scipy.linalg.lu_solve(lu, np.hstack([np.eye(k), a])), 2)
-    return sqrt_principal(cfg.wd**2 * xinv), -xinv_a
+    return sqrt_principal(cfg.wd**2 * xinv, values), -xinv_a
 
 
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> IntervalExtended:
@@ -184,7 +180,7 @@ def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> IntervalExt
     It keeps sys's state matrix, so it shares sys's cached poles.
     """
     m, n = _band_factors(sys.A, cfg, sys.poles)
-    ext = sys.with_io(m @ sys.B, sys.C @ m, sys.D + sys.C @ n @ sys.B)
+    ext = sys.with_io(gemm(m, sys.B), gemm(sys.C, m), sys.D + gemm(gemm(sys.C, n), sys.B))
     return IntervalExtended(ext, cfg)
 
 
@@ -281,9 +277,9 @@ class _EtaChain:
             # with Y, X the right-hand sides of its rows of Bdil and Cdil*
             y = np.hstack([bk, sign * scaled * ck])
             x = np.hstack([-sign * ck, -scaled * bk])
-            core = core + x.conj().T @ _sandwich(self.sys.A[:k, :k], y, self.cfg)
+            core = core + gemm(x, _sandwich(self.sys.A[:k, :k], y, self.cfg), ha=True)
 
-        k_mat = -(core @ (s_i * self.swap))
+        k_mat = -gemm(core, s_i * self.swap)
         # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
         herm = (2.0 * s_i) ** 2 * np.eye(k_mat.shape[0]) + (k_mat + k_mat.conj().T) / 2.0
         return EtaStep(index=i, eta=float(np.linalg.svd(herm, compute_uv=False)[0]))
@@ -375,7 +371,7 @@ def prepare_interval(sys: StateSpace, cfg: IntervalConfig) -> IntervalBalanced:
         raise NotHurwitz("band-limited reduction requires a Hurwitz system")
     ext = build_interval_extended(sys, cfg)
     gram = interval_gramians(ext)
-    balanced = StateSpace(gram.sys.A, gram.Tinv @ sys.B, sys.C @ gram.T, sys.D)
+    balanced = StateSpace(gram.sys.A, gemm(gram.Tinv, sys.B), gemm(sys.C, gram.T), sys.D)
     return IntervalBalanced(sys, ext, gram, balanced)
 
 
@@ -389,7 +385,7 @@ def interval_truncate(
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)
     c_r = solve_guarded(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
-    d_r = prep.ext.sys.D - c_r @ n_r @ b_r
+    d_r = prep.ext.sys.D - gemm(gemm(c_r, n_r), b_r)
     reduced = StateSpace(a_r, b_r, c_r, d_r)
 
     stable = is_hurwitz(reduced).stable

@@ -4,12 +4,29 @@ All routines work on square numpy arrays and are pure: inputs are never
 mutated. They are dtype-generic: real (float64) input is solved in real
 arithmetic and comes back real, anything complex runs in complex128.
 Tolerances are relative to input norms with an absolute floor of 1e-14.
+
+One BLAS pool. The numpy and scipy wheels each bundle their own OpenBLAS,
+each with its own thread pool, and a threaded call into one library while
+the other's workers still spin waiting for work runs several times slower
+on a machine with few cores. Every O(n^3) kernel in fdbt therefore goes
+through scipy's LAPACK and BLAS, by the routine handles below: products
+(gemm), the Lyapunov solve (gees, gemm and trsyl), Hermitian eigensolves
+(syevd/heevd), singular values (gesdd), eigenvalues (geev), linear solves
+(gesv) and the matrix logarithm on fdbt's own Schur form. scipy's own
+solve_continuous_lyapunov and logm multiply with numpy's dot internally,
+so neither is called on a full matrix. numpy keeps elementwise work and
+the tiny per-point factorizations of frequency sweeps, which OpenBLAS
+never threads. Nothing here sets or pins a thread count.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import (
     BranchCutViolation,
@@ -56,27 +73,137 @@ def jw(w: float):
     return 1j * w if w else 0.0
 
 
+def _char(*arrays) -> str:
+    """LAPACK type letter: 'D' (complex128) if any input is complex, else 'd'."""
+    return "D" if any(x.dtype.kind == "c" for x in arrays) else "d"
+
+
+@functools.cache
+def _routine(name: str, char: str):
+    """scipy's BLAS (gemm) or LAPACK routine name for type letter char."""
+    getter = get_blas_funcs if name == "gemm" else get_lapack_funcs
+    return getter(name, dtype=np.dtype(char))
+
+
+def _no_sort(*args):
+    return None
+
+
+@functools.cache
+def _lwork(name: str, char: str, n: int) -> int:
+    """The optimal workspace of gees or geev at order n, queried once."""
+    if name == "gees":
+        work = _routine("gees", char)(_no_sort, np.zeros((n, n), char), lwork=-1)[-2]
+    else:
+        work = _routine("geev_lwork", char)(n, compute_vl=0, compute_vr=0)[0]
+    return max(1, int(np.ravel(work)[0].real))
+
+
+def _checked(out: tuple, what: str):
+    """A LAPACK handle's outputs without their trailing info, which must be 0."""
+    if out[-1] != 0:
+        raise ConvergenceFailure(f"{what} failed (LAPACK info {out[-1]})")
+    return out[:-1]
+
+
+def gemm(a: np.ndarray, b: np.ndarray, ha: bool = False, hb: bool = False) -> np.ndarray:
+    """a·b by one BLAS gemm, with a (ha) or b (hb) conjugate-transposed first.
+
+    Real operands multiply in real arithmetic. C-ordered operands are passed
+    as their Fortran-ordered transposes, (op(a) op(b))ᵀ = op(bᵀ) op(aᵀ), so
+    neither is copied and the product comes back C-ordered.
+    """
+    fn = _routine("gemm", _char(a, b))
+    ta, tb = 2 * ha, 2 * hb  # BLAS op codes: 0 as is, 2 conjugate transpose
+    if a.flags.f_contiguous and b.flags.f_contiguous:
+        return fn(1.0, a, b, trans_a=ta, trans_b=tb)
+    return fn(1.0, b.T, a.T, trans_a=tb, trans_b=ta).T
+
+
+def _fro_norm(x: np.ndarray) -> float:
+    """Frobenius norm by elementwise sums (numpy's norm is a threaded BLAS dot)."""
+    sq = x.real * x.real
+    if x.dtype.kind == "c":
+        sq += x.imag * x.imag
+    return math.sqrt(float(np.sum(sq)))
+
+
+def schur(a: np.ndarray, output: str = "real"):
+    """Schur form A = Z T Z* (gees) as (T, Z).
+
+    T is quasi-triangular and real for real A, unless output="complex"
+    asks for the triangular complex form.
+    """
+    n = a.shape[0]
+    char = "D" if output == "complex" else _char(a)
+    if n == 0:
+        return np.zeros((0, 0), char), np.zeros((0, 0), char)
+    out = _checked(
+        _routine("gees", char)(_no_sort, a, lwork=_lwork("gees", char, n)), "Schur form"
+    )
+    return out[0], out[-2]
+
+
 def eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix (dgeev or zgeev), typed on non-convergence."""
-    try:
-        return scipy.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    """Eigenvalues of a square matrix (dgeev or zgeev), as complex128."""
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(0, complex)
+    char = _char(a)
+    geev = _routine("geev", char)
+    out = _checked(
+        geev(a, compute_vl=0, compute_vr=0, lwork=_lwork("geev", char, n)), "eigensolver"
+    )
+    return out[0] + 1j * out[1] if char == "d" else out[0]
+
+
+def eigh(a: np.ndarray, vectors: bool = True):
+    """Eigenvalues (ascending) of a Hermitian matrix, with eigenvectors
+    unless vectors=False: syevd or heevd on the lower triangle."""
+    char = _char(a)
+    fn = _routine("heevd" if char == "D" else "syevd", char)
+    w, v = _checked(fn(a, compute_v=int(vectors), lower=1), "Hermitian eigensolver")
+    return (w, v) if vectors else w
+
+
+def svd(a: np.ndarray, vectors: bool = True):
+    """Thin singular value decomposition (gesdd): (U, s, Vh), or s alone
+    when vectors=False. s is non-increasing."""
+    u, s, vh = _checked(
+        _routine("gesdd", _char(a))(a, compute_uv=int(vectors), full_matrices=0), "SVD"
+    )
+    return (u, s, vh) if vectors else s
+
+
+def solve(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
+    """m^(-1) rhs by an LU solve (gesv), raising error on an exactly zero pivot."""
+    if m.shape[0] == 0:
+        return np.zeros(rhs.shape, np.result_type(m, rhs))
+    *_, x, info = _routine("gesv", _char(m, rhs))(m, rhs)
+    if info > 0:
+        raise error
+    if info < 0:
+        raise ConvergenceFailure(f"linear solve failed (LAPACK info {info})")
+    return x
 
 
 def solve_lyapunov(a, q, spectrum=None) -> np.ndarray:
     """Solve A·X + X·A* + Q = 0 for Hermitian Q.
 
-    Uses the Schur-form (Bartels-Stewart) solver, in real arithmetic when
-    A and Q are real. The result is Hermitian-symmetrized. Raises
-    SingularSylvester when the spectrum of A makes the equation singular
-    (some λ_i + conj(λ_j) ≈ 0), which the pre-check detects before the
-    factorization is attempted; spectrum, the eigenvalues of A if the
-    caller holds them, spares that check its own eigenvalue solve.
+    Bartels-Stewart (CACM 1972): with the Schur form A = U R U*, real when
+    A and Q are, R Y + Y R* = -U* Q U is triangular (trsyl) and X = U Y U*.
+    The result is Hermitian-symmetrized. Raises SingularSylvester when the
+    spectrum of A makes the equation singular (some λ_i + conj(λ_j) ≈ 0),
+    which the pre-check detects before the factorization is attempted;
+    spectrum, the eigenvalues of A if the caller holds them, spares that
+    check its own eigenvalue solve. The solution is accepted when its
+    backward error ‖AX + XA* + Q‖ / (2‖A‖‖X‖ + ‖Q‖) (Frobenius norms) is at
+    most 1e-10, which holds for a backward-stable solve of a well-posed
+    equation however non-normal A is.
     """
     a = as_matrix(a, "A")
     q = as_matrix(q, "Q")
-    # real only when both are: scipy's solver mishandles a real A with a complex Q
+    # real only when both are: a real Schur form cannot carry a complex Q
     dtype = np.result_type(a, q)
     a, q = a.astype(dtype, copy=False), q.astype(dtype, copy=False)
     _require_square(a, "A")
@@ -96,13 +223,21 @@ def solve_lyapunov(a, q, spectrum=None) -> np.ndarray:
             "spectrum of A contains a pair with lambda_i + conj(lambda_j) ~ 0"
         )
 
-    x = scipy.linalg.solve_continuous_lyapunov(a, -q)
-    x = hermitize(x)
-    residual = a @ x + x @ a.conj().T + q
-    rel = float(np.linalg.norm(residual)) / max(1.0, float(np.linalg.norm(q)))
-    if rel > 1e-10:
+    r, u = schur(a)
+    f = -gemm(u, gemm(q, u), ha=True)
+    char = _char(a)
+    y, scale, info = _routine("trsyl", char)(r, r, f, tranb="C" if char == "D" else "T")
+    if info < 0:
+        raise ConvergenceFailure(f"Sylvester solve failed (LAPACK info {info})")
+    if info == 1:
+        raise SingularSylvester("trsyl perturbed a near-singular eigenvalue pairing")
+    x = hermitize(gemm(gemm(u, y * scale), u, hb=True))
+    residual = _fro_norm(gemm(a, x) + gemm(x, a, hb=True) + q)
+    scale_ref = 2.0 * _fro_norm(a) * _fro_norm(x) + _fro_norm(q)
+    if residual > 1e-10 * scale_ref:
         # near-singular pairings that slipped past the eigenvalue check
-        raise SingularSylvester(f"Lyapunov residual {rel:.3e} exceeds 1e-10")
+        rel = residual / scale_ref
+        raise SingularSylvester(f"Lyapunov backward error {rel:.3e} exceeds 1e-10")
     return x
 
 
@@ -113,10 +248,10 @@ def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarra
     n·eps times the largest (or m is zero).
     """
     if m.shape[0]:
-        sv = np.linalg.svd(m, compute_uv=False)
+        sv = svd(m, vectors=False)
         if sv[0] == 0.0 or sv[-1] <= m.shape[0] * np.finfo(float).eps * sv[0]:
             raise error
-    return np.linalg.solve(m, rhs)
+    return solve(m, rhs, error)
 
 
 def check_off_branch_cut(values: np.ndarray, what: str) -> None:
@@ -154,17 +289,19 @@ def _pinned_probes(fn, m):
         np.random.set_state(state)
 
 
-def sqrt_principal(m) -> np.ndarray:
+def sqrt_principal(m, spectrum=None) -> np.ndarray:
     """Principal matrix square root: X·X = M with spectrum of X in the open RHP.
 
     Schur-based (the real Schur form for real input, whose root is real).
-    Input must have no eigenvalue on (−∞, 0].
+    Input must have no eigenvalue on (−∞, 0]; spectrum, the eigenvalues of
+    M if the caller holds them, spares that check its own eigenvalue solve.
     """
     m = as_matrix(m, "M")
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), m.dtype)
-    check_off_branch_cut(eigvals(m), "principal square root")
+    lam = eigvals(m) if spectrum is None else np.asarray(spectrum)
+    check_off_branch_cut(lam, "principal square root")
     # the Schur method draws no random probes, unlike logm's estimator
     x = scipy.linalg.sqrtm(m)
     x = np.asarray(x, dtype=m.dtype)
@@ -177,14 +314,22 @@ def log_principal(m) -> np.ndarray:
     """Principal matrix logarithm (eigenvalue imaginary parts in (−π, π)).
 
     Real input, off the branch cut, has a real logarithm and gets one.
+    Computed on the Schur form M = Z T Z* (Higham, Functions of Matrices,
+    2008, ch. 11): a real Schur form with 2×2 blocks is made triangular by
+    rsf2csf, scipy's logm takes the logarithm U of the triangular T, and
+    log M = Z U Z*.
     """
     m = as_matrix(m, "M")
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), m.dtype)
     check_off_branch_cut(eigvals(m), "principal logarithm")
-    x = _pinned_probes(scipy.linalg.logm, m)
-    x = np.asarray(x, dtype=m.dtype)
+    t, z = schur(m)
+    if np.any(np.diagonal(t, -1)):
+        t, z = scipy.linalg.rsf2csf(t, z)
+    x = gemm(gemm(z, _pinned_probes(scipy.linalg.logm, t)), z, hb=True)
+    # the imaginary part of a real matrix's principal logarithm is rounding
+    x = np.ascontiguousarray(x.real if m.dtype.kind == "f" else x)
     if not np.all(np.isfinite(x.view(np.float64))):
         raise ConvergenceFailure("logm produced non-finite entries")
     return x
@@ -192,13 +337,22 @@ def log_principal(m) -> np.ndarray:
 
 def _psd_factor(w: np.ndarray, name: str) -> np.ndarray:
     """Factor a Hermitian PSD matrix as L·L* via eigh, tolerating rank loss."""
-    wh = hermitize(w)
-    evals, vecs = np.linalg.eigh(wh)
+    evals, vecs = eigh(hermitize(w))
     wnorm = max(float(np.max(np.abs(evals))) if evals.size else 0.0, ABS_FLOOR)
     if evals.size and float(np.min(evals)) < -1e-8 * wnorm:
         raise NotPSD(f"{name} has eigenvalue {float(np.min(evals)):.3e}, below -1e-8*norm")
     clipped = np.clip(evals, 0.0, None)
     return vecs * np.sqrt(clipped)[None, :]
+
+
+def _pinv_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given rows of the pseudo-inverse of t (singular values at most
+    1e-15 of the largest count as zero, numpy's pinv rule)."""
+    u, s, vh = svd(t)
+    keep = s > 1e-15 * s[0]
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    # pinv(t) = V diag(inv) U*, and V's rows are the conjugated columns of Vh
+    return gemm(vh[:, rows] * inv[:, None], u, ha=True, hb=True)
 
 
 def balance_gramians(wc, wo):
@@ -229,18 +383,18 @@ def balance_gramians(wc, wo):
 
     lc = _psd_factor(wc, "Wc")
     lo = _psd_factor(wo, "Wo")
-    u, sigma, vh = np.linalg.svd(lo.conj().T @ lc)
+    u, sigma, vh = svd(gemm(lo, lc, ha=True))
 
     cutoff = n * np.finfo(float).eps * (sigma[0] if sigma[0] > 0 else 1.0)
     flags = sigma < cutoff
     safe = np.maximum(sigma, max(cutoff, ABS_FLOOR))
     scale = 1.0 / np.sqrt(safe)
 
-    t = lc @ vh.conj().T * scale[None, :]
-    tinv = (u * scale[None, :]).conj().T @ lo.conj().T
+    t = gemm(lc, vh, hb=True) * scale[None, :]
+    tinv = gemm(u * scale[None, :], lo, ha=True, hb=True)
     # a rank-deficient direction's row of T⁻¹ misses T⁻¹·T = I; patch that
     # row alone, since the pseudo-inverse's other rows lose the accuracy
     # the square-root formula gives the leading directions
     if flags.any():
-        tinv[flags] = np.linalg.pinv(t)[flags]
+        tinv[flags] = _pinv_rows(t, flags)
     return t, tinv, sigma, flags

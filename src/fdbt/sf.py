@@ -25,7 +25,7 @@ from .errors import (
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import SHIFT_TOL, jw, solve_guarded
+from .linalg import SHIFT_TOL, gemm, jw, solve, solve_guarded
 from .reduction import (
     Balanced,
     ReductionResult,
@@ -80,19 +80,20 @@ def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> SfExtended:
     if n == 0:
         return SfExtended(sys, cfg)
     z = eps + jw(varpi)
+    # also raised by a solve with R that meets an exactly zero pivot
+    singular = SingularShift(
+        f"epsilon + j*varpi = {complex(z)} is within {SHIFT_TOL} of an eigenvalue of A"
+    )
     if float(np.min(np.abs(z - sys.poles))) < SHIFT_TOL:
-        raise SingularShift(
-            f"epsilon + j*varpi = {complex(z)} is within {SHIFT_TOL} "
-            "of an eigenvalue of A"
-        )
+        raise singular
     eye = np.eye(n)
     r_mat = z * eye - sys.A
     jw_minus_a = jw(varpi) * eye - sys.A
-    rinv_b = np.linalg.solve(r_mat, sys.B)
-    a_new = jw(varpi) * eye - eps * np.linalg.solve(r_mat, jw_minus_a)
+    rinv_b = solve(r_mat, sys.B, singular)
+    a_new = jw(varpi) * eye - eps * solve(r_mat, jw_minus_a, singular)
     b_new = eps * rinv_b
-    c_new = eps * np.linalg.solve(r_mat.T, sys.C.T).T
-    d_new = sys.D + sys.C @ rinv_b
+    c_new = eps * solve(r_mat.T, sys.C.T, singular).T
+    d_new = sys.D + gemm(sys.C, rinv_b)
     return SfExtended(StateSpace(a_new, b_new, c_new, d_new), cfg)
 
 
@@ -154,9 +155,10 @@ def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
     # K and (eps I - K)^(-1) commute, both being rational in A_t
     a_r = jw(varpi) * eye - eps * solve_guarded(eps * eye - k, k, singular)
     shift = (eps + jw(varpi)) * eye - a_r
-    b_r = shift @ trunc.B / eps
-    c_r = trunc.C @ shift / eps
-    d_r = trunc.D - c_r @ np.linalg.solve(shift, b_r)
+    b_r = gemm(shift, trunc.B) / eps
+    c_r = gemm(trunc.C, shift) / eps
+    # shift = eps^2 (eps I - K)^(-1), so the guard above covers it too
+    d_r = trunc.D - gemm(c_r, solve(shift, b_r, singular))
     return StateSpace(a_r, b_r, c_r, d_r)
 
 

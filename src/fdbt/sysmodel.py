@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     DegenerateMap,
@@ -23,7 +22,7 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import as_matrix, solve_guarded
+from .linalg import as_matrix, eigvals, gemm, schur, solve, solve_guarded
 
 REAL_TOL = 1e-14
 
@@ -102,7 +101,7 @@ class StateSpace:
             if parts is not None:
                 cached = np.concatenate([parts[0].poles, parts[1].poles])
             elif self.n:
-                cached = np.linalg.eigvals(self.A).astype(complex, copy=False)
+                cached = eigvals(self.A)
             else:
                 cached = np.zeros(0, complex)
             cached.setflags(write=False)
@@ -145,7 +144,7 @@ class StateSpace:
                 cached = (t, np.hstack([-cz_r, cz_f]), np.vstack([zb_r, zb_f]))
             else:
                 t, z = schur(self.A, output="complex")
-                cached = (t, self.C @ z, z.conj().T @ self.B)
+                cached = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
             for x in cached:
                 x.setflags(write=False)
             object.__setattr__(self, "_schur_cache", cached)
@@ -155,7 +154,9 @@ class StateSpace:
         """Similarity transform: (T^-1 A T, T^-1 B, C T, D)."""
         t = as_matrix(t, "T")
         tinv = as_matrix(tinv, "Tinv")
-        return StateSpace(tinv @ self.A @ t, tinv @ self.B, self.C @ t, self.D)
+        return StateSpace(
+            gemm(gemm(tinv, self.A), t), gemm(tinv, self.B), gemm(self.C, t), self.D
+        )
 
     def with_io(self, b, c, d) -> "StateSpace":
         """(A, b, c, d): the same state matrix, sharing its cached poles."""
@@ -460,10 +461,10 @@ def moebius_substitute(
     f = a * np.eye(n, dtype=complex) - c * sys.A
     singular = SingularSubstitution("aI - cA is numerically singular")
     finv_b = solve_guarded(f, sys.B, singular)
-    a_new = np.linalg.solve(f, d * sys.A - b * np.eye(n, dtype=complex))
-    c_new = np.linalg.solve(f.T, sys.C.T).T
+    a_new = solve(f, d * sys.A - b * np.eye(n, dtype=complex), singular)
+    c_new = solve(f.T, sys.C.T, singular).T
     b_new = det * finv_b
-    d_new = sys.D + c * (sys.C @ finv_b)
+    d_new = sys.D + c * gemm(sys.C, finv_b)
     return StateSpace(a_new, b_new, c_new, d_new)
 
 

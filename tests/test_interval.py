@@ -425,13 +425,29 @@ class TestClosedFormChain:
         calls = []
         real = fdbt.interval.sqrt_principal
         monkeypatch.setattr(
-            fdbt.interval, "sqrt_principal", lambda m: calls.append(1) or real(m)
+            fdbt.interval, "sqrt_principal", lambda *args: calls.append(1) or real(*args)
         )
         lad = generate_ladder(31)
         for r in range(1, lad.n + 1):
             calls.clear()
             interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
             assert len(calls) == 2, r
+
+    def test_square_roots_reuse_the_guarded_spectrum(self, monkeypatch):
+        # each band factor's square root takes the spectrum its guards have
+        # checked, so it solves no eigenvalue problem of its own: what is
+        # left is the chain's guards (orders r..n) and the reduced model's
+        # band-factor guard (the full model's reads its cached poles)
+        calls = []
+        real = fdbt.linalg.eigvals
+        for mod in (fdbt.linalg, fdbt.interval):
+            monkeypatch.setattr(mod, "eigvals", lambda a: calls.append(1) or real(a))
+        lad = generate_ladder(31)
+        for r in (5, 20, 31):
+            calls.clear()
+            interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
+            chain = lad.n - r + 1 if r < lad.n else 0
+            assert len(calls) == chain + 1, r
 
 
 class TestReduce:

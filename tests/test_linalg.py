@@ -28,7 +28,7 @@ from fdbt import (
 )
 from fdbt.baselines import gspa_truncate
 from fdbt.interval import IntervalBalanced, interval_truncate
-from fdbt.linalg import solve_guarded
+from fdbt.linalg import eigh, eigvals, gemm, schur, solve, solve_guarded, svd
 from fdbt.reduction import Balanced
 
 
@@ -81,6 +81,49 @@ class TestSolveLyapunov:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             solve_lyapunov(np.eye(3), np.eye(2))
+
+    def test_near_singular_pairing_rejected_by_precheck(self):
+        # 1 + (-1 + 1e-13) sits below the 1e-12 pairing tolerance
+        with pytest.raises(SingularSylvester, match="lambda_i"):
+            solve_lyapunov(np.diag([1.0, -1.0 + 1e-13]), np.eye(2))
+
+    @staticmethod
+    def _nonnormal(seed, n):
+        # A = Q (diag(poles) + U) Q^T: poles log-uniform in [-1e6, -1e-4],
+        # strictly upper U with magnitudes log-uniform up to 1e8, Q orthogonal;
+        # B with rows scaled by up to 1e+-4
+        rng = np.random.default_rng(seed)
+        poles = -(10.0 ** rng.uniform(-4, 6, n))
+        u = np.triu(rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(0, 8, (n, n)), 1)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q @ (np.diag(poles) + u) @ q.T
+        b = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-4, 4, (n, 1))
+        return a, b @ b.T
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 4, 5, 7])
+    def test_strongly_nonnormal_equations_solve(self, seed, n):
+        # a residual measured against max(1, |Q|) refused every one of these
+        # (6e-3 to 7e13); as a backward error it is at rounding level
+        a, q = self._nonnormal(seed, n)
+        x = solve_lyapunov(a, q)
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -q)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        res = np.linalg.norm(a @ x + x @ a.T + q)
+        assert res / max(1.0, np.linalg.norm(q)) > 1e-10
+        assert res <= 1e-14 * (2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(q))
+
+    @pytest.mark.parametrize("seed", [3, 8, 13, 21])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_random_stable_matches_kronecker_oracle(self, seed, kind):
+        sys = random_stable(seed, 7, m=2, complex_entries=kind == "complex")
+        a, b = np.asarray(sys.A), np.asarray(sys.B)
+        q = b @ b.conj().T
+        for lhs, rhs in ((a, q), (a.conj().T, np.asarray(sys.C).conj().T @ np.asarray(sys.C))):
+            w = solve_lyapunov(lhs, rhs)
+            assert w.dtype == (np.float64 if kind == "real" else np.complex128)
+            ref = orc.lyap_kron(lhs, rhs)
+            assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestMatrixFunctions:
@@ -135,6 +178,118 @@ class TestMatrixFunctions:
         sqrt_principal(_rand_complex(rng, 6) + 8.0 * np.eye(6))
         log_principal(_rand_complex(rng, 6) + 8.0 * np.eye(6))
         assert np.allclose(np.random.standard_normal(8), expected)
+
+
+def _real_with_pairs(seed, n):
+    # real, spectrum in the right half-plane with complex-conjugate pairs:
+    # the real Schur form has 2x2 blocks, so the rsf2csf path runs
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(n // 2):
+        re, im = rng.uniform(0.5, 3.0), rng.uniform(0.3, 2.0)
+        blocks.append(np.array([[re, im], [-im, re]]))
+    if n % 2:
+        blocks.append(np.array([[rng.uniform(0.5, 3.0)]]))
+    t = scipy.linalg.block_diag(*blocks) + np.triu(rng.standard_normal((n, n)), 2)
+    v = rng.standard_normal((n, n)) + n * np.eye(n)
+    return v @ t @ np.linalg.inv(v)
+
+
+def _real_with_real_spectrum(seed, n):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, n)) + n * np.eye(n)
+    return v @ np.diag(rng.uniform(0.2, 4.0, n)) @ np.linalg.inv(v)
+
+
+def _shifted_complex(seed, n):
+    return _rand_complex(np.random.default_rng(seed), n) + (n + 2.0) * np.eye(n)
+
+
+class TestLogarithmOnSchurForm:
+    CASES = [
+        ("real-pairs", _real_with_pairs, 4),
+        ("real-pairs", _real_with_pairs, 7),
+        ("real-spectrum", _real_with_real_spectrum, 6),
+        ("complex", _shifted_complex, 6),
+    ]
+
+    @pytest.mark.parametrize("kind, make, n", CASES, ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_eig_oracle_and_full_logm(self, kind, make, n, seed):
+        m = make(seed, n)
+        lg = log_principal(m)
+        assert lg.dtype == m.dtype
+        if kind == "real-pairs":
+            t, _ = scipy.linalg.schur(m)
+            assert np.any(np.diagonal(t, -1))  # the 2x2-block path is exercised
+        for ref in (orc.log_eig(m), scipy.linalg.logm(m)):
+            assert np.linalg.norm(lg - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rerun_is_bitwise_identical(self):
+        m = _real_with_pairs(3, 9)
+        assert log_principal(m).tobytes() == log_principal(m).tobytes()
+
+
+class TestKernelHandles:
+    """The scipy LAPACK/BLAS handles against numpy's own kernels."""
+
+    @staticmethod
+    def _operand(rng, shape, kind, layout):
+        x = rng.standard_normal(shape)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(shape)
+        if layout == "F":
+            return np.asfortranarray(x)
+        if layout == "strided":
+            return np.hstack([x, x])[:, ::2]
+        return x
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"), ("complex", "complex")])
+    @pytest.mark.parametrize("ha, hb", [(False, False), (True, False), (False, True), (True, True)])
+    def test_gemm_matches_matmul(self, layout, kinds, ha, hb):
+        rng = np.random.default_rng(5)
+        a = self._operand(rng, (5, 3) if ha else (3, 5), kinds[0], layout)
+        b = self._operand(rng, (4, 5) if hb else (5, 4), kinds[1], layout)
+        got = gemm(a, b, ha=ha, hb=hb)
+        want = (a.conj().T if ha else a) @ (b.conj().T if hb else b)
+        assert got.shape == (3, 4)
+        assert got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_gemm_of_empty_operands(self):
+        assert gemm(np.zeros((0, 3)), np.ones((3, 2))).shape == (0, 2)
+        assert np.array_equal(gemm(np.ones((2, 0)), np.ones((0, 2))), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_factorizations_match_numpy(self, kind):
+        rng = np.random.default_rng(8)
+        a = self._operand(rng, (6, 6), kind, "C")
+        dtype = a.dtype
+        h = a + a.conj().T
+        w, v = eigh(h)
+        assert w.dtype == np.float64 and v.dtype == dtype
+        assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
+        assert np.linalg.norm(h @ v - v * w) <= 1e-13 * np.linalg.norm(h)
+        assert np.allclose(eigh(h, vectors=False), w, rtol=0, atol=1e-13)
+        u, s, vh = svd(a)
+        assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-14, atol=0)
+        assert np.linalg.norm((u * s) @ vh - a) <= 1e-13 * np.linalg.norm(a)
+        lam = eigvals(a)
+        assert lam.dtype == np.complex128
+        assert orc.match_spectra(lam, np.linalg.eigvals(a)) <= 1e-12
+        t, z = schur(a)
+        assert t.dtype == dtype
+        assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+        t, z = schur(a, output="complex")
+        assert np.array_equal(t, np.triu(t)) and t.dtype == np.complex128
+        x = solve(a, h[:, :2], SingularReconstruction("unused"))
+        assert x.dtype == dtype
+        assert np.linalg.norm(a @ x - h[:, :2]) <= 1e-12 * np.linalg.norm(h)
+
+    def test_exactly_singular_solve_raises_the_callers_error(self):
+        with pytest.raises(SingularReconstruction, match="mine"):
+            solve(np.zeros((2, 2)), np.ones((2, 1)), SingularReconstruction("mine"))
 
 
 class TestHermitize:

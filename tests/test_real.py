@@ -296,6 +296,10 @@ class TestTripwire:
 
             for module in (np.linalg, scipy.linalg):
                 monkeypatch.setattr(module, "eigvals", counting(module.eigvals))
+            # fdbt's own geev handle, at every module that binds it
+            geev = counting(fdbt.linalg.eigvals)
+            for module in (fdbt.linalg, fdbt.sysmodel, fdbt.interval):
+                monkeypatch.setattr(module, "eigvals", geev)
             prepare_interval(sys, IntervalConfig(-0.5, 0.5))
             monkeypatch.undo()
             assert len(solves) == 1
