@@ -51,7 +51,7 @@ from .linalg import (
     solve_guarded,
     sqrt_principal,
 )
-from .reduction import Balanced, ReductionResult, balance, check_order, ef_bound
+from .reduction import Balanced, Extended, ReductionResult, balance, check_order, ef_bound
 from .sysmodel import StateSpace, is_hurwitz
 
 
@@ -76,14 +76,6 @@ class IntervalConfig:
     @property
     def wc(self) -> float:
         return (self.w2 + self.w1) / 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class IntervalExtended:
-    """Band-weighted realization plus the band that built it."""
-
-    sys: StateSpace
-    config: IntervalConfig
 
 
 @dataclass(frozen=True)
@@ -174,17 +166,17 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
     return sqrt_principal(cfg.wd**2 * xinv, values), -xinv_a
 
 
-def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> IntervalExtended:
+def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> Extended:
     """Band-weighted realization: (A, M B, C M, D + C N B).
 
     It keeps sys's state matrix, so it shares sys's cached poles.
     """
     m, n = _band_factors(sys.A, cfg, sys.poles)
     ext = sys.with_io(gemm(m, sys.B), gemm(sys.C, m), sys.D + gemm(gemm(sys.C, n), sys.B))
-    return IntervalExtended(ext, cfg)
+    return Extended(ext, cfg)
 
 
-def interval_gramians(ext: IntervalExtended) -> Balanced:
+def interval_gramians(ext: Extended) -> Balanced:
     """The band-weighted realization balanced on its band Gramians.
 
     The band Gramians are the standard Gramian pair of the band-weighted
@@ -346,7 +338,7 @@ class IntervalBalanced:
     """
 
     sys: StateSpace
-    ext: IntervalExtended
+    ext: Extended
     gram: Balanced
     balanced: StateSpace
 

@@ -255,7 +255,11 @@ def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarra
 
 
 def check_off_branch_cut(values: np.ndarray, what: str) -> None:
-    """Reject a spectrum touching the closed negative real axis (incl. 0)."""
+    """Reject a spectrum within 1e-12 times its radius of the ray (-inf, 0].
+
+    A conditioning guard: it also refuses an eigenvalue off the cut that
+    close to it, as a stiff spectrum has, since rounding can put it there.
+    """
     if values.size == 0:
         return
     # tolerance relative to the spectral radius: an all-tiny but strictly
@@ -268,7 +272,8 @@ def check_off_branch_cut(values: np.ndarray, what: str) -> None:
     dist = np.where(re <= 0.0, np.abs(im), np.hypot(re, im))
     if float(np.min(dist)) < 1e-12 * scale:
         raise BranchCutViolation(
-            f"{what} undefined: an eigenvalue lies on the closed negative real axis"
+            f"{what} refused by a conditioning guard: an eigenvalue lies within "
+            "1e-12 times the spectral radius of the closed negative real axis"
         )
 
 

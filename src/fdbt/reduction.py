@@ -37,6 +37,15 @@ class Balanced:
     rank_deficient: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class Extended:
+    """sf-fdbt's substituted or int-fdbt's band-weighted realization, plus
+    the config that built it."""
+
+    sys: StateSpace
+    config: object
+
+
 def balance(sys: StateSpace, wc: np.ndarray, wo: np.ndarray) -> Balanced:
     """Balance a Gramian pair (wc, wo) of sys and apply the transform to sys."""
     t, tinv, sigma, flags = balance_gramians(wc, wo)

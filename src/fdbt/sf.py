@@ -1,13 +1,15 @@
 """Balanced truncation anchored at a single frequency (the "sf" method).
 
-The original realization is pushed through a frequency-dependent
-substitution controlled by a damping scalar epsilon > 0, balanced and
-truncated in that representation, then mapped back. Twice the truncated
-tail of the substituted singular values bounds the error at the anchor
-frequency itself; adding two whole-axis sweep terms extends it to an
-entire-frequency bound. The substitution also stabilizes: for an unstable
-pole there is a computable epsilon cap below which the substituted system
-is Hurwitz, so unstable plants can be reduced at the anchor too.
+The original realization is substituted through the linear-fractional
+frequency map s -> j varpi + epsilon (s - j varpi)/(s - j varpi + epsilon),
+damped by epsilon > 0 and fixing the anchor j varpi, balanced and truncated
+there, then mapped back through the inverse map (sysmodel.moebius_realization
+realizes both). Twice the truncated tail of the substituted singular values
+bounds the error at the anchor frequency itself; adding two whole-axis
+sweep terms extends it to an entire-frequency bound. The substitution also
+stabilizes: for an unstable pole there is a computable epsilon cap below
+which the substituted system is Hurwitz, so unstable plants can be reduced
+at the anchor too.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .errors import (
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import SHIFT_TOL, gemm, jw, solve, solve_guarded
+from .linalg import SHIFT_TOL, jw
 from .reduction import (
     Balanced,
+    Extended,
     ReductionResult,
     balance,
     check_order,
@@ -35,7 +38,7 @@ from .reduction import (
     leading_block,
     tail_bound,
 )
-from .sysmodel import StateSpace, is_hurwitz
+from .sysmodel import StateSpace, is_hurwitz, moebius_realization
 
 
 @dataclass(frozen=True)
@@ -56,45 +59,27 @@ class SfConfig:
         object.__setattr__(self, "epsilon", epsilon)
 
 
-@dataclass(frozen=True, eq=False)
-class SfExtended:
-    """Substituted realization plus the config that built it."""
-
-    sys: StateSpace
-    config: SfConfig
-
-
-def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> SfExtended:
+def build_sf_extended(sys: StateSpace, cfg: SfConfig) -> Extended:
     """Substituted realization anchored at cfg.varpi.
 
-    With the shift point z = epsilon + j varpi and R = zI - A:
-        A' = j varpi I - epsilon R^(-1) (j varpi I - A)
-        B' = epsilon R^(-1) B
-        C' = epsilon C R^(-1)
-        D' = D + C R^(-1) B
-    Refuses (SingularShift) when z sits within 1e-10 of an eigenvalue of A,
-    since every formula above runs through R^(-1).
+    G'(s) = G(j varpi + phi(s - j varpi)) with phi(u) = u/(u/epsilon + 1),
+    which fixes the anchor; written so, ad - bc = 1 and no epsilon over- or
+    underflows the realization's split of it. With z = epsilon + j varpi and
+    R = zI - A, its realization (sysmodel.moebius_realization) has
+    B' = epsilon R^(-1) B and C' = epsilon C R^(-1). Refuses (SingularShift)
+    when z sits within SHIFT_TOL of an eigenvalue of A.
     """
     eps, varpi = cfg.epsilon, cfg.varpi
-    n = sys.n
-    if n == 0:
-        return SfExtended(sys, cfg)
     z = eps + jw(varpi)
     # also raised by a solve with R that meets an exactly zero pivot
     singular = SingularShift(
         f"epsilon + j*varpi = {complex(z)} is within {SHIFT_TOL} of an eigenvalue of A"
     )
-    if float(np.min(np.abs(z - sys.poles))) < SHIFT_TOL:
+    if sys.n and float(np.min(np.abs(z - sys.poles))) < SHIFT_TOL:
         raise singular
-    eye = np.eye(n)
-    r_mat = z * eye - sys.A
-    jw_minus_a = jw(varpi) * eye - sys.A
-    rinv_b = solve(r_mat, sys.B, singular)
-    a_new = jw(varpi) * eye - eps * solve(r_mat, jw_minus_a, singular)
-    b_new = eps * rinv_b
-    c_new = eps * solve(r_mat.T, sys.C.T, singular).T
-    d_new = sys.D + gemm(sys.C, rinv_b)
-    return SfExtended(StateSpace(a_new, b_new, c_new, d_new), cfg)
+    phi = (1.0, 0.0, 1.0 / eps, 1.0)
+    ext = moebius_realization(sys, phi, singular, shift=jw(varpi), guarded=False)
+    return Extended(ext, cfg)
 
 
 def stability_epsilon_cap(sys: StateSpace, varpi: float) -> float:
@@ -120,7 +105,7 @@ def stability_epsilon_cap(sys: StateSpace, varpi: float) -> float:
     return min(caps) if caps else math.inf
 
 
-def sf_gramians(ext: SfExtended) -> Balanced:
+def sf_gramians(ext: Extended) -> Balanced:
     """The substituted system balanced on its standard Gramian pair.
 
     sigma holds the substituted singular values in non-increasing order,
@@ -136,30 +121,16 @@ def sf_gramians(ext: SfExtended) -> Balanced:
 def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
     """Map a (truncated) substituted realization back to an ordinary one.
 
-    Exact inverse of build_sf_extended when no truncation happened. With
-    K = j varpi I - A_t:
-        A = j varpi I - epsilon K (epsilon I - K)^(-1)
-        B = (1/epsilon) ((epsilon + j varpi) I - A) B_t
-        C = (1/epsilon) C_t ((epsilon + j varpi) I - A)
-        D = D_t - C ((epsilon + j varpi) I - A)^(-1) B
+    Exact inverse of build_sf_extended when no truncation happened: the
+    substitution s -> j varpi + psi(s - j varpi) with the inverse map
+    psi(u) = u/(1 - u/epsilon). With K = j varpi I - A_t every solve runs
+    through a multiple of epsilon I - K, refused when numerically singular.
     """
-    eps, varpi = cfg.epsilon, cfg.varpi
-    r = trunc.n
-    if r == 0:
-        return trunc
-    eye = np.eye(r)
-    k = jw(varpi) * eye - trunc.A
     singular = SingularReconstruction(
         "epsilon I - K is numerically singular; back-substitution undefined"
     )
-    # K and (eps I - K)^(-1) commute, both being rational in A_t
-    a_r = jw(varpi) * eye - eps * solve_guarded(eps * eye - k, k, singular)
-    shift = (eps + jw(varpi)) * eye - a_r
-    b_r = gemm(shift, trunc.B) / eps
-    c_r = gemm(trunc.C, shift) / eps
-    # shift = eps^2 (eps I - K)^(-1), so the guard above covers it too
-    d_r = trunc.D - gemm(c_r, solve(shift, b_r, singular))
-    return StateSpace(a_r, b_r, c_r, d_r)
+    psi = (1.0, 0.0, -1.0 / cfg.epsilon, 1.0)
+    return moebius_realization(trunc, psi, singular, shift=jw(cfg.varpi), guarded=True)
 
 
 def sf_bound(gram: Balanced, r: int) -> float:
@@ -168,7 +139,7 @@ def sf_bound(gram: Balanced, r: int) -> float:
 
 
 def sf_ef_bound(
-    sys: StateSpace, ext: SfExtended, reduced: StateSpace, gram: Balanced, r: int
+    sys: StateSpace, ext: Extended, reduced: StateSpace, gram: Balanced, r: int
 ) -> float:
     """Entire-frequency bound: anchor tail plus two whole-axis sweep terms.
 

@@ -442,30 +442,44 @@ def moebius_substitute(
 ) -> StateSpace:
     """Realize G((a s + b)/(c s + d)) as a new state-space system.
 
-    With F = aI - cA the result is
-        A^ = F^(-1) (dA - bI),   B^ = (ad - bc) F^(-1) B,
-        C^ = C F^(-1),           D^ = D + c C F^(-1) B.
     The binding contract is the response identity
         evaluate(result, w) == evaluate_at(sys, (a jw + b)/(c jw + d)),
-    which the tests check directly; the realization above satisfies it
-    exactly whenever F is invertible and ad - bc != 0.
+    which the tests check directly. Refuses ad - bc near zero
+    (DegenerateMap) and a numerically singular aI - cA (SingularSubstitution).
     """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     det = a * d - b * c
     scale = max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
     if abs(det) <= 1e-14 * scale:
         raise DegenerateMap(f"ad - bc = {det} is degenerate at scale {scale:.1e}")
+    singular = SingularSubstitution("aI - cA is numerically singular")
+    return moebius_realization(sys, (a, b, c, d), singular, guarded=True)
+
+
+def moebius_realization(
+    sys: StateSpace, coeffs, error, *, shift: complex = 0.0, guarded: bool
+) -> StateSpace:
+    """G(shift + phi(s - shift)), phi(u) = (a u + b)/(c u + d), unchecked.
+
+    With (a, b, c, d) = coeffs, A_u = A - shift I, F = aI - cA_u, g = sqrt|ad - bc|:
+        A^ = shift I + F^(-1) (d A_u - b I),   B^ = g F^(-1) B,
+        C^ = ((ad - bc)/g) C F^(-1),            D^ = D + c C F^(-1) B.
+    Real coefficients and shift keep real data real. Solves with F raise
+    error on an exact zero pivot and, if guarded, on a numerically singular F.
+    """
     n = sys.n
     if n == 0:
         return sys
-    f = a * np.eye(n, dtype=complex) - c * sys.A
-    singular = SingularSubstitution("aI - cA is numerically singular")
-    finv_b = solve_guarded(f, sys.B, singular)
-    a_new = solve(f, d * sys.A - b * np.eye(n, dtype=complex), singular)
-    c_new = solve(f.T, sys.C.T, singular).T
-    b_new = det * finv_b
+    a, b, c, d = coeffs
+    det = a * d - b * c
+    g = math.sqrt(abs(det))
+    eye = np.eye(n)
+    a_u = sys.A - shift * eye
+    f = a * eye - c * a_u
+    finv_b = (solve_guarded if guarded else solve)(f, sys.B, error)
+    a_new = shift * eye + solve(f, d * a_u - b * eye, error)
+    c_new = solve(f.T, sys.C.T, error).T
     d_new = sys.D + c * gemm(sys.C, finv_b)
-    return StateSpace(a_new, b_new, c_new, d_new)
+    return StateSpace(a_new, g * finv_b, (det / g) * c_new, d_new)
 
 
 def symmetric_log_grid(scales: np.ndarray, points: int = 2000) -> FrequencyGrid:

@@ -120,6 +120,33 @@ def hankel_eig(wc, wo):
     return np.sort(np.sqrt(lam))[::-1]
 
 
+def sf_extension_closed_form(a, b, c, d, eps, varpi):
+    # the sf substitution written out: with z = eps + j varpi, R = zI - A,
+    #   A' = j varpi I - eps R^(-1) (j varpi I - A),  B' = eps R^(-1) B,
+    #   C' = eps C R^(-1),                          D' = D + C R^(-1) B
+    a, b, c, d = (np.asarray(x, dtype=complex) for x in (a, b, c, d))
+    eye = np.eye(a.shape[0])
+    jv = 1j * varpi
+    rinv = np.linalg.inv((eps + jv) * eye - a)
+    a_new = jv * eye - eps * rinv @ (jv * eye - a)
+    return a_new, eps * rinv @ b, eps * c @ rinv, d + c @ rinv @ b
+
+
+def sf_inverse_closed_form(a, b, c, d, eps, varpi):
+    # its inverse on (A_t, B_t, C_t, D_t): with K = j varpi I - A_t and
+    # S = (eps + j varpi) I - A for the A below,
+    #   A = j varpi I - eps K (eps I - K)^(-1),  B = S B_t / eps,
+    #   C = C_t S / eps,                          D = D_t - C S^(-1) B
+    a, b, c, d = (np.asarray(x, dtype=complex) for x in (a, b, c, d))
+    eye = np.eye(a.shape[0])
+    jv = 1j * varpi
+    k = jv * eye - a
+    a_new = jv * eye - eps * k @ np.linalg.inv(eps * eye - k)
+    s = (eps + jv) * eye - a_new
+    b_new, c_new = s @ b / eps, c @ s / eps
+    return a_new, b_new, c_new, d - c_new @ np.linalg.inv(s) @ b_new
+
+
 def response_inv(a, b, c, d, s):
     # C (sI - A)^(-1) B + D with an explicit inverse, no solve
     a = np.asarray(a, dtype=complex)

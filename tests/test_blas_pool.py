@@ -80,6 +80,10 @@ def test_every_method_stays_in_one_pool(one_pool):
         ("fibt", "ef"), ("gspa", "ef"), ("sf-fdbt", "sf"), ("int-fdbt", "interval"),
         ("int-fdbt", "ef"),
     ]
+    # an anchor off zero takes the complex path through the Moebius kernel
+    off_centre = sf_reduce(sys, SfConfig(varpi=0.5, epsilon=1.0), 10)
+    assert off_centre.reduced.A.dtype == np.complex128
+    assert verify_bound(sys, off_centre, FrequencyGrid.explicit([0.5]), "sf").passed
     value, _ = hinf_estimate(sys)
     assert value > 0.0
 

@@ -549,6 +549,31 @@ class TestReduce:
             1.0, np.linalg.norm(ext.sys.D)
         )
 
+    @staticmethod
+    def _stiff(big):
+        # B = C = 1; M's argument has eigenvalues 0.2 and 0.25/(big^2 + 0.25)
+        return StateSpace(np.diag([-1.0, -big]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+
+    def test_stiff_spectrum_refused_by_the_branch_cut_guard(self):
+        # 0.2 and 2.5e-17: both off the cut, but the second lies within
+        # 1e-12 times the first of it, which the guard refuses as
+        # ill-conditioned
+        with pytest.raises(BranchCutViolation) as info:
+            interval_reduce(self._stiff(1e8), IntervalConfig(-0.5, 0.5), 1)
+        assert type(info.value) is BranchCutViolation
+        assert str(info.value) == (
+            "principal square root refused by a conditioning guard: an eigenvalue "
+            "lies within 1e-12 times the spectral radius of the closed negative "
+            "real axis"
+        )
+
+    def test_milder_stiffness_meets_the_rank_cutoff_instead(self):
+        # 0.2 and 2.5e-13, 1.25e-12 times the first: the guard passes, and
+        # the band pair's second Hankel value falls below numerical rank
+        with pytest.raises(SingularReconstruction) as info:
+            interval_reduce(self._stiff(1e6), IntervalConfig(-0.5, 0.5), 1)
+        assert type(info.value) is SingularReconstruction
+
 
 class TestEfBound:
     def test_requires_reduced_result_pieces(self):

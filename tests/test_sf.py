@@ -18,6 +18,7 @@ from fdbt import (
     error_system,
     evaluate,
     evaluate_at,
+    generate_ladder,
     invert_sf_extension,
     is_hurwitz,
     sf_bound,
@@ -30,6 +31,12 @@ from fdbt import (
 )
 
 SCALAR = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def _assert_realization_matches(got, ref):
+    # matrix by matrix, each relative to the reference's norm
+    for name, x, y in zip("ABCD", (got.A, got.B, got.C, got.D), ref):
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y), name
 
 
 class TestConfig:
@@ -83,6 +90,21 @@ class TestBuildExtension:
                 1.0 + np.linalg.norm(ref)
             )
 
+    @pytest.mark.parametrize("varpi", [0.8, -1.2])
+    def test_matches_the_closed_form_realization(self, varpi):
+        sys = random_stable(49, 5, m=2, p=3, complex_entries=True)
+        ext = build_sf_extended(sys, SfConfig(varpi=varpi, epsilon=1.7)).sys
+        ref = orc.sf_extension_closed_form(sys.A, sys.B, sys.C, sys.D, 1.7, varpi)
+        _assert_realization_matches(ext, ref)
+
+    def test_stiff_pole_passes_the_forward_map(self):
+        # R = diag(2, 1e16 + 1) is far from singular by pole distance, though
+        # an n eps singular-value test would refuse it; only the way back
+        # (TestSolveGuarded in test_linalg) is refused
+        sys = StateSpace(np.diag([-1.0, -1e16]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        ext = build_sf_extended(sys, SfConfig(varpi=0.0, epsilon=1.0)).sys
+        assert np.array_equal(np.diag(ext.A), [-0.5, -1.0])
+
     def test_shift_onto_eigenvalue_rejected(self):
         # z = epsilon + j varpi needs epsilon > 0, so park it on an
         # eigenvalue in the right half-plane
@@ -119,6 +141,13 @@ class TestInversion:
         gap = response_gap(sys, back, np.linspace(-5.0, 5.0, 30))
         assert gap <= 1e-10
 
+    @pytest.mark.parametrize("varpi", [0.8, -1.2])
+    def test_matches_the_closed_form_realization(self, varpi):
+        trunc = random_stable(50, 4, m=2, p=3, complex_entries=True)
+        back = invert_sf_extension(trunc, SfConfig(varpi=varpi, epsilon=0.9))
+        ref = orc.sf_inverse_closed_form(trunc.A, trunc.B, trunc.C, trunc.D, 0.9, varpi)
+        _assert_realization_matches(back, ref)
+
 
 class TestReduce:
     def test_full_order_round_trip(self):
@@ -128,6 +157,15 @@ class TestReduce:
         omegas = np.linspace(-6.0, 6.0, 40)
         scale = max(float(sigma_max_at(sys, float(w))) for w in omegas)
         assert response_gap(sys, res.reduced, omegas) <= 1e-9 * (1.0 + scale)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e170])
+    def test_extreme_epsilon_still_reduces(self, eps):
+        # written as (epsilon, 0, 1, epsilon) the map has ad - bc = epsilon^2:
+        # 1e-16 is below the degeneracy threshold moebius_substitute refuses
+        # at, and 1e340 overflows
+        res = sf_reduce(generate_ladder(11), SfConfig(varpi=0.0, epsilon=eps), 4)
+        assert res.reduced.n == 4 and res.reduced.A.dtype == np.float64
+        assert np.isfinite(res.bounds["sf"])
 
     def test_bound_names_and_sigma(self):
         sys = random_stable(49, 4)

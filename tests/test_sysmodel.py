@@ -233,6 +233,14 @@ class TestMoebiusSubstitute:
         for w in (0.0, 0.9, -2.0):
             assert np.allclose(evaluate(sub, w), evaluate(sys, w), atol=1e-12)
 
+    def test_real_map_on_real_data_stays_real(self):
+        sub = moebius_substitute(random_stable(15, 4), 2.0, 0.5, 0.3, 1.0)
+        assert all(x.dtype == np.float64 for x in (sub.A, sub.B, sub.C, sub.D))
+
+    def test_complex_coefficient_gives_complex(self):
+        sub = moebius_substitute(random_stable(15, 4), 2.0 + 0.5j, 0.5, 0.3, 1.0)
+        assert all(x.dtype == np.complex128 for x in (sub.A, sub.B, sub.C, sub.D))
+
     def test_degenerate_map_rejected(self):
         with pytest.raises(DegenerateMap):
             moebius_substitute(random_stable(16, 3), 2.0, 4.0, 1.0, 2.0)
