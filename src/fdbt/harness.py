@@ -30,7 +30,6 @@ from .sysmodel import (
     FrequencyGrid,
     StateSpace,
     error_system,
-    evaluate_at,
     is_hurwitz,
     sigma_max_at,
     sweep,
@@ -582,9 +581,9 @@ def _dc_error(sys, reduced) -> float:
     """
     err = error_system(sys, reduced)
     try:
-        return float(sigma_max_at(err, 0.0))
+        return sigma_max_at(err, 0.0)
     except FdbtError:
-        return float(np.linalg.svd(evaluate_at(err, 1e-9j), compute_uv=False)[0])
+        return sigma_max_at(err, 1e-9)
 
 
 def _reproduce_ex1() -> ExampleBundle:

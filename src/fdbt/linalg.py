@@ -10,13 +10,14 @@ each with its own thread pool, and a threaded call into one library while
 the other's workers still spin waiting for work runs several times slower
 on a machine with few cores. Every O(n^3) kernel in fdbt therefore goes
 through scipy's LAPACK and BLAS, by the routine handles below: products
-(gemm), the Lyapunov solve (gees, gemm and trsyl), Hermitian eigensolves
-(syevd/heevd), singular values (gesdd), eigenvalues (geev), linear solves
-(gesv) and the matrix logarithm on fdbt's own Schur form. scipy's own
-solve_continuous_lyapunov and logm multiply with numpy's dot internally,
-so neither is called on a full matrix. numpy keeps elementwise work and
-the tiny per-point factorizations of frequency sweeps, which OpenBLAS
-never threads. Nothing here sets or pins a thread count.
+(gemm), triangular solves (trsv), the Lyapunov solve (gees, gemm and
+trsyl), Hermitian eigensolves (syevd/heevd), singular values (gesdd),
+eigenvalues (geev), linear solves (gesv) and the matrix logarithm on
+fdbt's own Schur form. scipy's own solve_continuous_lyapunov and logm
+multiply with numpy's dot internally, so neither is called on a full
+matrix. numpy keeps elementwise work: the vectorized back substitution of
+frequency sweeps and the p x m singular values of each response, which
+OpenBLAS never threads. Nothing here sets or pins a thread count.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _char(*arrays) -> str:
 
 @functools.cache
 def _routine(name: str, char: str):
-    """scipy's BLAS (gemm) or LAPACK routine name for type letter char."""
-    getter = get_blas_funcs if name == "gemm" else get_lapack_funcs
+    """scipy's BLAS (gemm, trsv) or LAPACK routine name for type letter char."""
+    getter = get_blas_funcs if name in ("gemm", "trsv") else get_lapack_funcs
     return getter(name, dtype=np.dtype(char))
 
 
@@ -118,6 +119,24 @@ def gemm(a: np.ndarray, b: np.ndarray, ha: bool = False, hb: bool = False) -> np
     if a.flags.f_contiguous and b.flags.f_contiguous:
         return fn(1.0, a, b, trans_a=ta, trans_b=tb)
     return fn(1.0, b.T, a.T, trans_a=tb, trans_b=ta).T
+
+
+def trsv(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """t⁻¹x for upper triangular t, by one BLAS trsv per column of x.
+
+    Each column is solved in place in a C-ordered copy of x, read with
+    stride m, so no column is copied out. A C-ordered t is passed as its
+    Fortran-ordered transpose, a lower triangle solved transposed, so it is
+    not copied either.
+    """
+    char = _char(t, x)
+    fn = _routine("trsv", char)
+    out = np.array(x, dtype=char, order="C")
+    flat, m = out.reshape(-1), out.shape[1]
+    a, lower = (t, 0) if t.flags.f_contiguous else (t.T, 1)
+    for j in range(m):
+        fn(a, flat, incx=m, offx=j, lower=lower, trans=lower, overwrite_x=1)
+    return out
 
 
 def _fro_norm(x: np.ndarray) -> float:

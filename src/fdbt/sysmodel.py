@@ -22,7 +22,7 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import as_matrix, eigvals, gemm, schur, solve, solve_guarded
+from .linalg import as_matrix, eigvals, gemm, schur, solve, solve_guarded, trsv
 
 REAL_TOL = 1e-14
 
@@ -128,23 +128,13 @@ class StateSpace:
     def _schur_form(self) -> tuple:
         """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, cached.
 
-        An error system assembles its factors from its two parts' factors:
-        with A = diag(A_r, A_f), diag(T_r, T_f) is a Schur form of A under
-        Z = diag(Z_r, Z_f), so neither part is factored twice.
+        Error systems are never factored whole: their responses are the
+        differences of their two parts' responses.
         """
         cached = self.__dict__.get("_schur_cache")
         if cached is None:
-            parts = self.__dict__.get("_parts")
-            if parts is not None:
-                (t_r, cz_r, zb_r), (t_f, cz_f, zb_f) = (x._schur_form for x in parts)
-                nr = t_r.shape[0]
-                t = np.zeros((self.n, self.n), dtype=complex)
-                t[:nr, :nr] = t_r
-                t[nr:, nr:] = t_f
-                cached = (t, np.hstack([-cz_r, cz_f]), np.vstack([zb_r, zb_f]))
-            else:
-                t, z = schur(self.A, output="complex")
-                cached = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
+            t, z = schur(self.A, output="complex")
+            cached = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
             for x in cached:
                 x.setflags(write=False)
             object.__setattr__(self, "_schur_cache", cached)
@@ -209,8 +199,13 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     blocks changes no value. (One exception: a one-point block of a
     single-input single-output system can round differently, since numpy
     multiplies one-element arrays on a scalar path. Blocks depend only on
-    the sizes, so identical calls still give identical bytes.)
+    the sizes, so identical calls still give identical bytes.) An error
+    system returns the difference of its two parts' responses, each on the
+    part's own Schur form.
     """
+    parts = sys.__dict__.get("_parts")
+    if parts is not None:
+        return _response_stack(parts[1], points) - _response_stack(parts[0], points)
     k = points.shape[0]
     n, p, m = sys.n, sys.p, sys.m
     if n == 0:
@@ -235,8 +230,32 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
+    """The response C (sI - A)^(-1) B + D at one point s, unscreened.
+
+    An error system returns the difference of its two parts' responses.
+    Any other system solves (sI - T) x = Z* B on its cached Schur form by
+    one BLAS trsv per input column and returns (C Z) x + D by one gemm.
+    """
+    parts = sys.__dict__.get("_parts")
+    if parts is not None:
+        return _point_response(parts[1], s) - _point_response(parts[0], s)
+    if sys.n == 0:
+        return sys.D.copy()
+    t, cz, zb = sys._schur_form
+    shifted = -t
+    shifted.flat[:: sys.n + 1] += s
+    return gemm(cz, trsv(shifted, zb)) + sys.D
+
+
 def evaluate_at(sys: StateSpace, s: complex) -> np.ndarray:
-    """Response matrix at an arbitrary complex point s."""
+    """Response matrix at an arbitrary complex point s.
+
+    Raises PoleOnGrid within tolerance of a pole or where the response
+    overflows. Evaluated by _point_response, one triangular solve per
+    input column on the cached Schur form (of each part, for an error
+    system).
+    """
     s = complex(s)
     # points on the imaginary axis report their real frequency, like sweep
     where = s.imag if s.real == 0.0 else s
@@ -245,7 +264,7 @@ def evaluate_at(sys: StateSpace, s: complex) -> np.ndarray:
         raise PoleOnGrid(
             f"evaluation point {s} is within tolerance of a pole", omega=where
         )
-    resp = _response_stack(sys, pt)[0]
+    resp = _point_response(sys, s)
     if resp.size and not np.all(np.isfinite(resp.view(np.float64))):
         raise PoleOnGrid(f"response overflowed at s = {s}", omega=where)
     return resp
@@ -274,9 +293,11 @@ def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
     """Realization of the difference G(jw) - G_r(jw).
 
     Block-diagonal stacking: states of the reduced model first, then the
-    full model; the reduced output enters negated. The result's poles and
-    Schur form are assembled from the two models' own on first use, so
-    sweeping many error systems of one full model factors it only once.
+    full model; the reduced output enters negated. The stacked realization
+    is never factored: its poles are the two models' own, and every
+    response is the full model's minus the reduced model's, each on its own
+    cached Schur form. Sweeping many error systems of one full model
+    factors it only once.
     """
     if (full.m, full.p) != (reduced.m, reduced.p):
         raise DimensionMismatch(
@@ -389,10 +410,11 @@ def sweep(
     """Evaluate sigma_max over a grid and locate its peak.
 
     Points are computed independently (one back substitution each on the
-    system's Schur form, vectorized over the grid), so the result does not
-    depend on evaluation order. With refine=True a golden-section search
-    between the peak's grid neighbours sharpens the reported peak to
-    relative width 1e-6.
+    system's Schur form, or on each part's for an error system, vectorized
+    over the grid), so the result does not depend on evaluation order. With
+    refine=True a golden-section search between the peak's grid neighbours
+    sharpens the reported peak to relative width 1e-6; its probes are
+    single points, each solved by BLAS trsv (see evaluate_at).
     """
     if on_pole not in ("raise", "skip"):
         raise DimensionMismatch(f"on_pole must be 'raise' or 'skip', got {on_pole!r}")

@@ -5,8 +5,13 @@ threaded call into one while the other's workers spin runs several times
 slower, so every O(n^3) kernel goes through scipy's LAPACK and BLAS. The
 tripwire below makes numpy's dense linear algebra, scipy's Lyapunov solver
 (numpy products inside) and scipy's logm on a full matrix (numpy products
-inside) fail loudly while every method runs on a 31-state ladder.
+inside) fail loudly while every method runs on a 31-state ladder. The
+tripwire cannot see numpy's matrix product, so a scan of the sources
+forbids it.
 """
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -21,10 +26,19 @@ from fdbt import (
     interval_reduce,
     sf_reduce,
 )
+import fdbt
 from fdbt.harness import generate_ladder, verify_bound
-from fdbt.sysmodel import FrequencyGrid, hinf_estimate, symmetric_log_grid
+from fdbt.sysmodel import (
+    FrequencyGrid,
+    error_system,
+    hinf_estimate,
+    sigma_max_at,
+    symmetric_log_grid,
+)
 
 NUMPY_KERNELS = ("eig", "eigvals", "eigh", "eigvalsh", "svd", "solve", "inv", "pinv", "norm")
+# numpy's matrix product: the @ operator between operands, np.dot, np.matmul
+NUMPY_PRODUCT = re.compile(r"[\w)\]][ \t]*@=?[ \t]*[\w(\[]|\b(np|numpy)\.(dot|matmul)\(")
 # below this order OpenBLAS runs single-threaded: per-point p x m SVDs of a
 # sweep and the eta step's 2(m+p) SVD stay on numpy
 TRIP_ORDER = 16
@@ -86,6 +100,26 @@ def test_every_method_stays_in_one_pool(one_pool):
     assert verify_bound(sys, off_centre, FrequencyGrid.explicit([0.5]), "sf").passed
     value, _ = hinf_estimate(sys)
     assert value > 0.0
+    # a single-point probe of a 41-state error system
+    assert sigma_max_at(error_system(sys, results[0].reduced), 0.3) > 0.0
+
+
+def test_sources_use_no_numpy_product():
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(pathlib.Path(fdbt.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if NUMPY_PRODUCT.search(line)
+    ]
+    assert found == []
+
+
+def test_source_scan_sees_products():
+    for line in ("x = a @ b", "y = gemm(a, b) @ c.T", "x @= b", "z = np.dot(a, b)",
+                 "w = numpy.matmul(a, b)", "v = (a)@[1]"):
+        assert NUMPY_PRODUCT.search(line), line
+    for line in ("    @property", "@dataclass(frozen=True)", "dot(a, b)", "x = a.dot"):
+        assert not NUMPY_PRODUCT.search(line), line
 
 
 def test_tripwire_fires(one_pool):

@@ -28,7 +28,7 @@ from fdbt import (
 )
 from fdbt.baselines import gspa_truncate
 from fdbt.interval import IntervalBalanced, interval_truncate
-from fdbt.linalg import eigh, eigvals, gemm, schur, solve, solve_guarded, svd
+from fdbt.linalg import eigh, eigvals, gemm, schur, solve, solve_guarded, svd, trsv
 from fdbt.reduction import Balanced
 
 
@@ -256,6 +256,23 @@ class TestKernelHandles:
         assert got.shape == (3, 4)
         assert got.dtype == want.dtype
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"), ("complex", "complex")])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_trsv_matches_solve(self, layout, kinds, m):
+        rng = np.random.default_rng(6)
+        t = np.triu(self._operand(rng, (5, 5), kinds[0], layout)) + 4.0 * np.eye(5)
+        t = np.asfortranarray(t) if layout == "F" else t
+        x = self._operand(rng, (5, m), kinds[1], layout)
+        x_before = x.copy()
+        got = trsv(t, x)
+        want = np.linalg.solve(t, x)
+        assert got.shape == (5, m)
+        assert got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        # the right-hand side is not overwritten
+        assert np.array_equal(x, x_before)
 
     def test_gemm_of_empty_operands(self):
         assert gemm(np.zeros((0, 3)), np.ones((3, 2))).shape == (0, 2)

@@ -106,6 +106,16 @@ class TestEvaluation:
         for w in (0.0, 0.5, 1.0, -3.0):
             assert abs(sigma_max_at(sys, w) - 1.0 / np.hypot(1.0, w)) <= 1e-14
 
+    def test_overflow_raises_with_location(self):
+        sys = StateSpace([[-1.0]], [[1e300]], [[1e300]], [[0.0]])
+        # the last target's parts both overflow, and their difference is NaN
+        for target in (sys, error_system(sys, random_stable(24, 1)), error_system(sys, sys)):
+            for s, where in ((0.5j, 0.5), (2.0, 2.0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with pytest.raises(PoleOnGrid, match="response overflowed") as info:
+                        evaluate_at(target, s)
+                assert info.value.omega == where
+
     def test_pole_hit_raises_with_location(self):
         with pytest.raises(PoleOnGrid) as info:
             sigma_max_at(_oscillator(), 1.0)
@@ -161,6 +171,12 @@ class TestSweep:
         rep = sweep(sys, grid)
         for w, v in zip(grid.points, rep.sigma_max):
             assert v == pytest.approx(sigma_max_at(sys, float(w)), abs=1e-13)
+        # an error system: sweep and point kernel each take it by parts
+        full = random_stable(22, 8, m=2, p=3, complex_entries=True)
+        err = error_system(full, fibt_reduce(full, 3).reduced)
+        rep = sweep(err, grid)
+        for w, v in zip(grid.points, rep.sigma_max):
+            assert v == pytest.approx(sigma_max_at(err, float(w)), abs=1e-13)
 
     def test_block_split_does_not_change_bytes(self, monkeypatch):
         sys = random_stable(10, 30, m=2, p=2)
@@ -184,6 +200,20 @@ class TestSweep:
         assert rep.sigma_max[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.sigma_max[2] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert rep.peak_value == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflow_is_skipped_or_raised(self):
+        # the pole at -1 is far from the axis, but C x overflows
+        sys = StateSpace([[-1.0]], [[1e300]], [[1e300]], [[0.0]])
+        grid = FrequencyGrid.explicit([0.0, 1.0])
+        for target in (sys, error_system(sys, random_stable(23, 1))):
+            with np.errstate(over="ignore"):
+                rep = sweep(target, grid, on_pole="skip")
+                with pytest.raises(PoleOnGrid, match="coincides") as info:
+                    sweep(target, grid, on_pole="raise")
+            assert rep.skipped == (0.0, 1.0)
+            assert np.all(np.isnan(rep.sigma_max))
+            assert np.isnan(rep.peak_value) and np.isnan(rep.peak_frequency)
+            assert info.value.omega == 0.0
 
     def test_bad_on_pole_value_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -278,11 +308,16 @@ class TestWholeAxisEstimate:
 _ORACLE_POINTS = np.concatenate([1j * np.linspace(-4.0, 4.0, 57), [0.3 + 0.7j, 2.0]])
 
 
-def _worst_gap(sys, points, scale_sys=None):
+def _pointwise(sys, points):
+    return np.stack([evaluate_at(sys, s) for s in points])
+
+
+def _worst_gap(sys, points, scale_sys=None, kernel=sysmodel._response_stack):
     """max over points of ||G - G_lu|| / (1 + ||G_scale||): G from the
-    package's Schur stack, G_lu from the per-point LU oracle, and G_scale
-    the oracle response of scale_sys (default: sys itself)."""
-    got = sysmodel._response_stack(sys, points)
+    package's kernel (default: the Schur stack), G_lu from the per-point LU
+    oracle, and G_scale the oracle response of scale_sys (default: sys
+    itself)."""
+    got = kernel(sys, points)
     ref = orc.response_stack_lu(sys.A, sys.B, sys.C, sys.D, points)
     scale = ref if scale_sys is None else orc.response_stack_lu(
         scale_sys.A, scale_sys.B, scale_sys.C, scale_sys.D, points
@@ -305,6 +340,21 @@ class TestSchurResponses:
         ladder = generate_ladder(31)
         err = error_system(ladder, fibt_reduce(ladder, r).reduced)
         assert _worst_gap(err, _ORACLE_POINTS, scale_sys=ladder) <= 1e-11
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    @pytest.mark.parametrize("seed", range(95, 103))
+    def test_point_kernel_matches_lu_oracle(self, seed, n, m, p, complex_entries):
+        sys = random_stable(seed, n, m=m, p=p, complex_entries=complex_entries)
+        assert _worst_gap(sys, _ORACLE_POINTS, kernel=_pointwise) <= 1e-12
+
+    @pytest.mark.parametrize("r", [5, 20, 29])
+    def test_ladder_error_system_point_kernel_matches_lu_oracle(self, r):
+        ladder = generate_ladder(31)
+        err = error_system(ladder, fibt_reduce(ladder, r).reduced)
+        gap = _worst_gap(err, _ORACLE_POINTS, scale_sys=ladder, kernel=_pointwise)
+        assert gap <= 1e-11
 
 
 class TestSeededErrorSystem:
@@ -360,6 +410,16 @@ class TestSeededErrorSystem:
         )
         for _ in range(3):
             assert [sysmodel._pole_tolerance(e) for e in fresh] == want
+
+    def test_stacked_states_are_never_factored(self):
+        full, reduced = self._pair()
+        err = error_system(full, reduced)
+        sweep(err, FrequencyGrid.linear(-3.0, 3.0, 61), refine=True)
+        sigma_max_at(err, 0.7)
+        evaluate_at(err, 0.3 + 0.7j)
+        # each part holds its own Schur form; the error system holds none
+        assert "_schur_cache" not in err.__dict__
+        assert all("_schur_cache" in part.__dict__ for part in (full, reduced))
 
     def test_each_model_is_factored_once(self, monkeypatch):
         full = random_stable(21, 12, m=2, p=2)
