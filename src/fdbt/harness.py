@@ -29,10 +29,10 @@ from .sf import SfConfig, epsilon_sweep, sf_reduce
 from .sysmodel import (
     FrequencyGrid,
     StateSpace,
+    error_sweeps,
     error_system,
     is_hurwitz,
     sigma_max_at,
-    sweep,
     symmetric_log_grid,
 )
 
@@ -115,13 +115,34 @@ def verify_bound(
     whole-axis grid for ef. Pole hits are skipped, not fatal; failures are
     data, not exceptions.
     """
-    key = bound_key or _DEFAULT_BOUND_KEY.get(result.method, "ef")
-    if key not in result.bounds:
-        raise InvalidParameters(
-            f"result from {result.method!r} carries no {key!r} bound"
-        )
+    return _verified(sys, [(result, bound_key)], grid)[0]
+
+
+def _verified(sys: StateSpace, checks, grid: FrequencyGrid) -> list:
+    """verify_bound for each (result, bound_key) of one plant over one grid.
+
+    Every key is checked before anything is swept; the plant is evaluated
+    over the grid once for all of them.
+    """
+    keys = []
+    for result, bound_key in checks:
+        key = bound_key or _DEFAULT_BOUND_KEY.get(result.method, "ef")
+        if key not in result.bounds:
+            raise InvalidParameters(
+                f"result from {result.method!r} carries no {key!r} bound"
+            )
+        keys.append(key)
+    reports = _error_sweeps(sys, [result.reduced for result, _ in checks], grid)
+    return [
+        _record(result, key, report)
+        for (result, _), key, report in zip(checks, keys, reports)
+    ]
+
+
+def _record(result: ReductionResult, key: str, report) -> VerificationRecord:
+    """The bound under `key` checked against the peak of a refined error
+    sweep with pole hits skipped, as verify_bound measures it."""
     bound = float(result.bounds[key])
-    report = sweep(error_system(sys, result.reduced), grid, refine=True, on_pole="skip")
     peak = float(report.peak_value)
     margin = bound - peak
     passed = bool(margin >= -_REL_SLACK * (1.0 + bound))
@@ -134,7 +155,7 @@ def verify_bound(
         peak_frequency=float(report.peak_frequency),
         margin=margin,
         passed=passed,
-        points=len(grid),
+        points=len(report.grid),
         skipped=report.skipped,
     )
 
@@ -295,35 +316,38 @@ def _model_records(index: int, model: StateSpace, half_widths, orders):
     # Gramians, balancing and the eta chain depend on the model and the
     # band, not on the order: prepare once, truncate per order, and give
     # fgbt's band step the standard pair fibt has solved. The int-fdbt ef
-    # bound is never read here, so it is not computed.
+    # bound is never read here, so it is not computed. Every reduced model
+    # of one band is swept in one pass, which evaluates the model once.
     rows = []
     standard = prepare_standard(model)
     fibt = {r: fibt_truncate(standard, r) for r in orders}
-    err_fibt = {r: error_system(model, fibt[r].reduced) for r in orders}
     for wl in half_widths:
         grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
         fdbt = _prepared(prepare_interval, model, IntervalConfig(-wl, wl))
         fgbt = _prepared(prepare_band, model, -wl, wl, (standard.Wc, standard.Wo))
+        reduced = {}  # (method, r) -> reduced model, for the methods that ran
+        bound_fdbt = dict.fromkeys(orders, math.nan)
+        notes = {r: [] for r in orders}
         for r in orders:
-            peak_fibt = sweep(err_fibt[r], grid, refine=True, on_pole="skip").peak_value
-            bound_fibt = float(fibt[r].bounds["ef"])
-            note = []
-
-            peak_fdbt = bound_fdbt = math.nan
+            reduced["fibt", r] = fibt[r].reduced
             try:
                 res = _truncated(interval_truncate, fdbt, r, with_ef_bound=False)
-                peak_fdbt = _error_sweep(model, res.reduced, grid).peak_value
-                bound_fdbt = float(res.bounds["interval"])
+                reduced["fdbt", r] = res.reduced
+                bound_fdbt[r] = float(res.bounds["interval"])
             except FdbtError as exc:
-                note.append(f"fdbt: {exc}")
-
-            peak_fgbt = math.nan
+                notes[r].append(f"fdbt: {exc}")
             try:
-                res = _truncated(fgbt_truncate, fgbt, r)
-                peak_fgbt = _error_sweep(model, res.reduced, grid).peak_value
+                reduced["fgbt", r] = _truncated(fgbt_truncate, fgbt, r).reduced
             except FdbtError as exc:
-                note.append(f"fgbt: {exc}")
-
+                notes[r].append(f"fgbt: {exc}")
+        reports = _error_sweeps(model, list(reduced.values()), grid)
+        peaks = {key: rep.peak_value for key, rep in zip(reduced, reports)}
+        for r in orders:
+            peak_fibt = peaks["fibt", r]
+            peak_fdbt = peaks.get(("fdbt", r), math.nan)
+            peak_fgbt = peaks.get(("fgbt", r), math.nan)
+            bound_fibt = float(fibt[r].bounds["ef"])
+            note = notes[r]
             usable = peak_fibt > 0.0 and math.isfinite(peak_fibt)
             if not usable:
                 note.append("fibt peak degenerate; ratios undefined")
@@ -336,10 +360,10 @@ def _model_records(index: int, model: StateSpace, half_widths, orders):
                     peak_fdbt=float(peak_fdbt),
                     peak_fgbt=float(peak_fgbt),
                     bound_fibt=bound_fibt,
-                    bound_fdbt=bound_fdbt,
+                    bound_fdbt=bound_fdbt[r],
                     err_fdbt=float(peak_fdbt / peak_fibt) if usable else math.nan,
                     err_fgbt=float(peak_fgbt / peak_fibt) if usable else math.nan,
-                    eb_fdbt=float(bound_fdbt / bound_fibt) if bound_fibt > 0 else math.nan,
+                    eb_fdbt=float(bound_fdbt[r] / bound_fibt) if bound_fibt > 0 else math.nan,
                     note="; ".join(note),
                 )
             )
@@ -568,8 +592,10 @@ def _ef_grid(sys: StateSpace, points: int = EF_GRID_POINTS) -> FrequencyGrid:
     return symmetric_log_grid(scales, points)
 
 
-def _error_sweep(sys, reduced, grid):
-    return sweep(error_system(sys, reduced), grid, refine=True, on_pole="skip")
+def _error_sweeps(sys, reduced_models, grid) -> list:
+    """Refined error sweeps of one plant's reduced models over one grid,
+    pole hits skipped; the plant is evaluated once (see error_sweeps)."""
+    return error_sweeps(sys, reduced_models, grid, refine=True, on_pole="skip")
 
 
 def _dc_error(sys, reduced) -> float:
@@ -593,28 +619,34 @@ def _reproduce_ex1() -> ExampleBundle:
     sweeps, records, values = {}, [], {}
 
     standard = prepare_standard(sys)
-    fibt = fibt_truncate(standard, 3)
-    sweeps["error_fibt_r3"] = _error_sweep(sys, fibt.reduced, grid)
-    values["err0_fibt"] = _dc_error(sys, fibt.reduced)
-    records.append(verify_bound(sys, fibt, _ef_grid(sys), "ef"))
-
+    results = {"fibt": fibt_truncate(standard, 3)}
     for rho in EX1_GSPA_RHOS:
-        res = gspa_truncate(standard, 3, rho)
         label = f"rho{rho:g}".replace(".", "p")
-        sweeps[f"error_gspa_{label}_r3"] = _error_sweep(sys, res.reduced, grid)
-        values[f"err0_gspa_{label}"] = _dc_error(sys, res.reduced)
-        if "ef" in res.bounds:
-            records.append(verify_bound(sys, res, _ef_grid(sys), "ef"))
-
-    point_grid = FrequencyGrid.explicit([0.0])
+        results[f"gspa_{label}"] = gspa_truncate(standard, 3, rho)
     for eps in EX1_SF_EPSILONS:
-        res = sf_reduce(sys, SfConfig(varpi=0.0, epsilon=eps), 3)
         label = f"eps{eps:g}".replace(".", "p")
-        sweeps[f"error_sf_{label}_r3"] = _error_sweep(sys, res.reduced, grid)
-        values[f"err0_sf_{label}"] = _dc_error(sys, res.reduced)
-        records.append(verify_bound(sys, res, point_grid, "sf"))
+        results[f"sf_{label}"] = sf_reduce(sys, SfConfig(varpi=0.0, epsilon=eps), 3)
+
+    reports = _error_sweeps(sys, [res.reduced for res in results.values()], grid)
+    for (label, res), report in zip(results.items(), reports):
+        sweeps[f"error_{label}_r3"] = report
+        values[f"err0_{label}"] = _dc_error(sys, res.reduced)
+    # fibt always carries an ef bound, gspa only at rho = 0, sf-fdbt only
+    # when both models are Hurwitz
+    ef_records = iter(
+        _verified(
+            sys,
+            [(res, "ef") for res in results.values() if "ef" in res.bounds],
+            _ef_grid(sys),
+        )
+    )
+    shifted = [(res, "sf") for label, res in results.items() if label.startswith("sf_")]
+    sf_records = iter(_verified(sys, shifted, FrequencyGrid.explicit([0.0])))
+    for label, res in results.items():
+        if label.startswith("sf_"):
+            records.append(next(sf_records))
         if "ef" in res.bounds:
-            records.append(verify_bound(sys, res, _ef_grid(sys), "ef"))
+            records.append(next(ef_records))
 
     in_three_five = [
         values[f"err0_sf_eps{e:g}".replace(".", "p")]
@@ -654,20 +686,21 @@ def _reproduce_ex2(case: str) -> ExampleBundle:
         fibt = fibt_truncate(standard, r)
         intr = interval_truncate(interval, r)
         fgbt = fgbt_truncate(band_limited, r)
-        rep = {
-            "fibt": _error_sweep(sys, fibt.reduced, band),
-            "int": _error_sweep(sys, intr.reduced, band),
-            "fgbt": _error_sweep(sys, fgbt.reduced, band),
-        }
+        rep = dict(
+            zip(
+                ("fibt", "int", "fgbt"),
+                _error_sweeps(sys, [fibt.reduced, intr.reduced, fgbt.reduced], band),
+            )
+        )
         for meth, report in rep.items():
             sweeps[f"error_{meth}_r{r}"] = report
             values[f"peak_{meth}_r{r}"] = float(report.peak_value)
         values[f"interval_bound_r{r}"] = float(intr.bounds["interval"])
         values[f"stable_fgbt_r{r}"] = float(fgbt.stable)
-        records.append(verify_bound(sys, intr, band, "interval"))
-        if "ef" in intr.bounds:
-            records.append(verify_bound(sys, intr, _ef_grid(sys), "ef"))
-        records.append(verify_bound(sys, fibt, _ef_grid(sys), "ef"))
+        # the in-band sweep just made is the interval bound's measurement
+        records.append(_record(intr, "interval", rep["int"]))
+        ef_checks = [(intr, "ef")] if "ef" in intr.bounds else []
+        records += _verified(sys, ef_checks + [(fibt, "ef")], _ef_grid(sys))
         peak_int = values[f"peak_int_r{r}"]
         allow = 1.0 + _REL_SLACK
         assertions[f"int_peak_le_fibt_r{r}"] = bool(
@@ -686,45 +719,41 @@ def _reproduce_ex2(case: str) -> ExampleBundle:
 def _reproduce_ex3_case1() -> ExampleBundle:
     sys = generate_ladder(LADDER_ORDER)
     grid = FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS)
-    sweeps, records, values, notes = {}, [], {}, []
-
-    sweeps["response_full"] = sweep(sys, grid, on_pole="skip")
-
-    standard = prepare_standard(sys)
-    fibt = fibt_truncate(standard, LADDER_BASELINE_ORDER)
-    sweeps["error_fibt_r181"] = _error_sweep(sys, fibt.reduced, grid)
-    values["err0_fibt_r181"] = _dc_error(sys, fibt.reduced)
-    records.append(verify_bound(sys, fibt, _ef_grid(sys, 600), "ef"))
-
     # rho = 0 residualization interpolates at w = 0 exactly, so the honest
     # comparison for it is a neighborhood peak, kept as data only
     nbhd = FrequencyGrid.linear(-0.1, 0.1, 401)
-    values["peak_nbhd_fibt_r181"] = float(
-        _error_sweep(sys, fibt.reduced, nbhd).peak_value
-    )
+    sweeps, records, values, notes = {}, [], {}, []
+
+    standard = prepare_standard(sys)
+    results = {"fibt_r181": fibt_truncate(standard, LADDER_BASELINE_ORDER)}
     try:
         gspa = gspa_truncate(standard, LADDER_BASELINE_ORDER, 0.0)
-        sweeps["error_gspa_r181"] = _error_sweep(sys, gspa.reduced, grid)
         values["err0_gspa_r181"] = _dc_error(sys, gspa.reduced)
-        values["peak_nbhd_gspa_r181"] = float(
-            _error_sweep(sys, gspa.reduced, nbhd).peak_value
-        )
+        results["gspa_r181"] = gspa
     except FdbtError as exc:
         values["err0_gspa_r181"] = math.nan
         values["peak_nbhd_gspa_r181"] = math.nan
         notes.append(f"gspa failed: {exc}")
-
     # ef estimate on a 402-state error system costs minutes and nothing in
     # this scenario consumes it; the shift-point bound is the one of record
-    sf = sf_reduce(
+    results["sf_r51"] = sf = sf_reduce(
         sys,
         SfConfig(varpi=0.0, epsilon=LADDER_SF_EPSILON),
         LADDER_SF_ORDER,
         with_ef_bound=False,
     )
-    sweeps["error_sf_r51"] = _error_sweep(sys, sf.reduced, grid)
+
+    # the full model's own response comes from the same plant evaluation
+    reduced = [res.reduced for res in results.values()]
+    full_report, *reports = _error_sweeps(sys, [None] + reduced, grid)
+    sweeps["response_full"] = full_report
+    for label, report in zip(results, reports):
+        sweeps[f"error_{label}"] = report
+    for label, report in zip(results, _error_sweeps(sys, reduced, nbhd)):
+        values[f"peak_nbhd_{label}"] = float(report.peak_value)
+    values["err0_fibt_r181"] = _dc_error(sys, results["fibt_r181"].reduced)
     values["err0_sf_r51"] = _dc_error(sys, sf.reduced)
-    values["peak_nbhd_sf_r51"] = float(_error_sweep(sys, sf.reduced, nbhd).peak_value)
+    records.append(verify_bound(sys, results["fibt_r181"], _ef_grid(sys, 600), "ef"))
     records.append(verify_bound(sys, sf, FrequencyGrid.explicit([0.0]), "sf"))
 
     assertions = {
@@ -755,26 +784,33 @@ def _reproduce_ex3_case2() -> ExampleBundle:
         # in-band bound only: the ef gap terms sweep systems whose order
         # scales with the full 201 states and add nothing to this scenario
         intr = interval_truncate(interval, r, with_ef_bound=False)
-        sweeps[f"error_int_r{r}"] = _error_sweep(sys, intr.reduced, band)
-        values[f"peak_int_r{r}"] = float(sweeps[f"error_int_r{r}"].peak_value)
-        values[f"interval_bound_r{r}"] = float(intr.bounds["interval"])
-        values[f"stable_int_r{r}"] = float(intr.stable)
-        records.append(verify_bound(sys, intr, band, "interval"))
-
         try:
             fgbt = _truncated(fgbt_truncate, band_limited, r)
-            sweeps[f"error_fgbt_r{r}"] = _error_sweep(sys, fgbt.reduced, band)
-            values[f"peak_fgbt_r{r}"] = float(sweeps[f"error_fgbt_r{r}"].peak_value)
+        except FdbtError as exc:
+            fgbt = exc
+        failed = isinstance(fgbt, FdbtError)
+        reduced = [intr.reduced] + ([] if failed else [fgbt.reduced])
+        rep_int, *rep_fgbt = _error_sweeps(sys, reduced, band)
+        sweeps[f"error_int_r{r}"] = rep_int
+        values[f"peak_int_r{r}"] = float(rep_int.peak_value)
+        values[f"interval_bound_r{r}"] = float(intr.bounds["interval"])
+        values[f"stable_int_r{r}"] = float(intr.stable)
+        # the in-band sweep just made is the interval bound's measurement
+        records.append(_record(intr, "interval", rep_int))
+
+        if failed:
+            values[f"peak_fgbt_r{r}"] = math.nan
+            values[f"stable_fgbt_r{r}"] = 0.0
+            notes.append(f"fgbt r={r} failed: {fgbt}")
+        else:
+            sweeps[f"error_fgbt_r{r}"] = rep_fgbt[0]
+            values[f"peak_fgbt_r{r}"] = float(rep_fgbt[0].peak_value)
             values[f"stable_fgbt_r{r}"] = float(fgbt.stable)
             if not fgbt.stable:
                 notes.append(
                     f"fgbt r={r}: reduced model not Hurwitz "
                     f"(max Re pole {float(np.max(fgbt.reduced.poles.real)):+.3e})"
                 )
-        except FdbtError as exc:
-            values[f"peak_fgbt_r{r}"] = math.nan
-            values[f"stable_fgbt_r{r}"] = 0.0
-            notes.append(f"fgbt r={r} failed: {exc}")
 
         # A reduced model that loses stability has no steady-state response
         # to an in-band sinusoid, so it cannot win an in-band approximation

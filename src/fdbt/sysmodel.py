@@ -284,9 +284,17 @@ def sigma_max_at(sys: StateSpace, omega: float) -> float:
 
 
 def _sigma_stack(responses: np.ndarray) -> np.ndarray:
+    """sigma_max of each response; NaN where the response is not finite.
+
+    Non-finite responses never reach the SVD: a NaN entry (inf - inf in an
+    error system) makes LAPACK fail to converge.
+    """
     if responses.shape[1] == 0 or responses.shape[2] == 0:
         return np.zeros(responses.shape[0])
-    return np.linalg.svd(responses, compute_uv=False)[:, 0]
+    sig = np.full(responses.shape[0], np.nan)
+    finite = np.isfinite(responses).all(axis=(1, 2))
+    sig[finite] = np.linalg.svd(responses[finite], compute_uv=False)[:, 0]
+    return sig
 
 
 def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
@@ -296,8 +304,8 @@ def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
     full model; the reduced output enters negated. The stacked realization
     is never factored: its poles are the two models' own, and every
     response is the full model's minus the reduced model's, each on its own
-    cached Schur form. Sweeping many error systems of one full model
-    factors it only once.
+    cached Schur form. Many error systems of one full model factor it only
+    once, and error_sweeps evaluates it only once per grid.
     """
     if (full.m, full.p) != (reduced.m, reduced.p):
         raise DimensionMismatch(
@@ -401,31 +409,25 @@ def _golden_max(
     return best_w, best_v
 
 
-def sweep(
-    sys: StateSpace,
-    grid: FrequencyGrid,
-    refine: bool = False,
-    on_pole: str = "raise",
-) -> SweepReport:
-    """Evaluate sigma_max over a grid and locate its peak.
-
-    Points are computed independently (one back substitution each on the
-    system's Schur form, or on each part's for an error system, vectorized
-    over the grid), so the result does not depend on evaluation order. With
-    refine=True a golden-section search between the peak's grid neighbours
-    sharpens the reported peak to relative width 1e-6; its probes are
-    single points, each solved by BLAS trsv (see evaluate_at).
-    """
+def _check_on_pole(on_pole: str) -> None:
     if on_pole not in ("raise", "skip"):
         raise DimensionMismatch(f"on_pole must be 'raise' or 'skip', got {on_pole!r}")
-    om = grid.points
-    s_points = 1j * om
-    bad = _pole_distances(sys, s_points) < _pole_tolerance(sys)
 
+
+def _report(grid, bad, responses, on_pole, refined=None) -> SweepReport:
+    """The sweep report over grid, given the responses at the points not bad.
+
+    bad (updated in place) flags the points screened out as pole hits; any
+    point whose response or sigma_max is not finite joins them. Under
+    on_pole="raise" the first flagged point raises PoleOnGrid. refined, when
+    given, is the swept system: a golden-section search between the peak's
+    grid neighbours sharpens its peak to relative width 1e-6, each probe one
+    sigma_max_at (BLAS trsv, see evaluate_at).
+    """
+    om = grid.points
     values = np.full(om.size, np.nan)
     good = ~bad
     if good.any():
-        responses = _response_stack(sys, s_points[good])
         sig = _sigma_stack(responses)
         overflow = ~np.isfinite(sig)
         if overflow.any():
@@ -447,16 +449,103 @@ def sweep(
     k = int(finite[np.argmax(values[finite])])
     peak_w, peak_v = float(om[k]), float(values[k])
 
-    if refine and om.size > 1:
+    if refined is not None and om.size > 1:
         lo = float(om[finite[finite < k][-1]]) if (finite < k).any() else peak_w
         hi = float(om[finite[finite > k][0]]) if (finite > k).any() else peak_w
         if hi > lo:
-            w_ref, v_ref = _golden_max(lambda w: sigma_max_at(sys, w), lo, hi)
+            w_ref, v_ref = _golden_max(lambda w: sigma_max_at(refined, w), lo, hi)
             if v_ref > peak_v:
                 peak_w, peak_v = w_ref, v_ref
 
     values.setflags(write=False)
     return SweepReport(grid, values, peak_v, peak_w, tuple(om[bad]))
+
+
+def sweep(
+    sys: StateSpace,
+    grid: FrequencyGrid,
+    refine: bool = False,
+    on_pole: str = "raise",
+) -> SweepReport:
+    """Evaluate sigma_max over a grid and locate its peak.
+
+    Points are computed independently (one back substitution each on the
+    system's Schur form, vectorized over the grid), so the result does not
+    depend on evaluation order. An error system is swept by error_sweeps:
+    its full model is evaluated over the grid and the reduced model's
+    responses are subtracted. Points within tolerance of a pole, or whose
+    response overflows, raise PoleOnGrid (on_pole="raise") or are skipped
+    as NaN (on_pole="skip"). With refine=True a golden-section search
+    between the peak's grid neighbours sharpens the reported peak to
+    relative width 1e-6; its probes are single points, each solved by BLAS
+    trsv (see evaluate_at).
+    """
+    parts = sys.__dict__.get("_parts")
+    if parts is not None:
+        return _error_sweeps(parts[1], [sys], grid, refine, on_pole)[0]
+    _check_on_pole(on_pole)
+    s_points = 1j * grid.points
+    bad = _pole_distances(sys, s_points) < _pole_tolerance(sys)
+    responses = _response_stack(sys, s_points[~bad]) if not bad.all() else None
+    return _report(grid, bad, responses, on_pole, sys if refine else None)
+
+
+def error_sweeps(
+    full: StateSpace,
+    reduced_models,
+    grid: FrequencyGrid,
+    refine: bool = False,
+    on_pole: str = "raise",
+) -> list:
+    """Sweep the error of each reduced model of one plant over one grid.
+
+    Report i is bitwise sweep(error_system(full, reduced_models[i]), grid,
+    refine, on_pole), but the plant is screened against its poles and
+    evaluated over the grid once: each model then screens the points
+    against its own poles, is evaluated on the points left, and is
+    subtracted from the plant's responses there. (Only a model with a pole
+    of its own on the grid, which leaves fewer points, has the plant
+    evaluated again, on exactly those points.) A None model stands for
+    the plant itself and gets the plant's own report from the same
+    responses, sweep(full, grid, on_pole=on_pole), never refined. Reports
+    are made in order, so under on_pole="raise" the first model with a pole
+    (or an overflow) on the grid raises.
+    """
+    # each error system is built only when its turn comes, as one by one
+    errs = (None if r is None else error_system(full, r) for r in reduced_models)
+    return _error_sweeps(full, errs, grid, refine, on_pole)
+
+
+def _error_sweeps(full, errs, grid, refine, on_pole) -> list:
+    """error_sweeps over error systems of full (None: full itself)."""
+    _check_on_pole(on_pole)
+    s_points = 1j * grid.points
+    plant_dist = _pole_distances(full, s_points)
+    kept = ~(plant_dist < _pole_tolerance(full))
+    plant = _response_stack(full, s_points[kept]) if kept.any() else None
+    reports = []
+    for err in errs:
+        if err is None:
+            reports.append(_report(grid, ~kept, plant, on_pole))
+            continue
+        reduced = err.__dict__["_parts"][0]
+        # a pole of either part is a pole of the error system, screened at
+        # its own tolerance, so every point it keeps the plant kept too
+        dist = np.minimum(plant_dist, _pole_distances(reduced, s_points))
+        bad = dist < _pole_tolerance(err)
+        good = ~bad
+        responses = None
+        if good.any():
+            at = plant
+            if not np.array_equal(good, kept):
+                # a pole of the model on the grid drops points the plant
+                # kept: evaluate the plant on exactly the model's points,
+                # since a one-point block of _response_stack can round
+                # differently from the same point among others
+                at = _response_stack(full, s_points[good])
+            responses = at - _response_stack(reduced, s_points[good])
+        reports.append(_report(grid, bad, responses, on_pole, err if refine else None))
+    return reports
 
 
 def moebius_substitute(

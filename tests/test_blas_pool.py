@@ -30,6 +30,7 @@ import fdbt
 from fdbt.harness import generate_ladder, verify_bound
 from fdbt.sysmodel import (
     FrequencyGrid,
+    error_sweeps,
     error_system,
     hinf_estimate,
     sigma_max_at,
@@ -102,6 +103,11 @@ def test_every_method_stays_in_one_pool(one_pool):
     assert value > 0.0
     # a single-point probe of a 41-state error system
     assert sigma_max_at(error_system(sys, results[0].reduced), 0.3) > 0.0
+    # one batched sweep of the plant and all of its 41-state error systems
+    reports = error_sweeps(
+        sys, [None] + [res.reduced for res in results], band_grid, refine=True, on_pole="skip"
+    )
+    assert all(rep.peak_value > 0.0 for rep in reports)
 
 
 def test_sources_use_no_numpy_product():

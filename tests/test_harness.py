@@ -286,6 +286,73 @@ class TestPreparedExperiment:
         assert counts["_schur_band"] == 0
 
 
+def _evaluations(monkeypatch):
+    """system -> grid sizes of its sysmodel._response_stack calls, in order."""
+    evaluated = {}
+    real_stack = fdbt.sysmodel._response_stack
+
+    def counting(sys, points):
+        evaluated.setdefault(sys, []).append(points.shape[0])
+        return real_stack(sys, points)
+
+    monkeypatch.setattr(fdbt.sysmodel, "_response_stack", counting)
+    return evaluated
+
+
+def _scaled_ladder(monkeypatch, order=21):
+    """The ex3 scenarios on a smaller ladder, orders scaled by order/201 as
+    the benchmark scales them; returns the list the ladder lands in."""
+    def scaled(paper_order):
+        return max(1, round(order * paper_order / 201))
+
+    monkeypatch.setattr(fdbt.harness, "LADDER_ORDER", order)
+    monkeypatch.setattr(fdbt.harness, "LADDER_BASELINE_ORDER", scaled(181))
+    monkeypatch.setattr(fdbt.harness, "LADDER_SF_ORDER", scaled(51))
+    monkeypatch.setattr(fdbt.harness, "LADDER_INTERVAL_ORDERS", (scaled(51), scaled(61)))
+    made = []
+
+    def ladder(*args, **kwargs):
+        made.append(generate_ladder(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fdbt.harness, "generate_ladder", ladder)
+    return made
+
+
+class TestEvaluatedOncePerGrid:
+    """Every reduced model of one plant is swept against one evaluation of
+    the plant per grid (error_sweeps)."""
+
+    def test_ex3_case1_evaluates_the_ladder_once_per_grid(self, monkeypatch):
+        made = _scaled_ladder(monkeypatch)
+        evaluated = _evaluations(monkeypatch)
+        fdbt.harness._reproduce_ex3_case1()
+        # the 801-point grid (its response and three errors), the 401-point
+        # neighbourhood, the 601-point ef grid and the sf shift point
+        assert len(made) == 1
+        assert sorted(evaluated[made[0]]) == [1, 401, 601, 801]
+
+    def test_ex3_case2_sweeps_each_interval_error_once(self, monkeypatch):
+        made = _scaled_ladder(monkeypatch)
+        evaluated = _evaluations(monkeypatch)
+        bundle = fdbt.harness._reproduce_ex3_case2()
+        # one band evaluation per order serves the int-fdbt sweep, its
+        # interval record and the fgbt sweep
+        assert len(made) == 1
+        assert evaluated[made[0]] == [801, 801]
+        for rec in bundle.records:
+            sweep = bundle.sweeps[f"error_int_r{rec.order}"]
+            assert (rec.peak, rec.peak_frequency) == (sweep.peak_value, sweep.peak_frequency)
+
+    def test_model_records_evaluate_each_model_once_per_band(self, monkeypatch):
+        evaluated = _evaluations(monkeypatch)
+        report = run_randomized_experiment(RandomModelSpec(n=4, seed=3, count=2))
+        models = [sys for sys in evaluated if sys.n == 4]
+        assert len(models) == 2 and len(report.records) == 2 * 12
+        for model in models:
+            assert evaluated[model] == [EXPERIMENT_GRID_POINTS] * len(EXPERIMENT_HALF_WIDTHS)
+
+
 class TestLadder:
     def test_order_validation(self):
         for bad in (0, 2, 4, -3, True, 1.5):

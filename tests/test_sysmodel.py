@@ -15,6 +15,7 @@ from fdbt import (
     PoleOnGrid,
     SingularSubstitution,
     StateSpace,
+    error_sweeps,
     error_system,
     evaluate,
     evaluate_at,
@@ -215,9 +216,27 @@ class TestSweep:
             assert np.isnan(rep.peak_value) and np.isnan(rep.peak_frequency)
             assert info.value.omega == 0.0
 
+    def test_nan_response_is_skipped_or_raised(self):
+        # both parts overflow to +inf, so the error system's response is
+        # inf - inf = NaN, which must never reach the SVD
+        sys = StateSpace([[-1.0]], [[1e300]], [[1e300]], [[0.0]])
+        grid = FrequencyGrid.explicit([0.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = sweep(error_system(sys, sys), grid, on_pole="skip")
+            with pytest.raises(PoleOnGrid, match="coincides") as info:
+                sweep(error_system(sys, sys), grid, on_pole="raise")
+        assert rep.skipped == (0.0, 1.0)
+        assert np.all(np.isnan(rep.sigma_max))
+        assert np.isnan(rep.peak_value) and np.isnan(rep.peak_frequency)
+        assert info.value.omega == 0.0
+
     def test_bad_on_pole_value_rejected(self):
         with pytest.raises(DimensionMismatch):
             sweep(_oscillator(), FrequencyGrid.explicit([0.5]), on_pole="ignore")
+        with pytest.raises(DimensionMismatch):
+            error_sweeps(
+                _oscillator(), [None], FrequencyGrid.explicit([0.5]), on_pole="ignore"
+            )
 
     def test_refinement_sharpens_interior_peak(self):
         sys = _oscillator(damping=0.02)  # resonance near w = 1, very sharp
@@ -437,3 +456,150 @@ class TestSeededErrorSystem:
         for j in range(20):
             sigma_max_at(errs[j % 3], 0.1 * j)
         assert sorted(factored) == [2, 4, 6, 12]
+
+
+def _per_system_sweep(err, grid, refine=False, on_pole="raise"):
+    """sweep of one error system as it ran before error_sweeps: screened on
+    its stacked poles and evaluated (by parts) on exactly its own points."""
+    s_points = 1j * grid.points
+    bad = sysmodel._pole_distances(err, s_points) < sysmodel._pole_tolerance(err)
+    responses = None if bad.all() else sysmodel._response_stack(err, s_points[~bad])
+    return sysmodel._report(grid, bad, responses, on_pole, err if refine else None)
+
+
+def _outcome(sweep_call):
+    """A report's bytes, or the frequency of the PoleOnGrid it raised."""
+    try:
+        rep = sweep_call()
+    except PoleOnGrid as exc:
+        return ("raised", exc.omega)
+    return (
+        rep.sigma_max.tobytes(),
+        np.float64(rep.peak_value).tobytes(),
+        np.float64(rep.peak_frequency).tobytes(),
+        rep.skipped,
+    )
+
+
+def _batched_outcomes(full, models, grid, refine=False, on_pole="raise"):
+    """error_sweeps of all models at once; a raise ends the batch there."""
+    try:
+        reports = error_sweeps(full, models, grid, refine, on_pole)
+    except PoleOnGrid as exc:
+        return ("raised", exc.omega)
+    return [_outcome(lambda rep=rep: rep) for rep in reports]
+
+
+def _one_by_one(full, models, grid, refine=False, on_pole="raise", kernel=sweep):
+    """What sweeping each model's error system in turn gives, stopping at
+    the first raise as a batch does."""
+    out = []
+    for red in models:
+        got = _outcome(lambda red=red: kernel(error_system(full, red), grid, refine, on_pole))
+        if got[0] == "raised":
+            return got
+        out.append(got)
+    return out
+
+
+def _empty_model(m, p, d):
+    return StateSpace(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), d)
+
+
+class TestErrorSweeps:
+    """error_sweeps evaluates the plant once per grid; every report must be
+    bitwise the one sweep gives for that model's error system alone."""
+
+    GRIDS = (
+        FrequencyGrid.linear(-3.0, 3.0, 41),
+        FrequencyGrid.explicit([0.4]),
+        FrequencyGrid.explicit([-1.0, 0.0, 1.0, 2.0]),
+    )
+
+    def _models(self, full):
+        m, p = full.m, full.p
+        oscillator = StateSpace(
+            [[0.0, 1.0], [-1.0, 0.0]], np.ones((2, m)), np.ones((p, 2)), np.zeros((p, m))
+        )
+        # fibt truncations, a zero-order model, and a model with poles at
+        # +/- j, which the plant does not have
+        return [fibt_reduce(full, r).reduced for r in (1, 3, 6)] + [
+            _empty_model(m, p, 0.5 * full.D),
+            oscillator,
+        ]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3)])
+    def test_matches_sweep_per_model_bitwise(self, m, p, complex_entries, refine):
+        full = random_stable(104, 9, m=m, p=p, complex_entries=complex_entries)
+        models = self._models(full)
+        for grid in self.GRIDS:
+            for on_pole in ("skip", "raise"):
+                got = _batched_outcomes(full, models, grid, refine, on_pole)
+                assert got == _one_by_one(full, models, grid, refine, on_pole)
+                ref = _one_by_one(full, models, grid, refine, on_pole, _per_system_sweep)
+                assert got == ref
+
+    def test_model_pole_on_grid_is_skipped_or_raised_as_alone(self):
+        full = random_stable(105, 6, m=2, p=3)
+        oscillator = self._models(full)[-1]
+        grid = FrequencyGrid.explicit([-1.0, 0.0, 1.0, 2.0])
+        skip = error_sweeps(full, [oscillator], grid, on_pole="skip")[0]
+        alone = sweep(error_system(full, oscillator), grid, on_pole="skip")
+        assert skip.skipped == alone.skipped == (-1.0, 1.0)
+        with pytest.raises(PoleOnGrid) as info:
+            error_sweeps(full, [fibt_reduce(full, 2).reduced, oscillator], grid)
+        assert info.value.omega == -1.0
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_a_lone_point_left_by_a_model_pole_keeps_its_bytes(self, seed):
+        # of two points, the model's pole at w = 1 leaves one: evaluated
+        # alone, a single-input single-output response can round
+        # differently from the same point evaluated among others
+        full = random_stable(seed, 9)
+        oscillator = self._models(full)[-1]
+        for w in np.linspace(-3.0, 3.0, 40):
+            grid = FrequencyGrid.explicit([w, 1.0])
+            got = _batched_outcomes(full, [oscillator], grid, on_pole="skip")
+            ref = _one_by_one(
+                full, [oscillator], grid, on_pole="skip", kernel=_per_system_sweep
+            )
+            assert got == ref, w
+
+    def test_none_gives_the_plants_own_report(self):
+        full = random_stable(106, 7, m=2, p=2, complex_entries=True)
+        grid = FrequencyGrid.linear(-3.0, 3.0, 41)
+        reduced = fibt_reduce(full, 3).reduced
+        own, err = error_sweeps(full, [None, reduced], grid, refine=True, on_pole="skip")
+        assert _outcome(lambda: own) == _outcome(lambda: sweep(full, grid, on_pole="skip"))
+        ref = sweep(error_system(full, reduced), grid, refine=True, on_pole="skip")
+        assert _outcome(lambda: err) == _outcome(lambda: ref)
+
+    def test_ladder_error_systems_match_bitwise(self):
+        ladder = generate_ladder(31)
+        models = [fibt_reduce(ladder, r).reduced for r in (5, 20, 29)]
+        grid = FrequencyGrid.linear(-2.0, 2.0, 801)
+        got = _batched_outcomes(ladder, models, grid, refine=True, on_pole="skip")
+        ref = _one_by_one(ladder, models, grid, True, "skip", _per_system_sweep)
+        assert got == ref
+
+    def test_plant_evaluated_once_per_grid(self, monkeypatch):
+        full = random_stable(107, 8, m=2, p=2)
+        models = [fibt_reduce(full, r).reduced for r in (2, 4, 6)]
+        evaluated = []
+        real_stack = sysmodel._response_stack
+
+        def counting(sys, points):
+            evaluated.append(sys)
+            return real_stack(sys, points)
+
+        monkeypatch.setattr(sysmodel, "_response_stack", counting)
+        error_sweeps(full, [None] + models, FrequencyGrid.linear(-3.0, 3.0, 61), refine=True)
+        assert [sys is full for sys in evaluated] == [True, False, False, False]
+        assert evaluated[1:] == models
+
+    def test_io_mismatch_rejected(self):
+        full = random_stable(108, 4, m=2, p=2)
+        with pytest.raises(DimensionMismatch):
+            error_sweeps(full, [random_stable(109, 2)], FrequencyGrid.explicit([0.0]))
