@@ -123,37 +123,7 @@ def write_model(path: str, sys: StateSpace, name: str = "") -> None:
 
 
 # --------------------------------------------------------------------------
-# run configuration
-
-
-class RunConfig:
-    """One reduction request: method plus whatever parameters it needs.
-
-    Validation is two-phase on purpose. The constructor only stores; the
-    planner below checks the method-specific requirements against a model
-    order, so flag problems report as validation failures (exit 2) while
-    anything the reduction itself raises reports as numerical (exit 3).
-    """
-
-    def __init__(
-        self,
-        method,
-        order,
-        epsilon=None,
-        varpi=None,
-        w1=None,
-        w2=None,
-        rho=None,
-        symmetrize=False,
-    ):
-        self.method = method
-        self.order = order
-        self.epsilon = epsilon
-        self.varpi = varpi
-        self.w1 = w1
-        self.w2 = w2
-        self.rho = rho
-        self.symmetrize = bool(symmetrize)
+# reduction requests
 
 
 def _require(condition, message):
@@ -161,43 +131,50 @@ def _require(condition, message):
         raise InvalidParameters(message)
 
 
-def build_runner(cfg: RunConfig, n: int):
-    """Validate cfg against a model of order n; return the reduction call."""
-    _require(cfg.method in METHODS, f"unknown method {cfg.method!r}")
+def build_runner(args, n: int):
+    """Validate a reduce request's flags against a model of order n.
+
+    Returns the reduction call. Validation is two-phase on purpose: argparse
+    only stores the flags, and the method-specific requirements are checked
+    here against the model order, so flag problems report as validation
+    failures (exit 2) while anything the reduction itself raises reports as
+    numerical (exit 3).
+    """
+    _require(args.method in METHODS, f"unknown method {args.method!r}")
     _require(
-        isinstance(cfg.order, int)
-        and not isinstance(cfg.order, bool)
-        and 1 <= cfg.order < n,
+        isinstance(args.order, int)
+        and not isinstance(args.order, bool)
+        and 1 <= args.order < n,
         f"--order must satisfy 1 <= r < n = {n}",
     )
-    r = cfg.order
-    if cfg.symmetrize and cfg.method not in ("int-fdbt", "fgbt"):
+    r = args.order
+    if args.symmetrize and args.method not in ("int-fdbt", "fgbt"):
         raise InvalidParameters("--symmetrize only applies to int-fdbt and fgbt")
 
-    if cfg.method == "fibt":
+    if args.method == "fibt":
         return lambda model: fibt_reduce(model, r)
-    if cfg.method == "spa":
-        _require(cfg.rho is None, "spa does not take --rho; use gspa for rho != 0")
+    if args.method == "spa":
+        _require(args.rho is None, "spa does not take --rho; use gspa for rho != 0")
         return lambda model: gspa_reduce(model, r, 0.0)
-    if cfg.method == "gspa":
-        _require(cfg.rho is not None, "method gspa requires --rho")
-        rho = float(cfg.rho)
+    if args.method == "gspa":
+        _require(args.rho is not None, "method gspa requires --rho")
+        rho = float(args.rho)
         _require(np.isfinite(rho) and rho >= 0.0, "--rho must be finite and >= 0")
         return lambda model: gspa_reduce(model, r, rho)
-    if cfg.method == "sf-fdbt":
-        _require(cfg.epsilon is not None, "method sf-fdbt requires --epsilon")
-        _require(cfg.varpi is not None, "method sf-fdbt requires --varpi")
-        sf_cfg = SfConfig(varpi=float(cfg.varpi), epsilon=float(cfg.epsilon))
+    if args.method == "sf-fdbt":
+        _require(args.epsilon is not None, "method sf-fdbt requires --epsilon")
+        _require(args.varpi is not None, "method sf-fdbt requires --varpi")
+        sf_cfg = SfConfig(varpi=float(args.varpi), epsilon=float(args.epsilon))
         return lambda model: sf_reduce(model, sf_cfg, r)
 
-    _require(cfg.w1 is not None, f"method {cfg.method} requires --w1")
-    _require(cfg.w2 is not None, f"method {cfg.method} requires --w2")
-    w1, w2 = float(cfg.w1), float(cfg.w2)
+    _require(args.w1 is not None, f"method {args.method} requires --w1")
+    _require(args.w2 is not None, f"method {args.method} requires --w2")
+    w1, w2 = float(args.w1), float(args.w2)
     _require(w1 < w2, "--w1 must be strictly below --w2")
-    if cfg.symmetrize:
+    if args.symmetrize:
         half = max(abs(w1), abs(w2))
         w1, w2 = -half, half
-    if cfg.method == "int-fdbt":
+    if args.method == "int-fdbt":
         band = IntervalConfig(w1, w2)
         return lambda model: interval_reduce(model, band, r)
     return lambda model: fgbt_reduce(model, r, w1, w2)
@@ -234,49 +211,24 @@ def _fail(exc, code: int) -> int:
     return code
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        method=args.method,
-        order=args.order,
-        epsilon=args.epsilon,
-        varpi=args.varpi,
-        w1=args.w1,
-        w2=args.w2,
-        rho=args.rho,
-        symmetrize=args.symmetrize,
-    )
-
-
 # --------------------------------------------------------------------------
 # commands
 
 
 def cmd_reduce(args) -> int:
+    """fdbt reduce, and fdbt bounds: the same run without the model write."""
     try:
         model, meta = load_model(args.model)
-        runner = build_runner(_config_from_args(args), model.n)
+        runner = build_runner(args, model.n)
     except FdbtError as exc:
         return _fail(exc, 2)
     try:
         result = runner(model)
     except FdbtError as exc:
         return _fail(exc, 3)
-    base = str(meta.get("name", "") or "model")
-    write_model(args.output, result.reduced, name=f"{base}__{args.method}_r{args.order}")
-    _emit(reduction_report(args.method, result))
-    return 0
-
-
-def cmd_bounds(args) -> int:
-    try:
-        model, _ = load_model(args.model)
-        runner = build_runner(_config_from_args(args), model.n)
-    except FdbtError as exc:
-        return _fail(exc, 2)
-    try:
-        result = runner(model)
-    except FdbtError as exc:
-        return _fail(exc, 3)
+    if args.output is not None:
+        base = str(meta.get("name", "") or "model")
+        write_model(args.output, result.reduced, name=f"{base}__{args.method}_r{args.order}")
     _emit(reduction_report(args.method, result))
     return 0
 
@@ -444,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="recompute bounds without writing a model")
     p.add_argument("model")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_reduce, output=None)
 
     p = sub.add_parser("sweep", help="sigma_max sweep to CSV")
     p.add_argument("model")

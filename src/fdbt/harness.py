@@ -281,14 +281,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "spec": {
-                "n": self.spec.n,
-                "seed": self.spec.seed,
-                "count": self.spec.count,
-                "diag_mean": self.spec.diag_mean,
-                "diag_spread": self.spec.diag_spread,
-                "diag_spread_is_variance": self.spec.diag_spread_is_variance,
-            },
+            "spec": _jsonable(vars(self.spec)),
             "half_widths": list(self.half_widths),
             "orders": list(self.orders),
             "resamples": self.resamples,

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import ztrmm
 
@@ -48,6 +47,7 @@ from .linalg import (
     gemm,
     jw,
     schur,
+    solve,
     solve_guarded,
     sqrt_principal,
 )
@@ -160,9 +160,10 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
         return gemm(gemm(z, s), z, hb=True), gemm(gemm(z, u), z, hb=True)
     values = _check_band_spectrum(eigvals(a) if lam is None else lam, cfg)
     k = a.shape[0]
-    lu = scipy.linalg.lu_factor(gemm(a, a) + cfg.wd**2 * np.eye(k))
     # a commutes with X, so X^(-1) a = a X^(-1): one factorization, one solve
-    xinv, xinv_a = np.hsplit(scipy.linalg.lu_solve(lu, np.hstack([np.eye(k), a])), 2)
+    x = gemm(a, a) + cfg.wd**2 * np.eye(k)
+    singular = SingularShift("a band edge frequency is an eigenvalue")
+    xinv, xinv_a = np.hsplit(solve(x, np.hstack([np.eye(k), a]), singular), 2)
     return sqrt_principal(cfg.wd**2 * xinv, values), -xinv_a
 
 

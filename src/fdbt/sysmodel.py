@@ -11,7 +11,8 @@ methods that promise real reduced models can be checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,56 +90,45 @@ class StateSpace:
             for x in (self.A, self.B, self.C, self.D)
         )
 
-    @property
+    @cached_property
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A, computed once and cached.
+        """Eigenvalues of A, computed once.
 
         An error system's poles are its two parts' poles, reduced first.
         """
-        cached = self.__dict__.get("_pole_cache")
-        if cached is None:
-            parts = self.__dict__.get("_parts")
-            if parts is not None:
-                cached = np.concatenate([parts[0].poles, parts[1].poles])
-            elif self.n:
-                cached = eigvals(self.A)
-            else:
-                cached = np.zeros(0, complex)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_pole_cache", cached)
-        return cached
+        parts = self.__dict__.get("_parts")
+        if parts is not None:
+            poles = np.concatenate([parts[0].poles, parts[1].poles])
+        elif self.n:
+            poles = eigvals(self.A)
+        else:
+            poles = np.zeros(0, complex)
+        poles.setflags(write=False)
+        return poles
 
-    @property
+    @cached_property
     def _pole_radius(self) -> float:
-        """Largest pole magnitude (0 for n = 0), computed once and cached.
+        """Largest pole magnitude (0 for n = 0), computed once.
 
         An error system takes the larger of its two parts' radii.
         """
-        cached = self.__dict__.get("_radius_cache")
-        if cached is None:
-            parts = self.__dict__.get("_parts")
-            if parts is not None:
-                cached = max(parts[0]._pole_radius, parts[1]._pole_radius)
-            else:
-                cached = float(np.max(np.abs(self.poles))) if self.n else 0.0
-            object.__setattr__(self, "_radius_cache", cached)
-        return cached
+        parts = self.__dict__.get("_parts")
+        if parts is not None:
+            return max(parts[0]._pole_radius, parts[1]._pole_radius)
+        return float(np.max(np.abs(self.poles))) if self.n else 0.0
 
-    @property
+    @cached_property
     def _schur_form(self) -> tuple:
-        """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, cached.
+        """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, computed once.
 
         Error systems are never factored whole: their responses are the
         differences of their two parts' responses.
         """
-        cached = self.__dict__.get("_schur_cache")
-        if cached is None:
-            t, z = schur(self.A, output="complex")
-            cached = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
-            for x in cached:
-                x.setflags(write=False)
-            object.__setattr__(self, "_schur_cache", cached)
-        return cached
+        t, z = schur(self.A, output="complex")
+        form = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
+        for x in form:
+            x.setflags(write=False)
+        return form
 
     def transformed(self, t: np.ndarray, tinv: np.ndarray) -> "StateSpace":
         """Similarity transform: (T^-1 A T, T^-1 B, C T, D)."""
@@ -151,7 +141,7 @@ class StateSpace:
     def with_io(self, b, c, d) -> "StateSpace":
         """(A, b, c, d): the same state matrix, sharing its cached poles."""
         out = StateSpace(self.A, b, c, d)
-        object.__setattr__(out, "_pole_cache", self.poles)
+        out.__dict__["poles"] = self.poles
         return out
 
 
@@ -195,13 +185,12 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     point costs O(n^2 m) once the system is factored. The C Z rows sit on
     top of x in one work array, so column i of [C Z; T] updates both the
     output and the unsolved rows at once. The loop runs numpy elementwise
-    operations over all points of a memory-capped block, so the split into
-    blocks changes no value. (One exception: a one-point block of a
-    single-input single-output system can round differently, since numpy
-    multiplies one-element arrays on a scalar path. Blocks depend only on
-    the sizes, so identical calls still give identical bytes.) An error
-    system returns the difference of its two parts' responses, each on the
-    part's own Schur form.
+    operations over all points of a memory-capped block, and a lone point
+    (a one-point call or a one-point last block) runs as two copies of
+    itself, since numpy multiplies one-element arrays on a scalar path that
+    can round differently: a point's value does not depend on which points
+    it is evaluated with. An error system returns the difference of its two
+    parts' responses, each on the part's own Schur form.
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:
@@ -213,11 +202,13 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     t, cz, zb = sys._schur_form
     cols = np.vstack([cz, t]).T[:, :, None, None]
     diag = np.diagonal(t)[:, None, None]
-    block = max(1, _STACK_BLOCK_BYTES // (16 * (p + n) * m))
+    block = max(2, _STACK_BLOCK_BYTES // (16 * (p + n) * m))
     out = np.empty((k, p, m), dtype=complex)
-    work = np.empty((p + n, min(block, k), m), dtype=complex)
+    work = np.empty((p + n, max(2, min(block, k)), m), dtype=complex)
     for lo in range(0, k, block):
         pts = points[lo : lo + block]
+        if pts.shape[0] == 1:
+            pts = np.repeat(pts, 2)
         w = work[:, : pts.shape[0]]
         w[:p] = sys.D[:, None, :]
         w[p:] = zb[:, None, :]
@@ -226,7 +217,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
             xi = w[p + i]
             xi /= shift[i]
             w[: p + i] += cols[i, : p + i] * xi
-        out[lo : lo + block] = w[:p].transpose(1, 0, 2)
+        out[lo : lo + block] = w[:p, : k - lo].transpose(1, 0, 2)
     return out
 
 
@@ -482,7 +473,7 @@ def sweep(
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:
-        return _error_sweeps(parts[1], [sys], grid, refine, on_pole)[0]
+        return error_sweeps(parts[1], [parts[0]], grid, refine, on_pole)[0]
     _check_on_pole(on_pole)
     s_points = 1j * grid.points
     bad = _pole_distances(sys, s_points) < _pole_tolerance(sys)
@@ -499,52 +490,35 @@ def error_sweeps(
 ) -> list:
     """Sweep the error of each reduced model of one plant over one grid.
 
-    Report i is bitwise sweep(error_system(full, reduced_models[i]), grid,
-    refine, on_pole), but the plant is screened against its poles and
-    evaluated over the grid once: each model then screens the points
-    against its own poles, is evaluated on the points left, and is
-    subtracted from the plant's responses there. (Only a model with a pole
-    of its own on the grid, which leaves fewer points, has the plant
-    evaluated again, on exactly those points.) A None model stands for
-    the plant itself and gets the plant's own report from the same
-    responses, sweep(full, grid, on_pole=on_pole), never refined. Reports
-    are made in order, so under on_pole="raise" the first model with a pole
-    (or an overflow) on the grid raises.
+    Report i is sweep(error_system(full, reduced_models[i]), grid, refine,
+    on_pole), but the plant is screened against its poles and evaluated
+    over the grid once: each model then screens the points against its own
+    poles, is evaluated on the points left, and is subtracted from the
+    plant's responses there. A None model stands for the plant itself and
+    gets the plant's own report from the same responses, sweep(full, grid,
+    on_pole=on_pole), never refined. Reports are made in order, so under
+    on_pole="raise" the first model with a pole (or an overflow) on the
+    grid raises.
     """
-    # each error system is built only when its turn comes, as one by one
-    errs = (None if r is None else error_system(full, r) for r in reduced_models)
-    return _error_sweeps(full, errs, grid, refine, on_pole)
-
-
-def _error_sweeps(full, errs, grid, refine, on_pole) -> list:
-    """error_sweeps over error systems of full (None: full itself)."""
     _check_on_pole(on_pole)
     s_points = 1j * grid.points
     plant_dist = _pole_distances(full, s_points)
     kept = ~(plant_dist < _pole_tolerance(full))
     plant = _response_stack(full, s_points[kept]) if kept.any() else None
     reports = []
-    for err in errs:
-        if err is None:
+    for reduced in reduced_models:
+        if reduced is None:
             reports.append(_report(grid, ~kept, plant, on_pole))
             continue
-        reduced = err.__dict__["_parts"][0]
+        err = error_system(full, reduced)
         # a pole of either part is a pole of the error system, screened at
         # its own tolerance, so every point it keeps the plant kept too
         dist = np.minimum(plant_dist, _pole_distances(reduced, s_points))
-        bad = dist < _pole_tolerance(err)
-        good = ~bad
+        good = ~(dist < _pole_tolerance(err))
         responses = None
         if good.any():
-            at = plant
-            if not np.array_equal(good, kept):
-                # a pole of the model on the grid drops points the plant
-                # kept: evaluate the plant on exactly the model's points,
-                # since a one-point block of _response_stack can round
-                # differently from the same point among others
-                at = _response_stack(full, s_points[good])
-            responses = at - _response_stack(reduced, s_points[good])
-        reports.append(_report(grid, bad, responses, on_pole, err if refine else None))
+            responses = plant[good[kept]] - _response_stack(reduced, s_points[good])
+        reports.append(_report(grid, ~good, responses, on_pole, err if refine else None))
     return reports
 
 

@@ -7,7 +7,7 @@ tripwire below makes numpy's dense linear algebra, scipy's Lyapunov solver
 (numpy products inside) and scipy's logm on a full matrix (numpy products
 inside) fail loudly while every method runs on a 31-state ladder. The
 tripwire cannot see numpy's matrix product, so a scan of the sources
-forbids it.
+forbids it, and forbids LU solves outside fdbt.linalg.
 """
 
 import pathlib
@@ -40,6 +40,8 @@ from fdbt.sysmodel import (
 NUMPY_KERNELS = ("eig", "eigvals", "eigh", "eigvalsh", "svd", "solve", "inv", "pinv", "norm")
 # numpy's matrix product: the @ operator between operands, np.dot, np.matmul
 NUMPY_PRODUCT = re.compile(r"[\w)\]][ \t]*@=?[ \t]*[\w(\[]|\b(np|numpy)\.(dot|matmul)\(")
+# dense solves outside linalg.py: every LU solve goes through linalg.solve
+LU_SOLVE = re.compile(r"\blu_(factor|solve)\b|\bscipy\.linalg\.solve\(")
 # below this order OpenBLAS runs single-threaded: per-point p x m SVDs of a
 # sweep and the eta step's 2(m+p) SVD stay on numpy
 TRIP_ORDER = 16
@@ -118,6 +120,27 @@ def test_sources_use_no_numpy_product():
         if NUMPY_PRODUCT.search(line)
     ]
     assert found == []
+
+
+def test_sources_solve_only_through_linalg():
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(pathlib.Path(fdbt.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if LU_SOLVE.search(line)
+    ]
+    assert found == []
+
+
+def test_source_scan_sees_lu_solves():
+    for line in ("lu = scipy.linalg.lu_factor(x)", "x = lu_solve(lu, b)",
+                 "from scipy.linalg import lu_factor, lu_solve",
+                 "x = scipy.linalg.solve(a, b)"):
+        assert LU_SOLVE.search(line), line
+    for line in ("x = solve(a, b, error)", "x = solve_guarded(a, b, error)",
+                 "x = scipy.linalg.solve_triangular(a, b)", "plu_factory = 1"):
+        assert not LU_SOLVE.search(line), line
 
 
 def test_source_scan_sees_products():

@@ -241,17 +241,39 @@ class TestReduce:
 
 
 class TestBounds:
-    def test_matches_reduce_report_without_writing(self, capsys, tmp_path):
-        sys = random_stable(41, 4)
+    """bounds is reduce without the model write: same stdout, stderr and
+    exit code, and no file written."""
+
+    @pytest.mark.parametrize(
+        "plant, flags, code",
+        [
+            ("stable", ["--method", "fibt"], 0),
+            ("stable", ["--method", "spa"], 0),
+            ("stable", ["--method", "gspa", "--rho", "1.5"], 0),
+            ("stable", ["--method", "sf-fdbt", "--epsilon", "2.0", "--varpi", "0.5"], 0),
+            ("stable", ["--method", "int-fdbt", "--w1", "-0.5", "--w2", "0.5"], 0),
+            ("stable", ["--method", "fgbt", "--w1", "-0.5", "--w2", "0.5"], 0),
+            # validation: gspa without its --rho
+            ("stable", ["--method", "gspa"], 2),
+            # numerical: int-fdbt on an unstable plant
+            ("unstable", ["--method", "int-fdbt", "--w1", "-0.5", "--w2", "0.5"], 3),
+        ],
+    )
+    def test_matches_reduce_report_without_writing(
+        self, capsys, tmp_path, plant, flags, code
+    ):
+        sys = random_stable(41, 4) if plant == "stable" else random_unstable(32, 3)
         path = str(tmp_path / "plant.json")
         cli.write_model(path, sys)
-        argv_tail = [path, "--method", "gspa", "--order", "2", "--rho", "1.5"]
-        code_b, stdout_b, _ = run_cli(capsys, ["bounds"] + argv_tail)
+        argv_tail = [path, "--order", "2"] + flags
+        bounds = run_cli(capsys, ["bounds"] + argv_tail)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plant.json"]
         out = str(tmp_path / "red.json")
-        code_r, stdout_r, _ = run_cli(capsys, ["reduce"] + argv_tail + ["--output", out])
-        assert code_b == code_r == 0
-        assert stdout_b == stdout_r
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["plant.json", "red.json"]
+        reduce = run_cli(capsys, ["reduce"] + argv_tail + ["--output", out])
+        assert bounds == reduce
+        assert bounds[0] == code
+        written = ["plant.json", "red.json"] if code == 0 else ["plant.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 class TestSweep:

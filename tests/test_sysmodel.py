@@ -179,13 +179,30 @@ class TestSweep:
         for w, v in zip(grid.points, rep.sigma_max):
             assert v == pytest.approx(sigma_max_at(err, float(w)), abs=1e-13)
 
-    def test_block_split_does_not_change_bytes(self, monkeypatch):
-        sys = random_stable(10, 30, m=2, p=2)
+    @pytest.mark.parametrize(
+        "seed,n,m,p", [(10, 30, 2, 2), (100, 9, 1, 1), (101, 9, 1, 1), (102, 9, 1, 1)]
+    )
+    def test_block_split_does_not_change_bytes(self, monkeypatch, seed, n, m, p):
+        # a point's response has the same bytes alone, in a pair and inside
+        # a larger block, and a one-point last block is no exception
+        sys = random_stable(seed, n, m=m, p=p)
+        points = 1j * np.linspace(-3.0, 3.0, 41)
+        whole = sysmodel._response_stack(sys, points)
+        for i in range(points.size):
+            alone = sysmodel._response_stack(sys, points[i : i + 1])
+            pair = sysmodel._response_stack(sys, points[[i, i - 1]])
+            assert alone[0].tobytes() == pair[0].tobytes() == whole[i].tobytes(), i
         grid = FrequencyGrid.linear(-2.0, 2.0, 257)
-        whole = sweep(sys, grid).sigma_max.tobytes()
-        monkeypatch.setattr(sysmodel, "_STACK_BLOCK_BYTES", 16 * 30 * 30 * 3)
-        split = sweep(sys, grid).sigma_max.tobytes()
-        assert whole == split
+        swept = sweep(sys, grid).sigma_max.tobytes()
+        per_point = 16 * (p + n) * m
+        for size in range(2, points.size):
+            # blocks of `size` points: the point at index size is left alone
+            monkeypatch.setattr(sysmodel, "_STACK_BLOCK_BYTES", per_point * size)
+            split = sysmodel._response_stack(sys, points[: size + 1])
+            assert split.tobytes() == whole[: size + 1].tobytes(), size
+        # 257 = 8 * 32 + 1: eight full blocks and a one-point last block
+        monkeypatch.setattr(sysmodel, "_STACK_BLOCK_BYTES", per_point * 32)
+        assert sweep(sys, grid).sigma_max.tobytes() == swept
 
     def test_pole_on_grid_raise_mode(self):
         grid = FrequencyGrid.explicit([0.0, 1.0, 2.0])
@@ -437,8 +454,8 @@ class TestSeededErrorSystem:
         sigma_max_at(err, 0.7)
         evaluate_at(err, 0.3 + 0.7j)
         # each part holds its own Schur form; the error system holds none
-        assert "_schur_cache" not in err.__dict__
-        assert all("_schur_cache" in part.__dict__ for part in (full, reduced))
+        assert "_schur_form" not in err.__dict__
+        assert all("_schur_form" in part.__dict__ for part in (full, reduced))
 
     def test_each_model_is_factored_once(self, monkeypatch):
         full = random_stable(21, 12, m=2, p=2)
@@ -554,9 +571,9 @@ class TestErrorSweeps:
 
     @pytest.mark.parametrize("seed", [100, 101, 102])
     def test_a_lone_point_left_by_a_model_pole_keeps_its_bytes(self, seed):
-        # of two points, the model's pole at w = 1 leaves one: evaluated
-        # alone, a single-input single-output response can round
-        # differently from the same point evaluated among others
+        # of two points, the model's pole at w = 1 leaves one, which the
+        # model evaluates alone while the plant evaluated it in a pair: a
+        # point's response has the same bytes either way
         full = random_stable(seed, 9)
         oscillator = self._models(full)[-1]
         for w in np.linspace(-3.0, 3.0, 40):
