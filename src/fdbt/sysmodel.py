@@ -11,9 +11,9 @@ methods that promise real reduced models can be checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +160,9 @@ def is_hurwitz(sys: StateSpace) -> Stability:
     return Stability(worst < 0.0, -worst)
 
 
-def _pole_tolerance(sys: StateSpace) -> float:
-    return 1e-12 * max(1.0, sys._pole_radius)
+def _pole_tolerance(*parts: StateSpace) -> float:
+    """Pole screening tolerance of a system, or of the difference of parts."""
+    return 1e-12 * max(1.0, *(part._pole_radius for part in parts))
 
 
 def _pole_distances(sys: StateSpace, points: np.ndarray) -> np.ndarray:
@@ -239,26 +240,72 @@ def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
     return gemm(cz, trsv(shifted, zb)) + sys.D
 
 
+def _split(sys: StateSpace) -> tuple:
+    """The parts a probe of sys evaluates: (sys,), or (full, reduced) for an
+    error system, whose response is the full part's minus the reduced's."""
+    parts = sys.__dict__.get("_parts")
+    return (sys,) if parts is None else (parts[1], parts[0])
+
+
+def _screens(targets) -> tuple:
+    """(poles, tol) for probing targets, each a tuple of parts (see _split).
+
+    Row i of poles holds the poles of all parts of target i, padded with
+    inf; tol[i] is the target's pole tolerance.
+    """
+    rows = [np.concatenate([part.poles for part in parts]) for parts in targets]
+    poles = np.full((len(rows), max(1, *(row.size for row in rows))), np.inf, complex)
+    for padded, row in zip(poles, rows):
+        padded[: row.size] = row
+    return poles, np.array([_pole_tolerance(*parts) for parts in targets])
+
+
+def _where(s: complex):
+    """What PoleOnGrid reports for a point: its real frequency on the
+    imaginary axis (as sweep does), the point itself elsewhere."""
+    return s.imag if s.real == 0.0 else s
+
+
+def _probe(targets, points, poles, tol) -> list:
+    """Screened responses of targets[i] at points[i].
+
+    targets are tuples of parts (see _split) with one p x m shape, points
+    Python complex numbers, and poles and tol the targets' rows of
+    _screens. All probes are screened against the poles as one array, then
+    each is evaluated by _point_response (one BLAS trsv per input column of
+    each part) and all are checked for finiteness as one array. Raises
+    PoleOnGrid at the first probe, in order, that lies within tolerance of
+    a pole or whose response overflows; probes after a pole hit are not
+    evaluated.
+    """
+    near = np.abs(np.array(points)[:, None] - poles).min(axis=1) < tol
+    stop = int(np.argmax(near)) if near.any() else len(points)
+    responses = []
+    for parts, s in zip(targets[:stop], points[:stop]):
+        resp = _point_response(parts[0], s)
+        responses.append(resp if len(parts) == 1 else resp - _point_response(parts[1], s))
+    if responses:
+        finite = np.isfinite(np.array(responses)).all(axis=(1, 2))
+        if not finite.all():
+            s = points[int(np.argmin(finite))]
+            raise PoleOnGrid(f"response overflowed at s = {s}", omega=_where(s))
+    if stop < len(points):
+        s = points[stop]
+        raise PoleOnGrid(
+            f"evaluation point {s} is within tolerance of a pole", omega=_where(s)
+        )
+    return responses
+
+
 def evaluate_at(sys: StateSpace, s: complex) -> np.ndarray:
     """Response matrix at an arbitrary complex point s.
 
     Raises PoleOnGrid within tolerance of a pole or where the response
-    overflows. Evaluated by _point_response, one triangular solve per
-    input column on the cached Schur form (of each part, for an error
-    system).
+    overflows. A one-point _probe: one triangular solve per input column on
+    the cached Schur form (of each part, for an error system).
     """
-    s = complex(s)
-    # points on the imaginary axis report their real frequency, like sweep
-    where = s.imag if s.real == 0.0 else s
-    pt = np.array([s])
-    if float(_pole_distances(sys, pt)[0]) < _pole_tolerance(sys):
-        raise PoleOnGrid(
-            f"evaluation point {s} is within tolerance of a pole", omega=where
-        )
-    resp = _point_response(sys, s)
-    if resp.size and not np.all(np.isfinite(resp.view(np.float64))):
-        raise PoleOnGrid(f"response overflowed at s = {s}", omega=where)
-    return resp
+    targets = [_split(sys)]
+    return _probe(targets, [complex(s)], *_screens(targets))[0]
 
 
 def evaluate(sys: StateSpace, omega: float) -> np.ndarray:
@@ -267,25 +314,74 @@ def evaluate(sys: StateSpace, omega: float) -> np.ndarray:
 
 
 def sigma_max_at(sys: StateSpace, omega: float) -> float:
-    """Largest singular value of the response at one frequency."""
-    resp = evaluate(sys, omega)
-    if resp.size == 0:
-        return 0.0
-    return float(np.linalg.svd(resp, compute_uv=False)[0])
+    """Largest singular value of the response at one frequency, by the one
+    sigma_max kernel (_sigma_stack). Refinement does not call it: a refined
+    sweep probes all of its models at once (see _golden_max)."""
+    return float(_sigma_stack(evaluate(sys, omega)[None])[0])
+
+
+def _sigmas(responses: list) -> np.ndarray:
+    """sigma_max of each response of a list, by one _sigma_stack call per
+    dtype: a real response (of an n = 0 system) keeps the real SVD's bits."""
+    sig = np.empty(len(responses))
+    for dtype in {resp.dtype for resp in responses}:
+        idx = [i for i, resp in enumerate(responses) if resp.dtype == dtype]
+        sig[idx] = _sigma_stack(np.array([responses[i] for i in idx]))
+    return sig
+
+
+# Where the 1 x 1 closed form below is LAPACK's own arithmetic: zgesdd and
+# dgesdd rescale a matrix whose largest entry lies below ~7e-139 or above
+# ~1.5e138, which changes the last bits.
+_SIGMA_CLOSED_FORM = (1e-130, 1e130)
 
 
 def _sigma_stack(responses: np.ndarray) -> np.ndarray:
-    """sigma_max of each response; NaN where the response is not finite.
+    """sigma_max of each response of a (k, p, m) stack; NaN where the
+    response is not finite. The one sigma_max kernel of this module.
 
-    Non-finite responses never reach the SVD: a NaN entry (inf - inf in an
-    error system) makes LAPACK fail to converge.
+    A 1 x 1 response z takes the arithmetic of LAPACK's 1 x 1 SVD (the
+    dlapy3 norm of its Householder step): with w = max(|Re z|, |Im z|),
+    sigma = w sqrt((|Re z|/w)^2 + (|Im z|/w)^2), and 0 where w = 0. This
+    gives the SVD's exact bits (np.abs does not, in the last bit) where
+    1e-130 <= w <= 1e130; other 1 x 1 values and every larger response go
+    to numpy's SVD. Non-finite responses never reach the SVD: a NaN entry
+    (inf - inf in an error system) makes LAPACK fail to converge.
     """
-    if responses.shape[1] == 0 or responses.shape[2] == 0:
-        return np.zeros(responses.shape[0])
-    sig = np.full(responses.shape[0], np.nan)
-    finite = np.isfinite(responses).all(axis=(1, 2))
-    sig[finite] = np.linalg.svd(responses[finite], compute_uv=False)[:, 0]
+    k, p, m = responses.shape
+    if p == 0 or m == 0:
+        return np.zeros(k)
+    svd = np.ones(k, bool)
+    sig = np.full(k, np.nan)
+    if p == m == 1:
+        z = responses[:, 0, 0]
+        x, y = np.abs(z.real), np.abs(z.imag)
+        w = np.maximum(x, y)
+        lo, hi = _SIGMA_CLOSED_FORM
+        closed = (w >= lo) & (w <= hi)  # false for inf and NaN
+        if closed.all():
+            return _svd_1x1(x, y, w)
+        sig[closed] = _svd_1x1(x[closed], y[closed], w[closed])
+        sig[w == 0.0] = 0.0
+        svd = ~closed & (w != 0.0)
+    svd &= np.isfinite(responses).all(axis=(1, 2))
+    if svd.any():
+        sig[svd] = np.linalg.svd(responses[svd], compute_uv=False)[:, 0]
     return sig
+
+
+def _svd_1x1(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The singular value of a 1 x 1 matrix x + iy, as LAPACK computes it:
+    dlapy3(x, y, 0) for x, y >= 0 and w = max(x, y) > 0."""
+    return w * np.sqrt((x / w) ** 2 + (y / w) ** 2)
+
+
+def _check_io(full: StateSpace, reduced: StateSpace) -> None:
+    if (full.m, full.p) != (reduced.m, reduced.p):
+        raise DimensionMismatch(
+            f"io dimensions differ: full {(full.p, full.m)}, "
+            f"reduced {(reduced.p, reduced.m)}"
+        )
 
 
 def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
@@ -298,11 +394,7 @@ def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
     cached Schur form. Many error systems of one full model factor it only
     once, and error_sweeps evaluates it only once per grid.
     """
-    if (full.m, full.p) != (reduced.m, reduced.p):
-        raise DimensionMismatch(
-            f"io dimensions differ: full {(full.p, full.m)}, "
-            f"reduced {(reduced.p, reduced.m)}"
-        )
+    _check_io(full, reduced)
     nr, n = reduced.n, full.n
     a = np.zeros((nr + n, nr + n), dtype=np.result_type(reduced.A, full.A))
     a[:nr, :nr] = reduced.A
@@ -372,32 +464,54 @@ class SweepReport:
     skipped: tuple = ()
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-6
-):
-    """Golden-section maximization on [lo, hi]; returns the best sample."""
-    best_w, best_v = lo, f(lo)
-    v_hi = f(hi)
-    if v_hi > best_v:
-        best_w, best_v = hi, v_hi
-    a, b = lo, hi
+def _golden_max(targets, lo: np.ndarray, hi: np.ndarray, rel_tol: float = 1e-6):
+    """Golden-section maximization of sigma_max of each target on its own
+    [lo[i], hi[i]]; returns the best samples (w, v) as two arrays.
+
+    targets are tuples of parts (see _split). Every search advances in
+    lockstep: the first round probes lo, hi and the two interior points of
+    every target, and each later round makes one probe per target still
+    wider than rel_tol * max(1, |a|, |b|); each round's probes are
+    screened by one _probe call and reduced by one sigma_max kernel call.
+    Each target's arithmetic is the scalar search's, elementwise, so its
+    result does not depend on the other targets; only which probe raises
+    first (in _probe's order) can.
+    """
+    poles, tol = _screens(targets)
+    a, b = lo.copy(), hi.copy()
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if fc > best_v:
-            best_w, best_v = c, fc
-        if fd > best_v:
-            best_w, best_v = d, fd
-    return best_w, best_v
+    first = np.stack([lo, hi, c, d], axis=1)
+    sig = _sigmas(
+        _probe(
+            [parts for parts in targets for _ in range(4)],
+            [1j * w for w in first.ravel().tolist()],
+            np.repeat(poles, 4, axis=0),
+            np.repeat(tol, 4),
+        )
+    ).reshape(-1, 4)
+    best_w, best_v = lo.copy(), sig[:, 0].copy()
+    up = sig[:, 1] > best_v
+    best_w[up], best_v[up] = hi[up], sig[up, 1]
+    fc, fd = sig[:, 2].copy(), sig[:, 3].copy()
+    while True:
+        # a finished search keeps a and b, so its stop test stays false
+        scale = np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        live = np.flatnonzero((b - a) > rel_tol * scale)
+        if live.size == 0:
+            return best_w, best_v
+        left = fc[live] >= fd[live]
+        i, j = live[left], live[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = b[i] - _INVPHI * (b[i] - a[i])
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = a[j] + _INVPHI * (b[j] - a[j])
+        points = [1j * w for w in np.where(left, c[live], d[live]).tolist()]
+        v = _sigmas(_probe([targets[t] for t in live], points, poles[live], tol[live]))
+        fc[i], fd[j] = v[left], v[~left]
+        for f, x in ((fc, c), (fd, d)):
+            up = live[f[live] > best_v[live]]
+            best_w[up], best_v[up] = x[up], f[up]
 
 
 def _check_on_pole(on_pole: str) -> None:
@@ -405,15 +519,13 @@ def _check_on_pole(on_pole: str) -> None:
         raise DimensionMismatch(f"on_pole must be 'raise' or 'skip', got {on_pole!r}")
 
 
-def _report(grid, bad, responses, on_pole, refined=None) -> SweepReport:
-    """The sweep report over grid, given the responses at the points not bad.
+def _grid_report(grid, bad, responses, on_pole) -> SweepReport:
+    """The unrefined report over grid, given the responses at the points
+    not bad.
 
     bad (updated in place) flags the points screened out as pole hits; any
     point whose response or sigma_max is not finite joins them. Under
-    on_pole="raise" the first flagged point raises PoleOnGrid. refined, when
-    given, is the swept system: a golden-section search between the peak's
-    grid neighbours sharpens its peak to relative width 1e-6, each probe one
-    sigma_max_at (BLAS trsv, see evaluate_at).
+    on_pole="raise" the first flagged point raises PoleOnGrid.
     """
     om = grid.points
     values = np.full(om.size, np.nan)
@@ -430,26 +542,52 @@ def _report(grid, bad, responses, on_pole, refined=None) -> SweepReport:
     if bad.any() and on_pole == "raise":
         w = float(om[np.flatnonzero(bad)[0]])
         raise PoleOnGrid(f"grid frequency {w} coincides with a pole", omega=w)
-
+    values.setflags(write=False)
     finite = np.flatnonzero(good)
     if finite.size == 0:
-        report_values = values
-        report_values.setflags(write=False)
-        return SweepReport(grid, report_values, math.nan, math.nan, tuple(om[bad]))
-
+        return SweepReport(grid, values, math.nan, math.nan, tuple(om[bad]))
     k = int(finite[np.argmax(values[finite])])
-    peak_w, peak_v = float(om[k]), float(values[k])
+    return SweepReport(grid, values, float(values[k]), float(om[k]), tuple(om[bad]))
 
-    if refined is not None and om.size > 1:
-        lo = float(om[finite[finite < k][-1]]) if (finite < k).any() else peak_w
-        hi = float(om[finite[finite > k][0]]) if (finite > k).any() else peak_w
+
+def _refined(reports: list, targets: list) -> list:
+    """reports, updated in place, with each peak sharpened by one lockstep
+    _golden_max.
+
+    targets[i] is report i's swept system as a tuple of parts (see _split),
+    or None to leave report i as it is. A peak is searched between its
+    nearest finite grid neighbours (the peak itself on the grid's edge) and
+    moves to the best probe only where that exceeds the grid peak.
+    """
+    picks, los, his = [], [], []
+    for i, (rep, parts) in enumerate(zip(reports, targets)):
+        om = rep.grid.points
+        if parts is None or om.size < 2 or math.isnan(rep.peak_value):
+            continue
+        finite = om[~np.isnan(rep.sigma_max)]
+        below = finite[finite < rep.peak_frequency]
+        above = finite[finite > rep.peak_frequency]
+        lo = float(below[-1]) if below.size else rep.peak_frequency
+        hi = float(above[0]) if above.size else rep.peak_frequency
         if hi > lo:
-            w_ref, v_ref = _golden_max(lambda w: sigma_max_at(refined, w), lo, hi)
-            if v_ref > peak_v:
-                peak_w, peak_v = w_ref, v_ref
+            picks.append(i)
+            los.append(lo)
+            his.append(hi)
+    if picks:
+        w_ref, v_ref = _golden_max([targets[i] for i in picks], np.array(los), np.array(his))
+        for i, w, v in zip(picks, w_ref.tolist(), v_ref.tolist()):
+            if v > reports[i].peak_value:
+                reports[i] = replace(reports[i], peak_value=v, peak_frequency=w)
+    return reports
 
-    values.setflags(write=False)
-    return SweepReport(grid, values, peak_v, peak_w, tuple(om[bad]))
+
+def _report(grid, bad, responses, on_pole, refined=None) -> SweepReport:
+    """The finished sweep report over grid, given the responses at the
+    points not bad: _grid_report, then, when refined (the swept system) is
+    given, a golden-section search between the peak's grid neighbours that
+    sharpens its peak to relative width 1e-6 (see _refined)."""
+    report = _grid_report(grid, bad, responses, on_pole)
+    return _refined([report], [None if refined is None else _split(refined)])[0]
 
 
 def sweep(
@@ -461,15 +599,15 @@ def sweep(
     """Evaluate sigma_max over a grid and locate its peak.
 
     Points are computed independently (one back substitution each on the
-    system's Schur form, vectorized over the grid), so the result does not
-    depend on evaluation order. An error system is swept by error_sweeps:
-    its full model is evaluated over the grid and the reduced model's
-    responses are subtracted. Points within tolerance of a pole, or whose
-    response overflows, raise PoleOnGrid (on_pole="raise") or are skipped
-    as NaN (on_pole="skip"). With refine=True a golden-section search
-    between the peak's grid neighbours sharpens the reported peak to
-    relative width 1e-6; its probes are single points, each solved by BLAS
-    trsv (see evaluate_at).
+    system's Schur form, vectorized over the grid) and reduced to sigma_max
+    by one kernel call, so the result does not depend on evaluation order.
+    An error system is swept by error_sweeps: its full model is evaluated
+    over the grid and the reduced model's responses are subtracted. Points
+    within tolerance of a pole, or whose response overflows, raise
+    PoleOnGrid (on_pole="raise") or are skipped as NaN (on_pole="skip").
+    With refine=True a golden-section search between the peak's grid
+    neighbours sharpens the reported peak to relative width 1e-6; each of
+    its probes is a single point solved by BLAS trsv (see _golden_max).
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:
@@ -491,35 +629,43 @@ def error_sweeps(
     """Sweep the error of each reduced model of one plant over one grid.
 
     Report i is sweep(error_system(full, reduced_models[i]), grid, refine,
-    on_pole), but the plant is screened against its poles and evaluated
-    over the grid once: each model then screens the points against its own
-    poles, is evaluated on the points left, and is subtracted from the
-    plant's responses there. A None model stands for the plant itself and
-    gets the plant's own report from the same responses, sweep(full, grid,
-    on_pole=on_pole), never refined. Reports are made in order, so under
-    on_pole="raise" the first model with a pole (or an overflow) on the
-    grid raises.
+    on_pole), but no error system is built and the plant is screened
+    against its poles and evaluated over the grid once: each model then
+    screens the points against its own poles too, at the error system's
+    tolerance (1e-12 max(1, both pole radii)), is evaluated on the points
+    left, and is subtracted from the plant's responses there. A None model
+    stands for the plant itself and gets the plant's own report from the
+    same responses, sweep(full, grid, on_pole=on_pole), never refined.
+    With refine=True the peaks of all models are refined together by one
+    lockstep golden-section search: each round probes every model still
+    searching, plant minus model at one point each, and reduces all of the
+    probes by one sigma_max kernel call. Every model's grid report is made,
+    in order, before any probe, so under on_pole="raise" the first model
+    with a pole (or an overflow) on the grid raises, and a probe that hits
+    a pole or overflows raises only after every grid has passed.
     """
     _check_on_pole(on_pole)
     s_points = 1j * grid.points
     plant_dist = _pole_distances(full, s_points)
     kept = ~(plant_dist < _pole_tolerance(full))
     plant = _response_stack(full, s_points[kept]) if kept.any() else None
-    reports = []
+    reports, targets = [], []
     for reduced in reduced_models:
         if reduced is None:
-            reports.append(_report(grid, ~kept, plant, on_pole))
+            reports.append(_grid_report(grid, ~kept, plant, on_pole))
+            targets.append(None)
             continue
-        err = error_system(full, reduced)
-        # a pole of either part is a pole of the error system, screened at
-        # its own tolerance, so every point it keeps the plant kept too
+        _check_io(full, reduced)
+        # a pole of either part is a pole of the error, screened at the
+        # error's tolerance, so every point it keeps the plant kept too
         dist = np.minimum(plant_dist, _pole_distances(reduced, s_points))
-        good = ~(dist < _pole_tolerance(err))
+        good = ~(dist < _pole_tolerance(full, reduced))
         responses = None
         if good.any():
             responses = plant[good[kept]] - _response_stack(reduced, s_points[good])
-        reports.append(_report(grid, ~good, responses, on_pole, err if refine else None))
-    return reports
+        reports.append(_grid_report(grid, ~good, responses, on_pole))
+        targets.append((full, reduced) if refine else None)
+    return _refined(reports, targets)
 
 
 def moebius_substitute(
@@ -587,13 +733,12 @@ def hinf_estimate(sys: StateSpace, points: int = 2000):
     """Dense-grid estimate of sup over all real w of sigma_max(G(jw)).
 
     A lower estimate of the true norm: symmetric log grid spanning the
-    pole magnitudes, golden-section refinement around the grid peak, and
-    sigma_max(D) as the w -> +/-inf candidate (frequency reported as inf).
-    Returns (value, frequency).
+    pole magnitudes, golden-section refinement around the grid peak (see
+    sweep), and sigma_max(D) as the w -> +/-inf candidate (frequency
+    reported as inf), all reduced by the one sigma_max kernel. Returns
+    (value, frequency).
     """
-    d_limit = (
-        float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    )
+    d_limit = float(_sigma_stack(sys.D[None])[0])
     if sys.n == 0:
         return d_limit, math.inf
     grid = symmetric_log_grid(sys.poles, points)

@@ -8,12 +8,22 @@ per-point LU solves for frequency responses, and symbolic circuit
 analysis for the ladder fixture. Slow and simple is the point. The package under test must agree
 with these, never the other way around.
 
-No function here imports from fdbt. Oracles take raw arrays.
+Oracles take raw arrays, with one exception: the refinement oracle at the
+end is the scalar golden-section search with which fdbt once refined a
+sweep's peak one probe at a time, kept verbatim with its sigma_max_at
+probe. Its probes
+evaluate through fdbt's screened `evaluate`, so its peaks are bitwise what
+a one-probe-at-a-time refinement of the same responses gives.
 """
+
+import math
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import sqrtm
+
+from fdbt.sysmodel import StateSpace, evaluate
 
 
 def lyap_kron(a, q):
@@ -316,3 +326,46 @@ SCALAR_INTERVAL = {
     "gramian": 0.25,
     "eta1": 0.5,
 }
+
+
+# ---------------------------------------------------------------------------
+# refinement oracle: the scalar golden-section search, one sigma_max_at per
+# probe, kept verbatim
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def sigma_max_at(sys: StateSpace, omega: float) -> float:
+    """Largest singular value of the response at one frequency."""
+    resp = evaluate(sys, omega)
+    if resp.size == 0:
+        return 0.0
+    return float(np.linalg.svd(resp, compute_uv=False)[0])
+
+
+def golden_max(
+    f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-6
+):
+    """Golden-section maximization on [lo, hi]; returns the best sample."""
+    best_w, best_v = lo, f(lo)
+    v_hi = f(hi)
+    if v_hi > best_v:
+        best_w, best_v = hi, v_hi
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        if fc > best_v:
+            best_w, best_v = c, fc
+        if fd > best_v:
+            best_w, best_v = d, fd
+    return best_w, best_v

@@ -112,6 +112,22 @@ def test_every_method_stays_in_one_pool(one_pool):
     assert all(rep.peak_value > 0.0 for rep in reports)
 
 
+def test_lockstep_refinement_stays_in_one_pool(one_pool):
+    # six models of a 2-input, 3-output plant, all refined together: the
+    # probes' p x m SVDs stay on numpy, every solve on scipy's BLAS
+    rng = np.random.default_rng(118)
+    a = rng.standard_normal((20, 20))
+    a -= (np.max(scipy.linalg.eigvals(a).real) + 0.3) * np.eye(20)
+    plant = fdbt.StateSpace(a, rng.standard_normal((20, 2)), rng.standard_normal((3, 20)),
+                            rng.standard_normal((3, 2)))
+    reduced = [fibt_reduce(plant, r).reduced for r in (2, 5, 8)] + [
+        gspa_reduce(plant, r).reduced for r in (2, 5, 8)
+    ]
+    grid = symmetric_log_grid(plant.poles, 200)
+    reports = error_sweeps(plant, reduced, grid, refine=True, on_pole="skip")
+    assert all(rep.peak_value >= np.nanmax(rep.sigma_max) > 0.0 for rep in reports)
+
+
 def test_sources_use_no_numpy_product():
     found = [
         f"{path.name}:{number}: {line.strip()}"

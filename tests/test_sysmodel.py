@@ -7,11 +7,13 @@ import pytest
 
 import oracles as orc
 from helpers import random_stable
+import fdbt.reduction as reduction
 import fdbt.sysmodel as sysmodel
 from fdbt import (
     DegenerateMap,
     DimensionMismatch,
     FrequencyGrid,
+    IntervalConfig,
     PoleOnGrid,
     SingularSubstitution,
     StateSpace,
@@ -19,9 +21,11 @@ from fdbt import (
     error_system,
     evaluate,
     evaluate_at,
+    fgbt_reduce,
     fibt_reduce,
     generate_ladder,
     hinf_estimate,
+    interval_reduce,
     is_hurwitz,
     moebius_substitute,
     sigma_max_at,
@@ -620,3 +624,381 @@ class TestErrorSweeps:
         full = random_stable(108, 4, m=2, p=2)
         with pytest.raises(DimensionMismatch):
             error_sweeps(full, [random_stable(109, 2)], FrequencyGrid.explicit([0.0]))
+
+
+class TestSigmaKernel:
+    """_sigma_stack is the one sigma_max kernel: every value must carry the
+    bits of numpy's SVD, the 1 x 1 closed form included."""
+
+    @staticmethod
+    def _scalars():
+        rng = np.random.default_rng(2026)
+
+        def mags(k, lo=-320.0, hi=308.0):
+            # signed magnitudes, log-uniform over [1e-320, 1e308]
+            return rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(lo, hi, k)
+
+        near = []
+        for cut in sysmodel._SIGMA_CLOSED_FORM:
+            # both sides of each cutoff: a few ulps, then a few percent away
+            w = np.concatenate([
+                cut * (1.0 + np.arange(-400, 401) * 2.0**-52),
+                cut * rng.uniform(0.9, 1.1, 20_000),
+            ])
+            other = w * rng.uniform(-1.0, 1.0, w.size)
+            near += [w + 1j * other, other + 1j * w, -w + 0j, 1j * w]
+        tiny = np.array([5e-324, 1e-323, 2.2e-308, 1e-310, 1e-315, 1e-320])
+        zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0)])
+        alike = mags(40_000, hi=307.0)
+        return np.concatenate([
+            mags(50_000) + 1j * mags(50_000),  # independent parts
+            alike + 1j * alike * rng.uniform(-3.0, 3.0, alike.size),  # parts alike
+            mags(20_000) + 0j,  # pure real
+            1j * mags(20_000),  # pure imaginary
+            rng.standard_normal(30_000) + 1j * rng.standard_normal(30_000),
+            tiny, -tiny, 1j * tiny, tiny + 1j * tiny[::-1], zeros,
+            *near,
+        ])
+
+    def test_one_by_one_matches_svd_bitwise(self, monkeypatch):
+        z = self._scalars()
+        assert z.size >= 200_000 and np.all(np.isfinite(z))
+        ref = np.linalg.svd(z[:, None, None], compute_uv=False)[:, 0]
+        seen = []
+        svd = np.linalg.svd
+
+        def counting(x, *args, **kwargs):
+            seen.append(x.shape[0])
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for stack in (z[:, None, None], z.real.copy()[:, None, None]):
+            want = svd(stack, compute_uv=False)[:, 0]
+            got = sysmodel._sigma_stack(stack)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert ref.tobytes() == sysmodel._sigma_stack(z[:, None, None]).tobytes()
+        # only values outside the closed form's range reached the SVD
+        lo, hi = sysmodel._SIGMA_CLOSED_FORM
+        w = np.maximum(np.abs(z.real), np.abs(z.imag))
+        outside = (w > 0.0) & ((w < lo) | (w > hi))
+        assert outside.any() and (~outside).sum() > 100_000
+        wr = np.abs(z.real)
+        outside_real = (wr > 0.0) & ((wr < lo) | (wr > hi))
+        assert seen == [outside.sum(), outside_real.sum(), outside.sum()]
+        # np.abs is not the SVD's arithmetic: it misses the last bit often
+        assert np.sum(np.abs(z[~outside]) != ref[~outside]) > 1000
+
+    def test_non_finite_and_empty(self):
+        stack = np.array([np.inf, complex(1.0, np.nan), complex(-np.inf, 2.0), 3.0 - 4.0j])
+        got = sysmodel._sigma_stack(stack[:, None, None])
+        assert np.all(np.isnan(got[:3])) and got[3] == 5.0
+        assert np.array_equal(sysmodel._sigma_stack(np.zeros((4, 0, 3))), np.zeros(4))
+        empty = np.zeros((4, 2, 0), complex)
+        assert np.array_equal(sysmodel._sigma_stack(empty), np.zeros(4))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_larger_responses_are_the_svd(self, complex_entries):
+        rng = np.random.default_rng(2027)
+        scale = 10.0 ** rng.uniform(-200, 200, (500, 1, 1))
+        stack = rng.standard_normal((500, 2, 3)) * scale
+        if complex_entries:
+            stack = stack + 1j * rng.standard_normal((500, 2, 3))
+        stack[[3, 70]] = np.inf
+        stack[11, 1, 2] = np.nan
+        got = sysmodel._sigma_stack(stack)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        want = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
+        assert got[finite].tobytes() == want.tobytes()
+        assert np.all(np.isnan(got[~finite])) and (~finite).sum() == 3
+
+    def test_point_kernels_and_feedthrough_use_it(self):
+        sys = random_stable(112, 5, complex_entries=True)
+        for w in (0.0, 0.37, -2.5):
+            resp = evaluate(sys, w)
+            want = np.linalg.svd(resp, compute_uv=False)[0]
+            assert np.float64(sigma_max_at(sys, w)).tobytes() == want.tobytes()
+        feed = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-0.3]])
+        assert hinf_estimate(feed) == (0.3, np.inf)
+        mimo = random_stable(113, 3, m=3, p=2)
+        d_limit = np.linalg.svd(mimo.D, compute_uv=False)[0]
+        assert sysmodel._sigma_stack(mimo.D[None])[0] == d_limit
+
+
+def _oracle_peak(err, grid, on_pole="skip", probes=None):
+    """(peak_value, peak_frequency) of the refined sweep of err made the
+    scalar way: its grid report, then the oracle's golden_max between the
+    peak's grid neighbours, one orc.sigma_max_at per probe. probes, when
+    given, collects the probed frequencies in order."""
+    rep = _per_system_sweep(err, grid, on_pole=on_pole)
+    om = grid.points
+    finite = np.flatnonzero(~np.isnan(rep.sigma_max))
+    peak_v, peak_w = rep.peak_value, rep.peak_frequency
+    if finite.size == 0 or om.size < 2:
+        return peak_v, peak_w
+    k = int(finite[np.argmax(rep.sigma_max[finite])])
+    lo = float(om[finite[finite < k][-1]]) if (finite < k).any() else peak_w
+    hi = float(om[finite[finite > k][0]]) if (finite > k).any() else peak_w
+    if hi > lo:
+        def f(w):
+            if probes is not None:
+                probes.append(w)
+            return orc.sigma_max_at(err, w)
+
+        w_ref, v_ref = orc.golden_max(f, lo, hi)
+        if v_ref > peak_v:
+            peak_w, peak_v = w_ref, v_ref
+    return peak_v, peak_w
+
+
+def _peak_bytes(value, frequency):
+    return np.array([value, frequency], dtype=float).tobytes()
+
+
+def _constant_model(m, p, d):
+    # one state that is never excited: the response is d at every point
+    return StateSpace([[-1.0]], np.zeros((1, m)), np.ones((p, 1)), d)
+
+
+class TestLockstepRefinement:
+    """error_sweeps refines every model's peak in one lockstep search; each
+    peak must be bitwise the scalar search's (tests/oracles.py)."""
+
+    def _check(self, full, models, grid, on_pole="skip"):
+        """Compare every refined report with the oracle; return the reports
+        and each error model's number of oracle probes."""
+        reports = error_sweeps(full, models, grid, refine=True, on_pole=on_pole)
+        counts = []
+        for red, rep in zip(models, reports):
+            if red is None:
+                ref = sweep(full, grid, on_pole=on_pole)
+                want = (ref.peak_value, ref.peak_frequency)
+            else:
+                probes = []
+                want = _oracle_peak(error_system(full, red), grid, on_pole, probes)
+                counts.append(len(probes))
+            assert _peak_bytes(rep.peak_value, rep.peak_frequency) == _peak_bytes(*want)
+        return reports, counts
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3)])
+    def test_matches_scalar_oracle_bitwise(self, m, p, complex_entries):
+        full = random_stable(110, 6, m=m, p=p, complex_entries=complex_entries)
+        oscillator = StateSpace(
+            [[0.0, 1.0], [-1.0, 0.0]], np.ones((2, m)), np.ones((p, 2)), np.zeros((p, m))
+        )
+        # truncations, a zero-order model, a model with poles at +/- j (its
+        # points +/-1 are skipped), the plant itself (zero error: every
+        # probe ties at 0) and a model whose response is its constant D
+        models = [None] + [fibt_reduce(full, r).reduced for r in (1, 2, 4)] + [
+            _empty_model(m, p, 0.5 * full.D),
+            oscillator,
+            full,
+            _constant_model(m, p, full.D + 1.0),
+        ]
+        linear = FrequencyGrid.explicit(np.concatenate([np.linspace(-3, 3, 41), [-1, 1]]))
+        reports, counts = self._check(full, models, linear)
+        assert reports[5].skipped == (-1.0, 1.0)
+        assert not np.any(reports[6].sigma_max) and reports[6].peak_value == 0.0
+        assert min(counts[-2:]) > 4  # the ties were searched
+        # a whole-axis grid: brackets with |w| on both sides of 1 stop
+        # after different numbers of steps
+        _, counts = self._check(full, models, symmetric_log_grid(full.poles, 300))
+        assert len(set(counts)) > 2
+
+    def test_peaks_on_the_grid_edges(self):
+        # the plant is 0, so each error is minus its model: a low-pass that
+        # peaks on the first point and a resonance above the grid that
+        # peaks on the last one
+        zero = _empty_model(1, 1, [[0.0]])
+        low = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        high = StateSpace([[0.0, 1.0], [-9.0, -0.3]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        grid = FrequencyGrid.explicit([0.5, 1.0, 2.0])
+        reports = error_sweeps(zero, [low, high], grid, refine=True)
+        assert [rep.sigma_max[[0, 2]].argmax() for rep in reports] == [0, 1]
+        self._check(zero, [low, high, None], grid)
+        self._check(zero, [high, low], FrequencyGrid.explicit([-2.0, -1.0, -0.5]))
+
+    def test_mirror_ties_keep_the_scalar_branch(self):
+        # |G| of a real first-order model is bitwise even in w, and the
+        # interior points of [-h, h] are exact negatives, so every round
+        # ties fc == fd; which branch the search takes decides the sign of
+        # the reported frequency
+        zero = _empty_model(1, 1, [[0.0]])
+        low = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        for h in (0.3, 1.0, 4.0):
+            grid = FrequencyGrid.explicit([-h, 0.0, h])
+            w, v = sysmodel._golden_max([(low,)], np.array([-h]), np.array([h]))
+            assert w[0] != 0.0 and v[0] == sigma_max_at(low, -w[0])
+            self._check(zero, [low, low], grid)
+
+    def test_width_under_tolerance(self):
+        # hi - lo = 5e-7 < 1e-6: the search probes lo, hi and the interior
+        # points once and never steps
+        full = random_stable(114, 5, m=2, p=3, complex_entries=True)
+        models = [fibt_reduce(full, r).reduced for r in (1, 2)]
+        grid = FrequencyGrid.explicit([1.0, 1.0 + 5e-7])
+        assert self._check(full, models, grid)[1] == [4, 4]
+        grid = FrequencyGrid.explicit([0.25, 0.25 + 5e-7])
+        assert self._check(full, models, grid)[1] == [4, 4]
+
+    def test_one_model_alone_or_in_a_batch(self):
+        full = random_stable(115, 7, complex_entries=True)
+        models = [fibt_reduce(full, r).reduced for r in (1, 3, 5)]
+        grid = symmetric_log_grid(full.poles, 200)
+        batch = error_sweeps(full, models, grid, refine=True)
+        for red, rep in zip(models, batch):
+            (alone,) = error_sweeps(full, [red], grid, refine=True)
+            assert _outcome(lambda: rep) == _outcome(lambda: alone)
+
+    def test_report_is_finished(self):
+        # _report refines a single swept system itself
+        full = random_stable(116, 6)
+        err = error_system(full, fibt_reduce(full, 2).reduced)
+        grid = FrequencyGrid.linear(-3.0, 3.0, 41)
+        rep = _per_system_sweep(err, grid, refine=True)
+        assert isinstance(rep, sysmodel.SweepReport)
+        assert _peak_bytes(rep.peak_value, rep.peak_frequency) == _peak_bytes(
+            *_oracle_peak(err, grid)
+        )
+        assert rep.peak_value > np.nanmax(rep.sigma_max)
+
+    def test_one_kernel_call_per_golden_round(self, monkeypatch):
+        # the experiment's batch: 9 models of a 4-state plant over one band
+        full = random_stable(117, 4)
+        band = (-0.5, 0.5)
+        models = (
+            [fibt_reduce(full, r).reduced for r in (1, 2, 3)]
+            + [interval_reduce(full, IntervalConfig(*band), r, with_ef_bound=False).reduced
+               for r in (1, 2, 3)]
+            + [fgbt_reduce(full, r, *band).reduced for r in (1, 2, 3)]
+        )
+        grid = FrequencyGrid.linear(*band, 512)
+        _, counts = self._check(full, models, grid)
+        rounds = 1 + max(count - 4 for count in counts)
+        kernel_calls, probes = [], []
+        kernel, point = sysmodel._sigma_stack, sysmodel._point_response
+
+        def counting_kernel(responses):
+            kernel_calls.append(responses.shape[0])
+            return kernel(responses)
+
+        def counting_point(sys, s):
+            probes.append(s)
+            return point(sys, s)
+
+        monkeypatch.setattr(sysmodel, "_sigma_stack", counting_kernel)
+        monkeypatch.setattr(sysmodel, "_point_response", counting_point)
+        monkeypatch.setattr(sysmodel, "sigma_max_at", lambda *a: pytest.fail("probe"))
+        monkeypatch.setattr(sysmodel, "error_system", lambda *a: pytest.fail("stacked"))
+        error_sweeps(full, models, grid, refine=True, on_pole="skip")
+        # one call per model's grid, then one per round of the search
+        assert kernel_calls[:9] == [512] * 9
+        assert len(kernel_calls) == 9 + rounds and rounds < 25
+        assert kernel_calls[9] == 4 * 9 and sum(kernel_calls[9:]) == sum(counts)
+        # each probe evaluates the plant and the model, as one at a time
+        assert len(probes) == 2 * sum(counts) and sum(counts) > 150
+
+
+class TestProbeErrors:
+    """A probe within pole tolerance, or one that overflows, raises
+    PoleOnGrid at that probe, with evaluate_at's message."""
+
+    # the peak lies at 1.05; probes close in on the resonance at w ~ 1
+    GRID = FrequencyGrid.explicit([0.5, 0.9, 1.05, 1.5])
+
+    @staticmethod
+    def _resonant(gain=1.0):
+        # poles at -1e-4 +/- j (to 1e-8): every grid point is >= 0.05 away
+        return StateSpace(
+            [[0.0, 1.0], [-1.0, -2e-4]], [[0.0], [gain]], [[gain, 0.0]], [[0.0]]
+        )
+
+    @staticmethod
+    def _scalar_raise(err, grid):
+        """(probe index, message, omega) of the PoleOnGrid that the scalar
+        search of err raises."""
+        probes = []
+        with pytest.raises(PoleOnGrid) as info:
+            _oracle_peak(err, grid, probes=probes)
+        return len(probes) - 1, str(info.value), info.value.omega
+
+    def _check(self, full, models, grid, match):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for on_pole in ("skip", "raise"):
+                # the grid itself passes the screen
+                error_sweeps(full, models, grid, on_pole=on_pole)
+                with pytest.raises(PoleOnGrid, match=match) as got:
+                    error_sweeps(full, models, grid, refine=True, on_pole=on_pole)
+            scalar = [self._scalar_raise(error_system(full, red), grid) for red in models]
+        # the first round any probe raises in (four probes per model in the
+        # first round, one in each later one), and its first model
+        rounds = [max(0, index - 3) for index, _, _ in scalar]
+        _, message, omega = scalar[rounds.index(min(rounds))]
+        assert (str(got.value), got.value.omega) == (message, omega)
+        assert omega not in grid.points and abs(omega - 1.0) < 0.04
+        return rounds
+
+    def test_probe_within_widened_tolerance(self, monkeypatch):
+        plant = self._resonant()
+        wide = _empty_model(1, 1, [[5.0]])
+        # the grid stays >= 0.05 from the poles; wide's probes hit within a
+        # few steps, the others' only close to w = 1
+        monkeypatch.setattr(
+            sysmodel, "_pole_tolerance", lambda *parts: 0.04 if parts[-1] is wide else 1e-3
+        )
+        models = [_empty_model(1, 1, [[0.0]]), fibt_reduce(plant, 1).reduced, wide]
+        rounds = self._check(plant, models, self.GRID, "within tolerance of a pole")
+        # a later model raises first: its probe comes in an earlier round
+        assert rounds.index(min(rounds)) == 2 and rounds[0] > rounds[2]
+        self._check(plant, models[:2], self.GRID, "within tolerance of a pole")
+        with pytest.raises(PoleOnGrid, match="within tolerance") as info:
+            sweep(plant, self.GRID, refine=True)
+        assert info.value.omega == self._scalar_raise(plant, self.GRID)[2]
+
+    def test_probe_overflow(self):
+        # |G| reaches 1e307 on the grid, and overflows within ~3e-3 of w = 1
+        plant = self._resonant(gain=1e153)
+        models = [_empty_model(1, 1, [[0.0]]), _empty_model(1, 1, [[1e300]])]
+        self._check(plant, models, self.GRID, "response overflowed")
+
+    def test_grids_are_checked_before_any_probe(self, monkeypatch):
+        # the first model's search would hit the pole, but the second
+        # model's pole on the grid raises first
+        monkeypatch.setattr(sysmodel, "_pole_tolerance", lambda *parts: 1e-3)
+        plant = self._resonant()
+        # poles at +/- 1.5j, on the grid's last point
+        on_grid = StateSpace(
+            [[0.0, 1.0], [-2.25, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]
+        )
+        models = [_empty_model(1, 1, [[0.0]]), on_grid]
+        with pytest.raises(PoleOnGrid, match="coincides") as info:
+            error_sweeps(plant, models, self.GRID, refine=True)
+        assert info.value.omega == 1.5
+        with pytest.raises(PoleOnGrid, match="within tolerance"):
+            error_sweeps(plant, models[:1], self.GRID, refine=True)
+
+
+class TestNoStackedRealization:
+    def test_interval_reduce_builds_each_error_system_once(self, monkeypatch):
+        built = []
+        stacked = sysmodel.error_system
+
+        def counting(full, reduced):
+            built.append(stacked(full, reduced))
+            return built[-1]
+
+        monkeypatch.setattr(sysmodel, "error_system", counting)
+        monkeypatch.setattr(reduction, "error_system", counting)
+        ladder = generate_ladder(31)
+        res = interval_reduce(ladder, IntervalConfig(-0.5, 0.5), 10)
+        # one per ef estimate: sweeping an error system builds no second one
+        assert len(built) == 2
+        monkeypatch.setattr(sysmodel, "error_system", stacked)
+        # and each estimate is bitwise the scalar refinement's
+        for err in built:
+            d_limit = float(np.linalg.svd(err.D, compute_uv=False)[0])
+            value, freq = _oracle_peak(err, symmetric_log_grid(err.poles, 2000), "raise")
+            want = (d_limit, np.inf) if d_limit > value else (value, freq)
+            assert _peak_bytes(*hinf_estimate(err)) == _peak_bytes(*want)
+        assert res.bounds["ef"] > 0.0
