@@ -46,12 +46,12 @@ from .sysmodel import StateSpace, is_hurwitz
 
 
 def standard_gramians(sys: StateSpace):
-    """Whole-axis controllability and observability Gramians (wc, wo)."""
+    """Whole-axis Gramians (wc, wo), both solved on sys's cached Schur form."""
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("standard Gramians need a Hurwitz system")
-    lam = sys.poles
-    wc = solve_lyapunov(sys.A, gemm(sys.B, sys.B, hb=True), lam)
-    wo = solve_lyapunov(sys.A.conj().T, gemm(sys.C, sys.C, ha=True), lam.conj())
+    wc = solve_lyapunov(sys.A, gemm(sys.B, sys.B, hb=True), sys._form)
+    adjoint = sys._form._replace(adjoint=True)  # the same factors, read as A*'s form
+    wo = solve_lyapunov(sys.A.conj().T, gemm(sys.C, sys.C, ha=True), adjoint)
     return wc, wo
 
 

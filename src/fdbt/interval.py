@@ -115,19 +115,16 @@ def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     return values
 
 
-def _schur_band(a: np.ndarray, cfg: IntervalConfig):
+def _schur_band(a: np.ndarray, cfg: IntervalConfig, form=None):
     """Band factors of a state matrix in its complex Schur basis.
 
     Returns (Z, S, U) with A = Z T Z*, T upper triangular, and the upper
     triangular images S = Z* M Z and U = Z* N Z. Every factor is rational
-    in T (or its square root), so one Schur form serves the spectrum
-    guards, both resolvents and the square root.
+    in T (or its square root), so one Schur form (form, if the caller
+    holds a complex one) serves the guards, resolvents and square root.
     """
     k = a.shape[0]
-    if k == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        return z, z, z
-    t, z = schur(a, output="complex")
+    t, z, *_ = schur(a, output="complex") if form is None else form
     values = _check_band_spectrum(np.diag(t), cfg)
     eye = np.eye(k, dtype=complex)
     inv_r2 = solve_triangular(1j * cfg.w2 * eye - t, eye)
@@ -147,18 +144,18 @@ def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     return (jw(cfg.wc) * y - gemm(a, y)) / cfg.wd**2
 
 
-def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
+def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
     """(M, N) factors of a state matrix over the band, as dense matrices.
 
     A real a over a band centred at zero has real factors, built in real
     arithmetic from X = a^2 + wd^2 I: M = sqrt(wd^2 X^(-1)), N = -a X^(-1).
-    Their spectrum guards run on lam, the eigenvalues of a if the caller
-    holds them. Anything else goes through the complex Schur form.
+    Their spectrum guards read the eigenvalues of a's Schur form if the
+    caller holds it. Anything else goes through the complex Schur form.
     """
     if np.iscomplexobj(a) or cfg.wc != 0.0:
-        z, s, u = _schur_band(a, cfg)
+        z, s, u = _schur_band(a, cfg, form if np.iscomplexobj(a) else None)
         return gemm(gemm(z, s), z, hb=True), gemm(gemm(z, u), z, hb=True)
-    values = _check_band_spectrum(eigvals(a) if lam is None else lam, cfg)
+    values = _check_band_spectrum(eigvals(a) if form is None else form.lam, cfg)
     k = a.shape[0]
     # a commutes with X, so X^(-1) a = a X^(-1): one factorization, one solve
     x = gemm(a, a) + cfg.wd**2 * np.eye(k)
@@ -170,9 +167,9 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, lam=None):
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> Extended:
     """Band-weighted realization: (A, M B, C M, D + C N B).
 
-    It keeps sys's state matrix, so it shares sys's cached poles.
+    It keeps sys's state matrix, so it shares sys's cached Schur form.
     """
-    m, n = _band_factors(sys.A, cfg, sys.poles)
+    m, n = _band_factors(sys.A, cfg, sys._form)
     ext = sys.with_io(gemm(m, sys.B), gemm(sys.C, m), sys.D + gemm(gemm(sys.C, n), sys.B))
     return Extended(ext, cfg)
 
@@ -377,7 +374,8 @@ def interval_truncate(
     m_r, n_r = _band_factors(a_r, prep.ext.config)
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)
-    c_r = solve_guarded(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
+    # m_r^T has m_r's singular values, which the guard has just checked
+    c_r = solve(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
     d_r = prep.ext.sys.D - gemm(gemm(c_r, n_r), b_r)
     reduced = StateSpace(a_r, b_r, c_r, d_r)
 

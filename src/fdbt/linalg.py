@@ -10,10 +10,10 @@ each with its own thread pool, and a threaded call into one library while
 the other's workers still spin waiting for work runs several times slower
 on a machine with few cores. Every O(n^3) kernel in fdbt therefore goes
 through scipy's LAPACK and BLAS, by the routine handles below: products
-(gemm), triangular solves (trsv), the Lyapunov solve (gees, gemm and
-trsyl), Hermitian eigensolves (syevd/heevd), singular values (gesdd),
-eigenvalues (geev), linear solves (gesv) and the matrix logarithm on
-fdbt's own Schur form. scipy's own solve_continuous_lyapunov and logm
+(gemm), triangular solves (trsv), Schur forms (gees), Lyapunov solves on
+them (trsyl), Hermitian eigensolves (syevd/heevd), singular values (gesdd),
+eigenvalues (gees or geev), linear solves (gesv) and the matrix logarithm
+on fdbt's own Schur form. scipy's own solve_continuous_lyapunov and logm
 multiply with numpy's dot internally, so neither is called on a full
 matrix. numpy keeps elementwise work: the vectorized back substitution of
 frequency sweeps and the p x m singular values of each response, which
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -147,20 +148,31 @@ def _fro_norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.sum(sq)))
 
 
-def schur(a: np.ndarray, output: str = "real"):
-    """Schur form A = Z T Z* (gees) as (T, Z).
+class SchurForm(NamedTuple):
+    """A = Z T Z* and the eigenvalues lam of T, from one gees (see schur).
+    adjoint=True reads the same factors as the form of A* = Z T* Z*."""
 
-    T is quasi-triangular and real for real A, unless output="complex"
-    asks for the triangular complex form.
+    t: np.ndarray
+    z: np.ndarray
+    lam: np.ndarray
+    adjoint: bool = False
+
+
+def schur(a: np.ndarray, output: str = "real") -> SchurForm:
+    """Schur form A = Z T Z* (gees), with the eigenvalues gees returns.
+
+    T is real quasi-triangular for real A (eigenvalues in exact conjugate
+    pairs) unless output="complex" asks for a triangular T (its diagonal).
     """
     n = a.shape[0]
     char = "D" if output == "complex" else _char(a)
     if n == 0:
-        return np.zeros((0, 0), char), np.zeros((0, 0), char)
+        z = np.zeros((0, 0), char)
+        return SchurForm(z, z, np.zeros(0, complex))
     out = _checked(
         _routine("gees", char)(_no_sort, a, lwork=_lwork("gees", char, n)), "Schur form"
     )
-    return out[0], out[-2]
+    return SchurForm(out[0], out[-2], out[2] + 1j * out[3] if char == "d" else out[2])
 
 
 def eigvals(a: np.ndarray) -> np.ndarray:
@@ -206,19 +218,19 @@ def solve(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
     return x
 
 
-def solve_lyapunov(a, q, spectrum=None) -> np.ndarray:
+def solve_lyapunov(a, q, form: SchurForm | None = None) -> np.ndarray:
     """Solve A·X + X·A* + Q = 0 for Hermitian Q.
 
     Bartels-Stewart (CACM 1972): with the Schur form A = U R U*, real when
     A and Q are, R Y + Y R* = -U* Q U is triangular (trsyl) and X = U Y U*.
-    The result is Hermitian-symmetrized. Raises SingularSylvester when the
-    spectrum of A makes the equation singular (some λ_i + conj(λ_j) ≈ 0),
-    which the pre-check detects before the factorization is attempted;
-    spectrum, the eigenvalues of A if the caller holds them, spares that
-    check its own eigenvalue solve. The solution is accepted when its
-    backward error ‖AX + XA* + Q‖ / (2‖A‖‖X‖ + ‖Q‖) (Frobenius norms) is at
-    most 1e-10, which holds for a backward-stable solve of a well-posed
-    equation however non-normal A is.
+    form, a Schur form of A in the dtype of A and Q (an adjoint one solves
+    R* Y + Y R = -U* Q U), spares the factorization. The result is
+    Hermitian-symmetrized. Raises SingularSylvester when the spectrum of A
+    makes the equation singular (some λ_i + conj(λ_j) ≈ 0), which the
+    pre-check on the form's eigenvalues detects before trsyl runs. The
+    solution is accepted when its backward error ‖AX + XA* + Q‖ /
+    (2‖A‖‖X‖ + ‖Q‖) (Frobenius norms) is at most 1e-10, which holds for a
+    backward-stable solve of a well-posed equation however non-normal A is.
     """
     a = as_matrix(a, "A")
     q = as_matrix(q, "Q")
@@ -233,7 +245,7 @@ def solve_lyapunov(a, q, spectrum=None) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype)
 
-    lam = eigvals(a) if spectrum is None else np.asarray(spectrum)
+    r, u, lam, adjoint = schur(a) if form is None or form.t.dtype != dtype else form
     # pairing λ_i + conj(λ_j) = 0 makes the operator singular
     pair_sums = np.abs(lam[:, None] + lam.conj()[None, :])
     tol = max(ABS_FLOOR, 1e-12 * max(1.0, float(np.max(np.abs(lam)))))
@@ -242,15 +254,15 @@ def solve_lyapunov(a, q, spectrum=None) -> np.ndarray:
             "spectrum of A contains a pair with lambda_i + conj(lambda_j) ~ 0"
         )
 
-    r, u = schur(a)
     f = -gemm(u, gemm(q, u), ha=True)
     char = _char(a)
-    y, scale, info = _routine("trsyl", char)(r, r, f, tranb="C" if char == "D" else "T")
+    h = "C" if char == "D" else "T"  # conjugate transpose
+    y, scale, info = _routine("trsyl", char)(r, r, f, *((h, "N") if adjoint else ("N", h)))
     if info < 0:
         raise ConvergenceFailure(f"Sylvester solve failed (LAPACK info {info})")
     if info == 1:
         raise SingularSylvester("trsyl perturbed a near-singular eigenvalue pairing")
-    x = hermitize(gemm(gemm(u, y * scale), u, hb=True))
+    x = hermitize(gemm(gemm(u, y / scale), u, hb=True))
     residual = _fro_norm(gemm(a, x) + gemm(x, a, hb=True) + q)
     scale_ref = 2.0 * _fro_norm(a) * _fro_norm(x) + _fro_norm(q)
     if residual > 1e-10 * scale_ref:
@@ -347,8 +359,8 @@ def log_principal(m) -> np.ndarray:
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), m.dtype)
-    check_off_branch_cut(eigvals(m), "principal logarithm")
-    t, z = schur(m)
+    t, z, lam, _ = schur(m)
+    check_off_branch_cut(lam, "principal logarithm")
     if np.any(np.diagonal(t, -1)):
         t, z = scipy.linalg.rsf2csf(t, z)
     x = gemm(gemm(z, _pinned_probes(scipy.linalg.logm, t)), z, hb=True)

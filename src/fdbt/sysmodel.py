@@ -23,7 +23,7 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import as_matrix, eigvals, gemm, schur, solve, solve_guarded, trsv
+from .linalg import SchurForm, as_matrix, gemm, schur, solve, solve_guarded, trsv
 
 REAL_TOL = 1e-14
 
@@ -91,18 +91,18 @@ class StateSpace:
         )
 
     @cached_property
+    def _form(self) -> SchurForm:
+        """A's Schur form in A's own arithmetic (gees), computed once."""
+        return schur(self.A)
+
+    @cached_property
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A, computed once.
+        """Eigenvalues of A, read off its cached Schur form.
 
         An error system's poles are its two parts' poles, reduced first.
         """
-        parts = self.__dict__.get("_parts")
-        if parts is not None:
-            poles = np.concatenate([parts[0].poles, parts[1].poles])
-        elif self.n:
-            poles = eigvals(self.A)
-        else:
-            poles = np.zeros(0, complex)
+        parts = self.__dict__.get("_parts", ())
+        poles = np.concatenate([p.poles for p in parts]) if parts else self._form.lam
         poles.setflags(write=False)
         return poles
 
@@ -119,12 +119,11 @@ class StateSpace:
 
     @cached_property
     def _schur_form(self) -> tuple:
-        """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, computed once.
-
-        Error systems are never factored whole: their responses are the
-        differences of their two parts' responses.
+        """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, computed once
+        (complex A's cached form). Error systems are never factored whole:
+        their responses are the differences of their two parts' responses.
         """
-        t, z = schur(self.A, output="complex")
+        t, z, *_ = self._form if self.A.dtype.kind == "c" else schur(self.A, "complex")
         form = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
         for x in form:
             x.setflags(write=False)
@@ -139,9 +138,10 @@ class StateSpace:
         )
 
     def with_io(self, b, c, d) -> "StateSpace":
-        """(A, b, c, d): the same state matrix, sharing its cached poles."""
+        """(A, b, c, d): same A, sharing its cached Schur form if the dtype is kept."""
         out = StateSpace(self.A, b, c, d)
-        out.__dict__["poles"] = self.poles
+        if out.A.dtype == self.A.dtype:
+            out.__dict__["_form"] = self._form
         return out
 
 

@@ -2,11 +2,17 @@
 
 Every invocation goes through cli.main() in-process, so exit codes,
 stdout JSON, stderr diagnostics, and written files can all be asserted
-without spawning interpreters. Paths live under tmp_path throughout.
+without spawning interpreters. The one exception compares bundles written
+at two BLAS thread counts, which OpenBLAS fixes when it loads, so each
+count runs in an interpreter of its own. Paths live under tmp_path
+throughout.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -394,6 +400,34 @@ class TestBenchExample:
         )
         assert code == 2
         assert "ex9" in json.loads(stderr)["message"]
+
+
+    def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # ex3 is left out: its rank-level sweeps and the fgbt r = 51
+        # verdict move with the thread count (ROADMAP item 8)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        script = (
+            "import sys\n"
+            "from fdbt.cli import main\n"
+            "for name in ('ex1', 'ex2_case1', 'ex2_case2'):\n"
+            "    assert main(['bench', 'example', name, '--out', sys.argv[1]]) == 0\n"
+        )
+        written = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads-{threads or 'default'}"
+            subprocess.run(
+                [sys.executable, "-c", script, str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(written[0]) >= 3 * 3
+        assert written[0].keys() == written[1].keys()
+        for name in written[0]:
+            assert written[0][name] == written[1][name], name
 
 
 class TestBenchLadder:

@@ -87,6 +87,37 @@ class TestSolveLyapunov:
         with pytest.raises(SingularSylvester, match="lambda_i"):
             solve_lyapunov(np.diag([1.0, -1.0 + 1e-13]), np.eye(2))
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_adjoint_form_solves_the_observability_equation(self, kind):
+        # A* X + X A + Q = 0 on the Schur form of A, by trsyl's trana
+        sys = random_stable(17, 6, m=2, complex_entries=kind == "complex")
+        a, c = np.asarray(sys.A), np.asarray(sys.C)
+        q = c.conj().T @ c
+        form = schur(a)
+        w = solve_lyapunov(a.conj().T, q, form._replace(adjoint=True))
+        assert w.dtype == a.dtype
+        ref = orc.lyap_kron(a.conj().T, q)
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.array_equal(solve_lyapunov(a, q.T, form), solve_lyapunov(a, q.T))
+
+    def test_a_form_keeps_both_checks(self):
+        a = np.diag([1.0, -1.0])
+        for lhs, form in ((a, schur(a)), (a.T, schur(a)._replace(adjoint=True))):
+            with pytest.raises(SingularSylvester, match="lambda_i"):
+                solve_lyapunov(lhs, np.eye(2), form)
+        # the form of A read as the form of A* solves the wrong equation,
+        # which the backward-error check refuses
+        b = np.asarray(random_stable(18, 5).A)
+        with pytest.raises(SingularSylvester, match="backward error"):
+            solve_lyapunov(b.T, np.eye(5), schur(b))
+
+    def test_real_form_with_complex_rhs_refactors(self):
+        a = np.asarray(random_stable(19, 5).A)
+        q = _rand_complex(np.random.default_rng(19), 5)
+        q = q @ q.conj().T
+        w = solve_lyapunov(a, q, schur(a))
+        assert np.array_equal(w, solve_lyapunov(a, q))
+
     @staticmethod
     def _nonnormal(seed, n):
         # A = Q (diag(poles) + U) Q^T: poles log-uniform in [-1e6, -1e-4],
@@ -295,11 +326,13 @@ class TestKernelHandles:
         lam = eigvals(a)
         assert lam.dtype == np.complex128
         assert orc.match_spectra(lam, np.linalg.eigvals(a)) <= 1e-12
-        t, z = schur(a)
-        assert t.dtype == dtype
+        t, z, lam, adjoint = schur(a)
+        assert t.dtype == dtype and not adjoint
         assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
-        t, z = schur(a, output="complex")
+        assert orc.match_spectra(lam, np.linalg.eigvals(a)) <= 1e-12
+        t, z, lam, _ = schur(a, output="complex")
         assert np.array_equal(t, np.triu(t)) and t.dtype == np.complex128
+        assert np.array_equal(lam, np.diagonal(t))
         x = solve(a, h[:, :2], SingularReconstruction("unused"))
         assert x.dtype == dtype
         assert np.linalg.norm(a @ x - h[:, :2]) <= 1e-12 * np.linalg.norm(h)

@@ -39,7 +39,7 @@ from fdbt import (
     sf_reduce,
     sweep,
 )
-from fdbt.baselines import fgbt_truncate, prepare_band
+from fdbt.baselines import fgbt_truncate, prepare_band, prepare_standard
 from fdbt.interval import prepare_interval
 
 BAND = (-0.5, 0.5)
@@ -276,30 +276,59 @@ class TestTripwire:
         assert len(seen) == 31 - 20 + 1  # orders 20..31, each guarded once
         assert set(seen) == {np.dtype(np.float64)}
 
-    def test_one_eigenvalue_solve_of_a_per_prepare(self, monkeypatch):
-        # the band-weighted realization keeps A, so it shares sys's poles,
-        # and the Lyapunov pre-checks reuse them
-        for sys in (generate_ladder(31), _phase_rotated(generate_ladder(31), 5)):
+    def test_one_schur_form_of_a_per_state_matrix(self, monkeypatch):
+        # the poles, both standard Gramians and the band-weighted
+        # realization (which keeps A) read one cached gees of A; no geev of
+        # A runs, and only a real A takes one more, complex, gees for sweeps
+        grid = FrequencyGrid.linear(-1.0, 1.0, 11)
+        for sys, sweep_gees in (
+            (generate_ladder(31), ["D"]),
+            (_phase_rotated(generate_ladder(31), 5), []),
+        ):
             a = np.asarray(sys.A)
-            solves = []
+            calls = {"gees": [], "geev": []}
 
-            def counting(fn):
+            def of_a(m):
+                arr = np.asarray(m)
+                return arr.shape == a.shape and (
+                    np.array_equal(arr, a) or np.array_equal(arr, a.conj().T)
+                )
+
+            routine = fdbt.linalg._routine
+
+            def counting_routine(name, char):
+                fn = routine(name, char)
+
+                def wrapped(*args, **kwargs):
+                    if of_a(args[1] if name == "gees" else args[0]):
+                        calls[name].append(char)
+                    return fn(*args, **kwargs)
+
+                return wrapped if name in calls else fn
+
+            def counting(fn, name):
                 def wrapped(m, *args, **kwargs):
-                    arr = np.asarray(m)
-                    if arr.shape == a.shape and (
-                        np.array_equal(arr, a) or np.array_equal(arr, a.conj().T)
-                    ):
-                        solves.append(1)
+                    if of_a(m):
+                        calls[name].append("outside fdbt's handles")
                     return fn(m, *args, **kwargs)
 
                 return wrapped
 
+            monkeypatch.setattr(fdbt.linalg, "_routine", counting_routine)
             for module in (np.linalg, scipy.linalg):
-                monkeypatch.setattr(module, "eigvals", counting(module.eigvals))
-            # fdbt's own geev handle, at every module that binds it
-            geev = counting(fdbt.linalg.eigvals)
-            for module in (fdbt.linalg, fdbt.sysmodel, fdbt.interval):
-                monkeypatch.setattr(module, "eigvals", geev)
-            prepare_interval(sys, IntervalConfig(-0.5, 0.5))
+                monkeypatch.setattr(module, "eigvals", counting(module.eigvals, "geev"))
+            monkeypatch.setattr(scipy.linalg, "schur", counting(scipy.linalg.schur, "gees"))
+            char = "d" if a.dtype == np.float64 else "D"
+            prepare_interval(sys, IntervalConfig(*BAND))
+            assert calls == {"gees": [char], "geev": []}
+            # a fresh copy through all three prepares, then sweeps
+            fresh = StateSpace(sys.A, sys.B, sys.C, sys.D)
+            calls = {"gees": [], "geev": []}
+            prepare_standard(fresh)
+            prepare_band(fresh, *BAND)
+            prepare_interval(fresh, IntervalConfig(*BAND))
+            assert calls == {"gees": [char], "geev": []}
+            sweep(fresh, grid)
+            evaluate(fresh, 0.3)
+            assert calls == {"gees": [char, *sweep_gees], "geev": []}
             monkeypatch.undo()
-            assert len(solves) == 1

@@ -21,6 +21,7 @@ from fdbt import (
     error_system,
     evaluate,
     evaluate_at,
+    example_fixture,
     fgbt_reduce,
     fibt_reduce,
     generate_ladder,
@@ -95,6 +96,39 @@ class TestStateSpace:
         tr = sys.transformed(t, np.linalg.inv(t))
         for w in (0.0, 0.7, -2.2):
             assert np.allclose(evaluate(tr, w), evaluate(sys, w), atol=1e-10)
+
+
+def _fixture(name):
+    if name.startswith("random"):
+        return random_stable(int(name[6:]), 3 + int(name[6:]) % 9, m=2, p=2)
+    if name == "ladder-201":
+        return generate_ladder(201)
+    return example_fixture(name).system
+
+
+POLE_FIXTURES = ["random30", "random31", "random32", "random33", "ex1", "ex2", "ladder-201"]
+
+
+class TestPoles:
+    """The poles are the eigenvalues the one cached gees of A returns."""
+
+    @pytest.mark.parametrize("name", POLE_FIXTURES)
+    def test_real_poles_are_exact_conjugate_pairs(self, name):
+        sys = _fixture(name)
+        assert sys.A.dtype == np.float64
+        poles = sys.poles
+        assert np.array_equal(np.sort_complex(poles), np.sort_complex(poles.conj()))
+        ref = np.linalg.eigvals(sys.A)
+        assert orc.match_spectra(poles, ref) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("seed", [40, 41, 42, 43])
+    def test_complex_poles_are_the_cached_triangle_diagonal(self, seed):
+        sys = random_stable(seed, 3 + seed % 9, m=2, p=2, complex_entries=True)
+        t = sys._form.t
+        assert np.array_equal(np.triu(t), t)
+        assert np.array_equal(sys.poles, np.diagonal(t))
+        # the sweep's triangle is the same form, not a second factorization
+        assert sys._schur_form[0] is t
 
 
 class TestEvaluation:
