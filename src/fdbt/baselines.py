@@ -87,13 +87,13 @@ def fibt_truncate(prep: Balanced, r: int) -> ReductionResult:
     Attaches the classical whole-axis bound: twice the sum of the dropped
     singular values.
     """
-    r = check_order(r, prep.sys.n, allow_full=True)
+    r = check_order(r, prep.sys.n)
     return _result(prep, "fibt", leading_block(prep.sys, r), _tail_bound(prep, r))
 
 
 def fibt_reduce(sys: StateSpace, r: int) -> ReductionResult:
     """Balanced truncation on the standard Gramian pair (see fibt_truncate)."""
-    check_order(r, sys.n, allow_full=True)
+    check_order(r, sys.n)
     return fibt_truncate(prepare_standard(sys), r)
 
 
@@ -113,7 +113,7 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
     truncation. Intermediate rho carries no published bound, so none is
     attached there.
     """
-    r = check_order(r, prep.sys.n, allow_full=True)
+    r = check_order(r, prep.sys.n)
     rho = _check_rho(rho)
     a11, a12, a21, a22, b1, b2, c1, c2 = partition(prep.sys, r)
 
@@ -134,7 +134,7 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
 
 def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
     """Balanced residualization with matching point rho (see gspa_truncate)."""
-    check_order(r, sys.n, allow_full=True)
+    check_order(r, sys.n)
     _check_rho(rho)
     return gspa_truncate(prepare_standard(sys), r, rho)
 
@@ -209,7 +209,7 @@ def fgbt_truncate(prep: Balanced, r: int) -> ReductionResult:
     reduced model nor positive semidefiniteness of the Gramians is
     guaranteed; indefinite Gramians raise IndefiniteGramian in prepare_band.
     """
-    r = check_order(r, prep.sys.n, allow_full=True)
+    r = check_order(r, prep.sys.n)
     warnings = ("no error bound available for band-limited Gramian truncation",)
     return _result(prep, "fgbt", leading_block(prep.sys, r), {}, warnings)
 
@@ -221,5 +221,5 @@ def fgbt_reduce(sys: StateSpace, r: int, w1: float, w2: float) -> ReductionResul
     edges, depend only on the system and the band: a caller truncating at
     several orders calls prepare_band once and fgbt_truncate per order.
     """
-    check_order(r, sys.n, allow_full=True)
+    check_order(r, sys.n)
     return fgbt_truncate(prepare_band(sys, w1, w2), r)

@@ -11,7 +11,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .baselines import (
     prepare_band,
     prepare_standard,
 )
-from .errors import ConvergenceFailure, FdbtError, InvalidParameters
+from .errors import ConvergenceFailure, FdbtError, InvalidParameters, PoleOnGrid
 from .interval import IntervalConfig, interval_truncate, prepare_interval
 from .reduction import ReductionResult
 from .sf import SfConfig, epsilon_sweep, sf_reduce
@@ -30,9 +29,7 @@ from .sysmodel import (
     FrequencyGrid,
     StateSpace,
     error_sweeps,
-    error_system,
     is_hurwitz,
-    sigma_max_at,
     symmetric_log_grid,
 )
 
@@ -64,19 +61,12 @@ EXPERIMENT_ORDERS = (1, 2, 3)
 _REL_SLACK = 1e-8
 
 
-class Scenario(NamedTuple):
-    method: str
-    config: object
-    r: int
-
-
 @dataclass(frozen=True)
 class ExampleFixture:
-    """A named system with the reduction scenarios run against it."""
+    """A named fixture system."""
 
     name: str
     system: StateSpace
-    scenarios: tuple
 
 
 @dataclass(frozen=True)
@@ -522,40 +512,13 @@ EX2_ORDERS = (1, 2)
 
 
 def example_fixture(name: str) -> ExampleFixture:
-    """Fixture systems transcribed digit-for-digit, with their scenarios."""
+    """Fixture systems transcribed digit-for-digit."""
     if name == "ex1":
-        sys = StateSpace(_EX1_A, _EX1_B, _EX1_C, _EX1_D)
-        scenarios = tuple(
-            Scenario("sf-fdbt", SfConfig(varpi=0.0, epsilon=e), 3)
-            for e in EX1_SF_EPSILONS
-        )
-        scenarios += tuple(Scenario("gspa", rho, 3) for rho in EX1_GSPA_RHOS)
-        scenarios += (Scenario("fibt", None, 3),)
-        return ExampleFixture("ex1", sys, scenarios)
+        return ExampleFixture("ex1", StateSpace(_EX1_A, _EX1_B, _EX1_C, _EX1_D))
     if name == "ex2":
-        sys = StateSpace(_EX2_A, _EX2_B, _EX2_C, _EX2_D)
-        scenarios = []
-        for w1, w2 in EX2_BANDS.values():
-            for r in EX2_ORDERS:
-                scenarios.append(Scenario("int-fdbt", IntervalConfig(w1, w2), r))
-                scenarios.append(Scenario("fgbt", (w1, w2), r))
-        scenarios += [Scenario("fibt", None, r) for r in EX2_ORDERS]
-        return ExampleFixture("ex2", sys, tuple(scenarios))
+        return ExampleFixture("ex2", StateSpace(_EX2_A, _EX2_B, _EX2_C, _EX2_D))
     if name == "ex3":
-        sys = generate_ladder(LADDER_ORDER)
-        scenarios = (
-            Scenario("fibt", None, LADDER_BASELINE_ORDER),
-            Scenario("gspa", 0.0, LADDER_BASELINE_ORDER),
-            Scenario(
-                "sf-fdbt",
-                SfConfig(varpi=0.0, epsilon=LADDER_SF_EPSILON),
-                LADDER_SF_ORDER,
-            ),
-        ) + tuple(
-            Scenario("int-fdbt", IntervalConfig(*LADDER_BAND), r)
-            for r in LADDER_INTERVAL_ORDERS
-        )
-        return ExampleFixture("ex3", sys, scenarios)
+        return ExampleFixture("ex3", generate_ladder(LADDER_ORDER))
     raise InvalidParameters(f"unknown fixture {name!r}")
 
 
@@ -580,29 +543,32 @@ class ExampleBundle:
     notes: tuple = ()
 
 
-def _ef_grid(sys: StateSpace, points: int = EF_GRID_POINTS) -> FrequencyGrid:
-    scales = sys.poles if sys.n else np.array([1.0])
-    return symmetric_log_grid(scales, points)
-
-
 def _error_sweeps(sys, reduced_models, grid) -> list:
     """Refined error sweeps of one plant's reduced models over one grid,
     pole hits skipped; the plant is evaluated once (see error_sweeps)."""
     return error_sweeps(sys, reduced_models, grid, refine=True, on_pole="skip")
 
 
-def _dc_error(sys, reduced) -> float:
-    """Error magnitude at w = 0, stepping off spurious cancelling poles.
+def _dc_reports(sys, reduced_models) -> list:
+    """Error reports of one plant's reduced models at w = 0, stepping off
+    spurious cancelling poles; the plant is evaluated once (see
+    error_sweeps).
 
     Truncation can park exactly-cancelling modes on the origin (finite
     response, formally a pole); bundles must record data rather than raise,
-    so fall back to an offset of 1e-9 when the origin itself is flagged.
+    so the models whose error is undefined at the origin are measured at
+    an offset of 1e-9 instead, and PoleOnGrid is raised if that point is
+    undefined too.
     """
-    err = error_system(sys, reduced)
-    try:
-        return sigma_max_at(err, 0.0)
-    except FdbtError:
-        return sigma_max_at(err, 1e-9)
+    reports = _error_sweeps(sys, reduced_models, FrequencyGrid.explicit([0.0]))
+    undefined = [i for i, report in enumerate(reports) if report.skipped]
+    if undefined:
+        offset = error_sweeps(
+            sys, [reduced_models[i] for i in undefined], FrequencyGrid.explicit([1e-9])
+        )
+        for i, report in zip(undefined, offset):
+            reports[i] = report
+    return reports
 
 
 def _reproduce_ex1() -> ExampleBundle:
@@ -620,24 +586,26 @@ def _reproduce_ex1() -> ExampleBundle:
         label = f"eps{eps:g}".replace(".", "p")
         results[f"sf_{label}"] = sf_reduce(sys, SfConfig(varpi=0.0, epsilon=eps), 3)
 
-    reports = _error_sweeps(sys, [res.reduced for res in results.values()], grid)
-    for (label, res), report in zip(results.items(), reports):
+    reduced = [res.reduced for res in results.values()]
+    reports = _error_sweeps(sys, reduced, grid)
+    dc_reports = _dc_reports(sys, reduced)
+    for label, report, at_dc in zip(results, reports, dc_reports):
         sweeps[f"error_{label}_r3"] = report
-        values[f"err0_{label}"] = _dc_error(sys, res.reduced)
+        values[f"err0_{label}"] = float(at_dc.peak_value)
     # fibt always carries an ef bound, gspa only at rho = 0, sf-fdbt only
     # when both models are Hurwitz
     ef_records = iter(
         _verified(
             sys,
             [(res, "ef") for res in results.values() if "ef" in res.bounds],
-            _ef_grid(sys),
+            symmetric_log_grid(sys.poles, EF_GRID_POINTS),
         )
     )
-    shifted = [(res, "sf") for label, res in results.items() if label.startswith("sf_")]
-    sf_records = iter(_verified(sys, shifted, FrequencyGrid.explicit([0.0])))
-    for label, res in results.items():
+    for (label, res), at_dc in zip(results.items(), dc_reports):
+        # the sf bound holds at the shift point, w = 0: the DC error's own
+        # measurement is its record
         if label.startswith("sf_"):
-            records.append(next(sf_records))
+            records.append(_record(res, "sf", at_dc))
         if "ef" in res.bounds:
             records.append(next(ef_records))
 
@@ -693,7 +661,9 @@ def _reproduce_ex2(case: str) -> ExampleBundle:
         # the in-band sweep just made is the interval bound's measurement
         records.append(_record(intr, "interval", rep["int"]))
         ef_checks = [(intr, "ef")] if "ef" in intr.bounds else []
-        records += _verified(sys, ef_checks + [(fibt, "ef")], _ef_grid(sys))
+        records += _verified(
+            sys, ef_checks + [(fibt, "ef")], symmetric_log_grid(sys.poles, EF_GRID_POINTS)
+        )
         peak_int = values[f"peak_int_r{r}"]
         allow = 1.0 + _REL_SLACK
         assertions[f"int_peak_le_fibt_r{r}"] = bool(
@@ -720,12 +690,8 @@ def _reproduce_ex3_case1() -> ExampleBundle:
     standard = prepare_standard(sys)
     results = {"fibt_r181": fibt_truncate(standard, LADDER_BASELINE_ORDER)}
     try:
-        gspa = gspa_truncate(standard, LADDER_BASELINE_ORDER, 0.0)
-        values["err0_gspa_r181"] = _dc_error(sys, gspa.reduced)
-        results["gspa_r181"] = gspa
+        results["gspa_r181"] = gspa_truncate(standard, LADDER_BASELINE_ORDER, 0.0)
     except FdbtError as exc:
-        values["err0_gspa_r181"] = math.nan
-        values["peak_nbhd_gspa_r181"] = math.nan
         notes.append(f"gspa failed: {exc}")
     # ef estimate on a 402-state error system costs minutes and nothing in
     # this scenario consumes it; the shift-point bound is the one of record
@@ -735,6 +701,20 @@ def _reproduce_ex3_case1() -> ExampleBundle:
         LADDER_SF_ORDER,
         with_ef_bound=False,
     )
+    try:
+        dc = _dc_reports(sys, [res.reduced for res in results.values()])
+    except PoleOnGrid as exc:
+        # a gspa model whose DC error is undefined fails as gspa; any
+        # other model's failure raises again without it
+        if results.pop("gspa_r181", None) is None:
+            raise
+        notes.append(f"gspa failed: {exc}")
+        dc = _dc_reports(sys, [res.reduced for res in results.values()])
+    dc = dict(zip(results, dc))
+    if "gspa_r181" not in results:
+        values["err0_gspa_r181"] = values["peak_nbhd_gspa_r181"] = math.nan
+    for label, at_dc in dc.items():
+        values[f"err0_{label}"] = float(at_dc.peak_value)
 
     # the full model's own response comes from the same plant evaluation
     reduced = [res.reduced for res in results.values()]
@@ -744,10 +724,11 @@ def _reproduce_ex3_case1() -> ExampleBundle:
         sweeps[f"error_{label}"] = report
     for label, report in zip(results, _error_sweeps(sys, reduced, nbhd)):
         values[f"peak_nbhd_{label}"] = float(report.peak_value)
-    values["err0_fibt_r181"] = _dc_error(sys, results["fibt_r181"].reduced)
-    values["err0_sf_r51"] = _dc_error(sys, sf.reduced)
-    records.append(verify_bound(sys, results["fibt_r181"], _ef_grid(sys, 600), "ef"))
-    records.append(verify_bound(sys, sf, FrequencyGrid.explicit([0.0]), "sf"))
+    ef_grid = symmetric_log_grid(sys.poles, 600)
+    records.append(verify_bound(sys, results["fibt_r181"], ef_grid, "ef"))
+    # the sf bound holds at the shift point, w = 0: the DC error's own
+    # measurement is its record
+    records.append(_record(sf, "sf", dc["sf_r51"]))
 
     assertions = {
         "sf_r51_dc_error_below_fibt_r181": bool(

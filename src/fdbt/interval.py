@@ -150,10 +150,12 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
     A real a over a band centred at zero has real factors, built in real
     arithmetic from X = a^2 + wd^2 I: M = sqrt(wd^2 X^(-1)), N = -a X^(-1).
     Their spectrum guards read the eigenvalues of a's Schur form if the
-    caller holds it. Anything else goes through the complex Schur form.
+    caller holds it. Anything else goes through the complex Schur form,
+    the caller's if it holds a complex one.
     """
     if np.iscomplexobj(a) or cfg.wc != 0.0:
-        z, s, u = _schur_band(a, cfg, form if np.iscomplexobj(a) else None)
+        complex_form = form is not None and np.iscomplexobj(form.t)
+        z, s, u = _schur_band(a, cfg, form if complex_form else None)
         return gemm(gemm(z, s), z, hb=True), gemm(gemm(z, u), z, hb=True)
     values = _check_band_spectrum(eigvals(a) if form is None else form.lam, cfg)
     k = a.shape[0]
@@ -369,15 +371,21 @@ def interval_truncate(
     prep: IntervalBalanced, r: int, with_bounds: bool = True, with_ef_bound: bool = True
 ) -> ReductionResult:
     """Reduce a prepared system and band to order r (see interval_reduce)."""
-    r = check_order(r, prep.sys.n, allow_full=True)
+    r = check_order(r, prep.sys.n)
     a_r = prep.balanced.A[:r, :r]
-    m_r, n_r = _band_factors(a_r, prep.ext.config)
+    # one Schur form of a_r, in the arithmetic its band factors take,
+    # serves their guards and, where the reduced model keeps that
+    # arithmetic, its poles
+    form = schur(a_r, "real" if prep.ext.config.wc == 0.0 else "complex")
+    m_r, n_r = _band_factors(a_r, prep.ext.config, form)
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)
     # m_r^T has m_r's singular values, which the guard has just checked
     c_r = solve(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
     d_r = prep.ext.sys.D - gemm(gemm(c_r, n_r), b_r)
     reduced = StateSpace(a_r, b_r, c_r, d_r)
+    if reduced.A.dtype == form.t.dtype:
+        reduced.__dict__["_form"] = form
 
     stable = is_hurwitz(reduced).stable
     warnings = ()
@@ -434,7 +442,7 @@ def interval_reduce(
     estimates whose cost grows with the full order rather than the reduced
     one.
     """
-    check_order(r, sys.n, allow_full=True)
+    check_order(r, sys.n)
     return interval_truncate(prepare_interval(sys, cfg), r, with_bounds, with_ef_bound)
 
 

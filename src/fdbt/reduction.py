@@ -102,12 +102,11 @@ class ReductionResult:
     warnings: tuple = ()
 
 
-def check_order(r: int, n: int, allow_full: bool = True) -> int:
-    """Validate a truncation order: 1 <= r <= n (or r < n)."""
+def check_order(r: int, n: int) -> int:
+    """Validate a truncation order: 1 <= r <= n."""
     r = int(r)
-    top = n if allow_full else n - 1
-    if not 1 <= r <= top:
-        raise OrderOutOfRange(f"order {r} outside supported range 1..{top} (n={n})")
+    if not 1 <= r <= n:
+        raise OrderOutOfRange(f"order {r} outside supported range 1..{n} (n={n})")
     return r
 
 

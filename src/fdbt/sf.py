@@ -160,7 +160,7 @@ def sf_reduce(
     when both the original and the reduced system are Hurwitz (otherwise a
     warning notes why it is missing).
     """
-    r = check_order(r, sys.n, allow_full=True)
+    r = check_order(r, sys.n)
     ext = build_sf_extended(sys, cfg)
     gram = sf_gramians(ext)
     reduced = invert_sf_extension(leading_block(gram.sys, r), cfg)

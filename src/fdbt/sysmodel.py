@@ -408,10 +408,9 @@ def error_system(full: StateSpace, reduced: StateSpace) -> StateSpace:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing real frequencies, tagged with how they were built."""
+    """Strictly increasing real frequencies."""
 
     points: np.ndarray
-    spacing: str = "explicit"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).ravel()
@@ -421,8 +420,6 @@ class FrequencyGrid:
             raise DimensionMismatch("frequency grid contains non-finite values")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise DimensionMismatch("frequency grid must be strictly increasing")
-        if self.spacing not in ("linear", "logarithmic", "explicit"):
-            raise DimensionMismatch(f"unknown spacing tag {self.spacing!r}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -433,18 +430,18 @@ class FrequencyGrid:
     def linear(cls, lo: float, hi: float, count: int) -> "FrequencyGrid":
         if not (lo < hi) or count < 2:
             raise DimensionMismatch("linear grid needs lo < hi and count >= 2")
-        return cls(np.linspace(lo, hi, count), "linear")
+        return cls(np.linspace(lo, hi, count))
 
     @classmethod
     def logarithmic(cls, lo: float, hi: float, count: int) -> "FrequencyGrid":
         if not (0 < lo < hi) or count < 2:
             raise DimensionMismatch("log grid needs 0 < lo < hi and count >= 2")
-        return cls(np.geomspace(lo, hi, count), "logarithmic")
+        return cls(np.geomspace(lo, hi, count))
 
     @classmethod
     def explicit(cls, values) -> "FrequencyGrid":
         pts = np.unique(np.asarray(values, dtype=float).ravel())
-        return cls(pts, "explicit")
+        return cls(pts)
 
 
 @dataclass(frozen=True, eq=False)

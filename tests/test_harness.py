@@ -41,7 +41,7 @@ from fdbt.harness import (
     EXPERIMENT_HALF_WIDTHS,
     EXPERIMENT_ORDERS,
     ModelCellRecord,
-    _dc_error,
+    _dc_reports,
 )
 
 
@@ -328,9 +328,57 @@ class TestEvaluatedOncePerGrid:
         evaluated = _evaluations(monkeypatch)
         fdbt.harness._reproduce_ex3_case1()
         # the 801-point grid (its response and three errors), the 401-point
-        # neighbourhood, the 601-point ef grid and the sf shift point
+        # neighbourhood, the 601-point ef grid and w = 0, where the DC errors
+        # and the sf record are one measurement
         assert len(made) == 1
         assert sorted(evaluated[made[0]]) == [1, 401, 601, 801]
+
+    def test_ex3_case1_dc_errors_are_the_sf_record_bitwise(self, monkeypatch):
+        _scaled_ladder(monkeypatch)
+        bundle = fdbt.harness._reproduce_ex3_case1()
+        (rec,) = [rec for rec in bundle.records if rec.bound_key == "sf"]
+        assert rec.peak == bundle.values["err0_sf_r51"]
+        assert (rec.peak_frequency, rec.points) == (0.0, 1)
+
+    @pytest.mark.parametrize(
+        "name, counted",
+        [("ex3_case1", ("error_system", "sigma_max_at")), ("ex1", ("sigma_max_at",))],
+    )
+    def test_bundles_measure_by_error_sweeps_alone(self, monkeypatch, name, counted):
+        # no stacked error system and no single-point probe: every number is
+        # an error_sweeps report (ex1's sf-fdbt ef bounds still build their
+        # gap error systems in reduction.ef_bound, so only probes count there)
+        _scaled_ladder(monkeypatch)
+        calls = []
+        for fn_name in counted:
+            real = getattr(fdbt.sysmodel, fn_name)
+
+            def counting(*args, _name=fn_name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            for mod in (fdbt.sysmodel, fdbt.harness, fdbt.reduction):
+                if getattr(mod, fn_name, None) is real:
+                    monkeypatch.setattr(mod, fn_name, counting)
+        reproduce_example(name)
+        assert calls == []
+
+    def test_ex3_case1_gspa_undefined_at_dc_is_a_gspa_failure(self, monkeypatch):
+        # poles at 0 and at 1e-9 j: the error is undefined at both DC points
+        _scaled_ladder(monkeypatch)
+        poles = StateSpace(np.diag([0.0, 1e-9j]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        monkeypatch.setattr(
+            fdbt.harness,
+            "gspa_truncate",
+            lambda *args: ReductionResult(poles, "gspa", 2, {}, False, ()),
+        )
+        bundle = fdbt.harness._reproduce_ex3_case1()
+        (note,) = bundle.notes
+        assert note.startswith("gspa failed: ")
+        assert math.isnan(bundle.values["err0_gspa_r181"])
+        assert math.isnan(bundle.values["peak_nbhd_gspa_r181"])
+        assert "error_gspa_r181" not in bundle.sweeps
+        assert math.isfinite(bundle.values["err0_fibt_r181"])
 
     def test_ex3_case2_sweeps_each_interval_error_once(self, monkeypatch):
         made = _scaled_ladder(monkeypatch)
@@ -407,7 +455,6 @@ class TestFixtures:
         assert (fix.system.n, fix.system.m, fix.system.p) == (6, 1, 1)
         assert fix.system.A[0, 0] == pytest.approx(0.2128)
         assert fix.system.D[0, 0] == pytest.approx(3.9764)
-        assert len(fix.scenarios) == 9  # 5 eps + 3 rho + fibt
 
     def test_ex2_fixture_shape_and_digits(self):
         fix = example_fixture("ex2")
@@ -428,7 +475,9 @@ class TestDcError:
         sys = random_stable(204, 4)
         red = fibt_reduce(sys, 2).reduced
         direct = sigma_max_at(error_system(sys, red), 0.0)
-        assert _dc_error(sys, red) == pytest.approx(direct, rel=1e-12)
+        (report,) = _dc_reports(sys, [red])
+        assert report.peak_value == pytest.approx(direct, rel=1e-12)
+        assert (report.peak_frequency, report.skipped) == (0.0, ())
 
     def test_cancelling_origin_mode_falls_back(self):
         # identical responses, but the stacked error realization carries an
@@ -438,7 +487,9 @@ class TestDcError:
             [[0.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]], [[0.0]]
         )
         copy = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-        assert _dc_error(withzero, copy) <= 1e-8
+        (report,) = _dc_reports(withzero, [copy])
+        assert report.peak_value <= 1e-8
+        assert report.peak_frequency == 1e-9
 
 
 class TestBundles:
@@ -456,6 +507,14 @@ class TestBundles:
         assert vals["err0_fibt"] == pytest.approx(6.551881243e-01, rel=1e-9)
         assert vals["err0_sf_eps4"] == pytest.approx(1.416894345e-01, rel=1e-9)
         assert vals["err0_gspa_rho0"] <= 1e-12
+
+    def test_ex1_dc_errors_are_the_sf_records_bitwise(self, bundles):
+        bundle = bundles.get("ex1")
+        sf_records = [rec for rec in bundle.records if rec.bound_key == "sf"]
+        labels = [f"err0_sf_eps{e:g}".replace(".", "p") for e in fdbt.harness.EX1_SF_EPSILONS]
+        assert len(sf_records) == len(labels)
+        for rec, label in zip(sf_records, labels):
+            assert rec.peak == bundle.values[label], label
 
     def test_ex2_case1_frozen_values(self, bundles):
         vals = bundles.get("ex2_case1").values

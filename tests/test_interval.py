@@ -436,8 +436,9 @@ class TestClosedFormChain:
     def test_square_roots_reuse_the_guarded_spectrum(self, monkeypatch):
         # each band factor's square root takes the spectrum its guards have
         # checked, so it solves no eigenvalue problem of its own: what is
-        # left is the chain's guards (orders r..n) and the reduced model's
-        # band-factor guard (the full model's reads its cached poles)
+        # left is the chain's guards (orders r..n); the band-factor guards
+        # read Schur forms (the full model's cached one, and the reduced
+        # state matrix's, which the reduced model keeps for its poles)
         calls = []
         real = fdbt.linalg.eigvals
         for mod in (fdbt.linalg, fdbt.interval):
@@ -447,7 +448,7 @@ class TestClosedFormChain:
             calls.clear()
             interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
             chain = lad.n - r + 1 if r < lad.n else 0
-            assert len(calls) == chain + 1, r
+            assert len(calls) == chain, r
 
 
 class TestReduce:

@@ -71,10 +71,8 @@ def test_check_order_rejects_out_of_range(r):
         check_order(r, 6)
 
 
-def test_check_order_full_toggle():
-    assert check_order(6, 6, allow_full=True) == 6
-    with pytest.raises(OrderOutOfRange):
-        check_order(6, 6, allow_full=False)
+def test_check_order_accepts_full_order():
+    assert check_order(6, 6) == 6
 
 
 def _builds_of(monkeypatch, module, name, full):

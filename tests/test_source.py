@@ -1,0 +1,33 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fdbt"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names a module imports but never reads (the package __init__
+    re-exports by design, so it is not checked; __future__ imports are
+    compiler directives)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_name_it_imports(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _unused_imports(tree) == []

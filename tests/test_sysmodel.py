@@ -174,10 +174,13 @@ class TestEvaluation:
 
 
 class TestFrequencyGrid:
-    def test_constructors_and_tags(self):
-        assert FrequencyGrid.linear(-1.0, 1.0, 5).spacing == "linear"
-        assert FrequencyGrid.logarithmic(0.1, 10.0, 7).spacing == "logarithmic"
-        assert FrequencyGrid.explicit([0.0]).spacing == "explicit"
+    def test_linear_and_log_constructors_build_their_points(self):
+        assert np.array_equal(
+            FrequencyGrid.linear(-1.0, 1.0, 5).points, np.linspace(-1.0, 1.0, 5)
+        )
+        assert np.array_equal(
+            FrequencyGrid.logarithmic(0.1, 10.0, 7).points, np.geomspace(0.1, 10.0, 7)
+        )
 
     def test_log_grid_needs_positive_lo(self):
         with pytest.raises(DimensionMismatch):
