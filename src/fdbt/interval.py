@@ -16,10 +16,11 @@ chain in fixed balanced coordinates. M squares back to its argument and
 commutes with N and A, so the chain's one product M^(-1) N M^(-1) is
 (j wc I - A) / wd^2 and no order of the chain needs a square root.
 
-For a real A and a band centred at zero (wc = 0, w1 = -wd) both factors
-are real, M^2 = wd^2 (A^2 + wd^2 I)^(-1) and N = -A (A^2 + wd^2 I)^(-1), so
+Both factors are built on a Schur form of A: the real one for a real A
+over a band centred at zero (wc = 0, w1 = -wd), where both factors are
+real, M^2 = wd^2 (A^2 + wd^2 I)^(-1) and N = -A (A^2 + wd^2 I)^(-1), so
 the band-weighted realization, its Gramians, the balancing transform and
-the whole chain stay in real arithmetic.
+the whole chain stay in real arithmetic; the complex one otherwise.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import ztrmm
 
 from .baselines import standard_gramians
 from .errors import (
@@ -115,24 +114,10 @@ def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     return values
 
 
-def _schur_band(a: np.ndarray, cfg: IntervalConfig, form=None):
-    """Band factors of a state matrix in its complex Schur basis.
-
-    Returns (Z, S, U) with A = Z T Z*, T upper triangular, and the upper
-    triangular images S = Z* M Z and U = Z* N Z. Every factor is rational
-    in T (or its square root), so one Schur form (form, if the caller
-    holds a complex one) serves the guards, resolvents and square root.
-    """
-    k = a.shape[0]
-    t, z, *_ = schur(a, output="complex") if form is None else form
-    values = _check_band_spectrum(np.diag(t), cfg)
-    eye = np.eye(k, dtype=complex)
-    inv_r2 = solve_triangular(1j * cfg.w2 * eye - t, eye)
-    inv_r1r2 = solve_triangular(1j * cfg.w1 * eye - t, inv_r2)
-    # triangular: its spectrum is its diagonal, which values guarded already
-    s = sqrt_principal(cfg.wd**2 * inv_r1r2, values)
-    u = ztrmm(1.0, 1j * cfg.wc * eye - t, inv_r1r2)
-    return z, s, u
+def _arithmetic(a: np.ndarray, cfg: IntervalConfig) -> str:
+    """The Schur form a's band factors take: real for real a over a band
+    centred at zero, where the factors are real, complex otherwise."""
+    return "real" if a.dtype.kind == "f" and cfg.wc == 0.0 else "complex"
 
 
 def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
@@ -147,23 +132,24 @@ def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
 def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
     """(M, N) factors of a state matrix over the band, as dense matrices.
 
-    A real a over a band centred at zero has real factors, built in real
-    arithmetic from X = a^2 + wd^2 I: M = sqrt(wd^2 X^(-1)), N = -a X^(-1).
-    Their spectrum guards read the eigenvalues of a's Schur form if the
-    caller holds it. Anything else goes through the complex Schur form,
-    the caller's if it holds a complex one.
+    The Schur method (Higham, Functions of Matrices, 2008, ch. 4 and 6): on
+    a = Z T Z* in the arithmetic _arithmetic picks (form, if the caller's
+    is in it), with the quasi-triangular X = (j w1 I - T)(j w2 I - T),
+    M = Z sqrt(wd^2 X^(-1)) Z* and N = Z (j wc I - T) X^(-1) Z*. The
+    spectrum guards, and the square root's, read the form's eigenvalues.
     """
-    if np.iscomplexobj(a) or cfg.wc != 0.0:
-        complex_form = form is not None and np.iscomplexobj(form.t)
-        z, s, u = _schur_band(a, cfg, form if complex_form else None)
-        return gemm(gemm(z, s), z, hb=True), gemm(gemm(z, u), z, hb=True)
-    values = _check_band_spectrum(eigvals(a) if form is None else form.lam, cfg)
-    k = a.shape[0]
-    # a commutes with X, so X^(-1) a = a X^(-1): one factorization, one solve
-    x = gemm(a, a) + cfg.wd**2 * np.eye(k)
-    singular = SingularShift("a band edge frequency is an eigenvalue")
-    xinv, xinv_a = np.hsplit(solve(x, np.hstack([np.eye(k), a]), singular), 2)
-    return sqrt_principal(cfg.wd**2 * xinv, values), -xinv_a
+    arithmetic = _arithmetic(a, cfg)
+    if form is None or (form.t.dtype.kind == "f") != (arithmetic == "real"):
+        form = schur(a, arithmetic)
+    t, z, lam, _ = form
+    values = _check_band_spectrum(lam, cfg)
+    eye = np.eye(a.shape[0])
+    # expanded, so that a real T over a band centred at zero gives T^2 + wd^2 I
+    x = gemm(t, t) - 2.0 * jw(cfg.wc) * t - cfg.w1 * cfg.w2 * eye
+    xinv = solve(x, eye, SingularShift("a band edge frequency is an eigenvalue"))
+    root = sqrt_principal(cfg.wd**2 * xinv, values)
+    n = gemm(jw(cfg.wc) * eye - t, xinv)
+    return gemm(gemm(z, root), z, hb=True), gemm(gemm(z, n), z, hb=True)
 
 
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> Extended:
@@ -227,7 +213,8 @@ class _EtaChain:
         self.guarded = set()  # orders whose spectrum guards passed
 
     def _guard(self, k: int) -> None:
-        """Order k's spectrum guards, the rules _schur_band applies to its diagonal."""
+        """Order k's spectrum guards, the rules _band_factors applies to the
+        eigenvalues of its Schur form."""
         if k in self.guarded:
             return
         try:
@@ -374,9 +361,9 @@ def interval_truncate(
     r = check_order(r, prep.sys.n)
     a_r = prep.balanced.A[:r, :r]
     # one Schur form of a_r, in the arithmetic its band factors take,
-    # serves their guards and, where the reduced model keeps that
-    # arithmetic, its poles
-    form = schur(a_r, "real" if prep.ext.config.wc == 0.0 else "complex")
+    # serves them and, where the reduced model keeps that arithmetic, its
+    # poles
+    form = schur(a_r, _arithmetic(a_r, prep.ext.config))
     m_r, n_r = _band_factors(a_r, prep.ext.config, form)
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)

@@ -12,12 +12,16 @@ on a machine with few cores. Every O(n^3) kernel in fdbt therefore goes
 through scipy's LAPACK and BLAS, by the routine handles below: products
 (gemm), triangular solves (trsv), Schur forms (gees), Lyapunov solves on
 them (trsyl), Hermitian eigensolves (syevd/heevd), singular values (gesdd),
-eigenvalues (gees or geev), linear solves (gesv) and the matrix logarithm
-on fdbt's own Schur form. scipy's own solve_continuous_lyapunov and logm
-multiply with numpy's dot internally, so neither is called on a full
-matrix. numpy keeps elementwise work: the vectorized back substitution of
-frequency sweeps and the p x m singular values of each response, which
-OpenBLAS never threads. Nothing here sets or pins a thread count.
+eigenvalues (gees or geev), linear solves (gesv), and the matrix square
+root and logarithm, both on a Schur form fdbt computes itself: the band
+factors pass sqrt_principal their form's quasi-triangular factor, and
+log_principal factors its argument by gees first. scipy's own
+solve_continuous_lyapunov and logm multiply with numpy's dot internally,
+so neither is called on a full matrix. This is the only module of fdbt
+that imports scipy. numpy keeps elementwise work: the vectorized back
+substitution of frequency sweeps and the p x m singular values of each
+response, which OpenBLAS never threads. Nothing here sets or pins a
+thread count.
 """
 
 from __future__ import annotations
@@ -329,6 +333,8 @@ def sqrt_principal(m, spectrum=None) -> np.ndarray:
     """Principal matrix square root: X·X = M with spectrum of X in the open RHP.
 
     Schur-based (the real Schur form for real input, whose root is real).
+    Inside fdbt the band factors pass it the upper (quasi-)triangular
+    factor of their own Schur form, so the root is taken on that form.
     Input must have no eigenvalue on (−∞, 0]; spectrum, the eigenvalues of
     M if the caller holds them, spares that check its own eigenvalue solve.
     """

@@ -461,14 +461,18 @@ class SweepReport:
     skipped: tuple = ()
 
 
-def _golden_max(targets, lo: np.ndarray, hi: np.ndarray, rel_tol: float = 1e-6):
+# a refined peak's search stops below this width relative to max(1, |a|, |b|)
+_REFINE_REL_TOL = 1e-6
+
+
+def _golden_max(targets, lo: np.ndarray, hi: np.ndarray):
     """Golden-section maximization of sigma_max of each target on its own
     [lo[i], hi[i]]; returns the best samples (w, v) as two arrays.
 
     targets are tuples of parts (see _split). Every search advances in
     lockstep: the first round probes lo, hi and the two interior points of
     every target, and each later round makes one probe per target still
-    wider than rel_tol * max(1, |a|, |b|); each round's probes are
+    wider than _REFINE_REL_TOL * max(1, |a|, |b|); each round's probes are
     screened by one _probe call and reduced by one sigma_max kernel call.
     Each target's arithmetic is the scalar search's, elementwise, so its
     result does not depend on the other targets; only which probe raises
@@ -494,7 +498,7 @@ def _golden_max(targets, lo: np.ndarray, hi: np.ndarray, rel_tol: float = 1e-6):
     while True:
         # a finished search keeps a and b, so its stop test stays false
         scale = np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
-        live = np.flatnonzero((b - a) > rel_tol * scale)
+        live = np.flatnonzero((b - a) > _REFINE_REL_TOL * scale)
         if live.size == 0:
             return best_w, best_v
         left = fc[live] >= fd[live]
@@ -578,15 +582,6 @@ def _refined(reports: list, targets: list) -> list:
     return reports
 
 
-def _report(grid, bad, responses, on_pole, refined=None) -> SweepReport:
-    """The finished sweep report over grid, given the responses at the
-    points not bad: _grid_report, then, when refined (the swept system) is
-    given, a golden-section search between the peak's grid neighbours that
-    sharpens its peak to relative width 1e-6 (see _refined)."""
-    report = _grid_report(grid, bad, responses, on_pole)
-    return _refined([report], [None if refined is None else _split(refined)])[0]
-
-
 def sweep(
     sys: StateSpace,
     grid: FrequencyGrid,
@@ -598,10 +593,12 @@ def sweep(
     Points are computed independently (one back substitution each on the
     system's Schur form, vectorized over the grid) and reduced to sigma_max
     by one kernel call, so the result does not depend on evaluation order.
-    An error system is swept by error_sweeps: its full model is evaluated
-    over the grid and the reduced model's responses are subtracted. Points
-    within tolerance of a pole, or whose response overflows, raise
-    PoleOnGrid (on_pole="raise") or are skipped as NaN (on_pole="skip").
+    Every sweep is an error_sweeps call: a plain system's is
+    error_sweeps(sys, [None], grid, on_pole=on_pole), its peak then refined
+    alone, and an error system's evaluates its full model over the grid and
+    subtracts the reduced model's responses. Points within tolerance of a
+    pole, or whose response overflows, raise PoleOnGrid (on_pole="raise")
+    or are skipped as NaN (on_pole="skip").
     With refine=True a golden-section search between the peak's grid
     neighbours sharpens the reported peak to relative width 1e-6; each of
     its probes is a single point solved by BLAS trsv (see _golden_max).
@@ -609,11 +606,8 @@ def sweep(
     parts = sys.__dict__.get("_parts")
     if parts is not None:
         return error_sweeps(parts[1], [parts[0]], grid, refine, on_pole)[0]
-    _check_on_pole(on_pole)
-    s_points = 1j * grid.points
-    bad = _pole_distances(sys, s_points) < _pole_tolerance(sys)
-    responses = _response_stack(sys, s_points[~bad]) if not bad.all() else None
-    return _report(grid, bad, responses, on_pole, sys if refine else None)
+    reports = error_sweeps(sys, [None], grid, on_pole=on_pole)
+    return _refined(reports, [(sys,) if refine else None])[0]
 
 
 def error_sweeps(
@@ -631,8 +625,8 @@ def error_sweeps(
     screens the points against its own poles too, at the error system's
     tolerance (1e-12 max(1, both pole radii)), is evaluated on the points
     left, and is subtracted from the plant's responses there. A None model
-    stands for the plant itself and gets the plant's own report from the
-    same responses, sweep(full, grid, on_pole=on_pole), never refined.
+    stands for the plant itself and gets the plant's own grid report from
+    the same responses, never refined.
     With refine=True the peaks of all models are refined together by one
     lockstep golden-section search: each round probes every model still
     searching, plant minus model at one point each, and reduces all of the

@@ -259,11 +259,18 @@ class TestPreparedExperiment:
             (fdbt.interval, "interval_gramians"),
             (fdbt.interval, "interval_eta"),
             (fdbt.interval, "interval_ef_bound"),
-            (fdbt.interval, "_schur_band"),
             (fdbt.interval, "_band_factors"),
             (fdbt.sysmodel, "hinf_estimate"),
         ):
             _counting(monkeypatch, module, name, counts)
+        asked = []
+        interval_schur = fdbt.interval.schur
+
+        def recording_schur(a, output="real"):
+            asked.append(output)
+            return interval_schur(a, output)
+
+        monkeypatch.setattr(fdbt.interval, "schur", recording_schur)
         report = run_randomized_experiment(self.SPEC)
         assert not any("fdbt: " in rec.note for rec in report.records)
         k, b = self.SPEC.count, len(EXPERIMENT_HALF_WIDTHS)
@@ -283,7 +290,7 @@ class TestPreparedExperiment:
         # per model and band: the band-weighted realization and one factor
         # per truncation (the chain factors no order), all of them real
         assert counts["_band_factors"] == k * b * (1 + orders)
-        assert counts["_schur_band"] == 0
+        assert asked and "complex" not in asked
 
 
 def _evaluations(monkeypatch):

@@ -44,7 +44,6 @@ from fdbt.interval import (
     _band_factors,
     _EtaChain,
     _sandwich,
-    _schur_band,
     interval_truncate,
     prepare_interval,
 )
@@ -71,7 +70,7 @@ def _sandwich_cases():
         for cplx in (False, True):
             a = np.asarray(random_stable(seed, 7, m=2, p=3, complex_entries=cplx).A)
             kind = "complex" if cplx else "real"
-            for band in ((-1.0, 1.5), (0.3, 2.0)):
+            for band in ((-1.0, 1.5), (0.3, 2.0), (-1.2, 1.2)):
                 cfg = IntervalConfig(*band)
                 yield pytest.param(a, cfg, id=f"seed{seed}-{kind}{band}")
     cfg = IntervalConfig(-0.5, 0.5)
@@ -118,6 +117,28 @@ class TestBandFactors:
         ref = m_inv @ n @ m_inv
         got = _sandwich(a, np.eye(a.shape[0]), cfg)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a, cfg", _sandwich_cases())
+    def test_factors_match_the_dense_oracle(self, a, cfg, monkeypatch):
+        # one Schur-form path for real and complex arithmetic alike, and the
+        # square root only ever sees the form's upper quasi-triangular factor
+        arguments = []
+        real_sqrt = fdbt.interval.sqrt_principal
+
+        def recording(m, spectrum=None):
+            arguments.append(np.array(m))
+            return real_sqrt(m, spectrum)
+
+        monkeypatch.setattr(fdbt.interval, "sqrt_principal", recording)
+        m, n = _band_factors(a, cfg)
+        m_ref, n_ref = orc.band_factors_dense(a, cfg.w1, cfg.w2)
+        assert np.linalg.norm(m - m_ref) <= 1e-10 * np.linalg.norm(m_ref)
+        assert np.linalg.norm(n - n_ref) <= 1e-10 * np.linalg.norm(n_ref)
+        real = np.isrealobj(a) and cfg.wc == 0.0
+        assert m.dtype == n.dtype == (np.float64 if real else np.complex128)
+        assert arguments
+        for arg in arguments:
+            assert not np.tril(arg, -2).any()
 
     def test_similarity_commutes_with_factors(self):
         sys = random_stable(71, 5)
@@ -359,9 +380,9 @@ class TestPreparedChain:
     )
     def test_chain_guard_matches_factored_order(self, a, k):
         # the chain checks every order on eigvals(A_k), the band factors on
-        # their Schur diagonal: one rule, one message
+        # their Schur form's eigenvalues: one rule, one message
         with pytest.raises(FdbtError) as factored:
-            _schur_band(a[:k, :k], UNIT_BAND)
+            _band_factors(a[:k, :k], UNIT_BAND)
         # one more state, so that order k lies below the chain's order n
         padded = np.diag(np.full(k + 1, -1.0 + 0j))
         padded[:k, :k] = a[:k, :k]

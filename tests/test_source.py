@@ -31,3 +31,23 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_module_reads_every_name_it_imports(module):
     tree = ast.parse((SRC / module).read_text(), filename=module)
     assert _unused_imports(tree) == []
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    """Top-level names of the absolute modules a module imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "linalg.py")
+)
+def test_only_linalg_imports_scipy(module):
+    # every LAPACK and BLAS call goes through linalg's routine handles
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert "scipy" not in _imported_modules(tree)

@@ -522,7 +522,8 @@ def _per_system_sweep(err, grid, refine=False, on_pole="raise"):
     s_points = 1j * grid.points
     bad = sysmodel._pole_distances(err, s_points) < sysmodel._pole_tolerance(err)
     responses = None if bad.all() else sysmodel._response_stack(err, s_points[~bad])
-    return sysmodel._report(grid, bad, responses, on_pole, err if refine else None)
+    report = sysmodel._grid_report(grid, bad, responses, on_pole)
+    return sysmodel._refined([report], [sysmodel._split(err) if refine else None])[0]
 
 
 def _outcome(sweep_call):
@@ -889,7 +890,7 @@ class TestLockstepRefinement:
             assert _outcome(lambda: rep) == _outcome(lambda: alone)
 
     def test_report_is_finished(self):
-        # _report refines a single swept system itself
+        # _refined finishes a single swept system's report too
         full = random_stable(116, 6)
         err = error_system(full, fibt_reduce(full, 2).reduced)
         grid = FrequencyGrid.linear(-3.0, 3.0, 41)
