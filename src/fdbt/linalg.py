@@ -10,16 +10,19 @@ each with its own thread pool, and a threaded call into one library while
 the other's workers still spin waiting for work runs several times slower
 on a machine with few cores. Every O(n^3) kernel in fdbt therefore goes
 through scipy's LAPACK and BLAS, by the routine handles below: products
-(gemm), triangular solves (trsv), Schur forms (gees), Lyapunov solves on
-them (trsyl), Hermitian eigensolves (syevd/heevd), singular values (gesdd),
-eigenvalues (gees or geev), linear solves (gesv), and the matrix square
-root and logarithm, both on a Schur form fdbt computes itself: the band
-factors pass sqrt_principal their form's quasi-triangular factor, and
-log_principal factors its argument by gees first. scipy's own
-solve_continuous_lyapunov and logm multiply with numpy's dot internally,
-so neither is called on a full matrix. This is the only module of fdbt
-that imports scipy. numpy keeps elementwise work: the vectorized back
-substitution of frequency sweeps and the p x m singular values of each
+(gemm), Schur forms (gees), Lyapunov solves on them (trsyl), single-point
+frequency responses on them (resolvent: trsv on a complex triangular
+form, trsyl on a real quasi-triangular one), Hermitian eigensolves
+(syevd/heevd), singular values (gesdd), eigenvalues (gees or geev),
+linear solves (gesv), and the matrix square root and logarithm, both on a
+Schur form fdbt computes itself: the band factors pass sqrt_principal
+their form's quasi-triangular factor, and log_principal factors its
+argument by gees first. scipy's own solve_continuous_lyapunov and logm
+multiply with numpy's dot internally, so neither is called on a full
+matrix. This is the only module of fdbt that imports scipy. numpy keeps
+elementwise work: the diagonal steps of a frequency sweep's vectorized
+back substitution (the rows above each panel of a real form are updated
+by one gemm, add_product) and the p x m singular values of each
 response, which OpenBLAS never threads. Nothing here sets or pins a
 thread count.
 """
@@ -126,22 +129,81 @@ def gemm(a: np.ndarray, b: np.ndarray, ha: bool = False, hb: bool = False) -> np
     return fn(1.0, b.T, a.T, trans_a=tb, trans_b=ta).T
 
 
-def trsv(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t⁻¹x for upper triangular t, by one BLAS trsv per column of x.
+def add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """c += a·b in place, by one real BLAS gemm with β = 1, for C-ordered
+    float64 c, a and b (passed as their Fortran-ordered transposes)."""
+    _routine("gemm", "d")(1.0, b.T, a.T, 1.0, c.T, overwrite_c=1)
 
-    Each column is solved in place in a C-ordered copy of x, read with
-    stride m, so no column is copied out. A C-ordered t is passed as its
-    Fortran-ordered transpose, a lower triangle solved transposed, so it is
-    not copied either.
+
+def resolvent(t: np.ndarray, left: np.ndarray, right: np.ndarray, d: np.ndarray):
+    """The probe s ↦ left·(sI − T)⁻¹·right + d, a p × m complex array, for
+    the upper (quasi-)triangular factor T of a Schur form.
+
+    Everything that does not depend on s (layouts, the BLAS and LAPACK
+    handles, the right-hand sides) is fixed here once, so a probe makes one
+    solve per column of right and one product, with no dtype dispatch.
+    A complex (triangular) T solves a shifted copy of itself by one BLAS
+    trsv per column of right, multiplies by left (gemm) and adds d.
+    A real quasi-triangular T keeps real arithmetic (Golub, Nash & Van
+    Loan, IEEE TAC 1979): with s = σ + jω and (sI − T)⁻¹·right = U + jV,
+    each column pair (u_j, v_j) solves the real Sylvester equation
+    T X + X S = [−right_j, 0], S = [[−σ, −ω], [ω, −σ]], which is already in
+    Schur canonical form: one trsyl per column of right, in place in
+    adjacent columns of one work array. One gemm then adds left·X to d,
+    spread over the same (u, v) columns, and comes back with each row's
+    (u, v) pairs adjacent, so it is read as complex without a copy. A
+    probe that trsyl could solve only by perturbing it (s within rounding
+    of an eigenvalue of T) comes back NaN, as a response that overflowed
+    does.
     """
-    char = _char(t, x)
-    fn = _routine("trsv", char)
-    out = np.array(x, dtype=char, order="C")
-    flat, m = out.reshape(-1), out.shape[1]
-    a, lower = (t, 0) if t.flags.f_contiguous else (t.T, 1)
-    for j in range(m):
-        fn(a, flat, incx=m, offx=j, lower=lower, trans=lower, overwrite_x=1)
-    return out
+    n, m = right.shape
+    if t.dtype.kind == "c":
+        neg = -t
+        lower = 0 if neg.flags.f_contiguous else 1
+        rhs = np.array(right, dtype="D", order="C")
+        # gemm's operand order (see gemm), fixed by the layouts of left and x
+        both_f = left.flags.f_contiguous and rhs.flags.f_contiguous
+        trsv_fn, gemm_fn = _routine("trsv", "D"), _routine("gemm", "D")
+
+        def probe(s):
+            shifted = neg.copy(order="K")
+            shifted.ravel("K")[:: n + 1] += s
+            a = shifted.T if lower else shifted
+            x = rhs.copy()
+            flat = x.reshape(-1)
+            for j in range(m):
+                trsv_fn(a, flat, incx=m, offx=j, lower=lower, trans=lower, overwrite_x=1)
+            product = gemm_fn(1.0, left, x) if both_f else gemm_fn(1.0, x.T, left.T).T
+            return product + d
+
+        return probe
+
+    if not d.size:  # no inputs or no outputs: scipy's gemm refuses an empty c
+        return lambda s: np.zeros(d.shape, complex)
+    tf = np.asfortranarray(t)
+    rhs = np.zeros((n, 2 * m), order="F")
+    rhs[:, ::2] = -right
+    left_t = np.ascontiguousarray(left).T
+    # (left·X + d)ᵀ, so that each row of the product holds its (u, v) pairs
+    d_t = np.zeros((2 * m, d.shape[0]), order="F")
+    d_t[::2] = d.T
+    nan = np.full(d.shape, np.nan, complex)
+    trsyl_fn, gemm_fn = _routine("trsyl", "d"), _routine("gemm", "d")
+
+    def probe(s):
+        shift = np.array([[-s.real, -s.imag], [s.imag, -s.real]], order="F")
+        x = rhs.copy(order="F")
+        for j in range(0, 2 * m, 2):
+            _, scale, info = trsyl_fn(tf, shift, x[:, j : j + 2], overwrite_c=1)
+            if info < 0:
+                raise ConvergenceFailure(f"Sylvester solve failed (LAPACK info {info})")
+            if info:
+                return nan.copy()
+            if scale != 1.0:
+                x[:, j : j + 2] /= scale
+        return gemm_fn(1.0, x, left_t, 1.0, d_t, trans_a=1).T.view(np.complex128)
+
+    return probe
 
 
 def _fro_norm(x: np.ndarray) -> float:

@@ -23,7 +23,16 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import SchurForm, as_matrix, gemm, schur, solve, solve_guarded, trsv
+from .linalg import (
+    SchurForm,
+    add_product,
+    as_matrix,
+    gemm,
+    resolvent,
+    schur,
+    solve,
+    solve_guarded,
+)
 
 REAL_TOL = 1e-14
 
@@ -119,15 +128,23 @@ class StateSpace:
 
     @cached_property
     def _schur_form(self) -> tuple:
-        """(T, C Z, Z* B) of the complex Schur form A = Z T Z*, computed once
-        (complex A's cached form). Error systems are never factored whole:
-        their responses are the differences of their two parts' responses.
+        """(T, C Z, Z* B) of the cached Schur form A = Z T Z*, in A's own
+        arithmetic: T is triangular for a complex A and real
+        quasi-triangular, with 2 x 2 blocks for complex pole pairs, for a
+        real A. Error systems are never factored whole: their responses
+        are the differences of their two parts' responses.
         """
-        t, z, *_ = self._form if self.A.dtype.kind == "c" else schur(self.A, "complex")
+        t, z, *_ = self._form
         form = (t, gemm(self.C, z), gemm(z, self.B, ha=True))
         for x in form:
             x.setflags(write=False)
         return form
+
+    @cached_property
+    def _resolvent(self):
+        """s -> C (sI - A)^(-1) B + D on the cached Schur form, with its
+        constants and routine handles fixed once (see linalg.resolvent)."""
+        return resolvent(*self._schur_form, self.D)
 
     def transformed(self, t: np.ndarray, tinv: np.ndarray) -> "StateSpace":
         """Similarity transform: (T^-1 A T, T^-1 B, C T, D)."""
@@ -172,9 +189,29 @@ def _pole_distances(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     return np.min(np.abs(points[:, None] - sys.poles[None, :]), axis=1)
 
 
-# Cap on the (p + n, block, m) back-substitution array; a 2000-point sweep
-# of a several-hundred-state error system must not allocate the whole stack.
+# Cap on the (chunks, p + n, points, m) back-substitution array; a
+# 2000-point sweep of a several-hundred-state error system must not
+# allocate the whole stack.
 _STACK_BLOCK_BYTES = 32 * 1024 * 1024
+# Points per chunk. A sweep pads its points to whole chunks with copies of
+# its last point, so every array the kernel works on has one shape per
+# system, whatever the grid: a point's bytes do not depend on its grid.
+_CHUNK_POINTS = 64
+# Rows per panel of a real form's back substitution.
+_PANEL_ROWS = 8
+
+
+def _panels(n: int, pairs: set) -> list:
+    """(first, last) row ranges of at most _PANEL_ROWS rows, bottom first,
+    none splitting a 2 x 2 block that starts at a row of pairs."""
+    panels, last = [], n
+    while last > 0:
+        first = max(0, last - _PANEL_ROWS)
+        if first - 1 in pairs:
+            first -= 1
+        panels.append((first, last))
+        last = first
+    return panels
 
 
 def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
@@ -185,13 +222,22 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     (sI - T) x = Z* B by back substitution and returns (C Z) x + D, so a
     point costs O(n^2 m) once the system is factored. The C Z rows sit on
     top of x in one work array, so column i of [C Z; T] updates both the
-    output and the unsolved rows at once. The loop runs numpy elementwise
-    operations over all points of a memory-capped block, and a lone point
-    (a one-point call or a one-point last block) runs as two copies of
-    itself, since numpy multiplies one-element arrays on a scalar path that
-    can round differently: a point's value does not depend on which points
-    it is evaluated with. An error system returns the difference of its two
-    parts' responses, each on the part's own Schur form.
+    output and the unsolved rows. A 1 x 1 diagonal block divides by
+    s - T[i, i]; a 2 x 2 block of a real quasi-triangular T (a complex
+    pole pair) is solved by Cramer's rule. Every operand but s is then
+    real, so a real system's responses at s and conj(s) are exact
+    conjugates, and its sigma_max is bitwise even in w.
+    The points run in chunks of _CHUNK_POINTS, padded, and numpy's
+    elementwise operations cover all chunks of a memory-capped group at
+    once. A complex T updates every row above row i at its step. A real
+    T is taken in panels of _PANEL_ROWS rows: a step updates the rows of
+    its panel, and the rows above a panel are updated after it by one real
+    gemm per chunk, on the work array read as float64 (linalg.add_product;
+    the operands are real, so real and imaginary parts update alike).
+    Every call of a system has one shape, so a point's value does not
+    depend on which points it is evaluated with. An error system returns
+    the difference of its two parts' responses, each on the part's own
+    Schur form.
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:
@@ -201,43 +247,70 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.broadcast_to(sys.D, (k, p, m)).copy()
     t, cz, zb = sys._schur_form
-    cols = np.vstack([cz, t]).T[:, :, None, None]
-    diag = np.diagonal(t)[:, None, None]
-    block = max(2, _STACK_BLOCK_BYTES // (16 * (p + n) * m))
-    out = np.empty((k, p, m), dtype=complex)
-    work = np.empty((p + n, max(2, min(block, k)), m), dtype=complex)
-    for lo in range(0, k, block):
-        pts = points[lo : lo + block]
-        if pts.shape[0] == 1:
-            pts = np.repeat(pts, 2)
-        w = work[:, : pts.shape[0]]
-        w[:p] = sys.D[:, None, :]
-        w[p:] = zb[:, None, :]
-        shift = pts[:, None] - diag
-        for i in range(n - 1, -1, -1):
-            xi = w[p + i]
-            xi /= shift[i]
-            w[: p + i] += cols[i, : p + i] * xi
-        out[lo : lo + block] = w[:p, : k - lo].transpose(1, 0, 2)
-    return out
+    rows = np.vstack([cz, t])
+    cols = rows.T[:, :, None, None]
+    diag = np.diagonal(t)[:, None, None, None]
+    # first rows of the 2 x 2 diagonal blocks of a real quasi-triangular T
+    pairs = set(np.flatnonzero(np.diagonal(t, -1)).tolist())
+    real = t.dtype.kind == "f"
+    panels = _panels(n, pairs) if real else [(0, n)]
+    # each panel's columns of [C Z; T], in the rows above the panel
+    above = {
+        first: np.ascontiguousarray(rows[: p + first, first:last])
+        for first, last in panels
+    }
+    size = _CHUNK_POINTS
+    chunks = -(-k // size)
+    padded = np.concatenate([points, np.repeat(points[-1:], chunks * size - k)])
+    padded = padded.reshape(chunks, size)
+    group = max(1, _STACK_BLOCK_BYTES // (16 * (p + n) * m * size))
+    out = np.empty((chunks * size, p, m), dtype=complex)
+    for lo in range(0, chunks, group):
+        pts = padded[lo : lo + group]
+        w = np.empty((pts.shape[0], p + n, size, m), dtype=complex)
+        w[:, :p] = sys.D[:, None, :]
+        w[:, p:] = zb[:, None, :]
+        shift = pts[:, :, None] - diag
+        for first, last in panels:
+            # the first row a step updates: a complex T's one panel updates
+            # every row above the step, a real T's panels their own rows
+            top = p + first if real else 0
+            for i in range(last - 1, first - 1, -1):
+                if i - 1 in pairs:
+                    continue  # solved with the row above it
+                x = w[:, p + i]
+                if i in pairs:
+                    # (sI - T) restricted to the block is [[s - a, -b], [-c, s - d]]
+                    y = w[:, p + i + 1]
+                    b, c = t[i, i + 1], t[i + 1, i]
+                    det = shift[i] * shift[i + 1] - b * c
+                    x[...], y[...] = (shift[i + 1] * x + b * y) / det, (c * x + shift[i] * y) / det
+                    w[:, top : p + i] += cols[i + 1, top : p + i] * y[:, None]
+                else:
+                    x /= shift[i]
+                w[:, top : p + i] += cols[i, top : p + i] * x[:, None]
+            if top:
+                for chunk in w.view(float).reshape(w.shape[0], p + n, -1):
+                    add_product(chunk[:top], above[first], chunk[p + first : p + last])
+        out[lo * size : (lo + group) * size] = w[:, :p].transpose(0, 2, 1, 3).reshape(-1, p, m)
+    return out[:k]
 
 
 def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
     """The response C (sI - A)^(-1) B + D at one point s, unscreened.
 
     An error system returns the difference of its two parts' responses.
-    Any other system solves (sI - T) x = Z* B on its cached Schur form by
-    one BLAS trsv per input column and returns (C Z) x + D by one gemm.
+    Any other system calls its cached resolvent (see linalg.resolvent):
+    one BLAS trsv per input column on a complex triangular T, or one real
+    LAPACK trsyl per input column on a real quasi-triangular T, then one
+    gemm.
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:
         return _point_response(parts[1], s) - _point_response(parts[0], s)
     if sys.n == 0:
         return sys.D.copy()
-    t, cz, zb = sys._schur_form
-    shifted = -t
-    shifted.flat[:: sys.n + 1] += s
-    return gemm(cz, trsv(shifted, zb)) + sys.D
+    return sys._resolvent(s)
 
 
 def _split(sys: StateSpace) -> tuple:
@@ -272,11 +345,11 @@ def _probe(targets, points, poles, tol) -> list:
     targets are tuples of parts (see _split) with one p x m shape, points
     Python complex numbers, and poles and tol the targets' rows of
     _screens. All probes are screened against the poles as one array, then
-    each is evaluated by _point_response (one BLAS trsv per input column of
-    each part) and all are checked for finiteness as one array. Raises
-    PoleOnGrid at the first probe, in order, that lies within tolerance of
-    a pole or whose response overflows; probes after a pole hit are not
-    evaluated.
+    each is evaluated by _point_response (one resolvent call per part) and
+    all are checked for finiteness as one array. Raises PoleOnGrid at the
+    first probe, in order, that lies within tolerance of a pole or whose
+    response overflows (a real form's probe that trsyl had to perturb
+    counts as overflowed); probes after a pole hit are not evaluated.
     """
     near = np.abs(np.array(points)[:, None] - poles).min(axis=1) < tol
     stop = int(np.argmax(near)) if near.any() else len(points)
@@ -301,8 +374,8 @@ def evaluate_at(sys: StateSpace, s: complex) -> np.ndarray:
     """Response matrix at an arbitrary complex point s.
 
     Raises PoleOnGrid within tolerance of a pole or where the response
-    overflows. A one-point _probe: one triangular solve per input column on
-    the cached Schur form (of each part, for an error system).
+    overflows. A one-point _probe on the cached Schur form (of each part,
+    for an error system): see _point_response.
     """
     targets = [_split(sys)]
     return _probe(targets, [complex(s)], *_screens(targets))[0]
@@ -591,8 +664,11 @@ def sweep(
     """Evaluate sigma_max over a grid and locate its peak.
 
     Points are computed independently (one back substitution each on the
-    system's Schur form, vectorized over the grid) and reduced to sigma_max
-    by one kernel call, so the result does not depend on evaluation order.
+    system's one Schur form, real or complex, vectorized over the grid) and
+    reduced to sigma_max by one kernel call, so the result does not depend
+    on evaluation order. A real system's sigma_max is bitwise even in w, so
+    on a grid mirrored exactly about 0 (symmetric_log_grid) two mirror
+    peaks tie and the negative frequency is reported.
     Every sweep is an error_sweeps call: a plain system's is
     error_sweeps(sys, [None], grid, on_pole=on_pole), its peak then refined
     alone, and an error system's evaluates its full model over the grid and
@@ -601,7 +677,7 @@ def sweep(
     or are skipped as NaN (on_pole="skip").
     With refine=True a golden-section search between the peak's grid
     neighbours sharpens the reported peak to relative width 1e-6; each of
-    its probes is a single point solved by BLAS trsv (see _golden_max).
+    its probes is a single point (see _point_response and _golden_max).
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:

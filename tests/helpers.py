@@ -20,6 +20,19 @@ def random_stable(seed, n, m=1, p=1, complex_entries=False, margin=0.3):
     return StateSpace(a, mat(n, m), mat(p, n), mat(p, m))
 
 
+def damped_chain(k, damping=0.01, m=1, p=1, seed=0):
+    """A chain of k unit masses between unit springs, each mass damped by
+    damping: 2k states, lightly damped pole pairs -damping/2 +- j w_i with
+    w_i^2 = 4 sin^2(i pi / (2(k + 1))) - damping^2/4. Seeded B and C."""
+    rng = np.random.default_rng(seed)
+    stiff = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    a = np.block([[np.zeros((k, k)), np.eye(k)], [-stiff, -damping * np.eye(k)]])
+    return StateSpace(
+        a, rng.standard_normal((2 * k, m)), rng.standard_normal((p, 2 * k)),
+        rng.standard_normal((p, m)),
+    )
+
+
 def random_unstable(seed, n, m=1, p=1, lift=0.5):
     """A system whose rightmost eigenvalue sits at +lift."""
     rng = np.random.default_rng(seed)

@@ -2,9 +2,9 @@
 
 Every invocation goes through cli.main() in-process, so exit codes,
 stdout JSON, stderr diagnostics, and written files can all be asserted
-without spawning interpreters. The one exception compares bundles written
-at two BLAS thread counts, which OpenBLAS fixes when it loads, so each
-count runs in an interpreter of its own. Paths live under tmp_path
+without spawning interpreters. The exceptions compare bytes written at
+two BLAS thread counts, which OpenBLAS fixes when it loads, so each count
+runs in an interpreter of its own. Paths live under tmp_path
 throughout.
 """
 
@@ -403,9 +403,8 @@ class TestBenchExample:
 
 
     def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # ex3 is left out: its rank-level sweeps and the fgbt r = 51
-        # verdict move with the thread count (ROADMAP item 8)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        # ex3 is left out: its error sweeps, through the Gramians, and the
+        # fgbt r = 51 verdict move with the thread count (ROADMAP item 8)
         script = (
             "import sys\n"
             "from fdbt.cli import main\n"
@@ -414,20 +413,41 @@ class TestBenchExample:
         )
         written = []
         for threads in ("1", None):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            if threads:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"threads-{threads or 'default'}"
-            subprocess.run(
-                [sys.executable, "-c", script, str(out)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
+            _python_at_threads(threads, script, str(out))
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(written[0]) >= 3 * 3
         assert written[0].keys() == written[1].keys()
         for name in written[0]:
             assert written[0][name] == written[1][name], name
+
+    def test_ex3_plant_sweep_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # the 201-state ladder's sweep over ex3 case 1's grid, the bundle's
+        # response_full, reads one real Schur form whatever the thread count
+        script = (
+            "import sys\n"
+            "from fdbt import FrequencyGrid, generate_ladder, harness, sweep\n"
+            "grid = FrequencyGrid.linear(-2.0, 2.0, harness.LADDER_GRID_POINTS)\n"
+            "report = sweep(generate_ladder(harness.LADDER_ORDER), grid)\n"
+            "sys.stdout.write(report.sigma_max.tobytes().hex())\n"
+        )
+        swept = [_python_at_threads(threads, script) for threads in ("1", None)]
+        assert len(swept[0]) == 2 * 8 * 801
+        assert swept[0] == swept[1]
+
+
+def _python_at_threads(threads, script, *args):
+    """stdout of a fresh interpreter running script with fdbt importable, at
+    OPENBLAS_NUM_THREADS=threads, or at OpenBLAS's default for None."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    ).stdout
 
 
 class TestBenchLadder:

@@ -28,7 +28,7 @@ from fdbt import (
 )
 from fdbt.baselines import gspa_truncate
 from fdbt.interval import IntervalBalanced, interval_truncate
-from fdbt.linalg import eigh, eigvals, gemm, schur, solve, solve_guarded, svd, trsv
+from fdbt.linalg import eigh, eigvals, gemm, resolvent, schur, solve, solve_guarded, svd
 from fdbt.reduction import Balanced
 
 
@@ -289,21 +289,36 @@ class TestKernelHandles:
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"), ("complex", "complex")])
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_trsv_matches_solve(self, layout, kinds, m):
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("m, p", [(1, 1), (3, 2)])
+    def test_resolvent_matches_solve(self, layout, kind, m, p):
         rng = np.random.default_rng(6)
-        t = np.triu(self._operand(rng, (5, 5), kinds[0], layout)) + 4.0 * np.eye(5)
-        t = np.asfortranarray(t) if layout == "F" else t
-        x = self._operand(rng, (5, m), kinds[1], layout)
-        x_before = x.copy()
-        got = trsv(t, x)
-        want = np.linalg.solve(t, x)
-        assert got.shape == (5, m)
-        assert got.dtype == want.dtype
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-        # the right-hand side is not overwritten
-        assert np.array_equal(x, x_before)
+        # a real matrix with complex pole pairs has 2 x 2 blocks in its
+        # real Schur form; the complex form of a complex one is triangular
+        t = schur(self._operand(rng, (6, 6), kind, "C")).t
+        assert kind == "complex" or np.any(np.diagonal(t, -1))
+        laid_out = {"C": np.ascontiguousarray, "strided": lambda x: np.repeat(x, 2, 1)[:, ::2]}
+        t = laid_out.get(layout, np.asfortranarray)(t)
+        left = self._operand(rng, (p, 6), kind, layout)
+        right = self._operand(rng, (6, m), kind, layout)
+        d = self._operand(rng, (p, m), kind, layout)
+        before = (t.copy(), left.copy(), right.copy(), d.copy())
+        probe = resolvent(t, left, right, d)
+        for s in (0.3 + 0.7j, -1.2j, 2.0 + 0j, 0j):
+            got = probe(s)
+            want = left @ np.linalg.solve(s * np.eye(6) - t, right) + d
+            assert got.shape == (p, m) and got.dtype == np.complex128
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            # a probe keeps no state between calls
+            assert probe(s).tobytes() == got.tobytes()
+        for x, x_before in zip((t, left, right, d), before):
+            assert np.array_equal(x, x_before)
+
+    def test_real_resolvent_at_an_eigenvalue_is_nan(self):
+        # s = -1 makes T X + X S singular, so trsyl perturbs it (info 1)
+        t = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        got = resolvent(t, np.ones((1, 2)), np.ones((2, 1)), np.ones((1, 1)))(-1.0 + 0j)
+        assert got.shape == (1, 1) and np.isnan(got).all()
 
     def test_gemm_of_empty_operands(self):
         assert gemm(np.zeros((0, 3)), np.ones((3, 2))).shape == (0, 2)

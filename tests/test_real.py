@@ -277,14 +277,11 @@ class TestTripwire:
         assert set(seen) == {np.dtype(np.float64)}
 
     def test_one_schur_form_of_a_per_state_matrix(self, monkeypatch):
-        # the poles, both standard Gramians and the band-weighted
-        # realization (which keeps A) read one cached gees of A; no geev of
-        # A runs, and only a real A takes one more, complex, gees for sweeps
+        # the poles, both standard Gramians, the band-weighted realization
+        # (which keeps A), sweeps and probes read one cached gees of A, in
+        # A's own arithmetic; no geev of A runs
         grid = FrequencyGrid.linear(-1.0, 1.0, 11)
-        for sys, sweep_gees in (
-            (generate_ladder(31), ["D"]),
-            (_phase_rotated(generate_ladder(31), 5), []),
-        ):
+        for sys in (generate_ladder(31), _phase_rotated(generate_ladder(31), 5)):
             a = np.asarray(sys.A)
             calls = {"gees": [], "geev": []}
 
@@ -330,5 +327,31 @@ class TestTripwire:
             assert calls == {"gees": [char], "geev": []}
             sweep(fresh, grid)
             evaluate(fresh, 0.3)
-            assert calls == {"gees": [char, *sweep_gees], "geev": []}
+            assert calls == {"gees": [char], "geev": []}
             monkeypatch.undo()
+
+    def test_off_centre_band_factors_a_real_a_once_in_complex(self, monkeypatch):
+        # a band not centred at zero gives a real A complex band factors, so
+        # _band_factors takes one complex gees of it; sweeps of its error
+        # system read the cached real form and take none (the band-weighted
+        # realization holds A as complex data, factored as its own matrix)
+        sys = random_stable(5, 30)
+        factored = []
+        routine = fdbt.linalg._routine
+
+        def counting_routine(name, char):
+            fn = routine(name, char)
+
+            def wrapped(*args, **kwargs):
+                if kwargs.get("lwork") != -1:  # not a workspace query
+                    a = args[1]
+                    factored.append((char, a.dtype == sys.A.dtype and np.array_equal(a, sys.A)))
+                return fn(*args, **kwargs)
+
+            return wrapped if name == "gees" else fn
+
+        monkeypatch.setattr(fdbt.linalg, "_routine", counting_routine)
+        result = interval_reduce(sys, IntervalConfig(0.3, 2.0), 10, with_bounds=False)
+        sweep(error_system(sys, result.reduced), FrequencyGrid.linear(0.3, 2.0, 41))
+        assert factored.count(("D", True)) == 1
+        assert factored.count(("d", True)) == 1

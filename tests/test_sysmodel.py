@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from helpers import random_stable
+from helpers import damped_chain, random_stable
+import fdbt.linalg as linalg
 import fdbt.reduction as reduction
 import fdbt.sysmodel as sysmodel
 from fdbt import (
@@ -130,8 +131,24 @@ class TestPoles:
         # the sweep's triangle is the same form, not a second factorization
         assert sys._schur_form[0] is t
 
+    @pytest.mark.parametrize("seed", [40, 41, 42, 43])
+    def test_real_sweeps_read_the_cached_quasi_triangle(self, seed):
+        sys = random_stable(seed, 3 + seed % 9, m=2, p=2)
+        t = sys._form.t
+        assert t.dtype == np.float64 and np.array_equal(np.triu(t, -1), t)
+        # sweeps and probes read the one real form: no complex Schur form
+        assert sys._schur_form[0] is t
+        assert all(x.dtype == np.float64 for x in sys._schur_form)
+
 
 class TestEvaluation:
+    @pytest.mark.parametrize("m,p", [(0, 2), (2, 0)])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_no_inputs_or_no_outputs(self, m, p, complex_entries):
+        sys = random_stable(7, 4, m=m, p=p, complex_entries=complex_entries)
+        got = evaluate_at(sys, 0.3 + 0.7j)
+        assert got.shape == (p, m) and got.dtype == np.complex128
+
     def test_matches_dense_inverse_oracle(self):
         sys = random_stable(5, 6, m=2, p=2, complex_entries=True)
         for s in (0.3 + 0.7j, -1.2j, 2.0):
@@ -224,26 +241,56 @@ class TestSweep:
         "seed,n,m,p", [(10, 30, 2, 2), (100, 9, 1, 1), (101, 9, 1, 1), (102, 9, 1, 1)]
     )
     def test_block_split_does_not_change_bytes(self, monkeypatch, seed, n, m, p):
-        # a point's response has the same bytes alone, in a pair and inside
-        # a larger block, and a one-point last block is no exception
-        sys = random_stable(seed, n, m=m, p=p)
-        points = 1j * np.linspace(-3.0, 3.0, 41)
-        whole = sysmodel._response_stack(sys, points)
-        for i in range(points.size):
-            alone = sysmodel._response_stack(sys, points[i : i + 1])
-            pair = sysmodel._response_stack(sys, points[[i, i - 1]])
-            assert alone[0].tobytes() == pair[0].tobytes() == whole[i].tobytes(), i
-        grid = FrequencyGrid.linear(-2.0, 2.0, 257)
-        swept = sweep(sys, grid).sigma_max.tobytes()
-        per_point = 16 * (p + n) * m
-        for size in range(2, points.size):
-            # blocks of `size` points: the point at index size is left alone
-            monkeypatch.setattr(sysmodel, "_STACK_BLOCK_BYTES", per_point * size)
-            split = sysmodel._response_stack(sys, points[: size + 1])
-            assert split.tobytes() == whole[: size + 1].tobytes(), size
-        # 257 = 8 * 32 + 1: eight full blocks and a one-point last block
-        monkeypatch.setattr(sysmodel, "_STACK_BLOCK_BYTES", per_point * 32)
-        assert sweep(sys, grid).sigma_max.tobytes() == swept
+        # a point's response has the same bytes alone, in a pair, inside a
+        # larger block and in every group of chunks the memory cap allows,
+        # whatever padding its grid's last chunk takes; on a real form
+        # (whose complex pole pairs are 2 x 2 blocks) and a complex one
+        real = random_stable(seed, n, m=m, p=p)
+        assert np.any(np.diagonal(real._form.t, -1))
+        for sys in (real, random_stable(seed, n, m=m, p=p, complex_entries=True)):
+            points = 1j * np.linspace(-3.0, 3.0, 41)
+            whole = sysmodel._response_stack(sys, points)
+            for i in range(points.size):
+                alone = sysmodel._response_stack(sys, points[i : i + 1])
+                pair = sysmodel._response_stack(sys, points[[i, i - 1]])
+                assert alone[0].tobytes() == pair[0].tobytes() == whole[i].tobytes(), i
+            for size in range(2, points.size):
+                split = sysmodel._response_stack(sys, points[: size + 1])
+                assert split.tobytes() == whole[: size + 1].tobytes(), size
+            grid = FrequencyGrid.linear(-2.0, 2.0, 257)
+            swept = sweep(sys, grid).sigma_max.tobytes()
+            per_chunk = 16 * (p + n) * m * sysmodel._CHUNK_POINTS
+            for chunks in (1, 2, 3):
+                # 257 points: four full chunks and a one-point last one
+                monkeypatch.setattr(sysmodel, "_STACK_BLOCK_BYTES", per_chunk * chunks)
+                assert sweep(sys, grid).sigma_max.tobytes() == swept
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_real_sigma_max_is_bitwise_even(self, seed, m, p):
+        # a real system's responses at s and conj(s) are exact conjugates
+        sys = random_stable(seed, 12, m=m, p=p)
+        half = np.geomspace(1e-3, 1e2, 60)
+        grid = FrequencyGrid.explicit(np.concatenate([-half, half]))
+        sig = sweep(sys, grid).sigma_max
+        assert sig[:60][::-1].tobytes() == sig[60:].tobytes()
+        responses = sysmodel._response_stack(sys, 1j * grid.points)
+        assert responses[:60][::-1].tobytes() == responses[60:].conj().tobytes()
+
+    def test_mirror_tie_reports_the_negative_frequency(self):
+        # on a mirror-exact grid the two peaks of a real system are equal,
+        # so the first, negative, one is reported; refinement searches its
+        # bracket and keeps the sign
+        sys = damped_chain(4)
+        grid = symmetric_log_grid(sys.poles, 400)
+        assert np.array_equal(grid.points, -grid.points[::-1])
+        rep = sweep(sys, grid)
+        k = int(np.argmax(rep.sigma_max))
+        assert rep.peak_frequency < 0.0
+        assert rep.sigma_max[k] == rep.sigma_max[grid.points.size - 1 - k]
+        assert sweep(sys, grid, refine=True).peak_frequency < 0.0
+        assert hinf_estimate(sys, 400)[1] < 0.0
 
     def test_pole_on_grid_raise_mode(self):
         grid = FrequencyGrid.explicit([0.0, 1.0, 2.0])
@@ -433,6 +480,17 @@ class TestSchurResponses:
         gap = _worst_gap(err, _ORACLE_POINTS, scale_sys=ladder, kernel=_pointwise)
         assert gap <= 1e-11
 
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3)])
+    def test_lightly_damped_chain_matches_lu_oracle(self, m, p):
+        # pole pairs -0.005 +- j w_i: 2 x 2 blocks of the real form, probed
+        # at points a relative 1e-3 off each resonance, on both sides
+        sys = damped_chain(8, m=m, p=p)
+        assert np.count_nonzero(np.diagonal(sys._form.t, -1)) == 8
+        w = np.abs(sys.poles.imag)
+        points = 1j * np.concatenate([w * (1.0 + 1e-3), -w * (1.0 - 1e-3)])
+        for kernel in (sysmodel._response_stack, _pointwise):
+            assert _worst_gap(sys, points, kernel=kernel) <= 1e-12
+
 
 class TestSeededErrorSystem:
     def _pair(self):
@@ -500,20 +558,32 @@ class TestSeededErrorSystem:
 
     def test_each_model_is_factored_once(self, monkeypatch):
         full = random_stable(21, 12, m=2, p=2)
-        reduced = [fibt_reduce(full, r).reduced for r in (2, 4, 6)]
+        # fresh copies, so that every factorization, the poles' too, is counted
+        models = [
+            StateSpace(s.A, s.B, s.C, s.D)
+            for s in [full] + [fibt_reduce(full, r).reduced for r in (2, 4, 6)]
+        ]
+        full, reduced = models[0], models[1:]
         factored = []
-        real_schur = sysmodel.schur
+        routine = linalg._routine
 
-        def counting_schur(a, *args, **kwargs):
-            factored.append(a.shape[0])
-            return real_schur(a, *args, **kwargs)
+        def counting_routine(name, char):
+            fn = routine(name, char)
 
-        monkeypatch.setattr(sysmodel, "schur", counting_schur)
+            def wrapped(*args, **kwargs):
+                if kwargs.get("lwork") != -1:  # not a workspace query
+                    factored.append((name, char, args[name == "gees"].shape[0]))
+                return fn(*args, **kwargs)
+
+            return wrapped if name in ("gees", "geev") else fn
+
+        monkeypatch.setattr(linalg, "_routine", counting_routine)
         errs = [error_system(full, red) for red in reduced]
         sweep(errs[0], FrequencyGrid.linear(-3.0, 3.0, 61), refine=True)
         for j in range(20):
             sigma_max_at(errs[j % 3], 0.1 * j)
-        assert sorted(factored) == [2, 4, 6, 12]
+        # one real gees per model: poles, sweeps and probes all read it
+        assert sorted(factored) == [("gees", "d", n) for n in (2, 4, 6, 12)]
 
 
 def _per_system_sweep(err, grid, refine=False, on_pole="raise"):
@@ -999,6 +1069,16 @@ class TestProbeErrors:
         plant = self._resonant(gain=1e153)
         models = [_empty_model(1, 1, [[0.0]]), _empty_model(1, 1, [[1e300]])]
         self._check(plant, models, self.GRID, "response overflowed")
+
+    @pytest.mark.parametrize("s", [-1.0 + 1e-9, -1.0 + 1e-9j])
+    def test_probe_that_trsyl_perturbs_is_an_overflow(self, s):
+        # 1e-9 from the pole at -1: outside its screening tolerance, 2e-12,
+        # but inside trsyl's perturbation threshold, eps * 1e8
+        sys = StateSpace([[-1.0, 1e8], [0.0, -2.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(PoleOnGrid, match="response overflowed") as info:
+            evaluate_at(sys, s)
+        assert str(info.value) == f"response overflowed at s = {complex(s)}"
+        assert info.value.omega == complex(s)
 
     def test_grids_are_checked_before_any_probe(self, monkeypatch):
         # the first model's search would hit the pole, but the second
