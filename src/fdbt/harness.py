@@ -28,6 +28,7 @@ from .sf import SfConfig, epsilon_sweep, sf_reduce
 from .sysmodel import (
     FrequencyGrid,
     StateSpace,
+    SweepReport,
     error_sweeps,
     is_hurwitz,
     symmetric_log_grid,
@@ -35,8 +36,9 @@ from .sysmodel import (
 
 # Grid densities. The experiment grid is deliberately lighter than the
 # example grids: 100 models x 12 cells x 3 methods adds up, and 512 points
-# plus golden refinement resolves the in-band peak of a 4th-order error
-# system to far better than the ratios' meaningful digits.
+# plus the peak search (one probe for a peak on a band edge, parabolic
+# steps inside) resolves the in-band peak of a 4th-order error system to
+# far better than the ratios' meaningful digits.
 EXPERIMENT_GRID_POINTS = 512
 EXAMPLE_GRID_POINTS = 2001
 LADDER_GRID_POINTS = 801
@@ -549,10 +551,10 @@ def _error_sweeps(sys, reduced_models, grid) -> list:
     return error_sweeps(sys, reduced_models, grid, refine=True, on_pole="skip")
 
 
-def _dc_reports(sys, reduced_models) -> list:
+def _dc_reports(sys, reduced_models, reports) -> list:
     """Error reports of one plant's reduced models at w = 0, stepping off
-    spurious cancelling poles; the plant is evaluated once (see
-    error_sweeps).
+    spurious cancelling poles; read off the models' reports over one grid,
+    which must hold w = 0 (a point's bytes do not depend on its grid).
 
     Truncation can park exactly-cancelling modes on the origin (finite
     response, formally a pole); bundles must record data rather than raise,
@@ -560,8 +562,14 @@ def _dc_reports(sys, reduced_models) -> list:
     an offset of 1e-9 instead, and PoleOnGrid is raised if that point is
     undefined too.
     """
-    reports = _error_sweeps(sys, reduced_models, FrequencyGrid.explicit([0.0]))
-    undefined = [i for i, report in enumerate(reports) if report.skipped]
+    om = reports[0].grid.points
+    if 0.0 not in om:
+        raise InvalidParameters("DC errors are read off a grid holding w = 0")
+    k, dc = int(np.searchsorted(om, 0.0)), FrequencyGrid.explicit([0.0])
+    undefined = [i for i, rep in enumerate(reports) if math.isnan(rep.sigma_max[k])]
+    reports = [
+        SweepReport(dc, rep.sigma_max[k : k + 1], float(rep.sigma_max[k]), 0.0) for rep in reports
+    ]
     if undefined:
         offset = error_sweeps(
             sys, [reduced_models[i] for i in undefined], FrequencyGrid.explicit([1e-9])
@@ -588,7 +596,7 @@ def _reproduce_ex1() -> ExampleBundle:
 
     reduced = [res.reduced for res in results.values()]
     reports = _error_sweeps(sys, reduced, grid)
-    dc_reports = _dc_reports(sys, reduced)
+    dc_reports = _dc_reports(sys, reduced, reports)
     for label, report, at_dc in zip(results, reports, dc_reports):
         sweeps[f"error_{label}_r3"] = report
         values[f"err0_{label}"] = float(at_dc.peak_value)
@@ -701,24 +709,24 @@ def _reproduce_ex3_case1() -> ExampleBundle:
         LADDER_SF_ORDER,
         with_ef_bound=False,
     )
-    try:
-        dc = _dc_reports(sys, [res.reduced for res in results.values()])
-    except PoleOnGrid as exc:
-        # a gspa model whose DC error is undefined fails as gspa; any
-        # other model's failure raises again without it
-        if results.pop("gspa_r181", None) is None:
-            raise
-        notes.append(f"gspa failed: {exc}")
-        dc = _dc_reports(sys, [res.reduced for res in results.values()])
-    dc = dict(zip(results, dc))
+    while True:
+        # the full model's own response comes from the same plant
+        # evaluation, and the DC errors are read off the grid's w = 0
+        reduced = [res.reduced for res in results.values()]
+        try:
+            full_report, *reports = _error_sweeps(sys, [None] + reduced, grid)
+            dc = dict(zip(results, _dc_reports(sys, reduced, reports)))
+            break
+        except PoleOnGrid as exc:
+            # a gspa model whose error is undefined fails as gspa; any
+            # other model's failure raises again without it
+            if results.pop("gspa_r181", None) is None:
+                raise
+            notes.append(f"gspa failed: {exc}")
     if "gspa_r181" not in results:
         values["err0_gspa_r181"] = values["peak_nbhd_gspa_r181"] = math.nan
     for label, at_dc in dc.items():
         values[f"err0_{label}"] = float(at_dc.peak_value)
-
-    # the full model's own response comes from the same plant evaluation
-    reduced = [res.reduced for res in results.values()]
-    full_report, *reports = _error_sweeps(sys, [None] + reduced, grid)
     sweeps["response_full"] = full_report
     for label, report in zip(results, reports):
         sweeps[f"error_{label}"] = report

@@ -129,19 +129,24 @@ def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     return (jw(cfg.wc) * y - gemm(a, y)) / cfg.wd**2
 
 
+def _band_form(a: np.ndarray, cfg: IntervalConfig, form=None):
+    """a's Schur form in the arithmetic _arithmetic picks: form, if in it."""
+    arithmetic = _arithmetic(a, cfg)
+    if form is None or (form.t.dtype.kind == "f") != (arithmetic == "real"):
+        form = schur(a, arithmetic)
+    return form
+
+
 def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
     """(M, N) factors of a state matrix over the band, as dense matrices.
 
     The Schur method (Higham, Functions of Matrices, 2008, ch. 4 and 6): on
-    a = Z T Z* in the arithmetic _arithmetic picks (form, if the caller's
-    is in it), with the quasi-triangular X = (j w1 I - T)(j w2 I - T),
-    M = Z sqrt(wd^2 X^(-1)) Z* and N = Z (j wc I - T) X^(-1) Z*. The
-    spectrum guards, and the square root's, read the form's eigenvalues.
+    a = Z T Z* (_band_form), with the quasi-triangular
+    X = (j w1 I - T)(j w2 I - T), M = Z sqrt(wd^2 X^(-1)) Z* and
+    N = Z (j wc I - T) X^(-1) Z*. The spectrum guards, and the square
+    root's, read the form's eigenvalues.
     """
-    arithmetic = _arithmetic(a, cfg)
-    if form is None or (form.t.dtype.kind == "f") != (arithmetic == "real"):
-        form = schur(a, arithmetic)
-    t, z, lam, _ = form
+    t, z, lam, _ = _band_form(a, cfg, form)
     values = _check_band_spectrum(lam, cfg)
     eye = np.eye(a.shape[0])
     # expanded, so that a real T over a band centred at zero gives T^2 + wd^2 I
@@ -155,10 +160,15 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> Extended:
     """Band-weighted realization: (A, M B, C M, D + C N B).
 
-    It keeps sys's state matrix, so it shares sys's cached Schur form.
+    It keeps sys's state matrix and shares the Schur form the band factors
+    take: sys's own, or the complex one that complex factors of a real A
+    take and make the realization's (it is then complex data).
     """
-    m, n = _band_factors(sys.A, cfg, sys._form)
-    ext = sys.with_io(gemm(m, sys.B), gemm(sys.C, m), sys.D + gemm(gemm(sys.C, n), sys.B))
+    form = _band_form(sys.A, cfg, sys._form)
+    m, n = _band_factors(sys.A, cfg, form)
+    ext = StateSpace(sys.A, gemm(m, sys.B), gemm(sys.C, m), sys.D + gemm(gemm(sys.C, n), sys.B))
+    if ext.A.dtype == form.t.dtype:
+        ext.__dict__["_form"] = form
     return Extended(ext, cfg)
 
 
@@ -363,7 +373,7 @@ def interval_truncate(
     # one Schur form of a_r, in the arithmetic its band factors take,
     # serves them and, where the reduced model keeps that arithmetic, its
     # poles
-    form = schur(a_r, _arithmetic(a_r, prep.ext.config))
+    form = _band_form(a_r, prep.ext.config)
     m_r, n_r = _band_factors(a_r, prep.ext.config, form)
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)

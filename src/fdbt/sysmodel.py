@@ -36,9 +36,6 @@ from .linalg import (
 
 REAL_TOL = 1e-14
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Immutable state-space realization (A, B, C, D).
@@ -153,13 +150,6 @@ class StateSpace:
         return StateSpace(
             gemm(gemm(tinv, self.A), t), gemm(tinv, self.B), gemm(self.C, t), self.D
         )
-
-    def with_io(self, b, c, d) -> "StateSpace":
-        """(A, b, c, d): same A, sharing its cached Schur form if the dtype is kept."""
-        out = StateSpace(self.A, b, c, d)
-        if out.A.dtype == self.A.dtype:
-            out.__dict__["_form"] = self._form
-        return out
 
 
 class Stability(NamedTuple):
@@ -327,7 +317,7 @@ def _screens(targets) -> tuple:
     inf; tol[i] is the target's pole tolerance.
     """
     rows = [np.concatenate([part.poles for part in parts]) for parts in targets]
-    poles = np.full((len(rows), max(1, *(row.size for row in rows))), np.inf, complex)
+    poles = np.full((len(rows), max([1] + [row.size for row in rows])), np.inf, complex)
     for padded, row in zip(poles, rows):
         padded[: row.size] = row
     return poles, np.array([_pole_tolerance(*parts) for parts in targets])
@@ -389,7 +379,7 @@ def evaluate(sys: StateSpace, omega: float) -> np.ndarray:
 def sigma_max_at(sys: StateSpace, omega: float) -> float:
     """Largest singular value of the response at one frequency, by the one
     sigma_max kernel (_sigma_stack). Refinement does not call it: a refined
-    sweep probes all of its models at once (see _golden_max)."""
+    sweep probes all of its models at once (see _refined)."""
     return float(_sigma_stack(evaluate(sys, omega)[None])[0])
 
 
@@ -534,58 +524,77 @@ class SweepReport:
     skipped: tuple = ()
 
 
-# a refined peak's search stops below this width relative to max(1, |a|, |b|)
+# A refined peak's search stops once its bracket lies within this width,
+# relative to max(1, |lo|, |hi|), of its best sample.
 _REFINE_REL_TOL = 1e-6
+# Brent's golden-section fallback step, as a fraction of the longer side
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_max(targets, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section maximization of sigma_max of each target on its own
-    [lo[i], hi[i]]; returns the best samples (w, v) as two arrays.
+def _peak_search(a: float, fa: float, x: float, fx: float, b: float, fb: float):
+    """Maximize sigma_max on [a, b] from its grid samples (a, fa), (x, fx),
+    (b, fb): x the grid peak, a and b its nearest finite neighbours (x
+    itself on the grid's edge). A generator: it yields one probe frequency
+    per round, is sent its sigma_max, and returns the best sample (w, v),
+    a grid sample where no probe beat it.
 
-    targets are tuples of parts (see _split). Every search advances in
-    lockstep: the first round probes lo, hi and the two interior points of
-    every target, and each later round makes one probe per target still
-    wider than _REFINE_REL_TOL * max(1, |a|, |b|); each round's probes are
-    screened by one _probe call and reduced by one sigma_max kernel call.
-    Each target's arithmetic is the scalar search's, elementwise, so its
-    result does not depend on the other targets; only which probe raises
-    first (in _probe's order) can.
+    With width = _REFINE_REL_TOL * max(1, |a|, |b|), a bracket within width
+    is not probed. An edge peak (x = a or b) probes the point width inside
+    the edge and stands unless that probe is higher: its bracket's interior
+    is not searched, so it is as blind as the grid to a narrower bump.
+    Otherwise Brent's maximization runs (Algorithms for Minimization
+    without Derivatives, 1973, ch. 5), seeded by the three samples held:
+    parabolic steps, golden-section ones where a parabola is refused, none
+    shorter than width / 2, until every point of the bracket lies within
+    width of the best sample x.
     """
-    poles, tol = _screens(targets)
-    a, b = lo.copy(), hi.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    first = np.stack([lo, hi, c, d], axis=1)
-    sig = _sigmas(
-        _probe(
-            [parts for parts in targets for _ in range(4)],
-            [1j * w for w in first.ravel().tolist()],
-            np.repeat(poles, 4, axis=0),
-            np.repeat(tol, 4),
-        )
-    ).reshape(-1, 4)
-    best_w, best_v = lo.copy(), sig[:, 0].copy()
-    up = sig[:, 1] > best_v
-    best_w[up], best_v[up] = hi[up], sig[up, 1]
-    fc, fd = sig[:, 2].copy(), sig[:, 3].copy()
+    width = _REFINE_REL_TOL * max(1.0, abs(a), abs(b))
+    tol = 0.5 * width
+    if x == a or x == b:
+        if b - a <= width:
+            return x, fx
+        inner = x + width if x == a else x - width
+        f_inner = yield inner
+        if f_inner <= fx:
+            return x, fx
+        v, fv = (b, fb) if x == a else (a, fa)
+        w, fw, x, fx = x, fx, inner, f_inner
+    else:
+        (w, fw), (v, fv) = ((a, fa), (b, fb)) if fa >= fb else ((b, fb), (a, fa))
+    d = e = b - a
     while True:
-        # a finished search keeps a and b, so its stop test stays false
-        scale = np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
-        live = np.flatnonzero((b - a) > _REFINE_REL_TOL * scale)
-        if live.size == 0:
-            return best_w, best_v
-        left = fc[live] >= fd[live]
-        i, j = live[left], live[~left]
-        b[i], d[i], fd[i] = d[i], c[i], fc[i]
-        c[i] = b[i] - _INVPHI * (b[i] - a[i])
-        a[j], c[j], fc[j] = c[j], d[j], fd[j]
-        d[j] = a[j] + _INVPHI * (b[j] - a[j])
-        points = [1j * w for w in np.where(left, c[live], d[live]).tolist()]
-        v = _sigmas(_probe([targets[t] for t in live], points, poles[live], tol[live]))
-        fc[i], fd[j] = v[left], v[~left]
-        for f, x in ((fc, c), (fd, d)):
-            up = live[f[live] > best_v[live]]
-            best_w[up], best_v[up] = x[up], f[up]
+        m = 0.5 * (a + b)
+        if abs(x - m) <= width - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = -p if q > 0.0 else p, abs(q)
+            last, e = e, d
+            # the parabola's vertex x + p / q, taken when it lies inside
+            # the bracket and steps less than half the step before last
+            parabolic = abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if (x + d) - a < width or b - (x + d) < width:
+                d = tol if x <= m else -tol
+        else:
+            e = a - x if x >= m else b - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else (tol if d >= 0.0 else -tol))
+        fu = yield u
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _check_on_pole(on_pole: str) -> None:
@@ -625,34 +634,46 @@ def _grid_report(grid, bad, responses, on_pole) -> SweepReport:
 
 
 def _refined(reports: list, targets: list) -> list:
-    """reports, updated in place, with each peak sharpened by one lockstep
-    _golden_max.
+    """reports, updated in place, with every peak sharpened by its own
+    _peak_search, all run in lockstep.
 
     targets[i] is report i's swept system as a tuple of parts (see _split),
-    or None to leave report i as it is. A peak is searched between its
-    nearest finite grid neighbours (the peak itself on the grid's edge) and
-    moves to the best probe only where that exceeds the grid peak.
+    or None to leave report i as it is. A peak moves to its search's best
+    sample only where that exceeds the grid peak. Each round's probe of
+    every search still running is screened by one _probe call and reduced
+    by one sigma_max kernel call. A search's arithmetic is its own, so its
+    result does not depend on the others; only which probe raises first
+    (in _probe's order) can.
     """
-    picks, los, his = [], [], []
+    picks, searches = [], []
     for i, (rep, parts) in enumerate(zip(reports, targets)):
-        om = rep.grid.points
-        if parts is None or om.size < 2 or math.isnan(rep.peak_value):
+        if parts is None or math.isnan(rep.peak_value):
             continue
-        finite = om[~np.isnan(rep.sigma_max)]
-        below = finite[finite < rep.peak_frequency]
-        above = finite[finite > rep.peak_frequency]
-        lo = float(below[-1]) if below.size else rep.peak_frequency
-        hi = float(above[0]) if above.size else rep.peak_frequency
-        if hi > lo:
+        finite = np.flatnonzero(~np.isnan(rep.sigma_max))
+        j = int(np.searchsorted(rep.grid.points[finite], rep.peak_frequency))
+        k = finite[[max(j - 1, 0), j, min(j + 1, finite.size - 1)]]
+        if k[2] > k[0]:
+            samples = np.stack([rep.grid.points[k], rep.sigma_max[k]], axis=1)
             picks.append(i)
-            los.append(lo)
-            his.append(hi)
-    if picks:
-        w_ref, v_ref = _golden_max([targets[i] for i in picks], np.array(los), np.array(his))
-        for i, w, v in zip(picks, w_ref.tolist(), v_ref.tolist()):
-            if v > reports[i].peak_value:
-                reports[i] = replace(reports[i], peak_value=v, peak_frequency=w)
-    return reports
+            searches.append(_peak_search(*samples.ravel().tolist()))
+    poles, tol = _screens([targets[i] for i in picks])
+    sent = dict.fromkeys(range(len(picks)))
+    while True:
+        asked = {}
+        for row, value in sent.items():
+            try:
+                asked[row] = searches[row].send(value)
+            except StopIteration as done:
+                (w, v), i = done.value, picks[row]
+                if v > reports[i].peak_value:
+                    reports[i] = replace(reports[i], peak_value=v, peak_frequency=w)
+        if not asked:
+            return reports
+        rows = list(asked)
+        parts = [targets[picks[row]] for row in rows]
+        points = [1j * w for w in asked.values()]
+        sig = _sigmas(_probe(parts, points, poles[rows], tol[rows]))
+        sent = dict(zip(rows, sig.tolist()))
 
 
 def sweep(
@@ -675,9 +696,10 @@ def sweep(
     subtracts the reduced model's responses. Points within tolerance of a
     pole, or whose response overflows, raise PoleOnGrid (on_pole="raise")
     or are skipped as NaN (on_pole="skip").
-    With refine=True a golden-section search between the peak's grid
-    neighbours sharpens the reported peak to relative width 1e-6; each of
-    its probes is a single point (see _point_response and _golden_max).
+    With refine=True a search between the peak's grid neighbours sharpens
+    the reported peak to relative width 1e-6: one probe inside an edge
+    peak, Brent's parabolic steps elsewhere (see _peak_search). Each probe
+    is a single point (see _point_response).
     """
     parts = sys.__dict__.get("_parts")
     if parts is not None:
@@ -704,7 +726,7 @@ def error_sweeps(
     stands for the plant itself and gets the plant's own grid report from
     the same responses, never refined.
     With refine=True the peaks of all models are refined together by one
-    lockstep golden-section search: each round probes every model still
+    lockstep search (_refined): each round probes every model still
     searching, plant minus model at one point each, and reduces all of the
     probes by one sigma_max kernel call. Every model's grid report is made,
     in order, before any probe, so under on_pole="raise" the first model
@@ -800,8 +822,8 @@ def hinf_estimate(sys: StateSpace, points: int = 2000):
     """Dense-grid estimate of sup over all real w of sigma_max(G(jw)).
 
     A lower estimate of the true norm: symmetric log grid spanning the
-    pole magnitudes, golden-section refinement around the grid peak (see
-    sweep), and sigma_max(D) as the w -> +/-inf candidate (frequency
+    pole magnitudes, the peak search between the grid peak's neighbours
+    (see sweep), and sigma_max(D) as the w -> +/-inf candidate (frequency
     reported as inf), all reduced by the one sigma_max kernel. Returns
     (value, frequency).
     """

@@ -8,12 +8,13 @@ per-point LU solves for frequency responses, and symbolic circuit
 analysis for the ladder fixture. Slow and simple is the point. The package under test must agree
 with these, never the other way around.
 
-Oracles take raw arrays, with one exception: the refinement oracle at the
-end is the scalar golden-section search with which fdbt once refined a
-sweep's peak one probe at a time, kept verbatim with its sigma_max_at
-probe. Its probes
-evaluate through fdbt's screened `evaluate`, so its peaks are bitwise what
-a one-probe-at-a-time refinement of the same responses gives.
+Oracles take raw arrays, with one exception: the refinement oracles at the
+end search a sweep's peak one probe at a time through a sigma_max_at probe
+that evaluates through fdbt's screened `evaluate`. `peak_search` is the
+scalar form of fdbt's peak search, so its peaks are bitwise what a
+one-probe-at-a-time refinement of the same responses gives; `golden_max`
+is the golden-section search with which fdbt once refined peaks, kept
+verbatim as an accuracy reference.
 """
 
 import math
@@ -329,8 +330,8 @@ SCALAR_INTERVAL = {
 
 
 # ---------------------------------------------------------------------------
-# refinement oracle: the scalar golden-section search, one sigma_max_at per
-# probe, kept verbatim
+# refinement oracles, one sigma_max_at per probe: the scalar peak search,
+# and the golden-section search kept verbatim
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -369,3 +370,85 @@ def golden_max(
         if fd > best_v:
             best_w, best_v = d, fd
     return best_w, best_v
+
+
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def peak_search(f: Callable[[float], float], a, fa, x, fx, b, fb, rel_tol=1e-6):
+    """Maximize f on [a, b] from the grid samples (a, fa), (x, fx), (b, fb),
+    x the grid peak (x = a or x = b at the grid's edge); returns the best
+    sample. One probe at a time, in the order fdbt's lockstep search makes
+    them.
+
+    A bracket within width = rel_tol * max(1, |a|, |b|) is not probed. An
+    edge peak probes the point width inside the edge and keeps the edge's
+    grid sample unless that probe is higher. Every other search is
+    Brent's (Numerical Recipes' brent, maximizing, with tol1 = width / 2),
+    its three points seeded by the grid samples, or by the far neighbour
+    and the two probes after an edge.
+    """
+    width = rel_tol * max(1.0, abs(a), abs(b))
+    tol1 = width / 2.0
+    if x in (a, b):
+        if b - a <= width:
+            return x, fx
+        inner = x + width if x == a else x - width
+        f_inner = f(inner)
+        if not f_inner > fx:
+            return x, fx
+        far = (b, fb) if x == a else (a, fa)
+        points = [(inner, f_inner), (x, fx), far]
+    else:
+        points = [(x, fx)] + ([(a, fa), (b, fb)] if fa >= fb else [(b, fb), (a, fa)])
+    (x, fx), (w, fw), (v, fv) = points
+    d = b - a
+    e = b - a
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= width - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            etemp = e
+            e = d
+            golden = (
+                abs(p) >= abs(0.5 * q * etemp) or p <= q * (a - x) or p >= q * (b - x)
+            )
+            if not golden:
+                d = p / q
+                u = x + d
+                if u - a < width or b - u < width:
+                    d = tol1 if xm - x >= 0.0 else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = _CGOLD * e
+        if abs(d) >= tol1:
+            u = x + d
+        else:
+            u = x + tol1 if d >= 0.0 else x - tol1
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu

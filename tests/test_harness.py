@@ -334,11 +334,11 @@ class TestEvaluatedOncePerGrid:
         made = _scaled_ladder(monkeypatch)
         evaluated = _evaluations(monkeypatch)
         fdbt.harness._reproduce_ex3_case1()
-        # the 801-point grid (its response and three errors), the 401-point
-        # neighbourhood, the 601-point ef grid and w = 0, where the DC errors
-        # and the sf record are one measurement
+        # the 801-point grid (its response and three errors, and at its
+        # w = 0 the DC errors and the sf record, one measurement), the
+        # 401-point neighbourhood and the 601-point ef grid
         assert len(made) == 1
-        assert sorted(evaluated[made[0]]) == [1, 401, 601, 801]
+        assert sorted(evaluated[made[0]]) == [401, 601, 801]
 
     def test_ex3_case1_dc_errors_are_the_sf_record_bitwise(self, monkeypatch):
         _scaled_ladder(monkeypatch)
@@ -478,13 +478,19 @@ class TestFixtures:
 
 
 class TestDcError:
+    GRID = FrequencyGrid.linear(-1.0, 1.0, 5)
+
     def test_plain_path_matches_direct_evaluation(self):
         sys = random_stable(204, 4)
         red = fibt_reduce(sys, 2).reduced
         direct = sigma_max_at(error_system(sys, red), 0.0)
-        (report,) = _dc_reports(sys, [red])
+        (report,) = _dc_reports(sys, [red], fdbt.sysmodel.error_sweeps(sys, [red], self.GRID))
         assert report.peak_value == pytest.approx(direct, rel=1e-12)
-        assert (report.peak_frequency, report.skipped) == (0.0, ())
+        assert (report.peak_frequency, report.skipped, len(report.grid)) == (0.0, (), 1)
+        # the DC point is read off the grid, never swept again
+        without = fdbt.sysmodel.error_sweeps(sys, [red], FrequencyGrid.linear(-1.0, 1.0, 4))
+        with pytest.raises(InvalidParameters):
+            _dc_reports(sys, [red], without)
 
     def test_cancelling_origin_mode_falls_back(self):
         # identical responses, but the stacked error realization carries an
@@ -494,7 +500,8 @@ class TestDcError:
             [[0.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]], [[0.0]]
         )
         copy = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-        (report,) = _dc_reports(withzero, [copy])
+        reports = fdbt.sysmodel.error_sweeps(withzero, [copy], self.GRID, on_pole="skip")
+        (report,) = _dc_reports(withzero, [copy], reports)
         assert report.peak_value <= 1e-8
         assert report.peak_frequency == 1e-9
 

@@ -18,6 +18,7 @@ import scipy.linalg
 import fdbt.baselines
 import fdbt.interval
 import fdbt.linalg
+import fdbt.reduction
 from helpers import random_stable
 from fdbt import (
     FdbtError,
@@ -332,10 +333,11 @@ class TestTripwire:
 
     def test_off_centre_band_factors_a_real_a_once_in_complex(self, monkeypatch):
         # a band not centred at zero gives a real A complex band factors, so
-        # _band_factors takes one complex gees of it; sweeps of its error
-        # system read the cached real form and take none (the band-weighted
-        # realization holds A as complex data, factored as its own matrix)
+        # _band_factors takes one complex gees of it; the band-weighted
+        # realization, complex data, shares that form, and sweeps of the
+        # error system read the cached real form and take none
         sys = random_stable(5, 30)
+        cfg = IntervalConfig(0.3, 2.0)
         factored = []
         routine = fdbt.linalg._routine
 
@@ -345,13 +347,27 @@ class TestTripwire:
             def wrapped(*args, **kwargs):
                 if kwargs.get("lwork") != -1:  # not a workspace query
                     a = args[1]
-                    factored.append((char, a.dtype == sys.A.dtype and np.array_equal(a, sys.A)))
+                    # A's values, held real or complex
+                    factored.append((char, a.shape == sys.A.shape and np.array_equal(a, sys.A)))
                 return fn(*args, **kwargs)
 
             return wrapped if name == "gees" else fn
 
         monkeypatch.setattr(fdbt.linalg, "_routine", counting_routine)
-        result = interval_reduce(sys, IntervalConfig(0.3, 2.0), 10, with_bounds=False)
+        prep = prepare_interval(sys, cfg)
+        assert [char for char, of_a in factored if of_a] == ["d", "D"]
+        result = fdbt.interval.interval_truncate(prep, 10, with_bounds=False)
         sweep(error_system(sys, result.reduced), FrequencyGrid.linear(0.3, 2.0, 41))
-        assert factored.count(("D", True)) == 1
-        assert factored.count(("d", True)) == 1
+        assert [char for char, of_a in factored if of_a] == ["d", "D"]
+        monkeypatch.undo()
+        # the shared form gives the bytes the realization's own gees gives
+        ext = prep.ext.sys
+        assert ext.A.dtype == complex
+        own = StateSpace(ext.A, ext.B, ext.C, ext.D)
+        gram = fdbt.interval.interval_gramians(fdbt.reduction.Extended(own, cfg))
+        for got, want in zip(
+            (prep.gram.sigma, prep.gram.T, prep.gram.Tinv, prep.gram.sys.A, prep.gram.sys.B),
+            (gram.sigma, gram.T, gram.Tinv, gram.sys.A, gram.sys.B),
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert ext.poles.tobytes() == own.poles.tobytes()
