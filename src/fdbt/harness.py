@@ -5,12 +5,20 @@ public entry points, measurements come from dense grid sweeps, and outcomes
 are recorded as data rather than raised. Bundles can be written to disk as
 CSV (sweeps, tables) and JSON (records, summaries) in the formats the CLI
 documents.
+
+The five example bundles are descriptions run by one function under one
+failure rule (_reproduced): a method whose prepare, truncate or measurement
+raises FdbtError fails alone, as a `<label> r=<r> failed: ...` note with NaN
+values, so every example, ex1 and ex2 included, records a failed method
+instead of aborting.
 """
 
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from operator import lt
 
 import numpy as np
 
@@ -21,7 +29,7 @@ from .baselines import (
     prepare_band,
     prepare_standard,
 )
-from .errors import ConvergenceFailure, FdbtError, InvalidParameters, PoleOnGrid
+from .errors import ConvergenceFailure, FdbtError, InvalidParameters
 from .interval import IntervalConfig, interval_truncate, prepare_interval
 from .reduction import ReductionResult
 from .sf import SfConfig, epsilon_sweep, sf_reduce
@@ -43,6 +51,8 @@ EXPERIMENT_GRID_POINTS = 512
 EXAMPLE_GRID_POINTS = 2001
 LADDER_GRID_POINTS = 801
 EF_GRID_POINTS = 1200
+LADDER_NBHD_GRID_POINTS = 401
+LADDER_EF_GRID_POINTS = 600
 
 # Example 3 scenario: a 201st-order unit RLC ladder. The baselines get a
 # generous order 181 and still fail around w = 0; the shift-parameterized
@@ -107,28 +117,11 @@ def verify_bound(
     whole-axis grid for ef. Pole hits are skipped, not fatal; failures are
     data, not exceptions.
     """
-    return _verified(sys, [(result, bound_key)], grid)[0]
-
-
-def _verified(sys: StateSpace, checks, grid: FrequencyGrid) -> list:
-    """verify_bound for each (result, bound_key) of one plant over one grid.
-
-    Every key is checked before anything is swept; the plant is evaluated
-    over the grid once for all of them.
-    """
-    keys = []
-    for result, bound_key in checks:
-        key = bound_key or _DEFAULT_BOUND_KEY.get(result.method, "ef")
-        if key not in result.bounds:
-            raise InvalidParameters(
-                f"result from {result.method!r} carries no {key!r} bound"
-            )
-        keys.append(key)
-    reports = _error_sweeps(sys, [result.reduced for result, _ in checks], grid)
-    return [
-        _record(result, key, report)
-        for (result, _), key, report in zip(checks, keys, reports)
-    ]
+    key = bound_key or _DEFAULT_BOUND_KEY.get(result.method, "ef")
+    if key not in result.bounds:
+        raise InvalidParameters(f"result from {result.method!r} carries no {key!r} bound")
+    (report,) = _error_sweeps(sys, [result.reduced], grid)
+    return _record(result, key, report)
 
 
 def _record(result: ReductionResult, key: str, report) -> VerificationRecord:
@@ -283,7 +276,9 @@ class ExperimentReport:
 
 
 def _prepared(prepare, *args):
-    """prepare(*args), or the FdbtError it raised, kept for every order."""
+    """prepare(*args), or the FdbtError it raised, kept for every order.
+    Every example method's prepare, truncate and measurement runs through
+    here: the one place their errors are caught (see _reproduced)."""
     try:
         return prepare(*args)
     except FdbtError as exc:
@@ -552,277 +547,276 @@ def _error_sweeps(sys, reduced_models, grid) -> list:
 
 
 def _dc_reports(sys, reduced_models, reports) -> list:
-    """Error reports of one plant's reduced models at w = 0, stepping off
-    spurious cancelling poles; read off the models' reports over one grid,
-    which must hold w = 0 (a point's bytes do not depend on its grid).
+    """Error reports of one plant's reduced models at w = 0, read off the
+    models' reports over one grid, which must hold w = 0 (a point's bytes
+    do not depend on its grid).
 
     Truncation can park exactly-cancelling modes on the origin (finite
-    response, formally a pole); bundles must record data rather than raise,
-    so the models whose error is undefined at the origin are measured at
-    an offset of 1e-9 instead, and PoleOnGrid is raised if that point is
-    undefined too.
+    response, formally a pole), so a model whose error is undefined there
+    is measured at w = 1e-9 instead; if that is undefined too, the model's
+    entry is the PoleOnGrid raised, its failure alone.
     """
-    om = reports[0].grid.points
-    if 0.0 not in om:
-        raise InvalidParameters("DC errors are read off a grid holding w = 0")
-    k, dc = int(np.searchsorted(om, 0.0)), FrequencyGrid.explicit([0.0])
-    undefined = [i for i, rep in enumerate(reports) if math.isnan(rep.sigma_max[k])]
-    reports = [
-        SweepReport(dc, rep.sigma_max[k : k + 1], float(rep.sigma_max[k]), 0.0) for rep in reports
-    ]
-    if undefined:
-        offset = error_sweeps(
-            sys, [reduced_models[i] for i in undefined], FrequencyGrid.explicit([1e-9])
-        )
-        for i, report in zip(undefined, offset):
-            reports[i] = report
-    return reports
+    dc, offset = FrequencyGrid.explicit([0.0]), FrequencyGrid.explicit([1e-9])
+    out = []
+    for reduced, rep in zip(reduced_models, reports):
+        om = rep.grid.points
+        if 0.0 not in om:
+            raise InvalidParameters("DC errors are read off a grid holding w = 0")
+        k = int(np.searchsorted(om, 0.0))
+        if math.isnan(rep.sigma_max[k]):
+            out.append(_prepared(lambda m: error_sweeps(sys, [m], offset)[0], reduced))
+        else:
+            out.append(SweepReport(dc, rep.sigma_max[k : k + 1], float(rep.sigma_max[k]), 0.0))
+    return out
 
 
-def _reproduce_ex1() -> ExampleBundle:
-    fix = example_fixture("ex1")
-    sys = fix.system
-    grid = FrequencyGrid.linear(-20.0, 20.0, EXAMPLE_GRID_POINTS)
-    sweeps, records, values = {}, [], {}
+@dataclass(frozen=True)
+class _Method:
+    """One reduction method of an example, run at each of its orders.
 
-    standard = prepare_standard(sys)
-    results = {"fibt": fibt_truncate(standard, 3)}
-    for rho in EX1_GSPA_RHOS:
-        label = f"rho{rho:g}".replace(".", "p")
-        results[f"gspa_{label}"] = gspa_truncate(standard, 3, rho)
-    for eps in EX1_SF_EPSILONS:
-        label = f"eps{eps:g}".replace(".", "p")
-        results[f"sf_{label}"] = sf_reduce(sys, SfConfig(varpi=0.0, epsilon=eps), 3)
+    reduce(r) is a ReductionResult; it raises the FdbtError of a failed
+    prepare (_truncated) at every order. values names the families recorded
+    per order: err0, peak, peak_nbhd, stable (keyed <family>_<tag>) and
+    interval_bound (keyed interval_bound_r<r>). ef asks for an ef record,
+    made when the result carries that bound. An sf-fdbt method records
+    err0, the measurement of its sf record.
+    """
 
-    reduced = [res.reduced for res in results.values()]
-    reports = _error_sweeps(sys, reduced, grid)
-    dc_reports = _dc_reports(sys, reduced, reports)
-    for label, report, at_dc in zip(results, reports, dc_reports):
-        sweeps[f"error_{label}_r3"] = report
-        values[f"err0_{label}"] = float(at_dc.peak_value)
+    label: str
+    orders: tuple
+    reduce: object
+    values: tuple = ("peak",)
+    ef: bool = False
+
+
+@dataclass(frozen=True)
+class _Example:
+    """One example scenario as data, run by _reproduced.
+
+    Each method's error is swept over grid (its sweep file, named by sweep;
+    with full_response the plant's response too), err0 is read off that
+    sweep at w = 0, peak_nbhd comes from the nbhd grid and ef records from
+    a symmetric log grid of ef_points. tag names a method's values at an
+    order; assertions maps names to (value keys, predicate of the values).
+    """
+
+    name: str
+    plant: StateSpace
+    methods: tuple
+    grid: FrequencyGrid
+    assertions: dict
+    nbhd: FrequencyGrid = None
+    ef_points: int = EF_GRID_POINTS
+    full_response: bool = False
+    tag: str = "{label}_r{r}"
+    sweep: str = "error_{label}_r{r}"
+    tables: dict = field(default_factory=dict)
+
+
+def _reproduced(ex: _Example) -> ExampleBundle:
+    """Run, measure and record every method of one example at its orders.
+
+    The one failure rule: an FdbtError from a method's prepare, truncate or
+    measurement (its DC error included) fails that method at that order
+    alone, with a `<label> r=<r> failed: ...` note, NaN values (stable 0.0),
+    no sweep file and no record; an assertion that reads any of its values
+    is false. Each grid is swept once for all the methods it measures.
+    Records follow the methods' order within each order: a method's own
+    bound (interval, sf) first, its ef record after.
+    """
+    orders = dict.fromkeys(r for method in ex.methods for r in method.orders)
+    runs = [(method, r) for r in orders for method in ex.methods if r in method.orders]
+    # each run's ReductionResult, or the FdbtError that failed it
+    results = {run: _prepared(run[0].reduce, run[1]) for run in runs}
+    got = {run: {} for run in runs}  # run -> what was measured -> its report
+    sweeps, records, values, notes, failed = {}, [], {}, [], set()
+
+    def live(family=None):
+        ok = [run for run in runs if not isinstance(results[run], FdbtError)]
+        return [run for run in ok if family is None or family in run[0].values]
+
+    def keep(what, chosen, reports):
+        for run, report in zip(chosen, reports):
+            if isinstance(report, FdbtError):
+                results[run] = report
+            got[run][what] = report
+
+    def measure(what, grid, chosen, full=False):
+        models = ([None] if full else []) + [results[run].reduced for run in chosen]
+        reports = _prepared(_error_sweeps, ex.plant, models, grid) if models else []
+        if isinstance(reports, FdbtError):
+            # a refining probe hit a pole: sweep each model alone to find whose
+            reports = [_prepared(lambda m: _error_sweeps(ex.plant, [m], grid)[0], m) for m in models]
+        if full:
+            # the plant's own response, from the evaluation its errors share
+            sweeps["response_full"] = reports.pop(0)
+        keep(what, chosen, reports)
+
+    measure("peak", ex.grid, live(), ex.full_response)
+    chosen = live("err0")
+    models = [results[run].reduced for run in chosen]
+    keep("err0", chosen, _dc_reports(ex.plant, models, [got[run]["peak"] for run in chosen]))
+    measure("peak_nbhd", ex.nbhd, live("peak_nbhd"))
+    chosen = [run for run in live() if run[0].ef and "ef" in results[run].bounds]
+    measure("ef", symmetric_log_grid(ex.plant.poles, ex.ef_points), chosen)
+
+    for run in runs:
+        (method, r), result = run, results[run]
+        tag = ex.tag.format(label=method.label, r=r)
+        keys = {
+            family: f"interval_bound_r{r}" if family == "interval_bound" else f"{family}_{tag}"
+            for family in method.values
+        }
+        if isinstance(result, FdbtError):
+            notes.append(f"{method.label} r={r} failed: {result}")
+            values.update({key: 0.0 if f == "stable" else math.nan for f, key in keys.items()})
+            failed.update(keys.values())
+            continue
+        sweeps[ex.sweep.format(label=method.label, r=r)] = got[run]["peak"]
+        quantity = {what: report.peak_value for what, report in got[run].items()}
+        quantity.update(stable=result.stable, interval_bound=result.bounds.get("interval"))
+        values.update({key: float(quantity[family]) for family, key in keys.items()})
+        own = _DEFAULT_BOUND_KEY.get(result.method)
+        if own:  # the in-band sweep measures the interval bound, the DC error the sf
+            records.append(_record(result, own, got[run]["err0" if own == "sf" else "peak"]))
+        if "ef" in got[run]:
+            records.append(_record(result, "ef", got[run]["ef"]))
+        if "stable" in method.values and not result.stable:
+            notes.append(
+                f"{method.label} r={r}: reduced model not Hurwitz "
+                f"(max Re pole {float(np.max(result.reduced.poles.real)):+.3e})"
+            )
+    assertions = {
+        name: failed.isdisjoint(keys) and bool(predicate(*(values[key] for key in keys)))
+        for name, (keys, predicate) in ex.assertions.items()
+    }
+    return ExampleBundle(
+        ex.name, sweeps, tuple(records), assertions, values, ex.tables, tuple(notes)
+    )
+
+
+def _beats(peak, other, other_stable=1.0) -> bool:
+    """peak <= other up to rounding. A competitor that is not Hurwitz has no
+    steady-state response to an in-band sinusoid, so it cannot win in-band
+    however small its axis error looks (its peak and flag stay recorded)."""
+    return not other_stable or peak <= other * (1.0 + _REL_SLACK)
+
+
+def _int_fgbt_keys(r: int) -> tuple:
+    return f"peak_int_r{r}", f"peak_fgbt_r{r}", f"stable_fgbt_r{r}"
+
+
+def _ex1() -> _Example:
+    sys = example_fixture("ex1").system
+    standard = _prepared(prepare_standard, sys)
     # fibt always carries an ef bound, gspa only at rho = 0, sf-fdbt only
     # when both models are Hurwitz
-    ef_records = iter(
-        _verified(
-            sys,
-            [(res, "ef") for res in results.values() if "ef" in res.bounds],
-            symmetric_log_grid(sys.poles, EF_GRID_POINTS),
-        )
+    reduce = {"fibt": partial(_truncated, fibt_truncate, standard)}
+    for rho in EX1_GSPA_RHOS:
+        label = f"gspa_rho{rho:g}".replace(".", "p")
+        reduce[label] = partial(_truncated, gspa_truncate, standard, rho=rho)
+    for eps in EX1_SF_EPSILONS:
+        reduce[f"sf_eps{eps:g}".replace(".", "p")] = partial(sf_reduce, sys, SfConfig(0.0, eps))
+    methods = tuple(_Method(label, (3,), fn, ("err0",), ef=True) for label, fn in reduce.items())
+    sf_3_5 = [f"err0_sf_eps{e:g}".replace(".", "p") for e in EX1_SF_EPSILONS if 3.0 <= e <= 5.0]
+    return _Example(
+        "ex1", sys, methods, FrequencyGrid.linear(-20.0, 20.0, EXAMPLE_GRID_POINTS),
+        {
+            "sf_dc_error_below_fibt_for_some_eps_in_3_5": (
+                ("err0_fibt", *sf_3_5),
+                lambda fibt, *sf: min(sf) < fibt,
+            ),
+            "gspa_dc_error_increases_with_rho": (
+                ("err0_gspa_rho0", "err0_gspa_rho0p5", "err0_gspa_rho5"),
+                lambda rho0, rho0p5, rho5: rho0 <= rho0p5 <= rho5,
+            ),
+        },
+        tag="{label}",
+        tables={"epsilon_sweep": tuple(epsilon_sweep(sys, 0.0, 3, np.geomspace(0.1, 100.0, 61)))},
     )
-    for (label, res), at_dc in zip(results.items(), dc_reports):
-        # the sf bound holds at the shift point, w = 0: the DC error's own
-        # measurement is its record
-        if label.startswith("sf_"):
-            records.append(_record(res, "sf", at_dc))
-        if "ef" in res.bounds:
-            records.append(next(ef_records))
-
-    in_three_five = [
-        values[f"err0_sf_eps{e:g}".replace(".", "p")]
-        for e in EX1_SF_EPSILONS
-        if 3.0 <= e <= 5.0
-    ]
-    assertions = {
-        "sf_dc_error_below_fibt_for_some_eps_in_3_5": bool(
-            min(in_three_five) < values["err0_fibt"]
-        ),
-        "gspa_dc_error_increases_with_rho": bool(
-            values["err0_gspa_rho0"]
-            <= values["err0_gspa_rho0p5"]
-            <= values["err0_gspa_rho5"]
-        ),
-    }
-    tables = {
-        "epsilon_sweep": tuple(
-            epsilon_sweep(sys, 0.0, 3, np.geomspace(0.1, 100.0, 61))
-        )
-    }
-    return ExampleBundle("ex1", sweeps, tuple(records), assertions, values, tables)
 
 
-def _reproduce_ex2(case: str) -> ExampleBundle:
-    fix = example_fixture("ex2")
-    sys = fix.system
+def _ex2(case: str) -> _Example:
+    sys = example_fixture("ex2").system
     w1, w2 = EX2_BANDS[case]
-    cfg = IntervalConfig(w1, w2)
-    band = FrequencyGrid.linear(w1, w2, EXAMPLE_GRID_POINTS)
-    sweeps, records, values, assertions = {}, [], {}, {}
-
-    standard = prepare_standard(sys)
-    interval = prepare_interval(sys, cfg)
-    band_limited = prepare_band(sys, w1, w2, (standard.Wc, standard.Wo))
+    standard = _prepared(prepare_standard, sys)
+    # fgbt's band step takes the standard pair fibt has solved
+    pair = None if isinstance(standard, FdbtError) else (standard.Wc, standard.Wo)
+    interval = _prepared(prepare_interval, sys, IntervalConfig(w1, w2))
+    band = _prepared(prepare_band, sys, w1, w2, pair)
+    methods = (
+        _Method("int", EX2_ORDERS, partial(_truncated, interval_truncate, interval),
+                ("peak", "interval_bound"), ef=True),
+        _Method("fibt", EX2_ORDERS, partial(_truncated, fibt_truncate, standard), ef=True),
+        _Method("fgbt", EX2_ORDERS, partial(_truncated, fgbt_truncate, band), ("peak", "stable")),
+    )
+    assertions = {}
     for r in EX2_ORDERS:
-        fibt = fibt_truncate(standard, r)
-        intr = interval_truncate(interval, r)
-        fgbt = fgbt_truncate(band_limited, r)
-        rep = dict(
-            zip(
-                ("fibt", "int", "fgbt"),
-                _error_sweeps(sys, [fibt.reduced, intr.reduced, fgbt.reduced], band),
-            )
-        )
-        for meth, report in rep.items():
-            sweeps[f"error_{meth}_r{r}"] = report
-            values[f"peak_{meth}_r{r}"] = float(report.peak_value)
-        values[f"interval_bound_r{r}"] = float(intr.bounds["interval"])
-        values[f"stable_fgbt_r{r}"] = float(fgbt.stable)
-        # the in-band sweep just made is the interval bound's measurement
-        records.append(_record(intr, "interval", rep["int"]))
-        ef_checks = [(intr, "ef")] if "ef" in intr.bounds else []
-        records += _verified(
-            sys, ef_checks + [(fibt, "ef")], symmetric_log_grid(sys.poles, EF_GRID_POINTS)
-        )
-        peak_int = values[f"peak_int_r{r}"]
-        allow = 1.0 + _REL_SLACK
-        assertions[f"int_peak_le_fibt_r{r}"] = bool(
-            peak_int <= values[f"peak_fibt_r{r}"] * allow
-        )
-        # same usable-competitor rule as the ladder scenario: an unstable
-        # reduced model has no in-band steady state and cannot win
-        assertions[f"int_peak_le_fgbt_r{r}"] = bool(
-            not fgbt.stable or peak_int <= values[f"peak_fgbt_r{r}"] * allow
-        )
-    return ExampleBundle(
-        f"ex2_{case}", sweeps, tuple(records), assertions, values
+        assertions[f"int_peak_le_fibt_r{r}"] = ((f"peak_int_r{r}", f"peak_fibt_r{r}"), _beats)
+        assertions[f"int_peak_le_fgbt_r{r}"] = (_int_fgbt_keys(r), _beats)
+    return _Example(
+        f"ex2_{case}", sys, methods, FrequencyGrid.linear(w1, w2, EXAMPLE_GRID_POINTS), assertions
     )
 
 
-def _reproduce_ex3_case1() -> ExampleBundle:
+def _ex3_case1() -> _Example:
     sys = generate_ladder(LADDER_ORDER)
-    grid = FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS)
-    # rho = 0 residualization interpolates at w = 0 exactly, so the honest
-    # comparison for it is a neighborhood peak, kept as data only
-    nbhd = FrequencyGrid.linear(-0.1, 0.1, 401)
-    sweeps, records, values, notes = {}, [], {}, []
-
-    standard = prepare_standard(sys)
-    results = {"fibt_r181": fibt_truncate(standard, LADDER_BASELINE_ORDER)}
-    try:
-        results["gspa_r181"] = gspa_truncate(standard, LADDER_BASELINE_ORDER, 0.0)
-    except FdbtError as exc:
-        notes.append(f"gspa failed: {exc}")
-    # ef estimate on a 402-state error system costs minutes and nothing in
-    # this scenario consumes it; the shift-point bound is the one of record
-    results["sf_r51"] = sf = sf_reduce(
-        sys,
-        SfConfig(varpi=0.0, epsilon=LADDER_SF_EPSILON),
-        LADDER_SF_ORDER,
-        with_ef_bound=False,
+    standard = _prepared(prepare_standard, sys)
+    # the ef estimate of a 402-state error system costs minutes and nothing
+    # here consumes it; the shift-point bound is the one of record
+    sf = partial(sf_reduce, sys, SfConfig(0.0, LADDER_SF_EPSILON), with_ef_bound=False)
+    both, baseline = ("err0", "peak_nbhd"), (LADDER_BASELINE_ORDER,)
+    methods = (
+        _Method("fibt_r181", baseline, partial(_truncated, fibt_truncate, standard), both, True),
+        _Method("gspa_r181", baseline, partial(_truncated, gspa_truncate, standard), both),
+        _Method("sf_r51", (LADDER_SF_ORDER,), sf, both),
     )
-    while True:
-        # the full model's own response comes from the same plant
-        # evaluation, and the DC errors are read off the grid's w = 0
-        reduced = [res.reduced for res in results.values()]
-        try:
-            full_report, *reports = _error_sweeps(sys, [None] + reduced, grid)
-            dc = dict(zip(results, _dc_reports(sys, reduced, reports)))
-            break
-        except PoleOnGrid as exc:
-            # a gspa model whose error is undefined fails as gspa; any
-            # other model's failure raises again without it
-            if results.pop("gspa_r181", None) is None:
-                raise
-            notes.append(f"gspa failed: {exc}")
-    if "gspa_r181" not in results:
-        values["err0_gspa_r181"] = values["peak_nbhd_gspa_r181"] = math.nan
-    for label, at_dc in dc.items():
-        values[f"err0_{label}"] = float(at_dc.peak_value)
-    sweeps["response_full"] = full_report
-    for label, report in zip(results, reports):
-        sweeps[f"error_{label}"] = report
-    for label, report in zip(results, _error_sweeps(sys, reduced, nbhd)):
-        values[f"peak_nbhd_{label}"] = float(report.peak_value)
-    ef_grid = symmetric_log_grid(sys.poles, 600)
-    records.append(verify_bound(sys, results["fibt_r181"], ef_grid, "ef"))
-    # the sf bound holds at the shift point, w = 0: the DC error's own
-    # measurement is its record
-    records.append(_record(sf, "sf", dc["sf_r51"]))
-
-    assertions = {
-        "sf_r51_dc_error_below_fibt_r181": bool(
-            values["err0_sf_r51"] < values["err0_fibt_r181"]
-        ),
-        "sf_r51_nbhd_peak_below_fibt_r181": bool(
-            values["peak_nbhd_sf_r51"] < values["peak_nbhd_fibt_r181"]
-        ),
-    }
-    return ExampleBundle(
-        "ex3_case1", sweeps, tuple(records), assertions, values, notes=tuple(notes)
+    return _Example(
+        "ex3_case1", sys, methods, FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS),
+        {
+            "sf_r51_dc_error_below_fibt_r181": (("err0_sf_r51", "err0_fibt_r181"), lt),
+            "sf_r51_nbhd_peak_below_fibt_r181": (("peak_nbhd_sf_r51", "peak_nbhd_fibt_r181"), lt),
+        },
+        # rho = 0 residualization interpolates at w = 0 exactly, so the
+        # honest comparison for it is a neighborhood peak, kept as data only
+        nbhd=FrequencyGrid.linear(-0.1, 0.1, LADDER_NBHD_GRID_POINTS),
+        ef_points=LADDER_EF_GRID_POINTS,
+        full_response=True,
+        tag="{label}",
+        sweep="error_{label}",
     )
 
 
-def _reproduce_ex3_case2() -> ExampleBundle:
+def _ex3_case2() -> _Example:
     sys = generate_ladder(LADDER_ORDER)
     w1, w2 = LADDER_BAND
-    cfg = IntervalConfig(w1, w2)
-    band = FrequencyGrid.linear(w1, w2, LADDER_GRID_POINTS)
-    sweeps, records, values, assertions, notes = {}, [], {}, {}, []
-
     # one prepare per method: the eta chain walked for the lowest order
-    # already holds every higher order's steps
-    interval = prepare_interval(sys, cfg)
-    band_limited = _prepared(prepare_band, sys, w1, w2)
-    for r in LADDER_INTERVAL_ORDERS:
-        # in-band bound only: the ef gap terms sweep systems whose order
-        # scales with the full 201 states and add nothing to this scenario
-        intr = interval_truncate(interval, r, with_ef_bound=False)
-        try:
-            fgbt = _truncated(fgbt_truncate, band_limited, r)
-        except FdbtError as exc:
-            fgbt = exc
-        failed = isinstance(fgbt, FdbtError)
-        reduced = [intr.reduced] + ([] if failed else [fgbt.reduced])
-        rep_int, *rep_fgbt = _error_sweeps(sys, reduced, band)
-        sweeps[f"error_int_r{r}"] = rep_int
-        values[f"peak_int_r{r}"] = float(rep_int.peak_value)
-        values[f"interval_bound_r{r}"] = float(intr.bounds["interval"])
-        values[f"stable_int_r{r}"] = float(intr.stable)
-        # the in-band sweep just made is the interval bound's measurement
-        records.append(_record(intr, "interval", rep_int))
-
-        if failed:
-            values[f"peak_fgbt_r{r}"] = math.nan
-            values[f"stable_fgbt_r{r}"] = 0.0
-            notes.append(f"fgbt r={r} failed: {fgbt}")
-        else:
-            sweeps[f"error_fgbt_r{r}"] = rep_fgbt[0]
-            values[f"peak_fgbt_r{r}"] = float(rep_fgbt[0].peak_value)
-            values[f"stable_fgbt_r{r}"] = float(fgbt.stable)
-            if not fgbt.stable:
-                notes.append(
-                    f"fgbt r={r}: reduced model not Hurwitz "
-                    f"(max Re pole {float(np.max(fgbt.reduced.poles.real)):+.3e})"
-                )
-
-        # A reduced model that loses stability has no steady-state response
-        # to an in-band sinusoid, so it cannot win an in-band approximation
-        # comparison no matter how small its axis error looks. Raw peaks and
-        # stability flags stay recorded above so the call is auditable.
-        peak_fgbt = values[f"peak_fgbt_r{r}"]
-        fgbt_usable = math.isfinite(peak_fgbt) and values[f"stable_fgbt_r{r}"] > 0
-        assertions[f"int_beats_fgbt_in_band_r{r}"] = bool(
-            not fgbt_usable
-            or values[f"peak_int_r{r}"] <= peak_fgbt * (1.0 + _REL_SLACK)
-        )
-    return ExampleBundle(
-        "ex3_case2",
-        sweeps,
-        tuple(records),
-        assertions,
-        values,
-        notes=tuple(notes),
+    # already holds every higher order's steps. In-band bound only: the ef
+    # gap terms sweep systems whose order scales with the full 201 states
+    # and add nothing to this scenario.
+    interval = _prepared(prepare_interval, sys, IntervalConfig(w1, w2))
+    band = _prepared(prepare_band, sys, w1, w2)
+    orders = LADDER_INTERVAL_ORDERS
+    int_fdbt = partial(_truncated, interval_truncate, interval, with_ef_bound=False)
+    methods = (
+        _Method("int", orders, int_fdbt, ("peak", "interval_bound", "stable")),
+        _Method("fgbt", orders, partial(_truncated, fgbt_truncate, band), ("peak", "stable")),
+    )
+    assertions = {f"int_beats_fgbt_in_band_r{r}": (_int_fgbt_keys(r), _beats) for r in orders}
+    return _Example(
+        "ex3_case2", sys, methods, FrequencyGrid.linear(w1, w2, LADDER_GRID_POINTS), assertions
     )
 
 
-_REPRODUCERS = {
-    "ex1": _reproduce_ex1,
-    "ex2_case1": lambda: _reproduce_ex2("case1"),
-    "ex2_case2": lambda: _reproduce_ex2("case2"),
-    "ex3_case1": _reproduce_ex3_case1,
-    "ex3_case2": _reproduce_ex3_case2,
+_EXAMPLES = {
+    "ex1": _ex1,
+    "ex2_case1": lambda: _ex2("case1"),
+    "ex2_case2": lambda: _ex2("case2"),
+    "ex3_case1": _ex3_case1,
+    "ex3_case2": _ex3_case2,
 }
 
-EXAMPLE_NAMES = tuple(sorted(_REPRODUCERS))
+EXAMPLE_NAMES = tuple(sorted(_EXAMPLES))
 
 
 def reproduce_example(name: str, out_dir: str = "") -> ExampleBundle:
@@ -830,13 +824,12 @@ def reproduce_example(name: str, out_dir: str = "") -> ExampleBundle:
 
     Returns the bundle; when out_dir is given, also writes one CSV per
     sweep/table plus records and summary JSON files there. Assertion
-    outcomes are data: nothing raises on a failed comparison.
+    outcomes are data: nothing raises on a failed comparison, and a method
+    that fails is a note in the bundle (see _reproduced).
     """
-    if name not in _REPRODUCERS:
-        raise InvalidParameters(
-            f"unknown example {name!r}; expected one of {sorted(_REPRODUCERS)}"
-        )
-    bundle = _REPRODUCERS[name]()
+    if name not in _EXAMPLES:
+        raise InvalidParameters(f"unknown example {name!r}; expected one of {sorted(_EXAMPLES)}")
+    bundle = _reproduced(_EXAMPLES[name]())
     if out_dir:
         write_bundle(bundle, out_dir)
     return bundle

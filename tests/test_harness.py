@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +31,12 @@ from fdbt import (
     sigma_max_at,
     sweep,
     verify_bound,
+    write_bundle,
     write_json,
     write_sweep_csv,
 )
 import fdbt
-from fdbt import fgbt_reduce
+from fdbt import cli, fgbt_reduce
 from fdbt.baselines import prepare_standard
 from fdbt.errors import FdbtError
 from fdbt.harness import (
@@ -333,7 +336,7 @@ class TestEvaluatedOncePerGrid:
     def test_ex3_case1_evaluates_the_ladder_once_per_grid(self, monkeypatch):
         made = _scaled_ladder(monkeypatch)
         evaluated = _evaluations(monkeypatch)
-        fdbt.harness._reproduce_ex3_case1()
+        reproduce_example("ex3_case1")
         # the 801-point grid (its response and three errors, and at its
         # w = 0 the DC errors and the sf record, one measurement), the
         # 401-point neighbourhood and the 601-point ef grid
@@ -342,7 +345,7 @@ class TestEvaluatedOncePerGrid:
 
     def test_ex3_case1_dc_errors_are_the_sf_record_bitwise(self, monkeypatch):
         _scaled_ladder(monkeypatch)
-        bundle = fdbt.harness._reproduce_ex3_case1()
+        bundle = reproduce_example("ex3_case1")
         (rec,) = [rec for rec in bundle.records if rec.bound_key == "sf"]
         assert rec.peak == bundle.values["err0_sf_r51"]
         assert (rec.peak_frequency, rec.points) == (0.0, 1)
@@ -379,9 +382,9 @@ class TestEvaluatedOncePerGrid:
             "gspa_truncate",
             lambda *args: ReductionResult(poles, "gspa", 2, {}, False, ()),
         )
-        bundle = fdbt.harness._reproduce_ex3_case1()
+        bundle = reproduce_example("ex3_case1")
         (note,) = bundle.notes
-        assert note.startswith("gspa failed: ")
+        assert note.startswith(f"gspa_r181 r={fdbt.harness.LADDER_BASELINE_ORDER} failed: ")
         assert math.isnan(bundle.values["err0_gspa_r181"])
         assert math.isnan(bundle.values["peak_nbhd_gspa_r181"])
         assert "error_gspa_r181" not in bundle.sweeps
@@ -390,14 +393,36 @@ class TestEvaluatedOncePerGrid:
     def test_ex3_case2_sweeps_each_interval_error_once(self, monkeypatch):
         made = _scaled_ladder(monkeypatch)
         evaluated = _evaluations(monkeypatch)
-        bundle = fdbt.harness._reproduce_ex3_case2()
-        # one band evaluation per order serves the int-fdbt sweep, its
-        # interval record and the fgbt sweep
+        bundle = reproduce_example("ex3_case2")
+        # one band evaluation serves the int-fdbt sweeps of both orders,
+        # their interval records and the fgbt sweeps
         assert len(made) == 1
-        assert evaluated[made[0]] == [801, 801]
+        assert evaluated[made[0]] == [801]
         for rec in bundle.records:
             sweep = bundle.sweeps[f"error_int_r{rec.order}"]
             assert (rec.peak, rec.peak_frequency) == (sweep.peak_value, sweep.peak_frequency)
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_ex2_evaluates_the_plant_once_per_grid(self, monkeypatch, case):
+        plant = example_fixture("ex2").system
+        grids = []  # (points, first, last) of each evaluation of the plant
+        real_stack = fdbt.sysmodel._response_stack
+
+        def recording(sys, points):
+            if sys.n == plant.n and np.array_equal(sys.A, plant.A):
+                grids.append((points.shape[0], points[0].imag, points[-1].imag))
+            return real_stack(sys, points)
+
+        monkeypatch.setattr(fdbt.sysmodel, "_response_stack", recording)
+        bundle = reproduce_example(f"ex2_{case}")
+        # the band grid serves every method at both orders and the interval
+        # records; the ef log grid serves all four ef records (the other
+        # evaluations are the int-fdbt ef bounds' own estimates)
+        w1, w2 = fdbt.harness.EX2_BANDS[case]
+        assert grids.count((fdbt.harness.EXAMPLE_GRID_POINTS, w1, w2)) == 1
+        ef_points = len(fdbt.symmetric_log_grid(plant.poles, fdbt.harness.EF_GRID_POINTS))
+        assert [g[0] for g in grids].count(ef_points) == 1
+        assert [rec.points for rec in bundle.records if rec.bound_key == "ef"] == [ef_points] * 4
 
     def test_model_records_evaluate_each_model_once_per_band(self, monkeypatch):
         evaluated = _evaluations(monkeypatch)
@@ -406,6 +431,126 @@ class TestEvaluatedOncePerGrid:
         assert len(models) == 2 and len(report.records) == 2 * 12
         for model in models:
             assert evaluated[model] == [EXPERIMENT_GRID_POINTS] * len(EXPERIMENT_HALF_WIDTHS)
+
+
+def _planted(real, when=lambda *args, **kwargs: True):
+    """real, except that it raises an FdbtError where when(*args) holds."""
+    def fake(*args, **kwargs):
+        if when(*args, **kwargs):
+            raise ConvergenceFailure("planted failure")
+        return real(*args, **kwargs)
+
+    return fake
+
+
+class TestOneFailureRule:
+    """A method that raises FdbtError in prepare, truncate or measurement
+    fails alone: a note, NaN values (stable 0.0), no sweep file and no
+    record for it, every other method's values bitwise unchanged, and the
+    CLI still exits 0."""
+
+    def check(self, capsys, tmp_path, bundle, reference, failed, reads_failed):
+        """failed: (label, r, sweep, value keys) of each failed run;
+        reads_failed: the assertions that read one of their values."""
+        name = bundle.name
+        assert [note for note in bundle.notes if " failed: " in note] == [
+            f"{label} r={r} failed: planted failure" for label, r, _, _ in failed
+        ]
+        assert [note for note in bundle.notes if " failed: " not in note] == list(reference.notes)
+        gone = {key for *_, keys in failed for key in keys}
+        assert set(bundle.values) == set(reference.values)
+        for key, value in reference.values.items():
+            got = bundle.values[key]
+            if key in gone:
+                assert (got == 0.0) if key.startswith("stable_") else math.isnan(got), key
+            else:
+                assert np.float64(got).tobytes() == np.float64(value).tobytes(), key
+        assert set(bundle.sweeps) == set(reference.sweeps) - {sweep for _, _, sweep, _ in failed}
+        for claim, ok in bundle.assertions.items():
+            assert ok is (reference.assertions[claim] and claim not in reads_failed), claim
+        assert cli.main(["bench", "example", name, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["notes"] == list(bundle.notes)
+        files = {f"{name}__{label}.csv" for label in (*bundle.sweeps, *bundle.tables)}
+        files |= {f"{name}__records.json", f"{name}__summary.json"}
+        assert set(os.listdir(tmp_path)) == files
+
+    def test_ex1_one_sf_epsilon(self, bundles, monkeypatch, capsys, tmp_path):
+        reference = bundles.get("ex1")
+        monkeypatch.setattr(fdbt.harness, "sf_reduce", _planted(
+            fdbt.harness.sf_reduce, lambda sys, cfg, r: cfg.epsilon == 4.0
+        ))
+        bundle = reproduce_example("ex1")
+        failed = [("sf_eps4", 3, "error_sf_eps4_r3", ["err0_sf_eps4"])]
+        claims = {"sf_dc_error_below_fibt_for_some_eps_in_3_5"}
+        self.check(capsys, tmp_path, bundle, reference, failed, claims)
+        # eps = 4's sf and ef records (after fibt's, gspa's and two per
+        # smaller epsilon) are gone, the others are unchanged
+        kept = [rec for i, rec in enumerate(reference.records) if i not in (6, 7)]
+        assert [vars(rec) for rec in bundle.records] == [vars(rec) for rec in kept]
+
+    def test_ex2_fgbt_at_r2(self, bundles, monkeypatch, capsys, tmp_path):
+        reference = bundles.get("ex2_case1")
+        monkeypatch.setattr(fdbt.harness, "fgbt_truncate", _planted(
+            fdbt.harness.fgbt_truncate, lambda prep, r: r == 2
+        ))
+        bundle = reproduce_example("ex2_case1")
+        failed = [("fgbt", 2, "error_fgbt_r2", ["peak_fgbt_r2", "stable_fgbt_r2"])]
+        self.check(capsys, tmp_path, bundle, reference, failed, {"int_peak_le_fgbt_r2"})
+        assert [vars(rec) for rec in bundle.records] == [vars(rec) for rec in reference.records]
+
+    def test_ex2_fgbt_sweep_at_r2(self, bundles, monkeypatch, capsys, tmp_path):
+        # a sweep that raises for one model (a refining probe on a pole)
+        # fails that model alone, though all are swept together
+        reference = bundles.get("ex2_case1")
+        planted, fgbt, sweeps = [], fdbt.harness.fgbt_truncate, fdbt.harness._error_sweeps
+
+        def truncate(prep, r):
+            result = fgbt(prep, r)
+            if r == 2:
+                planted.append(result.reduced)
+            return result
+
+        monkeypatch.setattr(fdbt.harness, "fgbt_truncate", truncate)
+        monkeypatch.setattr(fdbt.harness, "_error_sweeps", _planted(
+            sweeps, lambda sys, models, grid: any(m is planted[-1] for m in models)
+        ))
+        bundle = reproduce_example("ex2_case1")
+        failed = [("fgbt", 2, "error_fgbt_r2", ["peak_fgbt_r2", "stable_fgbt_r2"])]
+        self.check(capsys, tmp_path, bundle, reference, failed, {"int_peak_le_fgbt_r2"})
+        assert [vars(rec) for rec in bundle.records] == [vars(rec) for rec in reference.records]
+
+    def test_ex3_case2_int_fdbt(self, monkeypatch, capsys, tmp_path):
+        _scaled_ladder(monkeypatch)
+        # fgbt marked unstable: int-fdbt failing must still not read as a win
+        fgbt = fdbt.harness.fgbt_truncate
+        monkeypatch.setattr(
+            fdbt.harness, "fgbt_truncate", lambda *args: replace(fgbt(*args), stable=False)
+        )
+        reference = reproduce_example("ex3_case2")
+        orders = fdbt.harness.LADDER_INTERVAL_ORDERS
+        assert all(reference.assertions.values())
+        monkeypatch.setattr(fdbt.harness, "interval_truncate", _planted(
+            fdbt.harness.interval_truncate
+        ))
+        bundle = reproduce_example("ex3_case2")
+        failed = [
+            ("int", r, f"error_int_r{r}",
+             [f"peak_int_r{r}", f"interval_bound_r{r}", f"stable_int_r{r}"])
+            for r in orders
+        ]
+        self.check(capsys, tmp_path, bundle, reference, failed, set(reference.assertions))
+        assert bundle.records == ()
+
+    def test_every_method_of_ex1(self, bundles, monkeypatch, capsys, tmp_path):
+        reference = bundles.get("ex1")
+        for name in ("fibt_truncate", "gspa_truncate", "sf_reduce"):
+            monkeypatch.setattr(fdbt.harness, name, _planted(getattr(fdbt.harness, name)))
+        bundle = reproduce_example("ex1")
+        labels = [key.removeprefix("err0_") for key in reference.values]
+        failed = [(label, 3, f"error_{label}_r3", [f"err0_{label}"]) for label in labels]
+        self.check(capsys, tmp_path, bundle, reference, failed, set(reference.assertions))
+        assert bundle.records == () and bundle.sweeps == {}
+        assert bundle.tables == reference.tables
 
 
 class TestLadder:
@@ -492,6 +637,10 @@ class TestDcError:
         with pytest.raises(InvalidParameters):
             _dc_reports(sys, [red], without)
 
+    def test_no_models_no_reports(self):
+        # every method of an example can fail; nothing is left to read off
+        assert _dc_reports(random_stable(205, 4), [], []) == []
+
     def test_cancelling_origin_mode_falls_back(self):
         # identical responses, but the stacked error realization carries an
         # uncontrollable pole at the origin; the value must come back ~0
@@ -506,6 +655,154 @@ class TestDcError:
         assert report.peak_frequency == 1e-9
 
 
+# What each bundle writes (file names after the "<name>__" prefix), the
+# keys of its values and assertions, and its record sequence
+# (method, order, bound_key, points).
+BUNDLE_SHAPES = {
+    "ex1": {
+        "files": (
+            "epsilon_sweep.csv error_fibt_r3.csv error_gspa_rho0_r3.csv error_gspa_rho0p5_r3.csv "
+            "error_gspa_rho5_r3.csv error_sf_eps10_r3.csv error_sf_eps1_r3.csv "
+            "error_sf_eps3_r3.csv error_sf_eps4_r3.csv error_sf_eps5_r3.csv records.json "
+            "summary.json"
+        ).split(),
+        "values": (
+            "err0_fibt err0_gspa_rho0 err0_gspa_rho0p5 err0_gspa_rho5 err0_sf_eps1 err0_sf_eps10 "
+            "err0_sf_eps3 err0_sf_eps4 err0_sf_eps5"
+        ).split(),
+        "assertions": [
+            "gspa_dc_error_increases_with_rho",
+            "sf_dc_error_below_fibt_for_some_eps_in_3_5",
+        ],
+        "records": [
+            ("fibt", 3, "ef", 1201),
+            ("gspa", 3, "ef", 1201),
+            ("sf-fdbt", 3, "sf", 1),
+            ("sf-fdbt", 3, "ef", 1201),
+            ("sf-fdbt", 3, "sf", 1),
+            ("sf-fdbt", 3, "ef", 1201),
+            ("sf-fdbt", 3, "sf", 1),
+            ("sf-fdbt", 3, "ef", 1201),
+            ("sf-fdbt", 3, "sf", 1),
+            ("sf-fdbt", 3, "ef", 1201),
+            ("sf-fdbt", 3, "sf", 1),
+            ("sf-fdbt", 3, "ef", 1201),
+        ],
+    },
+    "ex2_case1": {
+        "files": (
+            "error_fgbt_r1.csv error_fgbt_r2.csv error_fibt_r1.csv error_fibt_r2.csv "
+            "error_int_r1.csv error_int_r2.csv records.json summary.json"
+        ).split(),
+        "values": (
+            "interval_bound_r1 interval_bound_r2 peak_fgbt_r1 peak_fgbt_r2 peak_fibt_r1 "
+            "peak_fibt_r2 peak_int_r1 peak_int_r2 stable_fgbt_r1 stable_fgbt_r2"
+        ).split(),
+        "assertions": (
+            "int_peak_le_fgbt_r1 int_peak_le_fgbt_r2 int_peak_le_fibt_r1 int_peak_le_fibt_r2"
+        ).split(),
+        "records": [
+            ("int-fdbt", 1, "interval", 2001),
+            ("int-fdbt", 1, "ef", 1201),
+            ("fibt", 1, "ef", 1201),
+            ("int-fdbt", 2, "interval", 2001),
+            ("int-fdbt", 2, "ef", 1201),
+            ("fibt", 2, "ef", 1201),
+        ],
+    },
+    "ex2_case2": {
+        "files": (
+            "error_fgbt_r1.csv error_fgbt_r2.csv error_fibt_r1.csv error_fibt_r2.csv "
+            "error_int_r1.csv error_int_r2.csv records.json summary.json"
+        ).split(),
+        "values": (
+            "interval_bound_r1 interval_bound_r2 peak_fgbt_r1 peak_fgbt_r2 peak_fibt_r1 "
+            "peak_fibt_r2 peak_int_r1 peak_int_r2 stable_fgbt_r1 stable_fgbt_r2"
+        ).split(),
+        "assertions": (
+            "int_peak_le_fgbt_r1 int_peak_le_fgbt_r2 int_peak_le_fibt_r1 int_peak_le_fibt_r2"
+        ).split(),
+        "records": [
+            ("int-fdbt", 1, "interval", 2001),
+            ("int-fdbt", 1, "ef", 1201),
+            ("fibt", 1, "ef", 1201),
+            ("int-fdbt", 2, "interval", 2001),
+            ("int-fdbt", 2, "ef", 1201),
+            ("fibt", 2, "ef", 1201),
+        ],
+    },
+    "ex3_case1": {
+        "files": (
+            "error_fibt_r181.csv error_gspa_r181.csv error_sf_r51.csv records.json "
+            "response_full.csv summary.json"
+        ).split(),
+        "values": (
+            "err0_fibt_r181 err0_gspa_r181 err0_sf_r51 peak_nbhd_fibt_r181 peak_nbhd_gspa_r181 "
+            "peak_nbhd_sf_r51"
+        ).split(),
+        "assertions": "sf_r51_dc_error_below_fibt_r181 sf_r51_nbhd_peak_below_fibt_r181".split(),
+        "records": [
+            ("fibt", 181, "ef", 601),
+            ("sf-fdbt", 51, "sf", 1),
+        ],
+    },
+    "ex3_case2": {
+        "files": (
+            "error_fgbt_r51.csv error_fgbt_r61.csv error_int_r51.csv error_int_r61.csv "
+            "records.json summary.json"
+        ).split(),
+        "values": (
+            "interval_bound_r51 interval_bound_r61 peak_fgbt_r51 peak_fgbt_r61 peak_int_r51 "
+            "peak_int_r61 stable_fgbt_r51 stable_fgbt_r61 stable_int_r51 stable_int_r61"
+        ).split(),
+        "assertions": "int_beats_fgbt_in_band_r51 int_beats_fgbt_in_band_r61".split(),
+        "records": [
+            ("int-fdbt", 51, "interval", 801),
+            ("int-fdbt", 61, "interval", 801),
+        ],
+    },
+}
+
+# Every ex1 and ex2 value, frozen from the first complete runs.
+FROZEN_VALUES = {
+    "ex1": {
+        "err0_fibt": 0.6551881243438045,
+        "err0_gspa_rho0": 3.552713678800501e-15,
+        "err0_gspa_rho0p5": 0.0951438400672533,
+        "err0_gspa_rho5": 0.26568844021113946,
+        "err0_sf_eps1": 0.013009809967271302,
+        "err0_sf_eps10": 0.33650641989704067,
+        "err0_sf_eps3": 0.0943993432832233,
+        "err0_sf_eps4": 0.14168943449225146,
+        "err0_sf_eps5": 0.18547169298703814,
+    },
+    "ex2_case1": {
+        "interval_bound_r1": 0.004779835075461691,
+        "interval_bound_r2": 4.087866400050684e-05,
+        "peak_fgbt_r1": 0.010898889503885931,
+        "peak_fgbt_r2": 2.353626218284783e-06,
+        "peak_fibt_r1": 0.026203492110724452,
+        "peak_fibt_r2": 0.0004496613493245818,
+        "peak_int_r1": 0.0040390658717153125,
+        "peak_int_r2": 2.5048203738171904e-05,
+        "stable_fgbt_r1": 1.0,
+        "stable_fgbt_r2": 1.0,
+    },
+    "ex2_case2": {
+        "interval_bound_r1": 0.00927244926997266,
+        "interval_bound_r2": 8.113413693730766e-05,
+        "peak_fgbt_r1": 0.023040723659061263,
+        "peak_fgbt_r2": 2.099088139305178e-05,
+        "peak_fibt_r1": 0.026203492110724452,
+        "peak_fibt_r2": 0.0004496613493245818,
+        "peak_int_r1": 0.007660791917640068,
+        "peak_int_r2": 4.963577875055636e-05,
+        "stable_fgbt_r1": 1.0,
+        "stable_fgbt_r2": 1.0,
+    },
+}
+
+
 class TestBundles:
     def test_ex1_and_ex2_records_all_pass(self, bundles):
         for name in ("ex1", "ex2_case1", "ex2_case2"):
@@ -513,14 +810,6 @@ class TestBundles:
             assert bundle.records, name
             for rec in bundle.records:
                 assert rec.passed, (name, rec.method, rec.bound_key, rec.margin)
-
-    def test_ex1_frozen_values(self, bundles):
-        vals = bundles.get("ex1").values
-        # values pinned from the first complete run of this scenario; any
-        # drift here means determinism broke
-        assert vals["err0_fibt"] == pytest.approx(6.551881243e-01, rel=1e-9)
-        assert vals["err0_sf_eps4"] == pytest.approx(1.416894345e-01, rel=1e-9)
-        assert vals["err0_gspa_rho0"] <= 1e-12
 
     def test_ex1_dc_errors_are_the_sf_records_bitwise(self, bundles):
         bundle = bundles.get("ex1")
@@ -530,11 +819,40 @@ class TestBundles:
         for rec, label in zip(sf_records, labels):
             assert rec.peak == bundle.values[label], label
 
-    def test_ex2_case1_frozen_values(self, bundles):
-        vals = bundles.get("ex2_case1").values
-        assert vals["peak_int_r1"] == pytest.approx(4.039065872e-03, rel=1e-9)
-        assert vals["peak_fgbt_r1"] == pytest.approx(1.089888950e-02, rel=1e-9)
-        assert vals["peak_fibt_r1"] == pytest.approx(2.620349211e-02, rel=1e-9)
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_bundle_shape(self, bundles, tmp_path, name):
+        # what every bundle writes and records, pinned across refactors;
+        # thread-independent, so it holds at any BLAS thread count
+        bundle = bundles.get(name)
+        shape = BUNDLE_SHAPES[name]
+        write_bundle(bundle, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [f"{name}__{f}" for f in shape["files"]]
+        assert sorted(bundle.values) == shape["values"]
+        assert sorted(bundle.assertions) == shape["assertions"]
+        records = [(rec.method, rec.order, rec.bound_key, rec.points) for rec in bundle.records]
+        assert records == shape["records"]
+        if name == "ex3_case2":
+            # fgbt's stability at r = 51 moves with the BLAS thread count
+            # (ROADMAP item 1): one note per unstable fgbt model
+            unstable = [r for r in (51, 61) if bundle.values[f"stable_fgbt_r{r}"] == 0.0]
+            assert len(bundle.notes) == len(unstable)
+            for note, r in zip(bundle.notes, unstable):
+                pattern = rf"fgbt r={r}: reduced model not Hurwitz " + (
+                    r"\(max Re pole \+\d\.\d{3}e[+-]\d\d\)"
+                )
+                assert re.fullmatch(pattern, note), note
+        else:
+            assert bundle.notes == ()
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2_case1", "ex2_case2"])
+    def test_thread_independent_values_frozen(self, bundles, name):
+        # ex1 and ex2 are byte-identical across BLAS thread counts (README,
+        # "Determinism"); gspa at rho = 0 interpolates at DC, so its err0
+        # is rounding and gets an absolute floor
+        values = bundles.get(name).values
+        assert sorted(values) == sorted(FROZEN_VALUES[name])
+        for key, want in FROZEN_VALUES[name].items():
+            assert values[key] == pytest.approx(want, rel=1e-9, abs=1e-13), key
 
     def test_bundle_files_written(self, bundles, tmp_path):
         bundles.get("ex1")  # warm the cache; writing re-runs the scenario
