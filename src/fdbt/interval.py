@@ -185,7 +185,7 @@ def interval_gramians(ext: Extended) -> Balanced:
 
 
 class _EtaChain:
-    """The eta chain of one balanced system, memoized by step index.
+    """The eta chain of one interval_gramians record, memoized by step index.
 
     eta_i couples the orders i-1 and i of the fixed balanced coordinates,
     so it depends on i and not on the order truncated at: steps computed
@@ -194,28 +194,25 @@ class _EtaChain:
     so every order raises exactly what a fresh chain from it raises: order
     n's spectrum guards first, then order r's, then steps r+1, r+2, ...
     (order i's spectrum guards, then the sigma cutoff). A guard that passed
-    passes again, so each order's is run once.
+    passes again, so each order's is run once; interval_truncate marks
+    order r's passed, as its band factors have applied the same rules to
+    the eigenvalues of their Schur form of A_r.
 
-    The band-weighted input and output maps in balanced coordinates, Bx and
-    Cx, are gram.sys.B and gram.sys.C (T^(-1) M B and C M T), so no order is
+    The chain reads gram.sys alone: its state matrix is the input's in
+    balanced coordinates, and its B and C are the band-weighted input and
+    output maps there, Bx and Cx (T^(-1) M B and C M T), so no order is
     factored. A real balanced system over a band centred at zero keeps
     every block, guard and product real.
     """
 
-    def __init__(self, sys_balanced: StateSpace, gram: Balanced, cfg: IntervalConfig):
-        # Bx and Cx come from gram.sys; another record's maps would give a
-        # wrong bound without an error
-        if not np.array_equal(gram.sys.A, sys_balanced.A):
-            raise InvalidParameters(
-                "gram must be interval_gramians' record of sys_balanced's band"
-            )
-        self.sys, self.cfg = sys_balanced, cfg
+    def __init__(self, gram: Balanced, cfg: IntervalConfig):
+        self.sys, self.cfg = gram.sys, cfg
         self.io = (gram.sys.B, gram.sys.C)
         self.sigma = np.asarray(gram.sigma, dtype=float)
         top = self.sigma[0] if self.sigma.size and self.sigma[0] > 0 else 1.0
-        self.cutoff = sys_balanced.n * np.finfo(float).eps * top
-        m_io, p_io = sys_balanced.m, sys_balanced.p
-        dtype = np.result_type(sys_balanced.A, *self.io)
+        self.cutoff = gram.sys.n * np.finfo(float).eps * top
+        m_io, p_io = gram.sys.m, gram.sys.p
+        dtype = np.result_type(gram.sys.A, *self.io)
         self.swap = np.zeros((m_io + p_io, p_io + m_io), dtype=dtype)
         self.swap[:m_io, p_io:] = np.eye(m_io)
         self.swap[m_io:, :p_io] = np.eye(p_io)
@@ -279,11 +276,12 @@ def interval_eta(
 ) -> EtaTerms:
     """The eta_i ingredients of the in-band bound, for i = r+1 .. n.
 
-    sys_balanced is the input in the band-balanced coordinates and gram the
-    Balanced record of interval_gramians for the same system and band, of
-    which sigma and the balanced band-weighted maps gram.sys.B and
-    gram.sys.C are read. A record whose state matrix differs from
-    sys_balanced's raises InvalidParameters.
+    gram is the Balanced record of interval_gramians for one system and
+    band, of which sigma and the balanced band-weighted realization
+    gram.sys are read; sys_balanced is read for its state matrix alone,
+    the balanced A that gram.sys carries (gram.sys itself will do). A
+    record whose state matrix differs from sys_balanced's raises
+    InvalidParameters.
     Works on the one-step truncation chain A_k = A_b[:k, :k] of the fixed
     balanced coordinates. For each dropped index i the dilated matrices
     couple the order-(i-1) and order-i truncations:
@@ -318,29 +316,34 @@ def interval_eta(
     (prepare_interval) and ask IntervalBalanced.eta, which walks the chain
     once for all of them and returns the same values bit for bit.
     """
-    return _EtaChain(sys_balanced, gram, cfg).terms(r)
+    # Bx and Cx come from gram.sys; another record's maps would give a
+    # wrong bound without an error
+    if not np.array_equal(gram.sys.A, sys_balanced.A):
+        raise InvalidParameters(
+            "gram must be interval_gramians' record of sys_balanced's band"
+        )
+    return _EtaChain(gram, cfg).terms(r)
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalBalanced:
     """The order-independent part of int-fdbt for one system and band.
 
-    Holds the input system, its band-weighted realization, that
-    realization balanced on its band Gramians (gram.sys carries the
-    band-weighted input and output maps Bx, Cx in balanced coordinates),
-    and the input in the same coordinates; interval_truncate does the
-    per-order rest. The eta chain behind the in-band bound is shared by
-    every order (eta_i depends on i, not on r), so truncating at several
-    orders walks it once.
+    Holds the input system, its band-weighted realization and that
+    realization balanced on its band Gramians: gram.sys carries the input's
+    state matrix and the band-weighted input and output maps Bx, Cx in
+    balanced coordinates. interval_truncate does the per-order rest, and
+    the eta chain reads the same record. The chain behind the in-band
+    bound is shared by every order (eta_i depends on i, not on r), so
+    truncating at several orders walks it once.
     """
 
     sys: StateSpace
     ext: Extended
     gram: Balanced
-    balanced: StateSpace
 
     def __post_init__(self):
-        chain = _EtaChain(self.balanced, self.gram, self.ext.config)
+        chain = _EtaChain(self.gram, self.ext.config)
         object.__setattr__(self, "_chain", chain)
 
     def eta(self, r: int) -> EtaTerms:
@@ -353,15 +356,13 @@ def prepare_interval(sys: StateSpace, cfg: IntervalConfig) -> IntervalBalanced:
 
     Requires a Hurwitz input: builds the band-weighted realization, its
     band Gramians and the balancing transform, once per system and band.
-    The band-weighted realization keeps the input's A, so the balanced
-    input shares the balanced state matrix of gram.sys.
+    The band-weighted realization keeps the input's A, so gram.sys's state
+    matrix is the input's in balanced coordinates.
     """
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("band-limited reduction requires a Hurwitz system")
     ext = build_interval_extended(sys, cfg)
-    gram = interval_gramians(ext)
-    balanced = StateSpace(gram.sys.A, gemm(gram.Tinv, sys.B), gemm(sys.C, gram.T), sys.D)
-    return IntervalBalanced(sys, ext, gram, balanced)
+    return IntervalBalanced(sys, ext, interval_gramians(ext))
 
 
 def interval_truncate(
@@ -369,12 +370,14 @@ def interval_truncate(
 ) -> ReductionResult:
     """Reduce a prepared system and band to order r (see interval_reduce)."""
     r = check_order(r, prep.sys.n)
-    a_r = prep.balanced.A[:r, :r]
+    a_r = prep.gram.sys.A[:r, :r]
     # one Schur form of a_r, in the arithmetic its band factors take,
-    # serves them and, where the reduced model keeps that arithmetic, its
-    # poles
+    # serves them, the eta chain's order-r spectrum guards (the band
+    # factors apply the same rules to its eigenvalues) and, where the
+    # reduced model keeps that arithmetic, its poles
     form = _band_form(a_r, prep.ext.config)
     m_r, n_r = _band_factors(a_r, prep.ext.config, form)
+    prep._chain.guarded.add(r)
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)
     # m_r^T has m_r's singular values, which the guard has just checked
@@ -433,8 +436,8 @@ def interval_reduce(
     then computed once.
 
     with_bounds=False skips the eta chain and the whole-axis sweeps (the eta
-    chain costs one eigenvalue solve per order from r to n, real for a real
-    system over a band centred at zero). with_ef_bound=False keeps the
+    chain costs one eigenvalue solve per order from r + 1 to n, real for a
+    real system over a band centred at zero). with_ef_bound=False keeps the
     in-band bound but drops the whole-axis sweep terms: two dense H-infinity
     estimates whose cost grows with the full order rather than the reduced
     one.

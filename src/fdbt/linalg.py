@@ -21,9 +21,9 @@ argument by gees first. scipy's own solve_continuous_lyapunov and logm
 multiply with numpy's dot internally, so neither is called on a full
 matrix. This is the only module of fdbt that imports scipy. numpy keeps
 elementwise work: the diagonal steps of a frequency sweep's vectorized
-back substitution (the rows above each panel of a real form are updated
-by one gemm, add_product) and the p x m singular values of each
-response, which OpenBLAS never threads. Nothing here sets or pins a
+back substitution (the rows above each panel of a real or complex form
+are updated by one gemm, add_product) and the p x m singular values of
+each response, which OpenBLAS never threads. Nothing here sets or pins a
 thread count.
 """
 
@@ -130,9 +130,10 @@ def gemm(a: np.ndarray, b: np.ndarray, ha: bool = False, hb: bool = False) -> np
 
 
 def add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """c += a·b in place, by one real BLAS gemm with β = 1, for C-ordered
-    float64 c, a and b (passed as their Fortran-ordered transposes)."""
-    _routine("gemm", "d")(1.0, b.T, a.T, 1.0, c.T, overwrite_c=1)
+    """c += a·b in place, by one BLAS gemm with β = 1, for C-ordered c, a
+    and b of one dtype (passed as their Fortran-ordered transposes): dgemm
+    on float64, zgemm on complex128."""
+    _routine("gemm", _char(c))(1.0, b.T, a.T, 1.0, c.T, overwrite_c=1)
 
 
 def resolvent(t: np.ndarray, left: np.ndarray, right: np.ndarray, d: np.ndarray):

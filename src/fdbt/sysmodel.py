@@ -187,7 +187,7 @@ _STACK_BLOCK_BYTES = 32 * 1024 * 1024
 # its last point, so every array the kernel works on has one shape per
 # system, whatever the grid: a point's bytes do not depend on its grid.
 _CHUNK_POINTS = 64
-# Rows per panel of a real form's back substitution.
+# Rows per panel of the back substitution.
 _PANEL_ROWS = 8
 
 
@@ -219,11 +219,12 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     conjugates, and its sigma_max is bitwise even in w.
     The points run in chunks of _CHUNK_POINTS, padded, and numpy's
     elementwise operations cover all chunks of a memory-capped group at
-    once. A complex T updates every row above row i at its step. A real
-    T is taken in panels of _PANEL_ROWS rows: a step updates the rows of
-    its panel, and the rows above a panel are updated after it by one real
-    gemm per chunk, on the work array read as float64 (linalg.add_product;
-    the operands are real, so real and imaginary parts update alike).
+    once. T is taken in panels of _PANEL_ROWS rows, whatever its
+    arithmetic: a step updates the rows of its panel, and the rows above a
+    panel are updated after it by one gemm per chunk (linalg.add_product),
+    complex on a complex T and, on a real T, real on the work array read
+    as float64 (the operands are real, so real and imaginary parts update
+    alike).
     Every call of a system has one shape, so a point's value does not
     depend on which points it is evaluated with. An error system returns
     the difference of its two parts' responses, each on the part's own
@@ -242,8 +243,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     diag = np.diagonal(t)[:, None, None, None]
     # first rows of the 2 x 2 diagonal blocks of a real quasi-triangular T
     pairs = set(np.flatnonzero(np.diagonal(t, -1)).tolist())
-    real = t.dtype.kind == "f"
-    panels = _panels(n, pairs) if real else [(0, n)]
+    panels = _panels(n, pairs)
     # each panel's columns of [C Z; T], in the rows above the panel
     above = {
         first: np.ascontiguousarray(rows[: p + first, first:last])
@@ -262,9 +262,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
         w[:, p:] = zb[:, None, :]
         shift = pts[:, :, None] - diag
         for first, last in panels:
-            # the first row a step updates: a complex T's one panel updates
-            # every row above the step, a real T's panels their own rows
-            top = p + first if real else 0
+            top = p + first
             for i in range(last - 1, first - 1, -1):
                 if i - 1 in pairs:
                     continue  # solved with the row above it
@@ -280,7 +278,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
                     x /= shift[i]
                 w[:, top : p + i] += cols[i, top : p + i] * x[:, None]
             if top:
-                for chunk in w.view(float).reshape(w.shape[0], p + n, -1):
+                for chunk in w.view(t.dtype).reshape(w.shape[0], p + n, -1):
                     add_product(chunk[:top], above[first], chunk[p + first : p + last])
         out[lo * size : (lo + group) * size] = w[:, :p].transpose(0, 2, 1, 3).reshape(-1, p, m)
     return out[:k]
@@ -323,20 +321,14 @@ def _screens(targets) -> tuple:
     return poles, np.array([_pole_tolerance(*parts) for parts in targets])
 
 
-def _where(s: complex):
-    """What PoleOnGrid reports for a point: its real frequency on the
-    imaginary axis (as sweep does), the point itself elsewhere."""
-    return s.imag if s.real == 0.0 else s
-
-
 def _probe(targets, points, poles, tol) -> list:
     """Screened responses of targets[i] at points[i].
 
     targets are tuples of parts (see _split) with one p x m shape, points
-    Python complex numbers, and poles and tol the targets' rows of
-    _screens. All probes are screened against the poles as one array, then
-    each is evaluated by _point_response (one resolvent call per part) and
-    all are checked for finiteness as one array. Raises PoleOnGrid at the
+    Python complex numbers jw on the imaginary axis, and poles and tol the
+    targets' rows of _screens. All probes are screened against the poles
+    as one array, then each is evaluated by _point_response (one resolvent
+    call per part) and all are checked for finiteness as one array. Raises PoleOnGrid at the
     first probe, in order, that lies within tolerance of a pole or whose
     response overflows (a real form's probe that trsyl had to perturb
     counts as overflowed); probes after a pole hit are not evaluated.
@@ -351,29 +343,22 @@ def _probe(targets, points, poles, tol) -> list:
         finite = np.isfinite(np.array(responses)).all(axis=(1, 2))
         if not finite.all():
             s = points[int(np.argmin(finite))]
-            raise PoleOnGrid(f"response overflowed at s = {s}", omega=_where(s))
+            raise PoleOnGrid(f"response overflowed at s = {s}", omega=s.imag)
     if stop < len(points):
         s = points[stop]
         raise PoleOnGrid(
-            f"evaluation point {s} is within tolerance of a pole", omega=_where(s)
+            f"evaluation point {s} is within tolerance of a pole", omega=s.imag
         )
     return responses
 
 
-def evaluate_at(sys: StateSpace, s: complex) -> np.ndarray:
-    """Response matrix at an arbitrary complex point s.
-
-    Raises PoleOnGrid within tolerance of a pole or where the response
-    overflows. A one-point _probe on the cached Schur form (of each part,
-    for an error system): see _point_response.
+def evaluate(sys: StateSpace, omega: float) -> np.ndarray:
+    """Frequency response C (jwI - A)^(-1) B + D: a one-point _probe on the
+    cached Schur form (of each part, for an error system). Raises
+    PoleOnGrid within tolerance of a pole or where the response overflows.
     """
     targets = [_split(sys)]
-    return _probe(targets, [complex(s)], *_screens(targets))[0]
-
-
-def evaluate(sys: StateSpace, omega: float) -> np.ndarray:
-    """Frequency response C (jwI - A)^(-1) B + D on the cached Schur form."""
-    return evaluate_at(sys, 1j * float(omega))
+    return _probe(targets, [1j * float(omega)], *_screens(targets))[0]
 
 
 def sigma_max_at(sys: StateSpace, omega: float) -> float:
@@ -763,9 +748,10 @@ def moebius_substitute(
     """Realize G((a s + b)/(c s + d)) as a new state-space system.
 
     The binding contract is the response identity
-        evaluate(result, w) == evaluate_at(sys, (a jw + b)/(c jw + d)),
-    which the tests check directly. Refuses ad - bc near zero
-    (DegenerateMap) and a numerically singular aI - cA (SingularSubstitution).
+        evaluate(result, w) == G((a jw + b)/(c jw + d)),
+    G(s) = C (sI - A)^(-1) B + D of sys, which the tests check against
+    dense LU solves. Refuses ad - bc near zero (DegenerateMap) and a
+    numerically singular aI - cA (SingularSubstitution).
     """
     det = a * d - b * c
     scale = max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2

@@ -198,6 +198,11 @@ def response_stack_lu(a, b, c, d, points):
     return out
 
 
+def response_lu(a, b, c, d, s):
+    """C (sI - A)^(-1) B + D at one complex point s, by one dense LU."""
+    return response_stack_lu(a, b, c, d, [s])[0]
+
+
 def peak_on_grid(a, b, c, d, omegas):
     # max over the grid of the largest singular value of the response
     best = 0.0

@@ -1,11 +1,13 @@
 """Band-restricted reduction: factors, Gramians, eta chain, bounds."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 import fdbt.interval
+import fdbt.linalg
 import oracles as orc
 from helpers import (
     random_stable,
@@ -74,7 +76,7 @@ def _sandwich_cases():
                 cfg = IntervalConfig(*band)
                 yield pytest.param(a, cfg, id=f"seed{seed}-{kind}{band}")
     cfg = IntervalConfig(-0.5, 0.5)
-    a = np.asarray(prepare_interval(generate_ladder(31), cfg).balanced.A)
+    a = np.asarray(prepare_interval(generate_ladder(31), cfg).gram.sys.A)
     for k in (1, 2, 5, 10, 20, 30, 31):
         yield pytest.param(a[:k, :k], cfg, id=f"ladder31-order{k}")
 
@@ -327,7 +329,7 @@ class TestPreparedChain:
         prep = prepare_interval(sys, cfg)
         orders = list(range(sys.n))
         for r in orders if ascending else orders[::-1]:
-            fresh = interval_eta(prep.balanced, prep.gram, cfg, r)
+            fresh = interval_eta(prep.gram.sys, prep.gram, cfg, r)
             _assert_same_outcome(prep.eta(r), fresh)
 
     def test_truncation_matches_one_shot_reduction(self):
@@ -341,13 +343,47 @@ class TestPreparedChain:
             for name in "ABCD":
                 assert np.array_equal(getattr(got.reduced, name), getattr(want.reduced, name))
 
+    def test_truncation_factors_its_state_matrix_once(self, monkeypatch):
+        # the one gees of a_r serves the band factors, the reduced model's
+        # poles and the chain's order-r guards: the chain's geevs are orders
+        # r+1..n alone (workspace queries, cached per order, not counted)
+        prep = prepare_interval(generate_ladder(31), IntervalConfig(-0.5, 0.5))
+        calls = collections.Counter()
+        real = fdbt.linalg._routine
+
+        def routine(name, char):
+            fn = real(name, char)
+
+            def counted(*args, **kwargs):
+                if kwargs.get("lwork") != -1 and not name.endswith("_lwork"):
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(fdbt.linalg, "_routine", routine)
+        interval_truncate(prep, 10)
+        assert (calls["gees"], calls["geev"]) == (1, 21)
+
+    def test_failing_truncation_guard_raises_unprefixed(self):
+        # a_r's own band factors refuse it before the chain is asked, with
+        # their message; the chain's order-r guard is then not marked passed
+        prep = self._hand_prepared(*self.SHIFT_CASE)
+        message = "band edge frequency -1.0 is within 1e-10 of an eigenvalue"
+        with pytest.raises(SingularShift) as info:
+            interval_truncate(prep, 2)
+        assert str(info.value) == message
+        with pytest.raises(SingularShift) as info:
+            prep.eta(2)
+        assert str(info.value) == f"truncation order 2: {message}"
+
     @staticmethod
     def _hand_prepared(a, sigma):
         sys, gram = TestEta._hand_built(a, sigma)
         ext = build_interval_extended(sys, UNIT_BAND)
         # T = I: the balanced band-weighted realization is ext.sys itself
         gram = dataclasses.replace(gram, sys=ext.sys)
-        return IntervalBalanced(sys, ext, gram, sys)
+        return IntervalBalanced(sys, ext, gram)
 
     # step 2 fails its sigma cutoff (sigma_2 is positive, below n eps sigma_1),
     # so orders 0 and 1 raise while orders 2.. need only steps 3..
@@ -389,7 +425,7 @@ class TestPreparedChain:
         sys = StateSpace(padded, np.ones((k + 1, 1)), np.ones((1, k + 1)), [[0.0]])
         eye = np.eye(k + 1)
         gram = Balanced(sys, np.ones(k + 1), eye, eye, eye, eye, ())
-        chain = _EtaChain(sys, gram, UNIT_BAND)
+        chain = _EtaChain(gram, UNIT_BAND)
         with pytest.raises(FdbtError) as guarded:
             chain._guard(k)
         assert type(guarded.value) is type(factored.value)
@@ -418,7 +454,7 @@ class TestPreparedChain:
         for r in orders:
             got = _eta_outcome(prep.eta, r)
             fresh = _eta_outcome(
-                lambda k: interval_eta(prep.balanced, prep.gram, UNIT_BAND, k), r
+                lambda k: interval_eta(prep.gram.sys, prep.gram, UNIT_BAND, k), r
             )
             _assert_same_outcome(got, fresh)
             if r < first_ok:
@@ -457,9 +493,10 @@ class TestClosedFormChain:
     def test_square_roots_reuse_the_guarded_spectrum(self, monkeypatch):
         # each band factor's square root takes the spectrum its guards have
         # checked, so it solves no eigenvalue problem of its own: what is
-        # left is the chain's guards (orders r..n); the band-factor guards
+        # left is the chain's guards (orders r+1..n); the band-factor guards
         # read Schur forms (the full model's cached one, and the reduced
-        # state matrix's, which the reduced model keeps for its poles)
+        # state matrix's, which the reduced model keeps for its poles and
+        # which passes the chain's order-r guards)
         calls = []
         real = fdbt.linalg.eigvals
         for mod in (fdbt.linalg, fdbt.interval):
@@ -468,7 +505,7 @@ class TestClosedFormChain:
         for r in (5, 20, 31):
             calls.clear()
             interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
-            chain = lad.n - r + 1 if r < lad.n else 0
+            chain = lad.n - r
             assert len(calls) == chain, r
 
 

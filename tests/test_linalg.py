@@ -435,7 +435,7 @@ def _interval_nonnormal_block():
     # factor M of the kept block singular to working precision
     sys = StateSpace([[-1.0, 1e12], [0.0, -1.0]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
     ext = build_interval_extended(sys, IntervalConfig(-1.0, 1.0))
-    prep = IntervalBalanced(sys, ext, _identity_balanced(ext.sys, [1.0, 0.5]), sys)
+    prep = IntervalBalanced(sys, ext, _identity_balanced(ext.sys, [1.0, 0.5]))
     return interval_truncate(prep, 2, with_bounds=False)
 
 

@@ -263,7 +263,7 @@ class TestTripwire:
         prep = prepare_interval(generate_ladder(31), IntervalConfig(-0.5, 0.5))
         assert prep.gram.T.dtype == np.float64
         assert prep.gram.Tinv.dtype == np.float64
-        assert _is_float64(prep.gram.sys) and _is_float64(prep.balanced)
+        assert _is_float64(prep.gram.sys)
 
     def test_chain_guards_see_float64_blocks(self, monkeypatch):
         seen = []

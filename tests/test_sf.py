@@ -17,7 +17,6 @@ from fdbt import (
     epsilon_sweep,
     error_system,
     evaluate,
-    evaluate_at,
     generate_ladder,
     invert_sf_extension,
     is_hurwitz,
@@ -85,7 +84,7 @@ class TestBuildExtension:
             target = ((eps + 1j * varpi) * 1j * w + varpi**2) / (
                 1j * w + eps - 1j * varpi
             )
-            ref = evaluate_at(sys, target)
+            ref = orc.response_lu(sys.A, sys.B, sys.C, sys.D, target)
             assert np.linalg.norm(evaluate(ext, float(w)) - ref) <= 1e-9 * (
                 1.0 + np.linalg.norm(ref)
             )

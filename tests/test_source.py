@@ -51,3 +51,22 @@ def test_only_linalg_imports_scipy(module):
     # every LAPACK and BLAS call goes through linalg's routine handles
     tree = ast.parse((SRC / module).read_text(), filename=module)
     assert "scipy" not in _imported_modules(tree)
+
+
+def test_exports_are_exactly_the_imported_names():
+    # a name dropped from an import cannot leave a stale __all__ entry
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (exports,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    assert len(exports) == len(set(exports))
+    assert set(exports) == imported | {"__version__"}

@@ -21,7 +21,6 @@ from fdbt import (
     error_sweeps,
     error_system,
     evaluate,
-    evaluate_at,
     example_fixture,
     fgbt_reduce,
     fibt_reduce,
@@ -146,14 +145,20 @@ class TestEvaluation:
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_no_inputs_or_no_outputs(self, m, p, complex_entries):
         sys = random_stable(7, 4, m=m, p=p, complex_entries=complex_entries)
-        got = evaluate_at(sys, 0.3 + 0.7j)
+        got = evaluate(sys, 0.7)
         assert got.shape == (p, m) and got.dtype == np.complex128
 
     def test_matches_dense_inverse_oracle(self):
         sys = random_stable(5, 6, m=2, p=2, complex_entries=True)
-        for s in (0.3 + 0.7j, -1.2j, 2.0):
-            ref = orc.response_inv(sys.A, sys.B, sys.C, sys.D, s)
-            assert np.linalg.norm(evaluate_at(sys, s) - ref) <= 1e-12 * (
+        for w in (0.7, -1.2, 0.0):
+            ref = orc.response_inv(sys.A, sys.B, sys.C, sys.D, 1j * w)
+            assert np.linalg.norm(evaluate(sys, w) - ref) <= 1e-12 * (
+                1.0 + np.linalg.norm(ref)
+            )
+        # the point kernel behind evaluate, off the axis too
+        for s in (0.3 + 0.7j, 2.0):
+            ref = orc.response_lu(sys.A, sys.B, sys.C, sys.D, s)
+            assert np.linalg.norm(sysmodel._point_response(sys, s) - ref) <= 1e-12 * (
                 1.0 + np.linalg.norm(ref)
             )
 
@@ -166,11 +171,10 @@ class TestEvaluation:
         sys = StateSpace([[-1.0]], [[1e300]], [[1e300]], [[0.0]])
         # the last target's parts both overflow, and their difference is NaN
         for target in (sys, error_system(sys, random_stable(24, 1)), error_system(sys, sys)):
-            for s, where in ((0.5j, 0.5), (2.0, 2.0)):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    with pytest.raises(PoleOnGrid, match="response overflowed") as info:
-                        evaluate_at(target, s)
-                assert info.value.omega == where
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(PoleOnGrid, match="response overflowed") as info:
+                    evaluate(target, 0.5)
+            assert info.value.omega == 0.5
 
     def test_pole_hit_raises_with_location(self):
         with pytest.raises(PoleOnGrid) as info:
@@ -377,7 +381,7 @@ class TestMoebiusSubstitute:
                 continue
             for w in rng.uniform(-3.0, 3.0, size=5):
                 target = (a * 1j * w + b) / (c * 1j * w + d)
-                ref = evaluate_at(sys, target)
+                ref = orc.response_lu(sys.A, sys.B, sys.C, sys.D, target)
                 got = evaluate(sub, float(w))
                 assert np.linalg.norm(got - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
 
@@ -433,7 +437,7 @@ _ORACLE_POINTS = np.concatenate([1j * np.linspace(-4.0, 4.0, 57), [0.3 + 0.7j, 2
 
 
 def _pointwise(sys, points):
-    return np.stack([evaluate_at(sys, s) for s in points])
+    return np.stack([sysmodel._point_response(sys, complex(s)) for s in points])
 
 
 def _worst_gap(sys, points, scale_sys=None, kernel=sysmodel._response_stack):
@@ -451,6 +455,39 @@ def _worst_gap(sys, points, scale_sys=None, kernel=sysmodel._response_stack):
 
 
 class TestSchurResponses:
+    def test_one_panel_path_for_both_arithmetics(self, monkeypatch):
+        # a real form with no 2 x 2 blocks and its diagonal-unitary complex
+        # twin have panels of the same rows, so both sweeps make the same
+        # gemm updates (add_product) above their panels
+        rng = np.random.default_rng(61)
+        n = 19
+        x = rng.standard_normal((n, n))
+        real = StateSpace(
+            -(x @ x.T) / n - 0.1 * np.eye(n), rng.standard_normal((n, 2)),
+            rng.standard_normal((2, n)), rng.standard_normal((2, 2)),
+        )
+        assert not np.diagonal(real._form.t, -1).any()
+        u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        twin = StateSpace(
+            u.conj()[:, None] * real.A * u[None, :], u.conj()[:, None] * real.B,
+            real.C * u[None, :], real.D,
+        )
+        assert twin.A.dtype == np.complex128
+        grid = FrequencyGrid.linear(-3.0, 3.0, 101)
+        calls = []
+        add_product = sysmodel.add_product
+        monkeypatch.setattr(
+            sysmodel, "add_product", lambda *args: calls.append(1) or add_product(*args)
+        )
+        sigmas, counts = [], []
+        for sys in (real, twin):
+            calls.clear()
+            sigmas.append(sweep(sys, grid).sigma_max)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        gap = np.max(np.abs(sigmas[0] - sigmas[1]))
+        assert gap <= 1e-12 * max(1.0, float(np.max(sigmas[0])))
+
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("m,p", [(1, 1), (2, 3), (3, 2)])
     @pytest.mark.parametrize("n", [1, 7, 30])
@@ -551,7 +588,6 @@ class TestSeededErrorSystem:
         err = error_system(full, reduced)
         sweep(err, FrequencyGrid.linear(-3.0, 3.0, 61), refine=True)
         sigma_max_at(err, 0.7)
-        evaluate_at(err, 0.3 + 0.7j)
         # each part holds its own Schur form; the error system holds none
         assert "_schur_form" not in err.__dict__
         assert all("_schur_form" in part.__dict__ for part in (full, reduced))
@@ -1111,7 +1147,7 @@ class TestRefinementAccuracy:
 
 class TestProbeErrors:
     """A probe within pole tolerance, or one that overflows, raises
-    PoleOnGrid at that probe, with evaluate_at's message."""
+    PoleOnGrid at that probe, with the message of a one-point evaluate."""
 
     # the peak lies at 1.05; probes close in on the resonance at w ~ 1
     GRID = FrequencyGrid.explicit([0.5, 0.9, 1.05, 1.5])
@@ -1171,15 +1207,16 @@ class TestProbeErrors:
         models = [_empty_model(1, 1, [[0.0]]), _empty_model(1, 1, [[1e300]])]
         self._check(plant, models, self.GRID, "response overflowed")
 
-    @pytest.mark.parametrize("s", [-1.0 + 1e-9, -1.0 + 1e-9j])
-    def test_probe_that_trsyl_perturbs_is_an_overflow(self, s):
-        # 1e-9 from the pole at -1: outside its screening tolerance, 2e-12,
-        # but inside trsyl's perturbation threshold, eps * 1e8
-        sys = StateSpace([[-1.0, 1e8], [0.0, -2.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    @pytest.mark.parametrize("w", [0.0, 1e-9])
+    def test_probe_that_trsyl_perturbs_is_an_overflow(self, w):
+        # 1e-9 or so from the pole at -1e-9: outside its screening
+        # tolerance, 2e-12, but inside trsyl's perturbation threshold,
+        # eps * 1e8; w = 0 meets a real pivot, w != 0 a 2 x 2 shift block
+        sys = StateSpace([[-1e-9, 1e8], [0.0, -2.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         with pytest.raises(PoleOnGrid, match="response overflowed") as info:
-            evaluate_at(sys, s)
-        assert str(info.value) == f"response overflowed at s = {complex(s)}"
-        assert info.value.omega == complex(s)
+            evaluate(sys, w)
+        assert str(info.value) == f"response overflowed at s = {1j * w}"
+        assert info.value.omega == w
 
     def test_grids_are_checked_before_any_probe(self, monkeypatch):
         # the first model's search would hit the pole, but the second
