@@ -41,6 +41,7 @@ from .reduction import (
     leading_block,
     partition,
     tail_bound,
+    truncation_result,
 )
 from .sysmodel import StateSpace, is_hurwitz
 
@@ -60,23 +61,6 @@ def prepare_standard(sys: StateSpace) -> Balanced:
     return balance(sys, *standard_gramians(sys))
 
 
-def _result(
-    prep: Balanced, method: str, reduced: StateSpace, bounds: dict, warnings=()
-) -> ReductionResult:
-    stable = is_hurwitz(reduced).stable
-    if not stable:
-        warnings += ("reduced system is not Hurwitz",)
-    return ReductionResult(
-        reduced=reduced,
-        method=method,
-        order=reduced.n,
-        bounds=bounds,
-        stable=stable,
-        sigma=tuple(float(s) for s in prep.sigma),
-        warnings=warnings,
-    )
-
-
 def _tail_bound(prep: Balanced, r: int) -> dict:
     return {"ef": tail_bound(prep.sigma, r)}
 
@@ -88,7 +72,7 @@ def fibt_truncate(prep: Balanced, r: int) -> ReductionResult:
     singular values.
     """
     r = check_order(r, prep.sys.n)
-    return _result(prep, "fibt", leading_block(prep.sys, r), _tail_bound(prep, r))
+    return truncation_result(prep, "fibt", leading_block(prep.sys, r), _tail_bound(prep, r))
 
 
 def fibt_reduce(sys: StateSpace, r: int) -> ReductionResult:
@@ -129,7 +113,8 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
         c1 + gemm(c2, fold_a),
         prep.sys.D + gemm(c2, fold_b),
     )
-    return _result(prep, "gspa", reduced, _tail_bound(prep, r) if rho == 0.0 else {})
+    bounds = _tail_bound(prep, r) if rho == 0.0 else {}
+    return truncation_result(prep, "gspa", reduced, bounds)
 
 
 def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
@@ -210,8 +195,8 @@ def fgbt_truncate(prep: Balanced, r: int) -> ReductionResult:
     guaranteed; indefinite Gramians raise IndefiniteGramian in prepare_band.
     """
     r = check_order(r, prep.sys.n)
-    warnings = ("no error bound available for band-limited Gramian truncation",)
-    return _result(prep, "fgbt", leading_block(prep.sys, r), {}, warnings)
+    notes = ("no error bound available for band-limited Gramian truncation",)
+    return truncation_result(prep, "fgbt", leading_block(prep.sys, r), {}, notes)
 
 
 def fgbt_reduce(sys: StateSpace, r: int, w1: float, w2: float) -> ReductionResult:

@@ -222,10 +222,7 @@ def cmd_reduce(args) -> int:
         runner = build_runner(args, model.n)
     except FdbtError as exc:
         return _fail(exc, 2)
-    try:
-        result = runner(model)
-    except FdbtError as exc:
-        return _fail(exc, 3)
+    result = runner(model)
     if args.output is not None:
         base = str(meta.get("name", "") or "model")
         write_model(args.output, result.reduced, name=f"{base}__{args.method}_r{args.order}")
@@ -249,10 +246,7 @@ def cmd_sweep(args) -> int:
             grid = FrequencyGrid.linear(args.wmin, args.wmax, args.points)
     except FdbtError as exc:
         return _fail(exc, 2)
-    try:
-        report = sweep(target, grid, refine=False, on_pole="skip")
-    except FdbtError as exc:
-        return _fail(exc, 3)
+    report = sweep(target, grid, refine=False, on_pole="skip")
     for omega in report.skipped:
         _diag({"warning": "pole-on-grid", "omega": float(omega)})
     write_sweep_csv(args.output, report)
@@ -264,10 +258,7 @@ def cmd_bench_random(args) -> int:
         spec = RandomModelSpec(n=args.n, seed=args.seed, count=args.count)
     except FdbtError as exc:
         return _fail(exc, 2)
-    try:
-        report = run_randomized_experiment(spec)
-    except FdbtError as exc:
-        return _fail(exc, 3)
+    report = run_randomized_experiment(spec)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(
         args.out, f"experiment_n{args.n}_seed{args.seed}_count{args.count}.json"
@@ -293,10 +284,7 @@ def cmd_bench_example(args) -> int:
         )
     except FdbtError as exc:
         return _fail(exc, 2)
-    try:
-        bundle = reproduce_example(args.name, out_dir=args.out)
-    except FdbtError as exc:
-        return _fail(exc, 3)
+    bundle = reproduce_example(args.name, out_dir=args.out)
     _emit(
         {
             "example": bundle.name,
@@ -313,12 +301,9 @@ def cmd_bench_ladder(args) -> int:
         ladder = generate_ladder(args.order)
     except FdbtError as exc:
         return _fail(exc, 2)
-    try:
-        grid = FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS)
-        response = sweep(ladder, grid, refine=False, on_pole="skip")
-        sigma = prepare_standard(ladder).sigma
-    except FdbtError as exc:
-        return _fail(exc, 3)
+    grid = FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS)
+    response = sweep(ladder, grid, refine=False, on_pole="skip")
+    sigma = prepare_standard(ladder).sigma
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"ladder_{args.order}")
     write_model(stem + ".json", ladder, name=f"ladder-{args.order}")

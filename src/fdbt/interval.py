@@ -45,12 +45,21 @@ from .linalg import (
     eigvals,
     gemm,
     jw,
+    rank_cutoff,
     schur,
     solve,
     solve_guarded,
     sqrt_principal,
 )
-from .reduction import Balanced, Extended, ReductionResult, balance, check_order, ef_bound
+from .reduction import (
+    Balanced,
+    Extended,
+    ReductionResult,
+    balance,
+    check_order,
+    ef_bound,
+    truncation_result,
+)
 from .sysmodel import StateSpace, is_hurwitz
 
 
@@ -193,10 +202,12 @@ class _EtaChain:
     succeeded are kept, and a failing step is recomputed when asked again,
     so every order raises exactly what a fresh chain from it raises: order
     n's spectrum guards first, then order r's, then steps r+1, r+2, ...
-    (order i's spectrum guards, then the sigma cutoff). A guard that passed
-    passes again, so each order's is run once; interval_truncate marks
-    order r's passed, as its band factors have applied the same rules to
-    the eigenvalues of their Schur form of A_r.
+    (order i's spectrum guards, then linalg.rank_cutoff of sigma). A guard
+    that passed passes again, so each order's is run once. Two are marked
+    passed without an eigenvalue solve, as band factors have applied the
+    same rules to a Schur form's eigenvalues: order n's by prepare_interval
+    (the input's A, similar to A_n) and order r's by interval_truncate
+    (A_r). A prepared chain thus solves orders r+1..n-1 alone.
 
     The chain reads gram.sys alone: its state matrix is the input's in
     balanced coordinates, and its B and C are the band-weighted input and
@@ -209,8 +220,7 @@ class _EtaChain:
         self.sys, self.cfg = gram.sys, cfg
         self.io = (gram.sys.B, gram.sys.C)
         self.sigma = np.asarray(gram.sigma, dtype=float)
-        top = self.sigma[0] if self.sigma.size and self.sigma[0] > 0 else 1.0
-        self.cutoff = gram.sys.n * np.finfo(float).eps * top
+        self.cutoff = rank_cutoff(self.sigma)
         m_io, p_io = gram.sys.m, gram.sys.p
         dtype = np.result_type(gram.sys.A, *self.io)
         self.swap = np.zeros((m_io + p_io, p_io + m_io), dtype=dtype)
@@ -311,10 +321,12 @@ def interval_eta(
     on an eigenvalue, square-root branch cut), real for a real system over
     a band centred at zero, plus O(k^2 (m + p)) products.
 
-    This is a fresh chain from r. eta_i does not depend on r, so a caller
-    bounding several orders of one system and band should prepare it once
-    (prepare_interval) and ask IntervalBalanced.eta, which walks the chain
-    once for all of them and returns the same values bit for bit.
+    This is a fresh chain from r, which runs every one of those guards.
+    eta_i does not depend on r, so a caller bounding several orders of one
+    system and band should prepare it once (prepare_interval) and ask
+    IntervalBalanced.eta, which walks the chain once for all of them,
+    skips the guards of orders n and r, and returns the same values bit
+    for bit.
     """
     # Bx and Cx come from gram.sys; another record's maps would give a
     # wrong bound without an error
@@ -335,7 +347,8 @@ class IntervalBalanced:
     balanced coordinates. interval_truncate does the per-order rest, and
     the eta chain reads the same record. The chain behind the in-band
     bound is shared by every order (eta_i depends on i, not on r), so
-    truncating at several orders walks it once.
+    truncating at several orders walks it once, solving the spectrum
+    guards of orders r+1..n-1 (see _EtaChain).
     """
 
     sys: StateSpace
@@ -357,12 +370,16 @@ def prepare_interval(sys: StateSpace, cfg: IntervalConfig) -> IntervalBalanced:
     Requires a Hurwitz input: builds the band-weighted realization, its
     band Gramians and the balancing transform, once per system and band.
     The band-weighted realization keeps the input's A, so gram.sys's state
-    matrix is the input's in balanced coordinates.
+    matrix is the input's in balanced coordinates, and the band factors'
+    spectrum guards on A pass the chain's order-n guards, which are marked
+    passed.
     """
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("band-limited reduction requires a Hurwitz system")
     ext = build_interval_extended(sys, cfg)
-    return IntervalBalanced(sys, ext, interval_gramians(ext))
+    prep = IntervalBalanced(sys, ext, interval_gramians(ext))
+    prep._chain.guarded.add(sys.n)
+    return prep
 
 
 def interval_truncate(
@@ -387,32 +404,14 @@ def interval_truncate(
     if reduced.A.dtype == form.t.dtype:
         reduced.__dict__["_form"] = form
 
-    stable = is_hurwitz(reduced).stable
-    warnings = ()
-    if not stable:
-        # theory says this cannot happen for a Hurwitz input; keep honest
-        warnings += ("reduced system is not Hurwitz",)
-    if prep.gram.rank_deficient:
-        warnings += (
-            f"{len(prep.gram.rank_deficient)} balanced directions below numerical rank",
-        )
-
-    bounds = {}
+    bounds, notes = {}, ()
     if with_bounds:
         bounds["interval"] = interval_bound(prep.eta(r))
-        if with_ef_bound and stable:
+        if with_ef_bound and is_hurwitz(reduced).stable:
             bounds["ef"] = interval_ef_bound(prep, reduced, r)
         elif with_ef_bound:
-            warnings += ("ef bound unavailable: reduced system not Hurwitz",)
-    return ReductionResult(
-        reduced=reduced,
-        method="int-fdbt",
-        order=r,
-        bounds=bounds,
-        stable=stable,
-        sigma=tuple(float(s) for s in prep.gram.sigma),
-        warnings=warnings,
-    )
+            notes = ("ef bound unavailable: reduced system not Hurwitz",)
+    return truncation_result(prep.gram, "int-fdbt", reduced, bounds, notes)
 
 
 def interval_reduce(
@@ -436,8 +435,8 @@ def interval_reduce(
     then computed once.
 
     with_bounds=False skips the eta chain and the whole-axis sweeps (the eta
-    chain costs one eigenvalue solve per order from r + 1 to n, real for a
-    real system over a band centred at zero). with_ef_bound=False keeps the
+    chain costs one eigenvalue solve per order from r + 1 to n - 1, real for
+    a real system over a band centred at zero). with_ef_bound=False keeps the
     in-band bound but drops the whole-axis sweep terms: two dense H-infinity
     estimates whose cost grows with the full order rather than the reduced
     one.

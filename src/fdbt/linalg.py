@@ -339,15 +339,26 @@ def solve_lyapunov(a, q, form: SchurForm | None = None) -> np.ndarray:
     return x
 
 
-def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
-    """m^(-1) rhs, raising error when m is numerically singular.
+def rank_cutoff(sv: np.ndarray) -> float:
+    """The numerical-rank cutoff of non-increasing singular values sv.
 
-    Singular means the smallest singular value of m is at most
-    n·eps times the largest (or m is zero).
+    A value at most len(sv)·eps·sv[0] is numerically zero; when sv is
+    empty or sv[0] is zero the scale is 1, so that all of a zero matrix's
+    values count as zero. The one rank rule of fdbt: solve_guarded,
+    balance_gramians and the eta chain all apply it.
+    """
+    top = float(sv[0]) if len(sv) and sv[0] > 0 else 1.0
+    return len(sv) * np.finfo(float).eps * top
+
+
+def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
+    """m^(-1) rhs, raising error when m is numerically singular: when its
+    smallest singular value is at most rank_cutoff of them (so also when
+    m is zero).
     """
     if m.shape[0]:
         sv = svd(m, vectors=False)
-        if sv[0] == 0.0 or sv[-1] <= m.shape[0] * np.finfo(float).eps * sv[0]:
+        if sv[-1] <= rank_cutoff(sv):
             raise error
     return solve(m, rhs, error)
 
@@ -470,10 +481,11 @@ def balance_gramians(wc, wo):
     of T⁻¹ taken from a pseudo-inverse of T) and flagged; the reported
     sigma keeps the true values.
 
-    flags[i] is True when sigma[i] fell below the numerical-rank cutoff
-    n·eps·sigma[0]. Two real Gramians are balanced in real arithmetic, so
-    T is real: that fixes the gauge (the free phase of each balanced
-    direction) that the complex factorizations leave to LAPACK.
+    flags[i] is True when sigma[i] is at most rank_cutoff(sigma), the
+    rule Balanced.rank_deficient reads off sigma. Two real Gramians are
+    balanced in real arithmetic, so T is real: that fixes the gauge (the
+    free phase of each balanced direction) that the complex
+    factorizations leave to LAPACK.
     """
     wc = as_matrix(wc, "Wc")
     wo = as_matrix(wo, "Wo")
@@ -490,8 +502,8 @@ def balance_gramians(wc, wo):
     lo = _psd_factor(wo, "Wo")
     u, sigma, vh = svd(gemm(lo, lc, ha=True))
 
-    cutoff = n * np.finfo(float).eps * (sigma[0] if sigma[0] > 0 else 1.0)
-    flags = sigma < cutoff
+    cutoff = rank_cutoff(sigma)
+    flags = sigma <= cutoff
     safe = np.maximum(sigma, max(cutoff, ABS_FLOOR))
     scale = 1.0 / np.sqrt(safe)
 

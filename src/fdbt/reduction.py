@@ -1,6 +1,6 @@
 """Shared plumbing for balancing-based reductions: balanced realizations,
 truncation, the tail and entire-frequency bounds, and the result record
-all methods return.
+all methods return, assembled by truncation_result alone.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHurwitz, OrderOutOfRange
-from .linalg import balance_gramians
+from .linalg import balance_gramians, rank_cutoff
 from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz
 
 
@@ -22,10 +22,9 @@ class Balanced:
     standard or band-limited pair, sf-fdbt and int-fdbt the standard pair
     of their extended realization. sys is the balanced realization
     (T^-1 A T, T^-1 B, C T, D), where both Gramians of the pair (Wc, Wo)
-    become diag(sigma), sigma non-increasing; rank_deficient lists the
-    indices whose sigma fell below the numerical-rank cutoff. Nothing here
-    depends on the truncation order, so one record serves every order a
-    caller truncates at.
+    become diag(sigma), sigma non-increasing. Nothing here depends on the
+    truncation order, so one record serves every order a caller truncates
+    at.
     """
 
     sys: StateSpace
@@ -34,7 +33,12 @@ class Balanced:
     Wo: np.ndarray
     T: np.ndarray
     Tinv: np.ndarray
-    rank_deficient: tuple
+
+    @property
+    def rank_deficient(self) -> tuple:
+        """Indices of the sigma at most linalg.rank_cutoff(sigma): the
+        directions balance_gramians flags and regularizes."""
+        return tuple(int(i) for i in np.flatnonzero(self.sigma <= rank_cutoff(self.sigma)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +52,8 @@ class Extended:
 
 def balance(sys: StateSpace, wc: np.ndarray, wo: np.ndarray) -> Balanced:
     """Balance a Gramian pair (wc, wo) of sys and apply the transform to sys."""
-    t, tinv, sigma, flags = balance_gramians(wc, wo)
-    deficient = tuple(int(i) for i in np.flatnonzero(flags))
-    return Balanced(sys.transformed(t, tinv), sigma, wc, wo, t, tinv, deficient)
+    t, tinv, sigma, _ = balance_gramians(wc, wo)
+    return Balanced(sys.transformed(t, tinv), sigma, wc, wo, t, tinv)
 
 
 def tail_bound(sigma: np.ndarray, r: int) -> float:
@@ -100,6 +103,32 @@ class ReductionResult:
     stable: bool
     sigma: tuple
     warnings: tuple = ()
+
+
+def truncation_result(
+    prep: Balanced, method: str, reduced: StateSpace, bounds: dict, notes=()
+) -> ReductionResult:
+    """The record every method returns for a model reduced from prep.
+
+    Decides stability and warns in one order for all methods: "reduced
+    system is not Hurwitz", then the count of prep's directions below
+    numerical rank (Balanced.rank_deficient), then the method's own notes,
+    such as an unavailable bound.
+    """
+    stable = is_hurwitz(reduced).stable
+    warnings = () if stable else ("reduced system is not Hurwitz",)
+    deficient = len(prep.rank_deficient)
+    if deficient:
+        warnings += (f"{deficient} balanced directions below numerical rank",)
+    return ReductionResult(
+        reduced=reduced,
+        method=method,
+        order=reduced.n,
+        bounds=bounds,
+        stable=stable,
+        sigma=tuple(float(s) for s in prep.sigma),
+        warnings=warnings + notes,
+    )
 
 
 def check_order(r: int, n: int) -> int:

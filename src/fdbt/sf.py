@@ -37,6 +37,7 @@ from .reduction import (
     ef_bound,
     leading_block,
     tail_bound,
+    truncation_result,
 )
 from .sysmodel import StateSpace, is_hurwitz, moebius_realization
 
@@ -165,31 +166,14 @@ def sf_reduce(
     gram = sf_gramians(ext)
     reduced = invert_sf_extension(leading_block(gram.sys, r), cfg)
 
-    stable = is_hurwitz(reduced).stable
-    warnings = ()
-    if not stable:
-        # possible by design: the back-mapped model has no stability guarantee
-        warnings += ("reduced system is not Hurwitz",)
-    if gram.rank_deficient:
-        warnings += (
-            f"{len(gram.rank_deficient)} balanced directions below numerical rank",
-        )
-
-    bounds = {"sf": sf_bound(gram, r)}
+    bounds, notes = {"sf": sf_bound(gram, r)}, ()
     if with_ef_bound:
-        if stable and is_hurwitz(sys).stable:
+        # the back-mapped model has no stability guarantee
+        if is_hurwitz(reduced).stable and is_hurwitz(sys).stable:
             bounds["ef"] = sf_ef_bound(sys, ext, reduced, gram, r)
         else:
-            warnings += ("ef bound unavailable: whole-axis sup needs Hurwitz systems",)
-    return ReductionResult(
-        reduced=reduced,
-        method="sf-fdbt",
-        order=r,
-        bounds=bounds,
-        stable=stable,
-        sigma=tuple(float(s) for s in gram.sigma),
-        warnings=warnings,
-    )
+            notes = ("ef bound unavailable: whole-axis sup needs Hurwitz systems",)
+    return truncation_result(gram, "sf-fdbt", reduced, bounds, notes)
 
 
 @dataclass(frozen=True)

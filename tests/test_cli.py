@@ -27,7 +27,7 @@ from fdbt import (
     sweep,
 )
 from fdbt import cli
-from fdbt.errors import DimensionMismatch, InvalidParameters
+from fdbt.errors import DimensionMismatch, InvalidParameters, SingularSylvester
 from fdbt.interval import IntervalConfig
 
 from helpers import random_stable, random_unstable
@@ -503,6 +503,35 @@ class TestGenLadder:
         )
         assert code == 2
         assert json.loads(stderr)["error"] == "invalid-parameters"
+
+
+def _raises(*args, **kwargs):
+    raise SingularSylvester("injected failure")
+
+
+@pytest.mark.parametrize(
+    "call, argv",
+    [
+        ("fibt_reduce", ["reduce", "{model}", "--method", "fibt", "--order", "1",
+                         "--output", "{out}/r.json"]),
+        ("sweep", ["sweep", "{model}", "--wmin", "-1", "--wmax", "1", "--points", "5",
+                   "--output", "{out}/s.csv"]),
+        ("run_randomized_experiment", ["bench", "random", "--count", "1", "--out", "{out}"]),
+        ("reproduce_example", ["bench", "example", "ex1", "--out", "{out}"]),
+        ("prepare_standard", ["bench", "ladder", "--order", "3", "--out", "{out}"]),
+    ],
+    ids=["reduce", "sweep", "bench-random", "bench-example", "bench-ladder"],
+)
+def test_every_numerical_failure_exits_3(capsys, tmp_path, monkeypatch, call, argv):
+    # main's one rule: an FdbtError raised after validation is numerical
+    model = str(tmp_path / "m.json")
+    cli.write_model(model, random_stable(33, 3))
+    monkeypatch.setattr(cli, call, _raises)
+    argv = [arg.format(model=model, out=tmp_path) for arg in argv]
+    code, stdout, stderr = run_cli(capsys, argv)
+    assert (code, stdout) == (3, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "singular-sylvester", "message": "injected failure"}
 
 
 class TestPipeline:

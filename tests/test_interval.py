@@ -232,7 +232,7 @@ class TestEta:
         n = len(sigma)
         sys = StateSpace(a, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)))
         eye = np.eye(n, dtype=complex)
-        gram = Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye, ())
+        gram = Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye)
         return sys, gram
 
     def test_shift_guard_names_truncation_order(self):
@@ -345,8 +345,9 @@ class TestPreparedChain:
 
     def test_truncation_factors_its_state_matrix_once(self, monkeypatch):
         # the one gees of a_r serves the band factors, the reduced model's
-        # poles and the chain's order-r guards: the chain's geevs are orders
-        # r+1..n alone (workspace queries, cached per order, not counted)
+        # poles and the chain's order-r guards, and prepare_interval's band
+        # factors of A pass order n's: the chain's geevs are orders
+        # r+1..n-1 alone (workspace queries, cached per order, not counted)
         prep = prepare_interval(generate_ladder(31), IntervalConfig(-0.5, 0.5))
         calls = collections.Counter()
         real = fdbt.linalg._routine
@@ -363,7 +364,7 @@ class TestPreparedChain:
 
         monkeypatch.setattr(fdbt.linalg, "_routine", routine)
         interval_truncate(prep, 10)
-        assert (calls["gees"], calls["geev"]) == (1, 21)
+        assert (calls["gees"], calls["geev"]) == (1, 20)
 
     def test_failing_truncation_guard_raises_unprefixed(self):
         # a_r's own band factors refuse it before the chain is asked, with
@@ -424,7 +425,7 @@ class TestPreparedChain:
         padded[:k, :k] = a[:k, :k]
         sys = StateSpace(padded, np.ones((k + 1, 1)), np.ones((1, k + 1)), [[0.0]])
         eye = np.eye(k + 1)
-        gram = Balanced(sys, np.ones(k + 1), eye, eye, eye, eye, ())
+        gram = Balanced(sys, np.ones(k + 1), eye, eye, eye, eye)
         chain = _EtaChain(gram, UNIT_BAND)
         with pytest.raises(FdbtError) as guarded:
             chain._guard(k)
@@ -493,10 +494,11 @@ class TestClosedFormChain:
     def test_square_roots_reuse_the_guarded_spectrum(self, monkeypatch):
         # each band factor's square root takes the spectrum its guards have
         # checked, so it solves no eigenvalue problem of its own: what is
-        # left is the chain's guards (orders r+1..n); the band-factor guards
-        # read Schur forms (the full model's cached one, and the reduced
-        # state matrix's, which the reduced model keeps for its poles and
-        # which passes the chain's order-r guards)
+        # left is the chain's guards (orders r+1..n-1); the band-factor
+        # guards read Schur forms (the full model's cached one, which passes
+        # the chain's order-n guards, and the reduced state matrix's, which
+        # the reduced model keeps for its poles and which passes the
+        # chain's order-r guards)
         calls = []
         real = fdbt.linalg.eigvals
         for mod in (fdbt.linalg, fdbt.interval):
@@ -505,7 +507,7 @@ class TestClosedFormChain:
         for r in (5, 20, 31):
             calls.clear()
             interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
-            chain = lad.n - r
+            chain = max(lad.n - r - 1, 0)
             assert len(calls) == chain, r
 
 

@@ -28,7 +28,17 @@ from fdbt import (
 )
 from fdbt.baselines import gspa_truncate
 from fdbt.interval import IntervalBalanced, interval_truncate
-from fdbt.linalg import eigh, eigvals, gemm, resolvent, schur, solve, solve_guarded, svd
+from fdbt.linalg import (
+    eigh,
+    eigvals,
+    gemm,
+    rank_cutoff,
+    resolvent,
+    schur,
+    solve,
+    solve_guarded,
+    svd,
+)
 from fdbt.reduction import Balanced
 
 
@@ -408,7 +418,7 @@ class TestBalanceGramians:
 def _identity_balanced(sys, sigma):
     """A record that declares sys balanced as given (T = I)."""
     eye = np.eye(sys.n, dtype=complex)
-    return Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye, ())
+    return Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye)
 
 
 def _moebius_at_a_pole():
@@ -472,3 +482,19 @@ class TestSolveGuarded:
         with pytest.raises(error) as info:
             reach()
         assert type(info.value) is error and str(info.value) == message
+
+    def test_zero_matrix_is_refused(self):
+        with pytest.raises(SingularReconstruction):
+            solve_guarded(np.zeros((3, 3)), np.ones((3, 1)), SingularReconstruction("zero"))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "sv, cutoff",
+    [([4.0, 1.0], 2 * EPS * 4.0), ([0.0, 0.0, 0.0], 3 * EPS), ([], 0.0)],
+    ids=["scaled", "zero", "empty"],
+)
+def test_rank_cutoff_scales_with_the_largest_value(sv, cutoff):
+    assert rank_cutoff(np.array(sv)) == cutoff

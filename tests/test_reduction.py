@@ -11,12 +11,20 @@ from fdbt import (
     IntervalConfig,
     OrderOutOfRange,
     SfConfig,
+    balance_gramians,
+    band_gramians,
+    build_sf_extended,
     example_fixture,
+    fgbt_reduce,
+    fibt_reduce,
+    generate_ladder,
+    gspa_reduce,
     interval_reduce,
     leading_block,
     partition,
     sf_reduce,
     solve_lyapunov,
+    standard_gramians,
 )
 from fdbt.reduction import balance, check_order
 
@@ -99,3 +107,48 @@ def test_ef_bound_reuses_the_full_models_extension(monkeypatch):
     # the full model once, then the reduced one for the ef bound
     assert sf_builds == [True, False]
     assert int_builds == [True, False]
+
+
+RANK = "balanced directions below numerical rank"
+NO_FGBT_BOUND = "no error bound available for band-limited Gramian truncation"
+
+
+@pytest.mark.parametrize(
+    "reduce, warnings",
+    [
+        (lambda lad: fibt_reduce(lad, 5), ()),
+        (lambda lad: gspa_reduce(lad, 5, 0.0), ()),
+        (lambda lad: fgbt_reduce(lad, 5, -0.5, 0.5), (f"16 {RANK}", NO_FGBT_BOUND)),
+        (lambda lad: sf_reduce(lad, SfConfig(0.0, 1.0), 5), (f"13 {RANK}",)),
+        (lambda lad: interval_reduce(lad, IntervalConfig(-0.5, 0.5), 5), ()),
+    ],
+    ids=["fibt", "spa", "fgbt", "sf-fdbt", "int-fdbt"],
+)
+def test_every_method_warns_of_numerical_rank(reduce, warnings):
+    # one rule for all methods: the 31-state ladder's band and sf pairs lose
+    # rank, its standard and int-fdbt pairs do not
+    assert reduce(generate_ladder(31)).warnings == warnings
+
+
+def test_warnings_come_in_one_order():
+    # lost stability, then numerical rank, then the method's own notes
+    result = fgbt_reduce(generate_ladder(101), 26, -0.5, 0.5)
+    assert not result.stable
+    assert result.warnings == (
+        "reduced system is not Hurwitz",
+        f"70 {RANK}",
+        NO_FGBT_BOUND,
+    )
+
+
+@pytest.mark.parametrize("pair", ["band", "sf"])
+def test_rank_deficient_is_the_balancing_flags(pair):
+    lad = generate_ladder(31)
+    if pair == "band":
+        sys, (wc, wo) = lad, band_gramians(lad, -0.5, 0.5)
+    else:
+        sys = build_sf_extended(lad, SfConfig(0.0, 1.0)).sys
+        wc, wo = standard_gramians(sys)
+    flags = balance_gramians(wc, wo)[3]
+    assert flags.any()
+    assert balance(sys, wc, wo).rank_deficient == tuple(np.flatnonzero(flags))

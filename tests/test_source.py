@@ -70,3 +70,22 @@ def test_exports_are_exactly_the_imported_names():
     ]
     assert len(exports) == len(set(exports))
     assert set(exports) == imported | {"__version__"}
+
+
+def test_one_numerical_rank_rule():
+    # linalg.rank_cutoff is the only place machine epsilon enters a verdict
+    sources = [(SRC / name).read_text() for name in MODULES + ["__init__.py"]]
+    assert sum(text.count("finfo") for text in sources) == 1
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_reduction_builds_result_records(module):
+    # every method's record comes from reduction.truncation_result
+    built = [
+        node
+        for node in ast.walk(ast.parse((SRC / module).read_text(), filename=module))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "ReductionResult"
+    ]
+    assert module == "reduction.py" or built == []
