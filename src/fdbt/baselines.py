@@ -30,11 +30,11 @@ from .linalg import (
     hermitize,
     log_principal,
     solve,
-    solve_guarded,
     solve_lyapunov,
 )
 from .reduction import (
     Balanced,
+    IntervalConfig,
     ReductionResult,
     balance,
     check_order,
@@ -105,7 +105,7 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
     singular = SingularResidualization(
         f"rho I - A22 is numerically singular at rho = {rho}"
     )
-    fold_a = solve_guarded(shifted, a21, singular)
+    fold_a = solve(shifted, a21, singular, guarded=True)
     fold_b = solve(shifted, b2, singular)
     reduced = StateSpace(
         a11 + gemm(a12, fold_a),
@@ -146,14 +146,14 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
     For a real A, log(-j x I - A) = conj(log(j x I - A)), so a band mirrored
     about zero needs the logarithms at its positive edges only, and S is
     real: Im log(j x I - A) / pi for [-x, x], and the difference of two such
-    terms for a one-sided band. Either Gramian may come out indefinite;
+    terms for a one-sided band. The band is validated by IntervalConfig,
+    the rule int-fdbt applies too. Either Gramian may come out indefinite;
     that is reported as IndefiniteGramian, not repaired. standard is sys's
     whole-axis pair (Wc, Wo) if the caller holds it; otherwise it is solved
     here.
     """
-    w1, w2 = float(w1), float(w2)
-    if not (math.isfinite(w1) and math.isfinite(w2) and w1 < w2):
-        raise InvalidParameters("band needs finite w1 < w2")
+    band = IntervalConfig(w1, w2)
+    w1, w2 = band.w1, band.w2
     wc, wo = standard_gramians(sys) if standard is None else standard
     a = sys.A
     mirrored = w1 == -w2 or not w1 <= 0.0 <= w2

@@ -20,6 +20,7 @@ from .baselines import fgbt_reduce, fibt_reduce, gspa_reduce, prepare_standard
 from .errors import DimensionMismatch, FdbtError, InvalidParameters
 from .harness import (
     EXAMPLE_NAMES,
+    EXPERIMENT_ORDERS,
     LADDER_GRID_POINTS,
     RandomModelSpec,
     generate_ladder,
@@ -28,8 +29,8 @@ from .harness import (
     write_json,
     write_sweep_csv,
 )
-from .interval import IntervalConfig, interval_reduce
-from .reduction import ReductionResult
+from .interval import interval_reduce
+from .reduction import IntervalConfig, ReductionResult
 from .sf import SfConfig, sf_reduce
 from .sysmodel import FrequencyGrid, StateSpace, error_system, is_hurwitz, sweep
 
@@ -174,10 +175,10 @@ def build_runner(args, n: int):
     if args.symmetrize:
         half = max(abs(w1), abs(w2))
         w1, w2 = -half, half
+    band = IntervalConfig(w1, w2)
     if args.method == "int-fdbt":
-        band = IntervalConfig(w1, w2)
         return lambda model: interval_reduce(model, band, r)
-    return lambda model: fgbt_reduce(model, r, w1, w2)
+    return lambda model: fgbt_reduce(model, r, band.w1, band.w2)
 
 
 def reduction_report(method: str, result: ReductionResult) -> dict:
@@ -256,6 +257,7 @@ def cmd_sweep(args) -> int:
 def cmd_bench_random(args) -> int:
     try:
         spec = RandomModelSpec(n=args.n, seed=args.seed, count=args.count)
+        _require(args.n > max(EXPERIMENT_ORDERS), f"--n must be > {max(EXPERIMENT_ORDERS)}")
     except FdbtError as exc:
         return _fail(exc, 2)
     report = run_randomized_experiment(spec)

@@ -25,7 +25,6 @@ the whole chain stay in real arithmetic; the complex one otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +47,12 @@ from .linalg import (
     rank_cutoff,
     schur,
     solve,
-    solve_guarded,
     sqrt_principal,
 )
 from .reduction import (
     Balanced,
     Extended,
+    IntervalConfig,
     ReductionResult,
     balance,
     check_order,
@@ -61,29 +60,6 @@ from .reduction import (
     truncation_result,
 )
 from .sysmodel import StateSpace, is_hurwitz
-
-
-@dataclass(frozen=True)
-class IntervalConfig:
-    """Frequency band [w1, w2] with its half-width and center."""
-
-    w1: float
-    w2: float
-
-    def __post_init__(self):
-        w1, w2 = float(self.w1), float(self.w2)
-        if not (math.isfinite(w1) and math.isfinite(w2) and w1 < w2):
-            raise InvalidParameters("band needs finite w1 < w2")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-
-    @property
-    def wd(self) -> float:
-        return (self.w2 - self.w1) / 2.0
-
-    @property
-    def wc(self) -> float:
-        return (self.w2 + self.w1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -213,7 +189,8 @@ class _EtaChain:
     balanced coordinates, and its B and C are the band-weighted input and
     output maps there, Bx and Cx (T^(-1) M B and C M T), so no order is
     factored. A real balanced system over a band centred at zero keeps
-    every block, guard and product real.
+    every block, guard and product real. interval_eta's block swap S is a
+    column slice of each step's core, scaled by sigma_i, not a product.
     """
 
     def __init__(self, gram: Balanced, cfg: IntervalConfig):
@@ -221,11 +198,6 @@ class _EtaChain:
         self.io = (gram.sys.B, gram.sys.C)
         self.sigma = np.asarray(gram.sigma, dtype=float)
         self.cutoff = rank_cutoff(self.sigma)
-        m_io, p_io = gram.sys.m, gram.sys.p
-        dtype = np.result_type(gram.sys.A, *self.io)
-        self.swap = np.zeros((m_io + p_io, p_io + m_io), dtype=dtype)
-        self.swap[:m_io, p_io:] = np.eye(m_io)
-        self.swap[m_io:, :p_io] = np.eye(p_io)
         self.steps = {}  # i -> EtaStep
         self.guarded = set()  # orders whose spectrum guards passed
 
@@ -275,7 +247,9 @@ class _EtaChain:
             x = np.hstack([-sign * ck, -scaled * bk])
             core = core + gemm(x, _sandwich(self.sys.A[:k, :k], y, self.cfg), ha=True)
 
-        k_mat = -gemm(core, s_i * self.swap)
+        # K = -core S: S swaps core's m input and p output column blocks
+        m = self.sys.m
+        k_mat = -np.hstack([core[:, m:] * s_i, core[:, :m] * s_i])
         # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
         herm = (2.0 * s_i) ** 2 * np.eye(k_mat.shape[0]) + (k_mat + k_mat.conj().T) / 2.0
         return EtaStep(index=i, eta=float(np.linalg.svd(herm, compute_uv=False)[0]))
@@ -305,7 +279,8 @@ def interval_eta(
                  sigma_i (MM^(-*) SS^(-1) [-Bx_{i-1}; -Bx_i])* ]
 
     with Bx, Cx the band-weighted input/output in balanced coordinates.
-    Then K = -(Cdil NN Bdil) S with S the sigma_i-scaled block swap, and
+    Then K = -(Cdil NN Bdil) S with S = sigma_i [[0, I_m], [I_p, 0]], the
+    sigma_i-scaled swap of the m input and p output column blocks, and
     eta_i = sigma_max of (2 sigma_i)^2 I + (K + K*)/2.
 
     MM, NN and the dilated matrices are never formed. Cdil NN Bdil is a sum
@@ -396,7 +371,7 @@ def interval_truncate(
     m_r, n_r = _band_factors(a_r, prep.ext.config, form)
     prep._chain.guarded.add(r)
     singular = SingularReconstruction("band factor is numerically singular")
-    b_r = solve_guarded(m_r, prep.gram.sys.B[:r, :], singular)
+    b_r = solve(m_r, prep.gram.sys.B[:r, :], singular, guarded=True)
     # m_r^T has m_r's singular values, which the guard has just checked
     c_r = solve(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
     d_r = prep.ext.sys.D - gemm(gemm(c_r, n_r), b_r)

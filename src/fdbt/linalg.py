@@ -14,16 +14,17 @@ through scipy's LAPACK and BLAS, by the routine handles below: products
 frequency responses on them (resolvent: trsv on a complex triangular
 form, trsyl on a real quasi-triangular one), Hermitian eigensolves
 (syevd/heevd), singular values (gesdd), eigenvalues (gees or geev),
-linear solves (gesv), and the matrix square root and logarithm, both on a
-Schur form fdbt computes itself: the band factors pass sqrt_principal
-their form's quasi-triangular factor, and log_principal factors its
-argument by gees first. scipy's own solve_continuous_lyapunov and logm
-multiply with numpy's dot internally, so neither is called on a full
-matrix. This is the only module of fdbt that imports scipy. numpy keeps
-elementwise work: the diagonal steps of a frequency sweep's vectorized
-back substitution (the rows above each panel of a real or complex form
-are updated by one gemm, add_product) and the p x m singular values of
-each response, which OpenBLAS never threads. Nothing here sets or pins a
+linear solves (gesv, after a gesdd rank test when guarded), and the
+matrix square root and logarithm, both on a Schur form fdbt computes
+itself: the band factors pass sqrt_principal their form's
+quasi-triangular factor, and log_principal factors its argument by gees
+first. scipy's own solve_continuous_lyapunov and logm multiply with
+numpy's dot internally, so neither is called on a full matrix. This is
+the only module of fdbt that imports scipy. numpy keeps elementwise
+work: the diagonal steps of a frequency sweep's vectorized back
+substitution (the rows above each panel of a real or complex form are
+updated by one gemm, add_product) and the p x m singular values of each
+response, which OpenBLAS never threads. Nothing here sets or pins a
 thread count.
 """
 
@@ -273,10 +274,21 @@ def svd(a: np.ndarray, vectors: bool = True):
     return (u, s, vh) if vectors else s
 
 
-def solve(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
-    """m^(-1) rhs by an LU solve (gesv), raising error on an exactly zero pivot."""
+def solve(
+    m: np.ndarray, rhs: np.ndarray, error: FdbtError, guarded: bool = False
+) -> np.ndarray:
+    """m^(-1) rhs by an LU solve (gesv), raising error on an exactly zero pivot.
+
+    guarded also raises error when m is numerically singular: when its
+    smallest singular value is at most rank_cutoff of them (so also when m
+    is zero). The test is one singular-value solve (gesdd) before the LU.
+    """
     if m.shape[0] == 0:
         return np.zeros(rhs.shape, np.result_type(m, rhs))
+    if guarded:
+        sv = svd(m, vectors=False)
+        if sv[-1] <= rank_cutoff(sv):
+            raise error
     *_, x, info = _routine("gesv", _char(m, rhs))(m, rhs)
     if info > 0:
         raise error
@@ -344,23 +356,11 @@ def rank_cutoff(sv: np.ndarray) -> float:
 
     A value at most len(sv)·eps·sv[0] is numerically zero; when sv is
     empty or sv[0] is zero the scale is 1, so that all of a zero matrix's
-    values count as zero. The one rank rule of fdbt: solve_guarded,
+    values count as zero. The one rank rule of fdbt: a guarded solve,
     balance_gramians and the eta chain all apply it.
     """
     top = float(sv[0]) if len(sv) and sv[0] > 0 else 1.0
     return len(sv) * np.finfo(float).eps * top
-
-
-def solve_guarded(m: np.ndarray, rhs: np.ndarray, error: FdbtError) -> np.ndarray:
-    """m^(-1) rhs, raising error when m is numerically singular: when its
-    smallest singular value is at most rank_cutoff of them (so also when
-    m is zero).
-    """
-    if m.shape[0]:
-        sv = svd(m, vectors=False)
-        if sv[-1] <= rank_cutoff(sv):
-            raise error
-    return solve(m, rhs, error)
 
 
 def check_off_branch_cut(values: np.ndarray, what: str) -> None:

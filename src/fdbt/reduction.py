@@ -1,15 +1,17 @@
 """Shared plumbing for balancing-based reductions: balanced realizations,
-truncation, the tail and entire-frequency bounds, and the result record
-all methods return, assembled by truncation_result alone.
+the band both band methods validate, truncation, the tail and
+entire-frequency bounds, and the result record all methods return,
+assembled by truncation_result alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHurwitz, OrderOutOfRange
+from .errors import InvalidParameters, NotHurwitz, OrderOutOfRange
 from .linalg import balance_gramians, rank_cutoff
 from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz
 
@@ -39,6 +41,34 @@ class Balanced:
         """Indices of the sigma at most linalg.rank_cutoff(sigma): the
         directions balance_gramians flags and regularizes."""
         return tuple(int(i) for i in np.flatnonzero(self.sigma <= rank_cutoff(self.sigma)))
+
+
+@dataclass(frozen=True)
+class IntervalConfig:
+    """Frequency band [w1, w2] with its half-width and center.
+
+    The one band rule of fdbt: int-fdbt's band factors, fgbt's band
+    Gramians (baselines.band_gramians) and the CLI's band flags all build
+    this record, which refuses a band unless w1 < w2 are both finite.
+    """
+
+    w1: float
+    w2: float
+
+    def __post_init__(self):
+        w1, w2 = float(self.w1), float(self.w2)
+        if not (math.isfinite(w1) and math.isfinite(w2) and w1 < w2):
+            raise InvalidParameters("band needs finite w1 < w2")
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
+
+    @property
+    def wd(self) -> float:
+        return (self.w2 - self.w1) / 2.0
+
+    @property
+    def wc(self) -> float:
+        return (self.w2 + self.w1) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

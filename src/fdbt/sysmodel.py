@@ -31,7 +31,6 @@ from .linalg import (
     resolvent,
     schur,
     solve,
-    solve_guarded,
 )
 
 REAL_TOL = 1e-14
@@ -114,13 +113,8 @@ class StateSpace:
 
     @cached_property
     def _pole_radius(self) -> float:
-        """Largest pole magnitude (0 for n = 0), computed once.
-
-        An error system takes the larger of its two parts' radii.
-        """
-        parts = self.__dict__.get("_parts")
-        if parts is not None:
-            return max(parts[0]._pole_radius, parts[1]._pole_radius)
+        """Largest pole magnitude (0 for n = 0), computed once: for an error
+        system, the larger of its two parts' radii, as poles holds both."""
         return float(np.max(np.abs(self.poles))) if self.n else 0.0
 
     @cached_property
@@ -207,7 +201,8 @@ def _panels(n: int, pairs: set) -> list:
 def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     """Responses C (sI - A)^(-1) B + D at a vector of complex points s.
 
-    No pole screening here; callers check first. Returns shape (k, p, m).
+    No pole screening here; callers check first. Returns a complex array
+    of shape (k, p, m), a static system's (n = 0) included.
     Works on the system's cached Schur form A = Z T Z*: each point solves
     (sI - T) x = Z* B by back substitution and returns (C Z) x + D, so a
     point costs O(n^2 m) once the system is factored. The C Z rows sit on
@@ -236,7 +231,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     k = points.shape[0]
     n, p, m = sys.n, sys.p, sys.m
     if n == 0:
-        return np.broadcast_to(sys.D, (k, p, m)).copy()
+        return np.broadcast_to(sys.D, (k, p, m)).astype(complex)
     t, cz, zb = sys._schur_form
     rows = np.vstack([cz, t])
     cols = rows.T[:, :, None, None]
@@ -287,7 +282,10 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
 def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
     """The response C (sI - A)^(-1) B + D at one point s, unscreened.
 
-    An error system returns the difference of its two parts' responses.
+    An error system returns the difference of its two parts' responses. A
+    static system (n = 0) returns D as complex data, as every other system
+    does, so a probe round that mixes it with dynamic systems reduces all
+    of them in one arithmetic, bit for bit as alone (see _refined).
     Any other system calls its cached resolvent (see linalg.resolvent):
     one BLAS trsv per input column on a complex triangular T, or one real
     LAPACK trsyl per input column on a real quasi-triangular T, then one
@@ -297,7 +295,7 @@ def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
     if parts is not None:
         return _point_response(parts[1], s) - _point_response(parts[0], s)
     if sys.n == 0:
-        return sys.D.copy()
+        return sys.D.astype(complex)
     return sys._resolvent(s)
 
 
@@ -366,16 +364,6 @@ def sigma_max_at(sys: StateSpace, omega: float) -> float:
     sigma_max kernel (_sigma_stack). Refinement does not call it: a refined
     sweep probes all of its models at once (see _refined)."""
     return float(_sigma_stack(evaluate(sys, omega)[None])[0])
-
-
-def _sigmas(responses: list) -> np.ndarray:
-    """sigma_max of each response of a list, by one _sigma_stack call per
-    dtype: a real response (of an n = 0 system) keeps the real SVD's bits."""
-    sig = np.empty(len(responses))
-    for dtype in {resp.dtype for resp in responses}:
-        idx = [i for i, resp in enumerate(responses) if resp.dtype == dtype]
-        sig[idx] = _sigma_stack(np.array([responses[i] for i in idx]))
-    return sig
 
 
 # Where the 1 x 1 closed form below is LAPACK's own arithmetic: zgesdd and
@@ -657,7 +645,7 @@ def _refined(reports: list, targets: list) -> list:
         rows = list(asked)
         parts = [targets[picks[row]] for row in rows]
         points = [1j * w for w in asked.values()]
-        sig = _sigmas(_probe(parts, points, poles[rows], tol[rows]))
+        sig = _sigma_stack(np.array(_probe(parts, points, poles[rows], tol[rows])))
         sent = dict(zip(rows, sig.tolist()))
 
 
@@ -770,7 +758,8 @@ def moebius_realization(
         A^ = shift I + F^(-1) (d A_u - b I),   B^ = g F^(-1) B,
         C^ = ((ad - bc)/g) C F^(-1),            D^ = D + c C F^(-1) B.
     Real coefficients and shift keep real data real. Solves with F raise
-    error on an exact zero pivot and, if guarded, on a numerically singular F.
+    error on an exact zero pivot and, if guarded (linalg.solve's flag, on
+    the solve for F^(-1) B), on a numerically singular F.
     """
     n = sys.n
     if n == 0:
@@ -781,7 +770,7 @@ def moebius_realization(
     eye = np.eye(n)
     a_u = sys.A - shift * eye
     f = a * eye - c * a_u
-    finv_b = (solve_guarded if guarded else solve)(f, sys.B, error)
+    finv_b = solve(f, sys.B, error, guarded)
     a_new = shift * eye + solve(f, d * a_u - b * eye, error)
     c_new = solve(f.T, sys.C.T, error).T
     d_new = sys.D + c * gemm(sys.C, finv_b)

@@ -154,7 +154,7 @@ def test_source_scan_sees_lu_solves():
                  "from scipy.linalg import lu_factor, lu_solve",
                  "x = scipy.linalg.solve(a, b)"):
         assert LU_SOLVE.search(line), line
-    for line in ("x = solve(a, b, error)", "x = solve_guarded(a, b, error)",
+    for line in ("x = solve(a, b, error)", "x = solve(a, b, error, guarded=True)",
                  "x = scipy.linalg.solve_triangular(a, b)", "plu_factory = 1"):
         assert not LU_SOLVE.search(line), line
 

@@ -534,6 +534,34 @@ def test_every_numerical_failure_exits_3(capsys, tmp_path, monkeypatch, call, ar
     assert json.loads(stderr) == {"error": "singular-sylvester", "message": "injected failure"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "{model}", "--method", "fgbt", "--order", "2", "--w1=-inf", "--w2", "1"],
+        ["bounds", "{model}", "--method", "fgbt", "--order", "2", "--w1", "-1", "--w2", "inf"],
+        ["bench", "random", "--n", "3", "--count", "1", "--out", "{out}"],
+        ["sweep", "{model}", "--wmin", "-1", "--wmax", "1", "--points", "1",
+         "--output", "{out}/s.csv"],
+        ["bench", "ladder", "--order", "4", "--out", "{out}"],
+        ["gen", "ladder", "--order", "4", "--output", "{out}/l.json"],
+        ["bench", "example", "nope", "--out", "{out}"],
+    ],
+    ids=["fgbt-w1-inf", "fgbt-w2-inf", "bench-random-n3", "sweep-points-1",
+         "bench-ladder-even", "gen-ladder-even", "bench-example-unknown"],
+)
+def test_every_invalid_input_exits_2(capsys, tmp_path, argv):
+    # parseable flags that no computation may start from are validation failures
+    model = str(tmp_path / "m.json")
+    cli.write_model(model, random_stable(33, 3))
+    argv = [arg.format(model=model, out=tmp_path) for arg in argv]
+    code, stdout, stderr = run_cli(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1
+    diag = json.loads(stderr)
+    assert sorted(diag) == ["error", "message"]
+    assert diag["error"] == "invalid-parameters"
+
+
 class TestPipeline:
     def test_gen_reduce_verify_in_band(self, capsys, tmp_path):
         """Ladder -> int-fdbt through files only, then check the bound holds."""

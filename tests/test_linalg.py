@@ -36,7 +36,6 @@ from fdbt.linalg import (
     resolvent,
     schur,
     solve,
-    solve_guarded,
     svd,
 )
 from fdbt.reduction import Balanced
@@ -453,7 +452,7 @@ class TestSolveGuarded:
     def test_nonsingular_solve_is_numpy_solve(self):
         rng = np.random.default_rng(30)
         m, rhs = _rand_complex(rng, 4), _rand_complex(rng, 4)[:, :2]
-        got = solve_guarded(m, rhs, SingularReconstruction("unused"))
+        got = solve(m, rhs, SingularReconstruction("unused"), guarded=True)
         assert got.tobytes() == np.linalg.solve(m, rhs).tobytes()
 
     @pytest.mark.parametrize(
@@ -485,7 +484,7 @@ class TestSolveGuarded:
 
     def test_zero_matrix_is_refused(self):
         with pytest.raises(SingularReconstruction):
-            solve_guarded(np.zeros((3, 3)), np.ones((3, 1)), SingularReconstruction("zero"))
+            solve(np.zeros((3, 3)), np.ones((3, 1)), SingularReconstruction("zero"), guarded=True)
 
 
 EPS = np.finfo(float).eps

@@ -89,3 +89,25 @@ def test_only_reduction_builds_result_records(module):
         and node.func.id == "ReductionResult"
     ]
     assert module == "reduction.py" or built == []
+
+
+def test_one_band_rule():
+    # reduction.IntervalConfig validates the band of both band methods
+    sources = [(SRC / name).read_text() for name in MODULES + ["__init__.py"]]
+    assert sum(text.count("band needs finite w1 < w2") for text in sources) == 1
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_one_solve(module):
+    # a guarded solve is linalg.solve(..., guarded=True), not a second function
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "solve_guarded" not in defined | imported

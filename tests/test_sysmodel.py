@@ -1090,6 +1090,35 @@ class TestLockstepRefinement:
         assert len(probes) == 2 * sum(counts) <= 372 // 2
         assert rounds <= 19 // 2
 
+    def test_refined_sweep_of_a_static_plant(self):
+        # n = 0: every grid point and every probe is D (as complex data), so
+        # the peak is sigma_max(D) on the first grid point, bit for bit
+        d = np.random.default_rng(118).standard_normal((3, 2))
+        grid = FrequencyGrid.linear(-2.0, 2.0, 41)
+        rep = sweep(_empty_model(2, 3, d), grid, refine=True)
+        want = np.linalg.svd(d.astype(complex), compute_uv=False)[0]
+        assert set(rep.sigma_max.tolist()) == {want}
+        assert (rep.peak_value, rep.peak_frequency) == (want, -2.0)
+
+    @pytest.mark.parametrize("seed", [109, 119, 158, 169])
+    def test_static_models_share_a_round_with_dynamic_ones(self, seed):
+        # a static plant's error with a static model is their D difference,
+        # probed in the same round as the errors of dynamic models; at seeds
+        # 109, 158 and 169 a round that took that probe in real arithmetic
+        # and the others in complex moved its peak by rounding
+        d = np.random.default_rng(seed).standard_normal((3, 2))
+        plant = _empty_model(2, 3, d)
+        models = [_empty_model(2, 3, 0.5 * d)] + [
+            random_stable(seed + s, 3, m=2, p=3) for s in (100, 200)
+        ]
+        grid = FrequencyGrid.linear(-2.0, 2.0, 41)
+        batch = error_sweeps(plant, models, grid, refine=True)
+        want = np.linalg.svd(0.5 * d.astype(complex), compute_uv=False)[0]
+        assert set(batch[0].sigma_max.tolist()) == {want}
+        for red, rep in zip(models, batch):
+            (alone,) = error_sweeps(plant, [red], grid, refine=True)
+            assert _outcome(lambda: rep) == _outcome(lambda: alone)
+
 
 class TestRefinementAccuracy:
     """Refined peaks against the golden-section search of tests/oracles.py
