@@ -18,8 +18,10 @@ linear solves (gesv, after a gesdd rank test when guarded), and the
 matrix square root and logarithm, both on a Schur form fdbt computes
 itself: the band factors pass sqrt_principal their form's
 quasi-triangular factor, and log_principal factors its argument by gees
-first. scipy's own solve_continuous_lyapunov and logm multiply with
-numpy's dot internally, so neither is called on a full matrix. This is
+first and runs fdbt's own inverse scaling and squaring on the triangular
+factor (square roots by scipy's sqrtm, powers by gemm, Padé terms by
+trtrs). scipy's own solve_continuous_lyapunov and matrix logarithm
+multiply with numpy's dot internally, so neither is called. This is
 the only module of fdbt that imports scipy. numpy keeps elementwise
 work: the diagonal steps of a frequency sweep's vectorized back
 substitution (the rows above each panel of a real or complex form are
@@ -386,23 +388,6 @@ def check_off_branch_cut(values: np.ndarray, what: str) -> None:
         )
 
 
-def _pinned_probes(fn, m):
-    """Run a scipy matrix function with reproducible norm-estimator probes.
-
-    scipy's inverse-scaling decisions lean on a randomized 1-norm estimate
-    that draws from the global legacy RandomState, so back-to-back calls on
-    the same matrix can disagree in the last bits when the estimate sits on
-    a decision boundary. Pinning the state for the call (and restoring the
-    caller's stream afterwards) makes the result a pure function of m.
-    """
-    state = np.random.get_state()
-    np.random.seed(0x5EED)
-    try:
-        return fn(m)
-    finally:
-        np.random.set_state(state)
-
-
 def sqrt_principal(m, spectrum=None) -> np.ndarray:
     """Principal matrix square root: X·X = M with spectrum of X in the open RHP.
 
@@ -418,12 +403,184 @@ def sqrt_principal(m, spectrum=None) -> np.ndarray:
         return np.zeros((0, 0), m.dtype)
     lam = eigvals(m) if spectrum is None else np.asarray(spectrum)
     check_off_branch_cut(lam, "principal square root")
-    # the Schur method draws no random probes, unlike logm's estimator
     x = scipy.linalg.sqrtm(m)
     x = np.asarray(x, dtype=m.dtype)
     if not np.all(np.isfinite(x.view(np.float64))):
         raise ConvergenceFailure("sqrtm produced non-finite entries")
     return x
+
+
+# Al-Mohy & Higham (SIAM J. Sci. Comput. 34(4), 2012), Table 2.1: θ_m,
+# the largest α_p(T − I) at which the degree-m Padé approximant of
+# log(I + X) is accurate to unit roundoff
+_THETA = {1: 1.59e-5, 2: 2.31e-3, 3: 1.94e-2, 4: 6.21e-2, 5: 1.28e-1, 6: 2.06e-1, 7: 2.88e-1}
+
+# Gauss-Legendre (nodes, weights) of degree m = 1..7 mapped to [0, 1]:
+# scipy's roots_legendre(m) as ((1 + x)/2, w/2), to the last bit
+_GAUSS_LEGENDRE = {
+    1: ((0.5,), (1.0,)),
+    2: ((0.21132486540518713, 0.7886751345948129), (0.5, 0.5)),
+    3: (
+        (0.1127016653792583, 0.5, 0.8872983346207417),
+        (0.2777777777777779, 0.44444444444444414, 0.2777777777777779),
+    ),
+    4: (
+        (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
+        (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269),
+    ),
+    5: (
+        (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
+         0.9530899229693319),
+        (0.11846344252809449, 0.23931433524968326, 0.2844444444444445,
+         0.23931433524968326, 0.11846344252809449),
+    ),
+    6: (
+        (0.033765242898423975, 0.16939530676686776, 0.3806904069584015,
+         0.6193095930415985, 0.8306046932331322, 0.966234757101576),
+        (0.08566224618958508, 0.18038078652406928, 0.2339569672863456,
+         0.2339569672863456, 0.18038078652406928, 0.08566224618958508),
+    ),
+    7: (
+        (0.025446043828620812, 0.12923440720030277, 0.2970774243113014, 0.5,
+         0.7029225756886985, 0.8707655927996972, 0.9745539561713792),
+        (0.06474248308443496, 0.1398526957446383, 0.19091502525255938,
+         0.20897959183673456, 0.19091502525255938, 0.1398526957446383,
+         0.06474248308443496),
+    ),
+}
+
+
+def _alpha(powers: list, p: int) -> float:
+    """‖Xᵖ‖₁^(1/p), exactly, for X = powers[0]: powers holds X, X², …
+    and is extended by gemm up to Xᵖ."""
+    while len(powers) < p:
+        powers.append(gemm(powers[-1], powers[0]))
+    return float(np.max(np.sum(np.abs(powers[p - 1]), axis=0))) ** (1 / p)
+
+
+def _unwinding(z) -> int:
+    """The unwinding number of z, (z − log(exp(z)))/(2πj)."""
+    return math.ceil((z.imag - math.pi) / (2 * math.pi))
+
+
+def _root_minus_one(a, k: int):
+    """a^(1/2^k) − 1 without the cancellation of forming the root first
+    (Al-Mohy, Numer. Algorithms 59, 2012, Alg. 2)."""
+    if k == 0:
+        return a - 1
+    if k == 1:
+        return np.sqrt(a) - 1
+    if np.angle(a) >= np.pi / 2:
+        a, k = np.sqrt(a), k - 1
+    z0 = a - 1
+    a = np.sqrt(a)
+    r = 1 + a
+    for _ in range(1, k):
+        a = np.sqrt(a)
+        r = r * (1 + a)
+    return z0 / r
+
+
+def _power_superdiagonal(l1, l2, t12, p: float):
+    """The (1, 2) entry of [[l1, t12], [0, l2]]^p (Higham & Lin, SIAM J.
+    Matrix Anal. Appl. 32(3), 2011, eqs. 5.5 and 5.6)."""
+    if l1 == l2:
+        return t12 * p * l1 ** (p - 1)
+    if abs(l2 - l1) > abs(l1 + l2) / 2:
+        return t12 * ((l2**p) - (l1**p)) / (l2 - l1)
+    log_l1, log_l2 = np.log(l1), np.log(l2)
+    atanh = np.arctanh((l2 - l1) / (l2 + l1))
+    u = _unwinding(log_l2 - log_l1)
+    b = p * (atanh + np.pi * 1j * u) if u else p * atanh
+    return t12 * np.exp((p / 2) * (log_l2 + log_l1)) * (2 * np.sinh(b) / (l2 - l1))
+
+
+def _log_superdiagonal(l1, l2, t12):
+    """The (1, 2) entry of log [[l1, t12], [0, l2]] (Higham, Functions of
+    Matrices, 2008, eq. 11.28, with the unwinding number)."""
+    if l1 == l2:
+        return t12 / l1
+    if abs(l2 - l1) > abs(l1 + l2) / 2:
+        return t12 * (np.log(l2) - np.log(l1)) / (l2 - l1)
+    atanh = np.arctanh((l2 - l1) / (l2 + l1))
+    u = _unwinding(np.log(l2) - np.log(l1))
+    if u:
+        return t12 * 2 * (atanh + np.pi * 1j * u) / (l2 - l1)
+    return t12 * 2 * atanh / (l2 - l1)
+
+
+def _inverse_scaling(t0: np.ndarray):
+    """(R, s, m): R = T0^(1/2^s) − I for the upper triangular T0, and the
+    degree m of the Padé approximant that log(I + R) gets.
+
+    Al-Mohy & Higham (2012), Alg. 4.1, lines 3-34, with the α_p taken
+    from exact 1-norms of the powers of T − I (by gemm, at most five per
+    root taken). The diagonal and superdiagonal of R are recomputed from
+    T0's own entries, which avoids the cancellation of T − I.
+    """
+    n = t0.shape[0]
+    eye = np.eye(n)
+    # s0: the fewest roots that bring every eigenvalue within θ_7 of 1
+    s0, d = 0, np.diagonal(t0)
+    while np.max(np.abs(d - 1)) > _THETA[7]:
+        s0, d = s0 + 1, np.sqrt(d)
+    t = t0
+    for _ in range(s0):
+        t = scipy.linalg.sqrtm(t)
+    s, extra = s0, 0
+    powers = [t - eye]
+    a2 = max(_alpha(powers, 2), _alpha(powers, 3))
+    m = next((i for i in (1, 2) if a2 <= _THETA[i]), None)
+    while m is None:
+        d4 = _alpha(powers, 4)
+        a3 = max(_alpha(powers, 3), d4)
+        if a3 <= _THETA[7]:
+            j = min(i for i in range(3, 8) if a3 <= _THETA[i])
+            if j <= 6:
+                m = j
+                break
+            # one more root instead of degree 7, at most twice
+            if a3 / 2 <= _THETA[5] and extra < 2:
+                t, s, extra = scipy.linalg.sqrtm(t), s + 1, extra + 1
+                powers = [t - eye]
+                continue
+        eta = min(a3, max(d4, _alpha(powers, 5)))
+        m = next((i for i in (6, 7) if eta <= _THETA[i]), None)
+        if m is None:
+            t, s = scipy.linalg.sqrtm(t), s + 1
+            powers = [t - eye]
+    r = powers[0]
+    diag = np.diagonal(t0)
+    for j in range(n):
+        r[j, j] = _root_minus_one(diag[j], s)
+    for j in range(n - 1):
+        r[j, j + 1] = _power_superdiagonal(diag[j], diag[j + 1], t0[j, j + 1], 2.0**-s)
+    return r, s, m
+
+
+def _log_triangular(t0: np.ndarray) -> np.ndarray:
+    """log T0 for an upper triangular T0 with no eigenvalue on (−∞, 0].
+
+    Inverse scaling and squaring (Al-Mohy & Higham, 2012, Alg. 4.1): with
+    R = T0^(1/2^s) − I, log T0 = 2^s·log(I + R), and log(I + R) is the
+    degree-m Padé approximant, the m-point Gauss-Legendre sum of
+    w_i (I + x_i R)⁻¹ R over nodes x_i and weights w_i on [0, 1], one
+    triangular solve (trtrs) per node. The diagonal and superdiagonal are
+    then recomputed from T0's entries.
+    """
+    r, s, m = _inverse_scaling(t0)
+    n = t0.shape[0]
+    eye = np.eye(n)
+    trtrs = _routine("trtrs", _char(r))
+    u = np.zeros_like(r)
+    for node, weight in zip(*_GAUSS_LEGENDRE[m]):
+        u += _checked(trtrs(eye + node * r, weight * r), "Pade term")[0]
+    u *= 2.0**s
+    diag = np.diagonal(t0)
+    u[np.diag_indices(n)] = np.log(diag)
+    for j in range(n - 1):
+        u[j, j + 1] = _log_superdiagonal(diag[j], diag[j + 1], t0[j, j + 1])
+    return u
 
 
 def log_principal(m) -> np.ndarray:
@@ -432,8 +589,10 @@ def log_principal(m) -> np.ndarray:
     Real input, off the branch cut, has a real logarithm and gets one.
     Computed on the Schur form M = Z T Z* (Higham, Functions of Matrices,
     2008, ch. 11): a real Schur form with 2×2 blocks is made triangular by
-    rsf2csf, scipy's logm takes the logarithm U of the triangular T, and
-    log M = Z U Z*.
+    rsf2csf, _log_triangular takes the logarithm U of the triangular T by
+    inverse scaling and squaring, and log M = Z U Z*. Every step is
+    deterministic (exact norms, no random estimator), and every product,
+    square root and solve runs on scipy's BLAS and LAPACK.
     """
     m = as_matrix(m, "M")
     _require_square(m, "M")
@@ -443,11 +602,11 @@ def log_principal(m) -> np.ndarray:
     check_off_branch_cut(lam, "principal logarithm")
     if np.any(np.diagonal(t, -1)):
         t, z = scipy.linalg.rsf2csf(t, z)
-    x = gemm(gemm(z, _pinned_probes(scipy.linalg.logm, t)), z, hb=True)
+    x = gemm(gemm(z, _log_triangular(t)), z, hb=True)
     # the imaginary part of a real matrix's principal logarithm is rounding
     x = np.ascontiguousarray(x.real if m.dtype.kind == "f" else x)
     if not np.all(np.isfinite(x.view(np.float64))):
-        raise ConvergenceFailure("logm produced non-finite entries")
+        raise ConvergenceFailure("the logarithm produced non-finite entries")
     return x
 
 

@@ -1,8 +1,28 @@
-"""Seeded model factories shared across test modules."""
+"""Seeded model factories and a fresh-interpreter runner shared across
+test modules."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import fdbt
 from fdbt import StateSpace
+
+
+def python_at_threads(threads, script, *args):
+    """stdout of a fresh interpreter running script with fdbt importable, at
+    OPENBLAS_NUM_THREADS=threads, or at OpenBLAS's default for None."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdbt.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    ).stdout
 
 
 def random_stable(seed, n, m=1, p=1, complex_entries=False, margin=0.3):

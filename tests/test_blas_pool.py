@@ -4,12 +4,14 @@ numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
 threaded call into one while the other's workers spin runs several times
 slower, so every O(n^3) kernel goes through scipy's LAPACK and BLAS. The
 tripwire below makes numpy's dense linear algebra, scipy's Lyapunov solver
-(numpy products inside) and scipy's logm on a full matrix (numpy products
-inside) fail loudly while every method runs on a 31-state ladder. The
-tripwire cannot see numpy's matrix product, so a scan of the sources
-forbids it, and forbids LU solves outside fdbt.linalg.
+and scipy's logm (numpy products inside both) fail loudly while every
+method runs on a 31-state ladder. The tripwire cannot see numpy's matrix
+product, so a scan of the sources forbids it, and forbids LU solves
+outside fdbt.linalg; at the paper's scale, per-thread CPU ticks show
+numpy's pool idle through a logarithm.
 """
 
+import os
 import pathlib
 import re
 
@@ -28,6 +30,7 @@ from fdbt import (
 )
 import fdbt
 from fdbt.harness import generate_ladder, verify_bound
+from helpers import python_at_threads
 from fdbt.sysmodel import (
     FrequencyGrid,
     error_sweeps,
@@ -63,14 +66,11 @@ def one_pool(monkeypatch):
     def no_lyapunov(*args, **kwargs):
         raise AssertionError("scipy.linalg.solve_continuous_lyapunov called")
 
+    def no_logm(*args, **kwargs):
+        raise AssertionError("scipy.linalg.logm called")
+
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", no_lyapunov)
-    logm = scipy.linalg.logm
-
-    def triangular_logm(a, *args, **kwargs):
-        assert np.array_equal(a, np.triu(a)), "scipy.linalg.logm of a full matrix"
-        return logm(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "logm", triangular_logm)
+    monkeypatch.setattr(scipy.linalg, "logm", no_logm)
 
 
 def test_every_method_stays_in_one_pool(one_pool):
@@ -168,9 +168,37 @@ def test_source_scan_sees_products():
 
 
 def test_tripwire_fires(one_pool):
-    # the patches are live: a 16 x 16 numpy solve and a full-matrix logm fail
+    # the patches are live: a 16 x 16 numpy solve and scipy's logm fail
     with pytest.raises(AssertionError):
         np.linalg.solve(np.eye(TRIP_ORDER), np.ones(TRIP_ORDER))
     with pytest.raises(AssertionError):
         scipy.linalg.logm(np.ones((2, 2)) + np.eye(2))
     np.linalg.solve(np.eye(TRIP_ORDER - 1), np.ones(TRIP_ORDER - 1))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_ladder_201_logarithm_leaves_numpy_pool_idle():
+    # threads that importing numpy starts are its OpenBLAS workers; their
+    # CPU ticks (utime + stime, read-only) must not move while fdbt takes
+    # the logarithm that fgbt's Gramians need at the paper's scale
+    script = (
+        "import os\n"
+        "def tids():\n"
+        "    return set(os.listdir('/proc/self/task'))\n"
+        "def ticks(tid):\n"
+        "    with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+        "        fields = fh.read().rsplit(')', 1)[1].split()\n"
+        "    return int(fields[11]) + int(fields[12])\n"
+        "main = tids()\n"
+        "import numpy as np\n"
+        "workers = tids() - main\n"
+        "from fdbt import log_principal\n"
+        "from fdbt.harness import generate_ladder\n"
+        "m = 0.5j * np.eye(201) - np.asarray(generate_ladder(201).A)\n"
+        "log_principal(m)\n"
+        "before = {t: ticks(t) for t in workers}\n"
+        "for _ in range(3):\n"
+        "    log_principal(m)\n"
+        "print(sum(ticks(t) - before[t] for t in workers))\n"
+    )
+    assert python_at_threads(None, script).strip() == "0"

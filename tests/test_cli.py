@@ -10,9 +10,6 @@ throughout.
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -30,7 +27,7 @@ from fdbt import cli
 from fdbt.errors import DimensionMismatch, InvalidParameters, SingularSylvester
 from fdbt.interval import IntervalConfig
 
-from helpers import random_stable, random_unstable
+from helpers import python_at_threads, random_stable, random_unstable
 
 
 def _write(path, doc):
@@ -414,7 +411,7 @@ class TestBenchExample:
         written = []
         for threads in ("1", None):
             out = tmp_path / f"threads-{threads or 'default'}"
-            _python_at_threads(threads, script, str(out))
+            python_at_threads(threads, script, str(out))
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(written[0]) >= 3 * 3
         assert written[0].keys() == written[1].keys()
@@ -431,23 +428,9 @@ class TestBenchExample:
             "report = sweep(generate_ladder(harness.LADDER_ORDER), grid)\n"
             "sys.stdout.write(report.sigma_max.tobytes().hex())\n"
         )
-        swept = [_python_at_threads(threads, script) for threads in ("1", None)]
+        swept = [python_at_threads(threads, script) for threads in ("1", None)]
         assert len(swept[0]) == 2 * 8 * 801
         assert swept[0] == swept[1]
-
-
-def _python_at_threads(threads, script, *args):
-    """stdout of a fresh interpreter running script with fdbt importable, at
-    OPENBLAS_NUM_THREADS=threads, or at OpenBLAS's default for None."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if threads:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=env, check=True, capture_output=True, text=True, timeout=300,
-    ).stdout
 
 
 class TestBenchLadder:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracles as orc
-from helpers import random_stable
+from helpers import python_at_threads, random_stable
 from fdbt import (
     BranchCutViolation,
     DimensionMismatch,
@@ -26,7 +26,9 @@ from fdbt import (
     solve_lyapunov,
     sqrt_principal,
 )
+from fdbt import linalg
 from fdbt.baselines import gspa_truncate
+from fdbt.harness import generate_ladder
 from fdbt.interval import IntervalBalanced, interval_truncate
 from fdbt.linalg import (
     eigh,
@@ -201,8 +203,8 @@ class TestMatrixFunctions:
             log_principal(np.diag([3.0, 0.0]))
 
     def test_repeated_calls_bitwise_identical(self):
-        # the scipy backends probe with the global legacy RandomState; the
-        # wrappers must pin it so results never depend on call history
+        # no kernel draws random probes (the logarithm takes exact norms),
+        # so results never depend on call history or the global stream
         rng = np.random.default_rng(77)
         mats = [_rand_complex(rng, 5) + 7.0 * np.eye(5) for _ in range(4)]
         first = [sqrt_principal(m) for m in mats] + [log_principal(m) for m in mats]
@@ -268,6 +270,95 @@ class TestLogarithmOnSchurForm:
     def test_rerun_is_bitwise_identical(self):
         m = _real_with_pairs(3, 9)
         assert log_principal(m).tobytes() == log_principal(m).tobytes()
+
+
+def _triangular(delta, real=False, n=5, seed=0):
+    """Upper triangular, eigenvalues 1 + delta·e^(jφ) (1 + delta·cos φ when
+    real) at distinct φ, plus a strictly upper part of size 1e-3·delta: the
+    α_p of T − I are all close to delta."""
+    rng = np.random.default_rng(seed)
+    phase = 2 * np.pi * (np.arange(n) + 0.25) / n
+    upper = rng.standard_normal((n, n))
+    if real:
+        diag = 1 + delta * np.cos(phase)
+    else:
+        diag = 1 + delta * np.exp(1j * phase)
+        upper = upper + 1j * rng.standard_normal((n, n))
+    return np.diag(diag) + 1e-3 * delta * np.triu(upper, 1)
+
+
+@pytest.fixture
+def scaling_record(monkeypatch):
+    """(s, m) of every inverse scaling log_principal runs: s square roots
+    and Padé degree m, read off the returned values."""
+    record = []
+    inner = linalg._inverse_scaling
+
+    def recorded(t):
+        r, s, m = inner(t)
+        record.append((s, m))
+        return r, s, m
+
+    monkeypatch.setattr(linalg, "_inverse_scaling", recorded)
+    return record
+
+
+class TestInverseScalingAndSquaring:
+    # delta against Al-Mohy & Higham's θ_m: 1.59e-5, 2.31e-3, 1.94e-2,
+    # 6.21e-2, 1.28e-1, 2.06e-1, 2.88e-1 for m = 1..7
+    CASES = [
+        (1e-5, False, (0, 1)),
+        (1e-3, False, (0, 2)),
+        (1e-2, False, (0, 3)),
+        (4e-2, False, (0, 4)),
+        (1e-1, False, (0, 5)),
+        (1e-1, True, (0, 5)),
+        (0.18, False, (0, 6)),
+        (0.27, False, (0, 7)),
+        # within θ_7 of 1 (no root needed for the eigenvalues) and degree 7
+        # would do, but a3/2 <= θ_5: one extra root and degree 5 instead
+        (0.23, False, (1, 5)),
+        # four roots to bring the eigenvalues within θ_7 of 1
+        (3.0, False, (4, 6)),
+    ]
+
+    @pytest.mark.parametrize("delta, real, expected", CASES)
+    def test_degree_and_roots_and_accuracy(self, scaling_record, delta, real, expected):
+        t = _triangular(delta, real)
+        lg = log_principal(t)
+        assert scaling_record == [expected]
+        assert lg.dtype == t.dtype
+        for ref in (orc.log_eig(t), scipy.linalg.logm(t)):
+            assert np.linalg.norm(lg - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_ladder_201_shift(self, scaling_record):
+        a = np.asarray(generate_ladder(201).A)
+        m = 0.5j * np.eye(201) - a
+        lg = log_principal(m)
+        assert len(scaling_record) == 1
+        for ref in (orc.log_eig(m), scipy.linalg.logm(m)):
+            assert np.linalg.norm(lg - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_gauss_legendre_table_is_scipys(self, m):
+        import scipy.special  # the package itself never loads it
+
+        x, w = scipy.special.roots_legendre(m)
+        nodes, weights = linalg._GAUSS_LEGENDRE[m]
+        assert np.array(nodes).tobytes() == (0.5 + 0.5 * x.real).tobytes()
+        assert np.array(weights).tobytes() == (0.5 * w).tobytes()
+
+    def test_first_reduction_loads_no_sparse_or_special(self):
+        # scipy's logm imports scipy.sparse (for its norm estimator) and
+        # scipy.special (for its quadrature); fdbt's logarithm needs neither
+        code = (
+            "import sys\n"
+            "import fdbt\n"
+            "from fdbt.harness import generate_ladder\n"
+            "fdbt.fgbt_reduce(generate_ladder(5), 2, -0.5, 0.5)\n"
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules))\n"
+        )
+        assert python_at_threads(None, code).strip() == "[]"
 
 
 class TestKernelHandles:
