@@ -170,12 +170,11 @@ def build_runner(args, n: int):
 
     _require(args.w1 is not None, f"method {args.method} requires --w1")
     _require(args.w2 is not None, f"method {args.method} requires --w2")
-    w1, w2 = float(args.w1), float(args.w2)
-    _require(w1 < w2, "--w1 must be strictly below --w2")
+    # the band rule sees the flags as given, before --symmetrize mirrors them
+    band = IntervalConfig(float(args.w1), float(args.w2))
     if args.symmetrize:
-        half = max(abs(w1), abs(w2))
-        w1, w2 = -half, half
-    band = IntervalConfig(w1, w2)
+        half = max(abs(band.w1), abs(band.w2))
+        band = IntervalConfig(-half, half)
     if args.method == "int-fdbt":
         return lambda model: interval_reduce(model, band, r)
     return lambda model: fgbt_reduce(model, r, band.w1, band.w2)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .baselines import standard_gramians
 from .errors import (
-    FdbtError,
     InvalidParameters,
     NotHurwitz,
     OrderOutOfRange,
@@ -41,7 +40,6 @@ from .errors import (
 from .linalg import (
     SHIFT_TOL,
     check_off_branch_cut,
-    eigvals,
     gemm,
     jw,
     rank_cutoff,
@@ -175,22 +173,34 @@ class _EtaChain:
     eta_i couples the orders i-1 and i of the fixed balanced coordinates,
     so it depends on i and not on the order truncated at: steps computed
     for one order serve every higher one, bit for bit. Only steps that
-    succeeded are kept, and a failing step is recomputed when asked again,
-    so every order raises exactly what a fresh chain from it raises: order
-    n's spectrum guards first, then order r's, then steps r+1, r+2, ...
-    (order i's spectrum guards, then linalg.rank_cutoff of sigma). A guard
-    that passed passes again, so each order's is run once. Two are marked
-    passed without an eigenvalue solve, as band factors have applied the
-    same rules to a Schur form's eigenvalues: order n's by prepare_interval
-    (the input's A, similar to A_n) and order r's by interval_truncate
-    (A_r). A prepared chain thus solves orders r+1..n-1 alone.
+    succeeded are kept, so every order raises exactly what a fresh chain
+    from it raises: the first of steps r+1, r+2, ... whose sigma is at most
+    linalg.rank_cutoff of sigma.
 
     The chain reads gram.sys alone: its state matrix is the input's in
     balanced coordinates, and its B and C are the band-weighted input and
     output maps there, Bx and Cx (T^(-1) M B and C M T), so no order is
     factored. A real balanced system over a band centred at zero keeps
-    every block, guard and product real. interval_eta's block swap S is a
-    column slice of each step's core, scaled by sigma_i, not a product.
+    every block and product real. interval_eta's block swap S is a column
+    slice of each step's core, scaled by sigma_i, not a product.
+
+    The chain solves no eigenvalue problem. _check_band_spectrum guards
+    the square root _band_factors takes; a step takes none, and in exact
+    arithmetic every order it reads passes those rules anyway:
+    - diag(sigma_1..k) solves both Lyapunov equations of each leading block
+      (A_k, Bx_k, Cx_k) of the balanced gram.sys, so A_k is Hurwitz when
+      sigma_k > sigma_(k+1) (Pernebo and Silverman, IEEE TAC 1982).
+    - Re lambda < 0 and real w give Re(j w - lambda) > 0: no eigenvalue on
+      a band edge, and arg(j w - lambda) in (-pi/2, pi/2), so
+      wd^2 / ((j w1 - lambda)(j w2 - lambda)) is off the closed negative
+      real axis.
+    - A tie sigma_k = sigma_(k+1) may leave A_k eigenvalues on the
+      imaginary axis; no sigma-gap test is run, as eta_i is a polynomial in
+      A_k, Bx, Cx and sigma and both sides of the bound are continuous in
+      the data, so a tie's bound is the limit of those of gapped records.
+      _step still refuses a sigma below numerical rank (rank_cutoff).
+    The two square roots taken keep their guards: of A in prepare_interval
+    and of A_r in interval_truncate.
     """
 
     def __init__(self, gram: Balanced, cfg: IntervalConfig):
@@ -199,31 +209,14 @@ class _EtaChain:
         self.sigma = np.asarray(gram.sigma, dtype=float)
         self.cutoff = rank_cutoff(self.sigma)
         self.steps = {}  # i -> EtaStep
-        self.guarded = set()  # orders whose spectrum guards passed
-
-    def _guard(self, k: int) -> None:
-        """Order k's spectrum guards, the rules _band_factors applies to the
-        eigenvalues of its Schur form."""
-        if k in self.guarded:
-            return
-        try:
-            _check_band_spectrum(eigvals(self.sys.A[:k, :k]), self.cfg)
-        except FdbtError as exc:
-            raise type(exc)(f"truncation order {k}: {exc}") from exc
-        self.guarded.add(k)
 
     def terms(self, r: int) -> EtaTerms:
         n = self.sys.n
         r = int(r)
         if not 0 <= r <= n:
             raise OrderOutOfRange(f"order {r} outside 0..{n}")
-        if r == n:
-            return EtaTerms(np.zeros(0), ())
-        self._guard(n)
         for i in range(r + 1, n + 1):
             if i not in self.steps:
-                self._guard(i - 1)
-                self._guard(i)
                 self.steps[i] = self._step(i)
         steps = tuple(self.steps[i] for i in range(r + 1, n + 1))
         return EtaTerms(np.array([st.eta for st in steps]), steps)
@@ -265,7 +258,13 @@ def interval_eta(
     gram.sys are read; sys_balanced is read for its state matrix alone,
     the balanced A that gram.sys carries (gram.sys itself will do). A
     record whose state matrix differs from sys_balanced's raises
-    InvalidParameters.
+    InvalidParameters. One that yields eta_i although gram.sys is not
+    Hurwitz raises NotHurwitz: with step n's sigma above numerical rank no
+    direction is regularized, so interval_gramians' gram.sys is similar to
+    the Hurwitz state matrix it requires. The check reads gram.sys's cached
+    Schur form; a balance check by Lyapunov residual would need a
+    tolerance, and that residual reaches 1e-8 on genuine records.
+
     Works on the one-step truncation chain A_k = A_b[:k, :k] of the fixed
     balanced coordinates. For each dropped index i the dilated matrices
     couple the order-(i-1) and order-i truncations:
@@ -291,17 +290,15 @@ def interval_eta(
         M_k^(-1) N_k M_k^(-1) = N_k M_k^(-2) = (j wc I - A_k) / wd^2,
 
     so each term needs one product with A_k and no factor of M_k. Bx and Cx
-    are read off gram.sys, so no order is factored either: each order from r
-    to n costs one eigenvalue solve of A_k for the spectrum guards (band edge
-    on an eigenvalue, square-root branch cut), real for a real system over
-    a band centred at zero, plus O(k^2 (m + p)) products.
+    are read off gram.sys, so no order is factored and no order's spectrum
+    is solved for (_EtaChain says why none needs checking): each step costs
+    O(k^2 (m + p)) products, real for a real system over a band centred at
+    zero.
 
-    This is a fresh chain from r, which runs every one of those guards.
-    eta_i does not depend on r, so a caller bounding several orders of one
-    system and band should prepare it once (prepare_interval) and ask
-    IntervalBalanced.eta, which walks the chain once for all of them,
-    skips the guards of orders n and r, and returns the same values bit
-    for bit.
+    This is a fresh chain from r. eta_i does not depend on r, so a caller
+    bounding several orders of one system and band should prepare it once
+    (prepare_interval) and ask IntervalBalanced.eta, which walks the chain
+    once for all of them and returns the same values bit for bit.
     """
     # Bx and Cx come from gram.sys; another record's maps would give a
     # wrong bound without an error
@@ -309,7 +306,12 @@ def interval_eta(
         raise InvalidParameters(
             "gram must be interval_gramians' record of sys_balanced's band"
         )
-    return _EtaChain(gram, cfg).terms(r)
+    terms = _EtaChain(gram, cfg).terms(r)
+    if terms.eta.size and not is_hurwitz(gram.sys).stable:
+        raise NotHurwitz(
+            "gram.sys is not Hurwitz, so gram is not interval_gramians' record"
+        )
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,8 +324,8 @@ class IntervalBalanced:
     balanced coordinates. interval_truncate does the per-order rest, and
     the eta chain reads the same record. The chain behind the in-band
     bound is shared by every order (eta_i depends on i, not on r), so
-    truncating at several orders walks it once, solving the spectrum
-    guards of orders r+1..n-1 (see _EtaChain).
+    truncating at several orders walks it once, and it solves no
+    eigenvalue problem (see _EtaChain).
     """
 
     sys: StateSpace
@@ -345,16 +347,12 @@ def prepare_interval(sys: StateSpace, cfg: IntervalConfig) -> IntervalBalanced:
     Requires a Hurwitz input: builds the band-weighted realization, its
     band Gramians and the balancing transform, once per system and band.
     The band-weighted realization keeps the input's A, so gram.sys's state
-    matrix is the input's in balanced coordinates, and the band factors'
-    spectrum guards on A pass the chain's order-n guards, which are marked
-    passed.
+    matrix is the input's in balanced coordinates.
     """
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("band-limited reduction requires a Hurwitz system")
     ext = build_interval_extended(sys, cfg)
-    prep = IntervalBalanced(sys, ext, interval_gramians(ext))
-    prep._chain.guarded.add(sys.n)
-    return prep
+    return IntervalBalanced(sys, ext, interval_gramians(ext))
 
 
 def interval_truncate(
@@ -364,12 +362,10 @@ def interval_truncate(
     r = check_order(r, prep.sys.n)
     a_r = prep.gram.sys.A[:r, :r]
     # one Schur form of a_r, in the arithmetic its band factors take,
-    # serves them, the eta chain's order-r spectrum guards (the band
-    # factors apply the same rules to its eigenvalues) and, where the
-    # reduced model keeps that arithmetic, its poles
+    # serves them and, where the reduced model keeps that arithmetic, its
+    # poles
     form = _band_form(a_r, prep.ext.config)
     m_r, n_r = _band_factors(a_r, prep.ext.config, form)
-    prep._chain.guarded.add(r)
     singular = SingularReconstruction("band factor is numerically singular")
     b_r = solve(m_r, prep.gram.sys.B[:r, :], singular, guarded=True)
     # m_r^T has m_r's singular values, which the guard has just checked
@@ -410,11 +406,10 @@ def interval_reduce(
     then computed once.
 
     with_bounds=False skips the eta chain and the whole-axis sweeps (the eta
-    chain costs one eigenvalue solve per order from r + 1 to n - 1, real for
-    a real system over a band centred at zero). with_ef_bound=False keeps the
-    in-band bound but drops the whole-axis sweep terms: two dense H-infinity
-    estimates whose cost grows with the full order rather than the reduced
-    one.
+    chain solves no eigenvalue problem: it costs O(k^2 (m + p)) products per
+    order k from r + 1 to n). with_ef_bound=False keeps the in-band bound
+    but drops the whole-axis sweep terms: two dense H-infinity estimates
+    whose cost grows with the full order rather than the reduced one.
     """
     check_order(r, sys.n)
     return interval_truncate(prepare_interval(sys, cfg), r, with_bounds, with_ef_bound)

@@ -182,7 +182,7 @@ class TestReduce:
             (["--method", "spa", "--rho", "0.5"], "--rho"),
             (["--method", "int-fdbt", "--w2", "1.0"], "--w1"),
             (["--method", "int-fdbt", "--w1", "-1.0"], "--w2"),
-            (["--method", "int-fdbt", "--w1", "1.0", "--w2", "0.5"], "--w1"),
+            (["--method", "int-fdbt", "--w1", "1.0", "--w2", "0.5"], "w1 < w2"),
             (["--method", "fibt", "--symmetrize"], "--symmetrize"),
             (["--method", "gspa", "--rho", "-1.0"], "--rho"),
             (["--method", "gspa", "--rho", "nan"], "--rho"),
@@ -200,6 +200,26 @@ class TestReduce:
         diag = json.loads(stderr)
         assert diag["error"] == "invalid-parameters"
         assert needle in diag["message"]
+
+    @pytest.mark.parametrize("method", ["int-fdbt", "fgbt"])
+    @pytest.mark.parametrize("symmetrize", [[], ["--symmetrize"]], ids=["as-given", "symmetrized"])
+    @pytest.mark.parametrize("w1, w2", [("1", "0"), ("0.5", "0.5")])
+    def test_reversed_band_fails_the_band_rule(
+        self, capsys, tmp_path, model_file, method, symmetrize, w1, w2
+    ):
+        # the band rule reads the flags before --symmetrize mirrors them, so
+        # a reversed or empty band is refused even where the mirror is valid
+        path, _ = model_file
+        out = tmp_path / "red.json"
+        code, stdout, stderr = run_cli(
+            capsys,
+            ["reduce", path, "--method", method, "--order", "2", "--output", str(out),
+             "--w1", w1, "--w2", w2] + symmetrize,
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+        diag = json.loads(stderr)
+        assert diag["error"] == "invalid-parameters"
+        assert diag["message"] == "band needs finite w1 < w2"
 
     def test_unknown_method_is_a_usage_error(self, capsys, tmp_path, model_file):
         path, _ = model_file

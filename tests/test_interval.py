@@ -10,6 +10,7 @@ import fdbt.interval
 import fdbt.linalg
 import oracles as orc
 from helpers import (
+    damped_chain,
     random_stable,
     random_unstable,
     response_gap,
@@ -17,7 +18,6 @@ from helpers import (
 )
 from fdbt import (
     BranchCutViolation,
-    FdbtError,
     FrequencyGrid,
     IntervalConfig,
     InvalidParameters,
@@ -40,11 +40,12 @@ from fdbt import (
     sweep,
 )
 from fdbt.baselines import prepare_standard
+from fdbt.linalg import eigvals, rank_cutoff
 from fdbt.reduction import Balanced
 from fdbt.interval import (
     IntervalBalanced,
     _band_factors,
-    _EtaChain,
+    _check_band_spectrum,
     _sandwich,
     interval_truncate,
     prepare_interval,
@@ -235,17 +236,21 @@ class TestEta:
         gram = Balanced(sys, np.array(sigma, dtype=float), eye, eye, eye, eye)
         return sys, gram
 
-    def test_shift_guard_names_truncation_order(self):
+    def test_record_that_is_not_hurwitz_refused(self):
+        # order 2 holds the band edge j: a record that is not balanced, whose
+        # state matrix is not Hurwitz, so it is not interval_gramians'
         sys, gram = self._hand_built(np.diag([-1.0, 1j]), [1.0, 0.5])
-        with pytest.raises(SingularShift, match="^truncation order 2:"):
+        with pytest.raises(NotHurwitz, match="^gram.sys is not Hurwitz"):
             interval_eta(sys, gram, UNIT_BAND, 1)
 
-    def test_order_n_guard_runs_first(self):
-        # orders 1 and 3 both hold the band edge j; order n is checked first,
-        # so the error names the full order
+    def test_record_that_is_not_hurwitz_refused_at_every_order(self):
+        # orders 1 and 3 both hold the band edge j; every order with a tail
+        # gets the one refusal, and the empty tail of order n claims nothing
         sys, gram = self._hand_built(np.diag([1j, -1.0, 1j]), [1.0, 0.5, 0.25])
-        with pytest.raises(SingularShift, match="^truncation order 3:"):
-            interval_eta(sys, gram, UNIT_BAND, 1)
+        for r in range(3):
+            with pytest.raises(NotHurwitz, match="^gram.sys is not Hurwitz"):
+                interval_eta(sys, gram, UNIT_BAND, r)
+        assert interval_eta(sys, gram, UNIT_BAND, 3).eta.size == 0
 
     def test_record_of_other_gramians_rejected(self):
         # Bx and Cx are read off gram.sys, so the whole-axis balanced record
@@ -319,6 +324,26 @@ def _assert_same_outcome(got, want):
         assert interval_bound(got) == interval_bound(want)
 
 
+def _count_lapack_calls(monkeypatch):
+    """A Counter of the LAPACK routines fdbt runs from now on, by name
+    (workspace queries, cached per order, not counted)."""
+    calls = collections.Counter()
+    real = fdbt.linalg._routine
+
+    def routine(name, char):
+        fn = real(name, char)
+
+        def counted(*args, **kwargs):
+            if kwargs.get("lwork") != -1 and not name.endswith("_lwork"):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(fdbt.linalg, "_routine", routine)
+    return calls
+
+
 class TestPreparedChain:
     """One memoized eta chain per prepared system and band."""
 
@@ -344,39 +369,24 @@ class TestPreparedChain:
                 assert np.array_equal(getattr(got.reduced, name), getattr(want.reduced, name))
 
     def test_truncation_factors_its_state_matrix_once(self, monkeypatch):
-        # the one gees of a_r serves the band factors, the reduced model's
-        # poles and the chain's order-r guards, and prepare_interval's band
-        # factors of A pass order n's: the chain's geevs are orders
-        # r+1..n-1 alone (workspace queries, cached per order, not counted)
+        # the one gees of a_r serves the band factors and the reduced
+        # model's poles, and the chain solves no eigenvalue problem
         prep = prepare_interval(generate_ladder(31), IntervalConfig(-0.5, 0.5))
-        calls = collections.Counter()
-        real = fdbt.linalg._routine
-
-        def routine(name, char):
-            fn = real(name, char)
-
-            def counted(*args, **kwargs):
-                if kwargs.get("lwork") != -1 and not name.endswith("_lwork"):
-                    calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        monkeypatch.setattr(fdbt.linalg, "_routine", routine)
+        calls = _count_lapack_calls(monkeypatch)
         interval_truncate(prep, 10)
-        assert (calls["gees"], calls["geev"]) == (1, 20)
+        assert (calls["gees"], calls["geev"]) == (1, 0)
 
-    def test_failing_truncation_guard_raises_unprefixed(self):
+    def test_failing_truncation_raises_the_band_factors_error(self):
         # a_r's own band factors refuse it before the chain is asked, with
-        # their message; the chain's order-r guard is then not marked passed
+        # their message; a fresh chain refuses the record, whose state
+        # matrix is not Hurwitz
         prep = self._hand_prepared(*self.SHIFT_CASE)
         message = "band edge frequency -1.0 is within 1e-10 of an eigenvalue"
         with pytest.raises(SingularShift) as info:
             interval_truncate(prep, 2)
         assert str(info.value) == message
-        with pytest.raises(SingularShift) as info:
-            prep.eta(2)
-        assert str(info.value) == f"truncation order 2: {message}"
+        with pytest.raises(NotHurwitz, match="^gram.sys is not Hurwitz"):
+            interval_eta(prep.gram.sys, prep.gram, UNIT_BAND, 2)
 
     @staticmethod
     def _hand_prepared(a, sigma):
@@ -393,7 +403,8 @@ class TestPreparedChain:
         [1.0, 1e-17, 0.5, 0.25, 0.125],
     )
     # the leading 2x2 block rotates at the band edges +-1, so factoring
-    # order 2 raises: orders 0..2 need it, order 3 does not
+    # order 2 raises; the record is not balanced, and its full state matrix
+    # is not Hurwitz (eigenvalues 0.052 +- 0.979j)
     SHIFT_CASE = (
         np.array(
             [[0.0, 1.0, 0.5, 0.0], [-1.0, 0.0, 0.0, 0.5],
@@ -401,50 +412,42 @@ class TestPreparedChain:
         ),
         [1.0, 0.5, 0.25, 0.125],
     )
-    # the same state matrix with sigma_2 below the cutoff as well: order 2's
-    # spectrum guards run before step 2's sigma cutoff
+    # the same state matrix with sigma_2 below the cutoff as well: a fresh
+    # chain from orders 0 and 1 fails step 2 before the record is refused
     SHIFT_AND_CUTOFF_CASE = (SHIFT_CASE[0], [1.0, 1e-17, 0.25, 0.125])
 
     @pytest.mark.parametrize(
-        "a, k",
+        "a, k, error",
         [
-            (np.array([[1j]]), 1),
-            (np.array([[3j]]), 1),
-            (SHIFT_CASE[0], 2),
-            (np.diag([-1.0, 1j]), 2),
+            (np.array([[1j]]), 1, SingularShift),
+            (np.array([[3j]]), 1, BranchCutViolation),
+            (SHIFT_CASE[0], 2, SingularShift),
+            (np.diag([-1.0, 1j]), 2, SingularShift),
         ],
         ids=["shift", "branch-cut", "shift-case", "second-state"],
     )
-    def test_chain_guard_matches_factored_order(self, a, k):
-        # the chain checks every order on eigvals(A_k), the band factors on
-        # their Schur form's eigenvalues: one rule, one message
-        with pytest.raises(FdbtError) as factored:
+    def test_order_the_band_factors_refuse_is_refused_by_a_fresh_chain(
+        self, a, k, error
+    ):
+        # A_k's band factors refuse its spectrum; a record holding A_k as a
+        # leading block, with one more state so that order k lies below
+        # order n, is not balanced, and a fresh chain through it refuses it
+        with pytest.raises(error, match="^(band edge|principal square root)"):
             _band_factors(a[:k, :k], UNIT_BAND)
-        # one more state, so that order k lies below the chain's order n
         padded = np.diag(np.full(k + 1, -1.0 + 0j))
         padded[:k, :k] = a[:k, :k]
         sys = StateSpace(padded, np.ones((k + 1, 1)), np.ones((1, k + 1)), [[0.0]])
         eye = np.eye(k + 1)
         gram = Balanced(sys, np.ones(k + 1), eye, eye, eye, eye)
-        chain = _EtaChain(gram, UNIT_BAND)
-        with pytest.raises(FdbtError) as guarded:
-            chain._guard(k)
-        assert type(guarded.value) is type(factored.value)
-        assert str(guarded.value) == f"truncation order {k}: {factored.value}"
+        for r in range(k + 1):
+            with pytest.raises(NotHurwitz, match="^gram.sys is not Hurwitz"):
+                interval_eta(sys, gram, UNIT_BAND, r)
 
     @pytest.mark.parametrize("ascending", [True, False], ids=["up", "down"])
     @pytest.mark.parametrize(
         "case, error, first_ok",
-        [
-            (CUTOFF_CASE, (SingularReconstruction, "truncation order 2: sigma below"), 2),
-            (SHIFT_CASE, (SingularShift, "truncation order 2: band edge"), 3),
-            (
-                SHIFT_AND_CUTOFF_CASE,
-                (SingularShift, "truncation order 2: band edge"),
-                3,
-            ),
-        ],
-        ids=["cutoff", "shift", "shift-before-cutoff"],
+        [(CUTOFF_CASE, (SingularReconstruction, "truncation order 2: sigma below"), 2)],
+        ids=["cutoff"],
     )
     def test_failing_step_raises_what_a_fresh_chain_raises(
         self, case, error, first_ok, ascending
@@ -462,6 +465,33 @@ class TestPreparedChain:
                 assert got[0] is error[0] and got[1].startswith(error[1]), r
             else:
                 assert np.all(np.isfinite(got.eta)) and got.eta.size == n - r
+
+    @pytest.mark.parametrize(
+        "case, refused",
+        [
+            (SHIFT_CASE, {r: (NotHurwitz, "gram.sys is not Hurwitz") for r in range(4)}),
+            (
+                SHIFT_AND_CUTOFF_CASE,
+                {
+                    0: (SingularReconstruction, "truncation order 2: sigma below"),
+                    1: (SingularReconstruction, "truncation order 2: sigma below"),
+                    2: (NotHurwitz, "gram.sys is not Hurwitz"),
+                    3: (NotHurwitz, "gram.sys is not Hurwitz"),
+                },
+            ),
+        ],
+        ids=["shift", "shift-before-cutoff"],
+    )
+    def test_unbalanced_record_refused_by_a_fresh_chain(self, case, refused):
+        # a fresh chain refuses the record at every order with a tail,
+        # after any step below numerical rank; truncating at order 2 takes
+        # A_2's band factors, which refuse it with their own error
+        prep = self._hand_prepared(*case)
+        for r, (error, message) in refused.items():
+            with pytest.raises(error, match=f"^{message}"):
+                interval_eta(prep.gram.sys, prep.gram, UNIT_BAND, r)
+        with pytest.raises(SingularShift, match="^band edge frequency -1.0"):
+            interval_truncate(prep, 2)
 
 
 class TestClosedFormChain:
@@ -493,22 +523,53 @@ class TestClosedFormChain:
 
     def test_square_roots_reuse_the_guarded_spectrum(self, monkeypatch):
         # each band factor's square root takes the spectrum its guards have
-        # checked, so it solves no eigenvalue problem of its own: what is
-        # left is the chain's guards (orders r+1..n-1); the band-factor
-        # guards read Schur forms (the full model's cached one, which passes
-        # the chain's order-n guards, and the reduced state matrix's, which
-        # the reduced model keeps for its poles and which passes the
-        # chain's order-r guards)
-        calls = []
-        real = fdbt.linalg.eigvals
-        for mod in (fdbt.linalg, fdbt.interval):
-            monkeypatch.setattr(mod, "eigvals", lambda a: calls.append(1) or real(a))
+        # checked, so it solves no eigenvalue problem of its own; the
+        # band-factor guards read Schur forms (the full model's cached one,
+        # and the reduced state matrix's, which the reduced model keeps for
+        # its poles), and the chain solves none
+        calls = _count_lapack_calls(monkeypatch)
         lad = generate_ladder(31)
         for r in (5, 20, 31):
             calls.clear()
             interval_reduce(lad, IntervalConfig(-0.5, 0.5), r, with_ef_bound=False)
-            chain = max(lad.n - r - 1, 0)
-            assert len(calls) == chain, r
+            assert calls["geev"] == 0, r
+
+
+def _genuine_records():
+    for seed in range(120, 126):
+        for cplx in (False, True):
+            kind = "complex" if cplx else "real"
+            for margin in (0.3, 1e-2, 1e-4):
+                sys = random_stable(
+                    seed, 4 + seed % 9, m=1 + seed % 2, p=2 - seed % 2,
+                    complex_entries=cplx, margin=margin,
+                )
+                for band in ((-1.0, 1.0), (0.2, 1.7)):
+                    yield pytest.param(sys, band, id=f"seed{seed}-{kind}-{margin}{band}")
+    for k, damping in ((3, 0.01), (5, 0.1), (6, 1e-3)):
+        for band in ((-0.5, 0.5), (0.1, 1.2)):
+            sys = damped_chain(k, damping=damping, seed=k)
+            yield pytest.param(sys, band, id=f"chain{k}-{damping}{band}")
+    for band in ((-0.5, 0.5), (0.0, 1.0)):
+        yield pytest.param(generate_ladder(31), band, id=f"ladder31{band}")
+
+
+@pytest.mark.parametrize("sys, band", _genuine_records())
+def test_orders_above_rank_pass_the_band_factor_rules(sys, band):
+    # the oracle the eta chain's unguarded orders rest on: in a balanced
+    # record every leading block A_k with sigma_k above numerical rank is
+    # Hurwitz up to rounding, so it passes the spectrum rules the band
+    # factors apply before a square root
+    cfg = IntervalConfig(*band)
+    gram = prepare_interval(sys, cfg).gram
+    a = np.asarray(gram.sys.A)
+    rounding = 8.0 * np.finfo(float).eps * np.max(np.abs(sys.poles))
+    above = np.flatnonzero(gram.sigma > rank_cutoff(gram.sigma)) + 1
+    assert above.size
+    for k in above:
+        lam = eigvals(a[:k, :k])
+        _check_band_spectrum(lam, cfg)
+        assert np.max(lam.real) <= rounding, k
 
 
 class TestReduce:

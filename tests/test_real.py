@@ -265,19 +265,27 @@ class TestTripwire:
         assert prep.gram.Tinv.dtype == np.float64
         assert _is_float64(prep.gram.sys)
 
-    def test_chain_guards_see_float64_blocks(self, monkeypatch):
-        seen = []
-        eig = fdbt.interval.eigvals
-        monkeypatch.setattr(
-            fdbt.interval, "eigvals", lambda a: seen.append(a.dtype) or eig(a)
-        )
+    def test_chain_reads_float64_blocks_and_solves_no_eigenvalues(self, monkeypatch):
         prep = prepare_interval(generate_ladder(31), IntervalConfig(-0.5, 0.5))
-        seen.clear()
+        seen, solves = [], []
+        sandwich = fdbt.interval._sandwich
+        monkeypatch.setattr(
+            fdbt.interval, "_sandwich", lambda a, *rest: seen.append(a.dtype) or sandwich(a, *rest)
+        )
+        routine = fdbt.linalg._routine
+        monkeypatch.setattr(
+            fdbt.linalg, "_routine", lambda name, char: solves.append(name) or routine(name, char)
+        )
+        for module in (fdbt.linalg, np.linalg, scipy.linalg):
+            eig = module.eigvals
+            monkeypatch.setattr(
+                module, "eigvals", lambda a, *rest, eig=eig: solves.append("eigvals") or eig(a, *rest)
+            )
         prep.eta(20)
-        # orders 20..30, each guarded once; prepare_interval's band factors
-        # of A pass order 31's
-        assert len(seen) == 31 - 20
+        # steps 21..31, two diagonal blocks each, and no eigenvalue solve
+        assert len(seen) == 2 * (31 - 20)
         assert set(seen) == {np.dtype(np.float64)}
+        assert not {"eigvals", "geev", "gees"} & set(solves)
 
     def test_one_schur_form_of_a_per_state_matrix(self, monkeypatch):
         # the poles, both standard Gramians, the band-weighted realization

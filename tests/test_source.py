@@ -127,3 +127,27 @@ def test_no_random_estimator():
         if found:
             uses[name] = found
     assert uses == {"harness.py": ["np.random.default_rng"]}
+
+
+def test_eta_chain_solves_no_eigenvalue_problem():
+    # a balanced record's leading blocks pass the band-factor spectrum rules
+    # (see _EtaChain), so the chain keeps no per-order guard
+    tree = ast.parse((SRC / "interval.py").read_text(), filename="interval.py")
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "eigvals" not in imported
+    (chain,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "_EtaChain"
+    ]
+    defined = {node.name for node in chain.body if isinstance(node, ast.FunctionDef)}
+    attributes = {
+        node.attr for node in ast.walk(chain)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    assert "_guard" not in defined and "guarded" not in attributes
