@@ -18,20 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import (
-    IndefiniteGramian,
-    InvalidParameters,
-    NotHurwitz,
-    SingularResidualization,
-)
-from .linalg import (
-    eigh,
-    gemm,
-    hermitize,
-    log_principal,
-    solve,
-    solve_lyapunov,
-)
+from .errors import InvalidParameters, NotHurwitz, SingularResidualization
+from .linalg import gemm, hermitize, log_principal, solve, solve_lyapunov
 from .reduction import (
     Balanced,
     IntervalConfig,
@@ -81,7 +69,9 @@ def fibt_reduce(sys: StateSpace, r: int) -> ReductionResult:
     return fibt_truncate(prepare_standard(sys), r)
 
 
-def _check_rho(rho: float) -> float:
+def check_rho(rho: float) -> float:
+    """The residualization shift as a float: finite and >= 0, or
+    InvalidParameters (the rule gspa and the CLI's --rho share)."""
     rho = float(rho)
     if not (math.isfinite(rho) and rho >= 0.0):
         raise InvalidParameters("rho must be finite and >= 0")
@@ -98,7 +88,7 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
     attached there.
     """
     r = check_order(r, prep.sys.n)
-    rho = _check_rho(rho)
+    rho = check_rho(rho)
     a11, a12, a21, a22, b1, b2, c1, c2 = partition(prep.sys, r)
 
     shifted = rho * np.eye(a22.shape[0]) - a22
@@ -120,7 +110,7 @@ def gspa_truncate(prep: Balanced, r: int, rho: float = 0.0) -> ReductionResult:
 def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
     """Balanced residualization with matching point rho (see gspa_truncate)."""
     check_order(r, sys.n)
-    _check_rho(rho)
+    check_rho(rho)
     return gspa_truncate(prepare_standard(sys), r, rho)
 
 
@@ -148,9 +138,9 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
     real: Im log(j x I - A) / pi for [-x, x], and the difference of two such
     terms for a one-sided band. The band is validated by IntervalConfig,
     the rule int-fdbt applies too. Either Gramian may come out indefinite;
-    that is reported as IndefiniteGramian, not repaired. standard is sys's
-    whole-axis pair (Wc, Wo) if the caller holds it; otherwise it is solved
-    here.
+    the pair is returned as computed, and balancing it (prepare_band)
+    raises IndefiniteGramian, not a repair. standard is sys's whole-axis
+    pair (Wc, Wo) if the caller holds it; otherwise it is solved here.
     """
     band = IntervalConfig(w1, w2)
     w1, w2 = band.w1, band.w2
@@ -171,19 +161,12 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
         s = sum(_band_primitive(a, x1, x2) for (x1, x2) in pieces)
     wc_band = hermitize(gemm(s, wc) + gemm(wc, s, hb=True))
     wo_band = hermitize(gemm(s, wo, ha=True) + gemm(wo, s))
-    for name, w in (("controllability", wc_band), ("observability", wo_band)):
-        evals = eigh(w, vectors=False)
-        scale = max(float(np.max(np.abs(evals))) if evals.size else 0.0, 1e-14)
-        if evals.size and float(np.min(evals)) < -1e-8 * scale:
-            raise IndefiniteGramian(
-                f"band-limited {name} Gramian is indefinite "
-                f"(min eigenvalue {float(np.min(evals)):.3e})"
-            )
     return wc_band, wo_band
 
 
 def prepare_band(sys: StateSpace, w1: float, w2: float, standard=None) -> Balanced:
-    """sys balanced on its band-limited Gramian pair, for fgbt (see band_gramians)."""
+    """sys balanced on its band-limited Gramian pair, for fgbt (see
+    band_gramians); IndefiniteGramian when either is clearly indefinite."""
     return balance(sys, *band_gramians(sys, w1, w2, standard))
 
 

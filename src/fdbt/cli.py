@@ -16,7 +16,7 @@ import sys as _sys
 
 import numpy as np
 
-from .baselines import fgbt_reduce, fibt_reduce, gspa_reduce, prepare_standard
+from .baselines import check_rho, fgbt_reduce, fibt_reduce, gspa_reduce, prepare_standard
 from .errors import DimensionMismatch, FdbtError, InvalidParameters
 from .harness import (
     EXAMPLE_NAMES,
@@ -159,8 +159,7 @@ def build_runner(args, n: int):
         return lambda model: gspa_reduce(model, r, 0.0)
     if args.method == "gspa":
         _require(args.rho is not None, "method gspa requires --rho")
-        rho = float(args.rho)
-        _require(np.isfinite(rho) and rho >= 0.0, "--rho must be finite and >= 0")
+        rho = check_rho(args.rho)
         return lambda model: gspa_reduce(model, r, rho)
     if args.method == "sf-fdbt":
         _require(args.epsilon is not None, "method sf-fdbt requires --epsilon")

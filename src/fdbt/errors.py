@@ -21,10 +21,6 @@ class BranchCutViolation(FdbtError):
     """Principal square root / logarithm undefined: spectrum touches (−∞, 0]."""
 
 
-class NotPSD(FdbtError):
-    """A matrix required to be positive semidefinite has a clearly negative eigenvalue."""
-
-
 class ConvergenceFailure(FdbtError):
     """An iterative kernel (eigensolver) did not converge."""
 
@@ -66,7 +62,12 @@ class SingularResidualization(FdbtError):
 
 
 class IndefiniteGramian(FdbtError):
-    """A frequency-limited Gramian came out indefinite; the plain scheme cannot proceed."""
+    """A Gramian to be balanced has a clearly negative eigenvalue.
+
+    Raised by linalg.balance_gramians, the one indefiniteness test; in
+    practice by fgbt's band-limited pair, which deep cancellation can drive
+    indefinite.
+    """
 
 
 class InvalidParameters(FdbtError):

@@ -37,16 +37,7 @@ from .errors import (
     SingularReconstruction,
     SingularShift,
 )
-from .linalg import (
-    SHIFT_TOL,
-    check_off_branch_cut,
-    gemm,
-    jw,
-    rank_cutoff,
-    schur,
-    solve,
-    sqrt_principal,
-)
+from .linalg import SHIFT_TOL, gemm, jw, schur, solve, sqrt_principal
 from .reduction import (
     Balanced,
     Extended,
@@ -77,13 +68,13 @@ class EtaTerms:
 
 
 def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
-    """Refuse a state-matrix spectrum lam for which M or N is undefined.
+    """The spectrum of M's square-root argument, after the shift test.
 
     SingularShift when a band edge j w lies within SHIFT_TOL of an
-    eigenvalue (a resolvent is singular), BranchCutViolation when an
-    eigenvalue of wd^2 (j w1 I - A)^(-1) (j w2 I - A)^(-1), the argument
-    of M's square root, lies on the closed negative real axis. Returns
-    those eigenvalues, the guarded spectrum of the square root's argument.
+    eigenvalue of the state-matrix spectrum lam (a resolvent is singular).
+    Otherwise returns the eigenvalues of wd^2 (j w1 I - A)^(-1)
+    (j w2 I - A)^(-1), which _band_factors hands to sqrt_principal: its
+    branch-cut test (BranchCutViolation) is the only one they get.
     """
     if lam.size == 0:
         return np.zeros(0, complex)
@@ -92,9 +83,7 @@ def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
             raise SingularShift(
                 f"band edge frequency {w} is within {SHIFT_TOL} of an eigenvalue"
             )
-    values = cfg.wd**2 / ((1j * cfg.w1 - lam) * (1j * cfg.w2 - lam))
-    check_off_branch_cut(values, "principal square root")
-    return values
+    return cfg.wd**2 / ((1j * cfg.w1 - lam) * (1j * cfg.w2 - lam))
 
 
 def _arithmetic(a: np.ndarray, cfg: IntervalConfig) -> str:
@@ -126,8 +115,8 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
     The Schur method (Higham, Functions of Matrices, 2008, ch. 4 and 6): on
     a = Z T Z* (_band_form), with the quasi-triangular
     X = (j w1 I - T)(j w2 I - T), M = Z sqrt(wd^2 X^(-1)) Z* and
-    N = Z (j wc I - T) X^(-1) Z*. The spectrum guards, and the square
-    root's, read the form's eigenvalues.
+    N = Z (j wc I - T) X^(-1) Z*. The shift test (_check_band_spectrum)
+    and the square root's branch-cut test read the form's eigenvalues.
     """
     t, z, lam, _ = _band_form(a, cfg, form)
     values = _check_band_spectrum(lam, cfg)
@@ -160,10 +149,10 @@ def interval_gramians(ext: Extended) -> Balanced:
 
     The band Gramians are the standard Gramian pair of the band-weighted
     realization (state matrix unchanged, band-weighted B and C); .sys is
-    that realization in their balanced coordinates.
+    that realization in their balanced coordinates. A state matrix that is
+    not Hurwitz is refused by standard_gramians (NotHurwitz); through
+    prepare_interval, which checks the input first, that cannot happen.
     """
-    if not is_hurwitz(ext.sys).stable:
-        raise NotHurwitz("band Gramians need a Hurwitz state matrix")
     return balance(ext.sys, *standard_gramians(ext.sys))
 
 
@@ -174,8 +163,8 @@ class _EtaChain:
     so it depends on i and not on the order truncated at: steps computed
     for one order serve every higher one, bit for bit. Only steps that
     succeeded are kept, so every order raises exactly what a fresh chain
-    from it raises: the first of steps r+1, r+2, ... whose sigma is at most
-    linalg.rank_cutoff of sigma.
+    from it raises: the first of steps r+1, r+2, ... whose direction is in
+    gram.rank_deficient (sigma at most linalg.rank_cutoff of sigma).
 
     The chain reads gram.sys alone: its state matrix is the input's in
     balanced coordinates, and its B and C are the band-weighted input and
@@ -184,9 +173,9 @@ class _EtaChain:
     every block and product real. interval_eta's block swap S is a column
     slice of each step's core, scaled by sigma_i, not a product.
 
-    The chain solves no eigenvalue problem. _check_band_spectrum guards
-    the square root _band_factors takes; a step takes none, and in exact
-    arithmetic every order it reads passes those rules anyway:
+    The chain solves no eigenvalue problem. The shift and branch-cut tests
+    guard the square root _band_factors takes; a step takes none, and in
+    exact arithmetic every order it reads passes those rules anyway:
     - diag(sigma_1..k) solves both Lyapunov equations of each leading block
       (A_k, Bx_k, Cx_k) of the balanced gram.sys, so A_k is Hurwitz when
       sigma_k > sigma_(k+1) (Pernebo and Silverman, IEEE TAC 1982).
@@ -198,7 +187,8 @@ class _EtaChain:
       imaginary axis; no sigma-gap test is run, as eta_i is a polynomial in
       A_k, Bx, Cx and sigma and both sides of the bound are continuous in
       the data, so a tie's bound is the limit of those of gapped records.
-      _step still refuses a sigma below numerical rank (rank_cutoff).
+      _step still refuses a direction below numerical rank
+      (gram.rank_deficient).
     The two square roots taken keep their guards: of A in prepare_interval
     and of A_r in interval_truncate.
     """
@@ -207,7 +197,7 @@ class _EtaChain:
         self.sys, self.cfg = gram.sys, cfg
         self.io = (gram.sys.B, gram.sys.C)
         self.sigma = np.asarray(gram.sigma, dtype=float)
-        self.cutoff = rank_cutoff(self.sigma)
+        self.deficient = frozenset(gram.rank_deficient)
         self.steps = {}  # i -> EtaStep
 
     def terms(self, r: int) -> EtaTerms:
@@ -223,7 +213,7 @@ class _EtaChain:
 
     def _step(self, i: int) -> EtaStep:
         sigma = self.sigma
-        if sigma[i - 1] <= self.cutoff:
+        if i - 1 in self.deficient:
             raise SingularReconstruction(
                 f"truncation order {i}: sigma below numerical rank, eta undefined"
             )

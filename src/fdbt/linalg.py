@@ -45,7 +45,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     FdbtError,
-    NotPSD,
+    IndefiniteGramian,
     SingularSylvester,
 )
 
@@ -358,8 +358,9 @@ def rank_cutoff(sv: np.ndarray) -> float:
 
     A value at most len(sv)·eps·sv[0] is numerically zero; when sv is
     empty or sv[0] is zero the scale is 1, so that all of a zero matrix's
-    values count as zero. The one rank rule of fdbt: a guarded solve,
-    balance_gramians and the eta chain all apply it.
+    values count as zero. The one rank rule of fdbt: a guarded solve
+    applies it, and so does balance_gramians, whose directions at or below
+    it Balanced.rank_deficient lists for the result tail and the eta chain.
     """
     top = float(sv[0]) if len(sv) and sv[0] > 0 else 1.0
     return len(sv) * np.finfo(float).eps * top
@@ -611,11 +612,19 @@ def log_principal(m) -> np.ndarray:
 
 
 def _psd_factor(w: np.ndarray, name: str) -> np.ndarray:
-    """Factor a Hermitian PSD matrix as L·L* via eigh, tolerating rank loss."""
+    """Factor a Hermitian PSD matrix as L·L* via eigh, tolerating rank loss.
+
+    fdbt's one indefiniteness test: an eigenvalue below -1e-8 times the
+    largest in magnitude raises IndefiniteGramian, naming the Gramian
+    ("controllability" or "observability"); smaller negative ones are
+    rounding and are clipped to zero.
+    """
     evals, vecs = eigh(hermitize(w))
     wnorm = max(float(np.max(np.abs(evals))) if evals.size else 0.0, ABS_FLOOR)
     if evals.size and float(np.min(evals)) < -1e-8 * wnorm:
-        raise NotPSD(f"{name} has eigenvalue {float(np.min(evals)):.3e}, below -1e-8*norm")
+        raise IndefiniteGramian(
+            f"{name} Gramian is indefinite (min eigenvalue {float(np.min(evals)):.3e})"
+        )
     clipped = np.clip(evals, 0.0, None)
     return vecs * np.sqrt(clipped)[None, :]
 
@@ -633,18 +642,18 @@ def _pinv_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def balance_gramians(wc, wo):
     """Simultaneously diagonalize a Gramian pair.
 
-    Returns (T, Tinv, sigma, flags) with T⁻¹·Wc·T⁻* ≈ Σ and T*·Wo·T ≈ Σ,
+    Returns (T, Tinv, sigma) with T⁻¹·Wc·T⁻* ≈ Σ and T*·Wo·T ≈ Σ,
     Σ = diag(sigma) non-increasing. Square-root balancing: PSD factors of
-    both Gramians, then an SVD of L_o*·L_c. Rank-deficient directions are
-    regularized (their scaling is clamped at the rank cutoff, their rows
-    of T⁻¹ taken from a pseudo-inverse of T) and flagged; the reported
+    both Gramians (_psd_factor, which raises IndefiniteGramian for a
+    clearly indefinite one), then an SVD of L_o*·L_c. A direction whose
+    sigma is at most rank_cutoff(sigma), the rule Balanced.rank_deficient
+    reads off sigma, is regularized: its scaling is clamped at the cutoff
+    and its row of T⁻¹ taken from a pseudo-inverse of T. The reported
     sigma keeps the true values.
 
-    flags[i] is True when sigma[i] is at most rank_cutoff(sigma), the
-    rule Balanced.rank_deficient reads off sigma. Two real Gramians are
-    balanced in real arithmetic, so T is real: that fixes the gauge (the
-    free phase of each balanced direction) that the complex
-    factorizations leave to LAPACK.
+    Two real Gramians are balanced in real arithmetic, so T is real: that
+    fixes the gauge (the free phase of each balanced direction) that the
+    complex factorizations leave to LAPACK.
     """
     wc = as_matrix(wc, "Wc")
     wo = as_matrix(wo, "Wo")
@@ -655,10 +664,10 @@ def balance_gramians(wc, wo):
     n = wc.shape[0]
     if n == 0:
         z = np.zeros((0, 0), np.result_type(wc, wo))
-        return z, z, np.zeros(0), np.zeros(0, dtype=bool)
+        return z, z, np.zeros(0)
 
-    lc = _psd_factor(wc, "Wc")
-    lo = _psd_factor(wo, "Wo")
+    lc = _psd_factor(wc, "controllability")
+    lo = _psd_factor(wo, "observability")
     u, sigma, vh = svd(gemm(lo, lc, ha=True))
 
     cutoff = rank_cutoff(sigma)
@@ -673,4 +682,4 @@ def balance_gramians(wc, wo):
     # the square-root formula gives the leading directions
     if flags.any():
         tinv[flags] = _pinv_rows(t, flags)
-    return t, tinv, sigma, flags
+    return t, tinv, sigma

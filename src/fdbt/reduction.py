@@ -39,7 +39,8 @@ class Balanced:
     @property
     def rank_deficient(self) -> tuple:
         """Indices of the sigma at most linalg.rank_cutoff(sigma): the
-        directions balance_gramians flags and regularizes."""
+        directions balance_gramians regularizes. The one rank record that
+        the result tail and the eta chain read."""
         return tuple(int(i) for i in np.flatnonzero(self.sigma <= rank_cutoff(self.sigma)))
 
 
@@ -82,7 +83,7 @@ class Extended:
 
 def balance(sys: StateSpace, wc: np.ndarray, wo: np.ndarray) -> Balanced:
     """Balance a Gramian pair (wc, wo) of sys and apply the transform to sys."""
-    t, tinv, sigma, _ = balance_gramians(wc, wo)
+    t, tinv, sigma = balance_gramians(wc, wo)
     return Balanced(sys.transformed(t, tinv), sigma, wc, wo, t, tinv)
 
 

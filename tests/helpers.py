@@ -1,6 +1,7 @@
-"""Seeded model factories and a fresh-interpreter runner shared across
-test modules."""
+"""Seeded model factories, a fresh-interpreter runner and a LAPACK call
+counter shared across test modules."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -23,6 +24,27 @@ def python_at_threads(threads, script, *args):
         [sys.executable, "-c", script, *args],
         env=env, check=True, capture_output=True, text=True, timeout=300,
     ).stdout
+
+
+def count_lapack_calls(monkeypatch):
+    """A Counter of the LAPACK and BLAS routines fdbt runs from now on, by
+    name, counted through linalg's routine handles (workspace queries,
+    cached per order, not counted)."""
+    calls = collections.Counter()
+    real = fdbt.linalg._routine
+
+    def routine(name, char):
+        fn = real(name, char)
+
+        def counted(*args, **kwargs):
+            if kwargs.get("lwork") != -1 and not name.endswith("_lwork"):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(fdbt.linalg, "_routine", routine)
+    return calls
 
 
 def random_stable(seed, n, m=1, p=1, complex_entries=False, margin=0.3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from helpers import random_stable, random_unstable, response_gap
+from helpers import count_lapack_calls, random_stable, random_unstable, response_gap
 from fdbt import (
     FrequencyGrid,
     IndefiniteGramian,
@@ -23,6 +23,7 @@ from fdbt import (
     standard_gramians,
     sweep,
 )
+from fdbt.baselines import prepare_band
 
 # band-limited Gramians go numerically indefinite under deep cancellation;
 # a far narrow band on a system with a nearly unreachable direction does it
@@ -151,12 +152,31 @@ class TestBandGramians:
             band_gramians(sys, np.inf, 2 * np.inf)
 
     def test_numerically_indefinite_case_rejected(self):
+        # band_gramians returns the pair as computed; balancing it is the
+        # one indefiniteness test, so prepare_band and fgbt_reduce refuse it
         sys = StateSpace(_INDEFINITE_A, _INDEFINITE_B, _INDEFINITE_C, [[0.0]])
+        wc, wo = band_gramians(sys, 1e4, 1e4 + 1e-3)
+        assert min(np.linalg.eigvalsh(wc)[0], np.linalg.eigvalsh(wo)[0]) < 0.0
+        with pytest.raises(IndefiniteGramian, match="^controllability Gramian is indefinite"):
+            prepare_band(sys, 1e4, 1e4 + 1e-3)
         with pytest.raises(IndefiniteGramian):
-            band_gramians(sys, 1e4, 1e4 + 1e-3)
+            fgbt_reduce(sys, 2, 1e4, 1e4 + 1e-3)
 
 
 class TestFgbt:
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("band", [(-0.5, 0.5), (0.2, 0.9)])
+    def test_prepare_runs_two_symmetric_eigensolves(
+        self, monkeypatch, complex_entries, band
+    ):
+        # one per Gramian, the PSD factors of balance_gramians: the band pair
+        # is tested for indefiniteness there and nowhere else
+        sys = random_stable(151, 6, m=2, complex_entries=complex_entries)
+        standard = standard_gramians(sys)
+        calls = count_lapack_calls(monkeypatch)
+        prepare_band(sys, *band, standard)
+        assert calls["syevd"] + calls["heevd"] == 2
+
     def test_full_order_identity(self):
         sys = random_stable(139, 4)
         res = fgbt_reduce(sys, 4, -0.5, 0.5)

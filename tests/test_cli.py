@@ -83,7 +83,18 @@ class TestModelFiles:
     def test_matrix_shape_validated(self):
         doc = cli.model_to_dict(random_stable(23, 2))
         doc["A"] = doc["A"][:1]  # drop a row
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="must have 2 rows"):
+            cli.model_from_dict(doc)
+        doc = cli.model_to_dict(random_stable(23, 2))
+        doc["A"][1] = doc["A"][1][:1]  # drop an entry of the second row
+        with pytest.raises(DimensionMismatch, match="row 1 must have 2 entries"):
+            cli.model_from_dict(doc)
+
+    @pytest.mark.parametrize("meta", [[], "plant", 1, None])
+    def test_metadata_must_be_an_object(self, meta):
+        doc = cli.model_to_dict(_lowpass())
+        doc["metadata"] = meta
+        with pytest.raises(DimensionMismatch, match="metadata must be a JSON object"):
             cli.model_from_dict(doc)
 
     def test_entries_must_be_re_im_pairs(self):
@@ -184,8 +195,8 @@ class TestReduce:
             (["--method", "int-fdbt", "--w1", "-1.0"], "--w2"),
             (["--method", "int-fdbt", "--w1", "1.0", "--w2", "0.5"], "w1 < w2"),
             (["--method", "fibt", "--symmetrize"], "--symmetrize"),
-            (["--method", "gspa", "--rho", "-1.0"], "--rho"),
-            (["--method", "gspa", "--rho", "nan"], "--rho"),
+            (["--method", "gspa", "--rho", "-1.0"], "rho must be finite"),
+            (["--method", "gspa", "--rho", "nan"], "rho must be finite"),
         ],
     )
     def test_flag_requirements_fail_validation(
@@ -363,6 +374,23 @@ class TestSweep:
             code, _, stderr = run_cli(capsys, ["sweep", path, "--output", out] + tail)
             assert code == 2
             assert json.loads(stderr)["error"] == "invalid-parameters"
+
+    def test_output_into_a_missing_directory_exits_2(self, capsys, tmp_path):
+        # the write fails after the sweep: main's OSError rule, not a crash
+        path = str(tmp_path / "lp.json")
+        cli.write_model(path, _lowpass())
+        out = tmp_path / "absent" / "x.csv"
+        code, stdout, stderr = run_cli(
+            capsys,
+            ["sweep", path, "--wmin", "-1", "--wmax", "1", "--points", "5",
+             "--output", str(out)],
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.count("\n") == 1
+        diag = json.loads(stderr)
+        assert diag["error"] == "file-not-found-error"
+        assert str(out) in diag["message"]
+        assert not out.parent.exists()
 
     def test_log_grid_runs(self, capsys, tmp_path):
         path = str(tmp_path / "lp.json")

@@ -38,13 +38,19 @@ from fdbt import (
 import fdbt
 from fdbt import cli, fgbt_reduce
 from fdbt.baselines import prepare_standard
-from fdbt.errors import FdbtError
+from fdbt.errors import (
+    FdbtError,
+    IndefiniteGramian,
+    SingularReconstruction,
+    SingularShift,
+)
 from fdbt.harness import (
     EXPERIMENT_GRID_POINTS,
     EXPERIMENT_HALF_WIDTHS,
     EXPERIMENT_ORDERS,
     ModelCellRecord,
     _dc_reports,
+    _truncated,
 )
 
 
@@ -170,6 +176,131 @@ class TestExperiment:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+
+class TestExperimentFailures:
+    """A failed method leaves a note and NaN in its own columns only."""
+
+    SPEC = RandomModelSpec(n=4, seed=5, count=4)
+
+    @pytest.fixture()
+    def report(self, monkeypatch):
+        # model 0: fgbt's prepare fails; model 1: int-fdbt's prepare fails;
+        # model 2: int-fdbt's truncation fails at r = 2; model 3: the fibt
+        # peak at r = 1 reads 0
+        models, _ = draw_random_models(self.SPEC)
+
+        def index(model):
+            return next(i for i, m in enumerate(models) if np.array_equal(m.A, model.A))
+
+        harness = fdbt.harness
+        real = {
+            name: getattr(harness, name)
+            for name in ("prepare_band", "prepare_interval", "interval_truncate",
+                         "_error_sweeps")
+        }
+        truncated = []
+
+        def prepare_band(model, *args):
+            if index(model) == 0:
+                raise IndefiniteGramian("injected band failure")
+            return real["prepare_band"](model, *args)
+
+        def prepare_interval(model, cfg):
+            if index(model) == 1:
+                raise SingularShift("injected prepare failure")
+            return real["prepare_interval"](model, cfg)
+
+        def interval_truncate(prep, r, **flags):
+            truncated.append((index(prep.sys), r))
+            if (index(prep.sys), r) == (2, 2):
+                raise SingularReconstruction("injected truncate failure")
+            return real["interval_truncate"](prep, r, **flags)
+
+        def error_sweeps(model, reduced_models, grid):
+            reports = real["_error_sweeps"](model, reduced_models, grid)
+            if index(model) == 3:
+                reports[0] = replace(reports[0], peak_value=0.0)  # fibt at r = 1
+            return reports
+
+        monkeypatch.setattr(harness, "prepare_band", prepare_band)
+        monkeypatch.setattr(harness, "prepare_interval", prepare_interval)
+        monkeypatch.setattr(harness, "interval_truncate", interval_truncate)
+        monkeypatch.setattr(harness, "_error_sweeps", error_sweeps)
+        report = run_randomized_experiment(self.SPEC, wl_list=(0.4,), r_list=(1, 2))
+        # a failed prepare is re-raised by _truncated at every order, so the
+        # truncation never runs on model 1
+        assert sorted(truncated) == [(i, r) for i in (0, 2, 3) for r in (1, 2)]
+        return {(rec.model_index, rec.order): rec for rec in report.records}, report
+
+    def test_notes_name_the_failed_method(self, report):
+        records, _ = report
+        assert {key: rec.note for key, rec in records.items()} == {
+            (0, 1): "fgbt: injected band failure",
+            (0, 2): "fgbt: injected band failure",
+            (1, 1): "fdbt: injected prepare failure",
+            (1, 2): "fdbt: injected prepare failure",
+            (2, 1): "",
+            (2, 2): "fdbt: injected truncate failure",
+            (3, 1): "fibt peak degenerate; ratios undefined",
+            (3, 2): "",
+        }
+
+    def test_failed_columns_are_nan_and_the_others_are_not(self, report):
+        records, _ = report
+        for (model, r), rec in records.items():
+            fdbt_failed = model == 1 or (model, r) == (2, 2)
+            fgbt_failed = model == 0
+            # a degenerate fibt peak leaves both error ratios undefined
+            degenerate = (model, r) == (3, 1)
+            assert (rec.peak_fibt == 0.0) == degenerate, (model, r)
+            for name in ("peak_fdbt", "bound_fdbt", "eb_fdbt"):
+                assert math.isnan(getattr(rec, name)) == fdbt_failed, (model, r, name)
+            assert math.isnan(rec.err_fdbt) == (fdbt_failed or degenerate), (model, r)
+            assert math.isnan(rec.peak_fgbt) == fgbt_failed, (model, r)
+            assert math.isnan(rec.err_fgbt) == (fgbt_failed or degenerate), (model, r)
+
+    def test_cells_count_the_exclusions(self, report):
+        records, rep = report
+        # r = 1: fdbt fails on model 1 and the fibt peak of model 3 is
+        # degenerate; r = 2: fdbt fails on models 1 and 2; fgbt fails on
+        # model 0 at both orders
+        for r, fdbt_excluded, fgbt_excluded in ((1, 2, 2), (2, 2, 1)):
+            cell = rep.cell(0.4, r)
+            assert cell.models_used == 4
+            assert (cell.fdbt_excluded, cell.fgbt_excluded) == (fdbt_excluded, fgbt_excluded)
+            used = [records[i, r].err_fdbt for i in range(4)]
+            assert cell.err_fdbt_mean == pytest.approx(np.nanmean(used))
+            used = [records[i, r].err_fgbt for i in range(4)]
+            assert cell.err_fgbt_mean == pytest.approx(np.nanmean(used))
+
+    def test_truncated_reraises_a_failed_prepare_at_every_order(self):
+        failure = SingularShift("prepare failed")
+        calls = []
+        for r in (1, 2, 3):
+            with pytest.raises(SingularShift) as info:
+                _truncated(lambda *args: calls.append(args), failure, r)
+            assert info.value is failure
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "wl_list, r_list, message",
+        [
+            ((), (1,), "need at least one half-width and one order"),
+            ((0.4,), (), "need at least one half-width and one order"),
+            ((0.4, 0.0), (1,), "half-widths must be positive"),
+            ((0.4,), (1, 4), "orders must satisfy 1 <= r < n = 4"),
+            ((0.4,), (0,), "orders must satisfy 1 <= r < n = 4"),
+        ],
+    )
+    def test_refused_before_any_model_is_drawn(self, monkeypatch, wl_list, r_list, message):
+        def draw(spec):
+            raise AssertionError("models drawn")
+
+        monkeypatch.setattr(fdbt.harness, "draw_random_models", draw)
+        with pytest.raises(InvalidParameters) as info:
+            run_randomized_experiment(self.SPEC, wl_list=wl_list, r_list=r_list)
+        assert str(info.value) == message
 
 
 def _records_by_public_calls(models, half_widths, orders):

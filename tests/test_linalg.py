@@ -9,8 +9,8 @@ from helpers import python_at_threads, random_stable
 from fdbt import (
     BranchCutViolation,
     DimensionMismatch,
+    IndefiniteGramian,
     IntervalConfig,
-    NotPSD,
     SfConfig,
     SingularReconstruction,
     SingularResidualization,
@@ -482,7 +482,7 @@ class TestBalanceGramians:
 
     def test_transform_diagonalizes_both(self):
         wc, wo = self._gramians(21, 5)
-        t, tinv, sigma, _ = balance_gramians(wc, wo)
+        t, tinv, sigma = balance_gramians(wc, wo)
         d = np.diag(sigma)
         assert np.linalg.norm(tinv @ wc @ tinv.conj().T - d) <= 1e-9 * sigma[0]
         assert np.linalg.norm(t.conj().T @ wo @ t - d) <= 1e-9 * sigma[0]
@@ -490,19 +490,21 @@ class TestBalanceGramians:
 
     def test_sigma_matches_eigenvalue_oracle(self):
         wc, wo = self._gramians(22, 6)
-        _, _, sigma, _ = balance_gramians(wc, wo)
+        _, _, sigma = balance_gramians(wc, wo)
         ref = orc.hankel_eig(wc, wo)
         assert np.all(np.diff(sigma) <= 1e-14)  # non-increasing
         assert np.max(np.abs(sigma - ref)) <= 1e-8 * ref[0]
 
     def test_indefinite_input_rejected(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(IndefiniteGramian, match="controllability Gramian"):
             balance_gramians(np.diag([1.0, -1.0]), np.eye(2))
+        with pytest.raises(IndefiniteGramian, match="observability Gramian"):
+            balance_gramians(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_rank_deficiency_flagged(self):
         wc = np.diag([1.0, 0.0])
-        flags = balance_gramians(wc, np.eye(2))[3]
-        assert np.any(flags)
+        sigma = balance_gramians(wc, np.eye(2))[2]
+        assert np.any(sigma <= rank_cutoff(sigma))
 
 
 def _identity_balanced(sys, sigma):

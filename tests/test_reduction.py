@@ -26,6 +26,7 @@ from fdbt import (
     solve_lyapunov,
     standard_gramians,
 )
+from fdbt.linalg import rank_cutoff
 from fdbt.reduction import balance, check_order
 
 
@@ -149,6 +150,7 @@ def test_rank_deficient_is_the_balancing_flags(pair):
     else:
         sys = build_sf_extended(lad, SfConfig(0.0, 1.0)).sys
         wc, wo = standard_gramians(sys)
-    flags = balance_gramians(wc, wo)[3]
-    assert flags.any()
-    assert balance(sys, wc, wo).rank_deficient == tuple(np.flatnonzero(flags))
+    sigma = balance_gramians(wc, wo)[2]
+    below = np.flatnonzero(sigma <= rank_cutoff(sigma))
+    assert below.size
+    assert balance(sys, wc, wo).rank_deficient == tuple(below)

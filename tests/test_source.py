@@ -105,13 +105,7 @@ def test_one_solve(module):
     defined = {
         node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     }
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert "solve_guarded" not in defined | imported
+    assert "solve_guarded" not in defined | _imported_names(module)
 
 
 def test_no_random_estimator():
@@ -129,17 +123,21 @@ def test_no_random_estimator():
     assert uses == {"harness.py": ["np.random.default_rng"]}
 
 
-def test_eta_chain_solves_no_eigenvalue_problem():
-    # a balanced record's leading blocks pass the band-factor spectrum rules
-    # (see _EtaChain), so the chain keeps no per-order guard
-    tree = ast.parse((SRC / "interval.py").read_text(), filename="interval.py")
-    imported = {
+def _imported_names(module: str) -> set:
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert "eigvals" not in imported
+
+
+def test_eta_chain_solves_no_eigenvalue_problem():
+    # a balanced record's leading blocks pass the band-factor spectrum rules
+    # (see _EtaChain), so the chain keeps no per-order guard
+    tree = ast.parse((SRC / "interval.py").read_text(), filename="interval.py")
+    assert "eigvals" not in _imported_names("interval.py")
     (chain,) = [
         node for node in tree.body
         if isinstance(node, ast.ClassDef) and node.name == "_EtaChain"
@@ -151,3 +149,14 @@ def test_eta_chain_solves_no_eigenvalue_problem():
         and isinstance(node.value, ast.Name) and node.value.id == "self"
     }
     assert "_guard" not in defined and "guarded" not in attributes
+
+
+def test_each_gramian_pair_property_checked_once():
+    # balance_gramians' PSD factors are the one indefiniteness test (as
+    # IndefiniteGramian), Balanced.rank_deficient the one rank record the
+    # eta chain reads, and sqrt_principal the band factors' one branch-cut
+    # test
+    sources = [(SRC / name).read_text() for name in MODULES + ["__init__.py"]]
+    assert not any("NotPSD" in text for text in sources)
+    assert "eigh" not in _imported_names("baselines.py")
+    assert not {"check_off_branch_cut", "rank_cutoff"} & _imported_names("interval.py")
