@@ -158,7 +158,8 @@ class RandomModelSpec:
     Whether 4.5 means the variance or the standard deviation is ambiguous
     in the source experiment description; diag_spread_is_variance selects
     the reading (variance by default). Models are SISO. Non-Hurwitz draws
-    are resampled and counted.
+    are resampled and counted. seed must be non-negative (numpy's
+    default_rng refuses a negative one), the spread finite and positive.
     """
 
     n: int
@@ -169,10 +170,10 @@ class RandomModelSpec:
     diag_spread_is_variance: bool = True
 
     def __post_init__(self):
-        if self.n < 1 or self.count < 1:
-            raise InvalidParameters("need n >= 1 and count >= 1")
-        if not (math.isfinite(self.diag_mean) and self.diag_spread > 0):
-            raise InvalidParameters("diagonal law needs finite mean, positive spread")
+        if self.n < 1 or self.count < 1 or self.seed < 0:
+            raise InvalidParameters("need n >= 1, count >= 1 and seed >= 0")
+        if not (math.isfinite(self.diag_mean) and 0 < self.diag_spread < math.inf):
+            raise InvalidParameters("diagonal law needs finite mean, finite positive spread")
 
 
 def draw_random_models(spec: RandomModelSpec):

@@ -51,20 +51,11 @@ from .reduction import (
 from .sysmodel import StateSpace, is_hurwitz
 
 
-@dataclass(frozen=True)
-class EtaStep:
-    """One truncation step of the eta chain: its index i and eta_i."""
-
-    index: int
-    eta: float
-
-
 @dataclass(frozen=True, eq=False)
 class EtaTerms:
-    """eta_i for i = r+1..n plus per-step diagnostics."""
+    """eta_i for i = r+1..n, in order: eta[k] is eta_(r+1+k)."""
 
     eta: np.ndarray
-    per_step: tuple
 
 
 def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
@@ -86,12 +77,6 @@ def _check_band_spectrum(lam: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     return cfg.wd**2 / ((1j * cfg.w1 - lam) * (1j * cfg.w2 - lam))
 
 
-def _arithmetic(a: np.ndarray, cfg: IntervalConfig) -> str:
-    """The Schur form a's band factors take: real for real a over a band
-    centred at zero, where the factors are real, complex otherwise."""
-    return "real" if a.dtype.kind == "f" and cfg.wc == 0.0 else "complex"
-
-
 def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
     """M^(-1) N M^(-1) y for the band factors of a, without forming them.
 
@@ -102,10 +87,11 @@ def _sandwich(a: np.ndarray, y: np.ndarray, cfg: IntervalConfig) -> np.ndarray:
 
 
 def _band_form(a: np.ndarray, cfg: IntervalConfig, form=None):
-    """a's Schur form in the arithmetic _arithmetic picks: form, if in it."""
-    arithmetic = _arithmetic(a, cfg)
-    if form is None or (form.t.dtype.kind == "f") != (arithmetic == "real"):
-        form = schur(a, arithmetic)
+    """The Schur form a's band factors take, form if in it: real for a real
+    a over a band centred at zero, where the factors are real, else complex."""
+    real = a.dtype.kind == "f" and cfg.wc == 0.0
+    if form is None or (form.t.dtype.kind == "f") != real:
+        form = schur(a, "real" if real else "complex")
     return form
 
 
@@ -198,7 +184,7 @@ class _EtaChain:
         self.io = (gram.sys.B, gram.sys.C)
         self.sigma = np.asarray(gram.sigma, dtype=float)
         self.deficient = frozenset(gram.rank_deficient)
-        self.steps = {}  # i -> EtaStep
+        self.steps = {}  # i -> eta_i
 
     def terms(self, r: int) -> EtaTerms:
         n = self.sys.n
@@ -208,10 +194,9 @@ class _EtaChain:
         for i in range(r + 1, n + 1):
             if i not in self.steps:
                 self.steps[i] = self._step(i)
-        steps = tuple(self.steps[i] for i in range(r + 1, n + 1))
-        return EtaTerms(np.array([st.eta for st in steps]), steps)
+        return EtaTerms(np.array([self.steps[i] for i in range(r + 1, n + 1)], dtype=float))
 
-    def _step(self, i: int) -> EtaStep:
+    def _step(self, i: int) -> float:
         sigma = self.sigma
         if i - 1 in self.deficient:
             raise SingularReconstruction(
@@ -235,7 +220,7 @@ class _EtaChain:
         k_mat = -np.hstack([core[:, m:] * s_i, core[:, :m] * s_i])
         # Hermitian part with the 0.5: He(X) = (X + X*)/2 throughout
         herm = (2.0 * s_i) ** 2 * np.eye(k_mat.shape[0]) + (k_mat + k_mat.conj().T) / 2.0
-        return EtaStep(index=i, eta=float(np.linalg.svd(herm, compute_uv=False)[0]))
+        return float(np.linalg.svd(herm, compute_uv=False)[0])
 
 
 def interval_eta(
@@ -407,8 +392,6 @@ def interval_reduce(
 
 def interval_bound(eta: EtaTerms) -> float:
     """In-band error bound: sum of sqrt(eta_i) over the dropped tail."""
-    if eta.eta.size == 0:
-        return 0.0
     return float(np.sum(np.sqrt(eta.eta)))
 
 

@@ -13,7 +13,7 @@ through scipy's LAPACK and BLAS, by the routine handles below: products
 (gemm), Schur forms (gees), Lyapunov solves on them (trsyl), single-point
 frequency responses on them (resolvent: trsv on a complex triangular
 form, trsyl on a real quasi-triangular one), Hermitian eigensolves
-(syevd/heevd), singular values (gesdd), eigenvalues (gees or geev),
+(syevd/heevd), singular values (gesdd), eigenvalues (gees),
 linear solves (gesv, after a gesdd rank test when guarded), and the
 matrix square root and logarithm, both on a Schur form fdbt computes
 itself: the band factors pass sqrt_principal their form's
@@ -102,12 +102,9 @@ def _no_sort(*args):
 
 
 @functools.cache
-def _lwork(name: str, char: str, n: int) -> int:
-    """The optimal workspace of gees or geev at order n, queried once."""
-    if name == "gees":
-        work = _routine("gees", char)(_no_sort, np.zeros((n, n), char), lwork=-1)[-2]
-    else:
-        work = _routine("geev_lwork", char)(n, compute_vl=0, compute_vr=0)[0]
+def _lwork(char: str, n: int) -> int:
+    """The optimal workspace of gees at order n, queried once."""
+    work = _routine("gees", char)(_no_sort, np.zeros((n, n), char), lwork=-1)[-2]
     return max(1, int(np.ravel(work)[0].real))
 
 
@@ -240,31 +237,17 @@ def schur(a: np.ndarray, output: str = "real") -> SchurForm:
         z = np.zeros((0, 0), char)
         return SchurForm(z, z, np.zeros(0, complex))
     out = _checked(
-        _routine("gees", char)(_no_sort, a, lwork=_lwork("gees", char, n)), "Schur form"
+        _routine("gees", char)(_no_sort, a, lwork=_lwork(char, n)), "Schur form"
     )
     return SchurForm(out[0], out[-2], out[2] + 1j * out[3] if char == "d" else out[2])
 
 
-def eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix (dgeev or zgeev), as complex128."""
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0, complex)
-    char = _char(a)
-    geev = _routine("geev", char)
-    out = _checked(
-        geev(a, compute_vl=0, compute_vr=0, lwork=_lwork("geev", char, n)), "eigensolver"
-    )
-    return out[0] + 1j * out[1] if char == "d" else out[0]
-
-
-def eigh(a: np.ndarray, vectors: bool = True):
-    """Eigenvalues (ascending) of a Hermitian matrix, with eigenvectors
-    unless vectors=False: syevd or heevd on the lower triangle."""
+def eigh(a: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix:
+    syevd or heevd on the lower triangle."""
     char = _char(a)
     fn = _routine("heevd" if char == "D" else "syevd", char)
-    w, v = _checked(fn(a, compute_v=int(vectors), lower=1), "Hermitian eigensolver")
-    return (w, v) if vectors else w
+    return _checked(fn(a, compute_v=1, lower=1), "Hermitian eigensolver")
 
 
 def svd(a: np.ndarray, vectors: bool = True):
@@ -396,13 +379,13 @@ def sqrt_principal(m, spectrum=None) -> np.ndarray:
     Inside fdbt the band factors pass it the upper (quasi-)triangular
     factor of their own Schur form, so the root is taken on that form.
     Input must have no eigenvalue on (−∞, 0]; spectrum, the eigenvalues of
-    M if the caller holds them, spares that check its own eigenvalue solve.
+    M if the caller holds them, spares that check its own Schur form (gees).
     """
     m = as_matrix(m, "M")
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), m.dtype)
-    lam = eigvals(m) if spectrum is None else np.asarray(spectrum)
+    lam = schur(m).lam if spectrum is None else np.asarray(spectrum)
     check_off_branch_cut(lam, "principal square root")
     x = scipy.linalg.sqrtm(m)
     x = np.asarray(x, dtype=m.dtype)

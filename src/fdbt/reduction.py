@@ -143,14 +143,17 @@ def truncation_result(
 
     Decides stability and warns in one order for all methods: "reduced
     system is not Hurwitz", then the count of prep's directions below
-    numerical rank (Balanced.rank_deficient), then the method's own notes,
-    such as an unavailable bound.
+    numerical rank (Balanced.rank_deficient), then how many of them the
+    order keeps, then the method's own notes, such as an unavailable bound.
     """
     stable = is_hurwitz(reduced).stable
     warnings = () if stable else ("reduced system is not Hurwitz",)
-    deficient = len(prep.rank_deficient)
+    deficient = prep.rank_deficient
     if deficient:
-        warnings += (f"{deficient} balanced directions below numerical rank",)
+        warnings += (f"{len(deficient)} balanced directions below numerical rank",)
+    kept = sum(i < reduced.n for i in deficient)
+    if kept:
+        warnings += (f"order {reduced.n} keeps {kept} directions below numerical rank",)
     return ReductionResult(
         reduced=reduced,
         method=method,

@@ -4,8 +4,8 @@ The realization G(jw) = C (jwI - A)^(-1) B + D is the currency every
 reduction method trades in. Realizations are immutable values; complex
 matrices are first-class, and a realization whose data is exactly real is
 held in float64, so every method downstream runs in real arithmetic on it.
-Realness up to rounding (all imaginary parts below 1e-14) is tracked so
-methods that promise real reduced models can be checked.
+Its dtype is the one record of realness: float64 exactly when every
+imaginary part is zero.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .linalg import (
     solve,
 )
 
-REAL_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
@@ -87,13 +86,6 @@ class StateSpace:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        return all(
-            float(np.max(np.abs(x.imag))) < REAL_TOL if x.size else True
-            for x in (self.A, self.B, self.C, self.D)
-        )
 
     @cached_property
     def _form(self) -> SchurForm:

@@ -233,13 +233,15 @@ class TestReduce:
         assert diag["message"] == "band needs finite w1 < w2"
 
     def test_unknown_method_is_a_usage_error(self, capsys, tmp_path, model_file):
+        # argparse's choices= and type=int are the only checks of both flags
         path, _ = model_file
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["reduce", path, "--method", "zeta", "--order", "2",
-                      "--output", str(tmp_path / "r.json")])
-        assert exc.value.code == 2
-        diag = json.loads(capsys.readouterr().err)
-        assert diag["error"] == "usage"
+        for method, order in (("zeta", "2"), ("fibt", "2.5")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["reduce", path, "--method", method, "--order", order,
+                          "--output", str(tmp_path / "r.json")])
+            assert exc.value.code == 2
+            diag = json.loads(capsys.readouterr().err)
+            assert diag["error"] == "usage"
 
     def test_missing_output_flag_is_a_usage_error(self, capsys, model_file):
         path, _ = model_file
@@ -571,14 +573,15 @@ def test_every_numerical_failure_exits_3(capsys, tmp_path, monkeypatch, call, ar
         ["bounds", "{model}", "--method", "fgbt", "--order", "2", "--w1=-inf", "--w2", "1"],
         ["bounds", "{model}", "--method", "fgbt", "--order", "2", "--w1", "-1", "--w2", "inf"],
         ["bench", "random", "--n", "3", "--count", "1", "--out", "{out}"],
+        ["bench", "random", "--seed", "-1", "--count", "1", "--out", "{out}"],
         ["sweep", "{model}", "--wmin", "-1", "--wmax", "1", "--points", "1",
          "--output", "{out}/s.csv"],
         ["bench", "ladder", "--order", "4", "--out", "{out}"],
         ["gen", "ladder", "--order", "4", "--output", "{out}/l.json"],
         ["bench", "example", "nope", "--out", "{out}"],
     ],
-    ids=["fgbt-w1-inf", "fgbt-w2-inf", "bench-random-n3", "sweep-points-1",
-         "bench-ladder-even", "gen-ladder-even", "bench-example-unknown"],
+    ids=["fgbt-w1-inf", "fgbt-w2-inf", "bench-random-n3", "bench-random-seed-negative",
+         "sweep-points-1", "bench-ladder-even", "gen-ladder-even", "bench-example-unknown"],
 )
 def test_every_invalid_input_exits_2(capsys, tmp_path, argv):
     # parseable flags that no computation may start from are validation failures

@@ -100,6 +100,10 @@ class TestRandomModels:
             RandomModelSpec(n=3, seed=1, count=0)
         with pytest.raises(InvalidParameters):
             RandomModelSpec(n=3, seed=1, count=5, diag_spread=0.0)
+        with pytest.raises(InvalidParameters):
+            RandomModelSpec(n=3, seed=1, count=5, diag_spread=math.inf)
+        with pytest.raises(InvalidParameters):
+            RandomModelSpec(n=3, seed=-1, count=5)
 
     def test_deterministic_and_hurwitz(self):
         spec = RandomModelSpec(n=4, seed=9, count=6)

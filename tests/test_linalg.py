@@ -32,7 +32,6 @@ from fdbt.harness import generate_ladder
 from fdbt.interval import IntervalBalanced, interval_truncate
 from fdbt.linalg import (
     eigh,
-    eigvals,
     gemm,
     rank_cutoff,
     resolvent,
@@ -434,13 +433,9 @@ class TestKernelHandles:
         assert w.dtype == np.float64 and v.dtype == dtype
         assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-13)
         assert np.linalg.norm(h @ v - v * w) <= 1e-13 * np.linalg.norm(h)
-        assert np.allclose(eigh(h, vectors=False), w, rtol=0, atol=1e-13)
         u, s, vh = svd(a)
         assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=1e-14, atol=0)
         assert np.linalg.norm((u * s) @ vh - a) <= 1e-13 * np.linalg.norm(a)
-        lam = eigvals(a)
-        assert lam.dtype == np.complex128
-        assert orc.match_spectra(lam, np.linalg.eigvals(a)) <= 1e-12
         t, z, lam, adjoint = schur(a)
         assert t.dtype == dtype and not adjoint
         assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)

@@ -142,6 +142,28 @@ def test_warnings_come_in_one_order():
     )
 
 
+@pytest.mark.parametrize(
+    "reduce, kept",
+    [
+        (lambda: sf_reduce(generate_ladder(11), SfConfig(0.0, 1e-8), 4), "order 4 keeps 3"),
+        (lambda: fgbt_reduce(generate_ladder(31), 25, -0.5, 0.5), "order 25 keeps 10"),
+        (lambda: fgbt_reduce(generate_ladder(31), 3, -0.5, 0.5), None),
+        (lambda: fibt_reduce(generate_ladder(31), 25), None),
+    ],
+    ids=["sf-fdbt-r4", "fgbt-r25", "fgbt-r3", "fibt-r25"],
+)
+def test_order_warns_of_kept_directions_below_rank(reduce, kept):
+    # the count of flagged directions the order keeps comes right after the
+    # count of all of them, and only when it is not zero
+    warnings = reduce().warnings
+    per_order = [w for w in warnings if w.startswith("order ")]
+    if kept is None:
+        assert per_order == []
+        return
+    assert per_order == [f"{kept} directions below numerical rank"]
+    assert warnings[warnings.index(per_order[0]) - 1].endswith(RANK)
+
+
 @pytest.mark.parametrize("pair", ["band", "sf"])
 def test_rank_deficient_is_the_balancing_flags(pair):
     lad = generate_ladder(31)

@@ -160,3 +160,25 @@ def test_each_gramian_pair_property_checked_once():
     assert not any("NotPSD" in text for text in sources)
     assert "eigh" not in _imported_names("baselines.py")
     assert not {"check_off_branch_cut", "rank_cutoff"} & _imported_names("interval.py")
+
+
+def _defined_names(module: str) -> set:
+    """Functions, classes and assigned names (fields included) a module defines."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / module).read_text(), filename=module)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_one_answer_per_question():
+    # eigenvalues come from gees alone, realness from the dtype alone, eta
+    # as plain numbers, and the CLI writes JSON files by harness.write_json
+    sources = {name: (SRC / name).read_text() for name in MODULES + ["__init__.py"]}
+    assert not any("geev" in text for text in sources.values())
+    defined = set().union(*(_defined_names(name) for name in sources))
+    assert not {"eigvals", "EtaStep", "per_step", "is_real", "REAL_TOL"} & defined
+    assert "json.dump(" not in sources["cli.py"]

@@ -81,8 +81,9 @@ class TestStateSpace:
         assert is_hurwitz(sys).stable
 
     def test_is_real_flag(self):
-        assert random_stable(2, 3).is_real
-        assert not random_stable(2, 3, complex_entries=True).is_real
+        # realness is the dtype, chosen once for all four matrices
+        assert random_stable(2, 3).A.dtype == np.float64
+        assert random_stable(2, 3, complex_entries=True).A.dtype == np.complex128
 
     def test_poles_cached_against_eigvals(self):
         sys = random_stable(3, 5, complex_entries=True)
