@@ -111,7 +111,7 @@ def load_model(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidParameters(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidParameters(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 

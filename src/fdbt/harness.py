@@ -378,8 +378,8 @@ def run_randomized_experiment(
     r_list = tuple(int(r) for r in r_list)
     if not wl_list or not r_list:
         raise InvalidParameters("need at least one half-width and one order")
-    if any(w <= 0 for w in wl_list):
-        raise InvalidParameters("half-widths must be positive")
+    if not all(0 < w < math.inf for w in wl_list):
+        raise InvalidParameters("half-widths must be finite and positive")
     if any(not 1 <= r < spec.n for r in r_list):
         raise InvalidParameters(f"orders must satisfy 1 <= r < n = {spec.n}")
 

@@ -20,14 +20,14 @@ itself: the band factors pass sqrt_principal their form's
 quasi-triangular factor, and log_principal factors its argument by gees
 first and runs fdbt's own inverse scaling and squaring on the triangular
 factor (square roots by scipy's sqrtm, powers by gemm, Padé terms by
-trtrs). scipy's own solve_continuous_lyapunov and matrix logarithm
-multiply with numpy's dot internally, so neither is called. This is
-the only module of fdbt that imports scipy. numpy keeps elementwise
-work: the diagonal steps of a frequency sweep's vectorized back
-substitution (the rows above each panel of a real or complex form are
-updated by one gemm, add_product) and the p x m singular values of each
-response, which OpenBLAS never threads. Nothing here sets or pins a
-thread count.
+trtrs at Gauss-Legendre nodes fdbt computes by syevd). scipy's own
+solve_continuous_lyapunov and matrix logarithm multiply with numpy's dot
+internally, so neither is called. This is the only module of fdbt that
+imports scipy. numpy keeps elementwise work: the diagonal steps of a
+frequency sweep's vectorized back substitution (the rows above each
+panel of a real or complex form are updated by one gemm, add_product)
+and the p x m singular values of each response, which OpenBLAS never
+threads. Nothing here sets or pins a thread count.
 """
 
 from __future__ import annotations
@@ -399,39 +399,17 @@ def sqrt_principal(m, spectrum=None) -> np.ndarray:
 # log(I + X) is accurate to unit roundoff
 _THETA = {1: 1.59e-5, 2: 2.31e-3, 3: 1.94e-2, 4: 6.21e-2, 5: 1.28e-1, 6: 2.06e-1, 7: 2.88e-1}
 
-# Gauss-Legendre (nodes, weights) of degree m = 1..7 mapped to [0, 1]:
-# scipy's roots_legendre(m) as ((1 + x)/2, w/2), to the last bit
-_GAUSS_LEGENDRE = {
-    1: ((0.5,), (1.0,)),
-    2: ((0.21132486540518713, 0.7886751345948129), (0.5, 0.5)),
-    3: (
-        (0.1127016653792583, 0.5, 0.8872983346207417),
-        (0.2777777777777779, 0.44444444444444414, 0.2777777777777779),
-    ),
-    4: (
-        (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
-        (0.1739274225687269, 0.3260725774312731, 0.3260725774312731, 0.1739274225687269),
-    ),
-    5: (
-        (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
-         0.9530899229693319),
-        (0.11846344252809449, 0.23931433524968326, 0.2844444444444445,
-         0.23931433524968326, 0.11846344252809449),
-    ),
-    6: (
-        (0.033765242898423975, 0.16939530676686776, 0.3806904069584015,
-         0.6193095930415985, 0.8306046932331322, 0.966234757101576),
-        (0.08566224618958508, 0.18038078652406928, 0.2339569672863456,
-         0.2339569672863456, 0.18038078652406928, 0.08566224618958508),
-    ),
-    7: (
-        (0.025446043828620812, 0.12923440720030277, 0.2970774243113014, 0.5,
-         0.7029225756886985, 0.8707655927996972, 0.9745539561713792),
-        (0.06474248308443496, 0.1398526957446383, 0.19091502525255938,
-         0.20897959183673456, 0.19091502525255938, 0.1398526957446383,
-         0.06474248308443496),
-    ),
-}
+
+@functools.cache
+def _gauss_legendre(m: int):
+    """The m-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs, by
+    Golub & Welsch (Math. Comp. 23, 1969): the eigenvalues λ of the
+    symmetric tridiagonal Jacobi matrix with off-diagonal k/√(4k² − 1),
+    k = 1..m−1, give the nodes (1 + λ)/2, and the squared first components
+    of its eigenvectors the weights."""
+    k = np.arange(1.0, m)
+    lam, v = eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    return tuple(zip((1 + lam) / 2, v[0] ** 2))
 
 
 def _alpha(powers: list, p: int) -> float:
@@ -548,16 +526,16 @@ def _log_triangular(t0: np.ndarray) -> np.ndarray:
     Inverse scaling and squaring (Al-Mohy & Higham, 2012, Alg. 4.1): with
     R = T0^(1/2^s) − I, log T0 = 2^s·log(I + R), and log(I + R) is the
     degree-m Padé approximant, the m-point Gauss-Legendre sum of
-    w_i (I + x_i R)⁻¹ R over nodes x_i and weights w_i on [0, 1], one
-    triangular solve (trtrs) per node. The diagonal and superdiagonal are
-    then recomputed from T0's entries.
+    w_i (I + x_i R)⁻¹ R over the nodes x_i and weights w_i of
+    _gauss_legendre(m), one triangular solve (trtrs) per node. The
+    diagonal and superdiagonal are then recomputed from T0's entries.
     """
     r, s, m = _inverse_scaling(t0)
     n = t0.shape[0]
     eye = np.eye(n)
     trtrs = _routine("trtrs", _char(r))
     u = np.zeros_like(r)
-    for node, weight in zip(*_GAUSS_LEGENDRE[m]):
+    for node, weight in _gauss_legendre(m):
         u += _checked(trtrs(eye + node * r, weight * r), "Pade term")[0]
     u *= 2.0**s
     diag = np.diagonal(t0)

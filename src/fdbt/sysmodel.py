@@ -358,50 +358,26 @@ def sigma_max_at(sys: StateSpace, omega: float) -> float:
     return float(_sigma_stack(evaluate(sys, omega)[None])[0])
 
 
-# Where the 1 x 1 closed form below is LAPACK's own arithmetic: zgesdd and
-# dgesdd rescale a matrix whose largest entry lies below ~7e-139 or above
-# ~1.5e138, which changes the last bits.
-_SIGMA_CLOSED_FORM = (1e-130, 1e130)
-
-
 def _sigma_stack(responses: np.ndarray) -> np.ndarray:
     """sigma_max of each response of a (k, p, m) stack; NaN where the
     response is not finite. The one sigma_max kernel of this module.
 
-    A 1 x 1 response z takes the arithmetic of LAPACK's 1 x 1 SVD (the
-    dlapy3 norm of its Householder step): with w = max(|Re z|, |Im z|),
-    sigma = w sqrt((|Re z|/w)^2 + (|Im z|/w)^2), and 0 where w = 0. This
-    gives the SVD's exact bits (np.abs does not, in the last bit) where
-    1e-130 <= w <= 1e130; other 1 x 1 values and every larger response go
-    to numpy's SVD. Non-finite responses never reach the SVD: a NaN entry
-    (inf - inf in an error system) makes LAPACK fail to converge.
+    A 1 x 1 response z has sigma_max |z| (np.abs, which is symmetric under
+    conjugation, so a real system's sigma_max is even in omega to the
+    bit); every larger response goes to numpy's SVD. Non-finite responses
+    never reach the SVD: a NaN entry (inf - inf in an error system) makes
+    LAPACK fail to converge.
     """
     k, p, m = responses.shape
     if p == 0 or m == 0:
         return np.zeros(k)
-    svd = np.ones(k, bool)
-    sig = np.full(k, np.nan)
+    finite = np.isfinite(responses).all(axis=(1, 2))
     if p == m == 1:
-        z = responses[:, 0, 0]
-        x, y = np.abs(z.real), np.abs(z.imag)
-        w = np.maximum(x, y)
-        lo, hi = _SIGMA_CLOSED_FORM
-        closed = (w >= lo) & (w <= hi)  # false for inf and NaN
-        if closed.all():
-            return _svd_1x1(x, y, w)
-        sig[closed] = _svd_1x1(x[closed], y[closed], w[closed])
-        sig[w == 0.0] = 0.0
-        svd = ~closed & (w != 0.0)
-    svd &= np.isfinite(responses).all(axis=(1, 2))
-    if svd.any():
-        sig[svd] = np.linalg.svd(responses[svd], compute_uv=False)[:, 0]
+        return np.where(finite, np.abs(responses[:, 0, 0]), np.nan)
+    sig = np.full(k, np.nan)
+    if finite.any():
+        sig[finite] = np.linalg.svd(responses[finite], compute_uv=False)[:, 0]
     return sig
-
-
-def _svd_1x1(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The singular value of a 1 x 1 matrix x + iy, as LAPACK computes it:
-    dlapy3(x, y, 0) for x, y >= 0 and w = max(x, y) > 0."""
-    return w * np.sqrt((x / w) ** 2 + (y / w) ** 2)
 
 
 def _check_io(full: StateSpace, reduced: StateSpace) -> None:

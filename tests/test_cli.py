@@ -579,14 +579,30 @@ def test_every_numerical_failure_exits_3(capsys, tmp_path, monkeypatch, call, ar
         ["bench", "ladder", "--order", "4", "--out", "{out}"],
         ["gen", "ladder", "--order", "4", "--output", "{out}/l.json"],
         ["bench", "example", "nope", "--out", "{out}"],
+        *(
+            [command, "{out}/%s.json" % name, *flags]
+            for name in ("not-utf8", "deep")
+            for command, flags in [
+                ("bounds", ["--method", "fibt", "--order", "1"]),
+                ("reduce", ["--method", "fibt", "--order", "1", "--output", "{out}/r.json"]),
+                ("sweep", ["--wmin", "-1", "--wmax", "1", "--points", "5",
+                           "--output", "{out}/s.csv"]),
+            ]
+        ),
     ],
     ids=["fgbt-w1-inf", "fgbt-w2-inf", "bench-random-n3", "bench-random-seed-negative",
-         "sweep-points-1", "bench-ladder-even", "gen-ladder-even", "bench-example-unknown"],
+         "sweep-points-1", "bench-ladder-even", "gen-ladder-even", "bench-example-unknown",
+         *(f"{command}-{name}" for name in ("not-utf8", "deep")
+           for command in ("bounds", "reduce", "sweep"))],
 )
 def test_every_invalid_input_exits_2(capsys, tmp_path, argv):
-    # parseable flags that no computation may start from are validation failures
+    # parseable flags that no computation may start from are validation
+    # failures, and so is a model file that is not UTF-8 or nests too deeply
+    # for the JSON decoder
     model = str(tmp_path / "m.json")
     cli.write_model(model, random_stable(33, 3))
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     argv = [arg.format(model=model, out=tmp_path) for arg in argv]
     code, stdout, stderr = run_cli(capsys, argv)
     assert (code, stdout) == (2, "")

@@ -292,7 +292,9 @@ class TestExperimentFailures:
         [
             ((), (1,), "need at least one half-width and one order"),
             ((0.4,), (), "need at least one half-width and one order"),
-            ((0.4, 0.0), (1,), "half-widths must be positive"),
+            ((0.4, 0.0), (1,), "half-widths must be finite and positive"),
+            ((math.inf,), (1,), "half-widths must be finite and positive"),
+            ((0.4, math.nan), (1,), "half-widths must be finite and positive"),
             ((0.4,), (1, 4), "orders must satisfy 1 <= r < n = 4"),
             ((0.4,), (0,), "orders must satisfy 1 <= r < n = 4"),
         ],

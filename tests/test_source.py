@@ -182,3 +182,12 @@ def test_one_answer_per_question():
     defined = set().union(*(_defined_names(name) for name in sources))
     assert not {"eigvals", "EtaStep", "per_step", "is_real", "REAL_TOL"} & defined
     assert "json.dump(" not in sources["cli.py"]
+
+
+def test_no_imitation_of_another_librarys_rounding():
+    # the Padé sum's Gauss-Legendre rule is computed (linalg._gauss_legendre,
+    # by syevd, not numpy's LAPACK), and a 1 x 1 response's sigma_max is |z|
+    sources = [(SRC / name).read_text() for name in MODULES + ["__init__.py"]]
+    defined = set().union(*(_defined_names(name) for name in MODULES + ["__init__.py"]))
+    assert not {"_GAUSS_LEGENDRE", "_SIGMA_CLOSED_FORM", "_svd_1x1"} & defined
+    assert not any(re.search(r"leggauss|roots_legendre", text) for text in sources)
