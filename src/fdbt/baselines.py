@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameters, NotHurwitz, SingularResidualization
-from .linalg import gemm, hermitize, log_principal, solve, solve_lyapunov
+from .linalg import gemm, hermitize, log_principal, solve
 from .reduction import (
     Balanced,
     IntervalConfig,
@@ -35,13 +35,10 @@ from .sysmodel import StateSpace, is_hurwitz
 
 
 def standard_gramians(sys: StateSpace):
-    """Whole-axis Gramians (wc, wo), both solved on sys's cached Schur form."""
+    """Whole-axis Gramians (wc, wo): the read-only pair sys solves once and keeps."""
     if not is_hurwitz(sys).stable:
         raise NotHurwitz("standard Gramians need a Hurwitz system")
-    wc = solve_lyapunov(sys.A, gemm(sys.B, sys.B, hb=True), sys._form)
-    adjoint = sys._form._replace(adjoint=True)  # the same factors, read as A*'s form
-    wo = solve_lyapunov(sys.A.conj().T, gemm(sys.C, sys.C, ha=True), adjoint)
-    return wc, wo
+    return sys._gramians
 
 
 def prepare_standard(sys: StateSpace) -> Balanced:
@@ -124,7 +121,7 @@ def _band_primitive(a: np.ndarray, w1: float, w2: float) -> np.ndarray:
     return 1j / (2.0 * math.pi) * (_log_shift(a, w1) - _log_shift(a, w2))
 
 
-def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
+def band_gramians(sys: StateSpace, w1: float, w2: float):
     """Frequency-limited Gramian pair restricted to a band.
 
     The band is taken literally when it straddles zero, and as the union
@@ -139,12 +136,12 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
     terms for a one-sided band. The band is validated by IntervalConfig,
     the rule int-fdbt applies too. Either Gramian may come out indefinite;
     the pair is returned as computed, and balancing it (prepare_band)
-    raises IndefiniteGramian, not a repair. standard is sys's whole-axis
-    pair (Wc, Wo) if the caller holds it; otherwise it is solved here.
+    raises IndefiniteGramian, not a repair. Wc and Wo are sys's whole-axis
+    pair, which the model solves once (standard_gramians).
     """
     band = IntervalConfig(w1, w2)
     w1, w2 = band.w1, band.w2
-    wc, wo = standard_gramians(sys) if standard is None else standard
+    wc, wo = standard_gramians(sys)
     a = sys.A
     mirrored = w1 == -w2 or not w1 <= 0.0 <= w2
     if mirrored and not np.iscomplexobj(a):
@@ -164,10 +161,10 @@ def band_gramians(sys: StateSpace, w1: float, w2: float, standard=None):
     return wc_band, wo_band
 
 
-def prepare_band(sys: StateSpace, w1: float, w2: float, standard=None) -> Balanced:
+def prepare_band(sys: StateSpace, w1: float, w2: float) -> Balanced:
     """sys balanced on its band-limited Gramian pair, for fgbt (see
     band_gramians); IndefiniteGramian when either is clearly indefinite."""
-    return balance(sys, *band_gramians(sys, w1, w2, standard))
+    return balance(sys, *band_gramians(sys, w1, w2))
 
 
 def fgbt_truncate(prep: Balanced, r: int) -> ReductionResult:

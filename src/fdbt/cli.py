@@ -338,6 +338,11 @@ def cmd_gen_ladder(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a negative float literal is a value, -5e-1 as much as -0.5
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # keep stderr machine-readable even for argparse's own complaints
     def error(self, message):
         _diag({"error": "usage", "message": message})

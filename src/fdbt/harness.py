@@ -295,17 +295,16 @@ def _truncated(truncate, prepared, r, **flags):
 
 def _model_records(index: int, model: StateSpace, half_widths, orders):
     # Gramians, balancing and the eta chain depend on the model and the
-    # band, not on the order: prepare once, truncate per order, and give
-    # fgbt's band step the standard pair fibt has solved. The int-fdbt ef
-    # bound is never read here, so it is not computed. Every reduced model
-    # of one band is swept in one pass, which evaluates the model once.
+    # band, not on the order: prepare once, truncate per order. The int-fdbt
+    # ef bound is never read here, so it is not computed. Every reduced
+    # model of one band is swept in one pass, which evaluates the model once.
     rows = []
     standard = prepare_standard(model)
     fibt = {r: fibt_truncate(standard, r) for r in orders}
     for wl in half_widths:
         grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
         fdbt = _prepared(prepare_interval, model, IntervalConfig(-wl, wl))
-        fgbt = _prepared(prepare_band, model, -wl, wl, (standard.Wc, standard.Wo))
+        fgbt = _prepared(prepare_band, model, -wl, wl)
         reduced = {}  # (method, r) -> reduced model, for the methods that ran
         bound_fdbt = dict.fromkeys(orders, math.nan)
         notes = {r: [] for r in orders}
@@ -741,10 +740,8 @@ def _ex2(case: str) -> _Example:
     sys = example_fixture("ex2").system
     w1, w2 = EX2_BANDS[case]
     standard = _prepared(prepare_standard, sys)
-    # fgbt's band step takes the standard pair fibt has solved
-    pair = None if isinstance(standard, FdbtError) else (standard.Wc, standard.Wo)
     interval = _prepared(prepare_interval, sys, IntervalConfig(w1, w2))
-    band = _prepared(prepare_band, sys, w1, w2, pair)
+    band = _prepared(prepare_band, sys, w1, w2)
     methods = (
         _Method("int", EX2_ORDERS, partial(_truncated, interval_truncate, interval),
                 ("peak", "interval_bound"), ef=True),

@@ -26,6 +26,7 @@ the whole chain stay in real arithmetic; the complex one otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +92,7 @@ def _band_form(a: np.ndarray, cfg: IntervalConfig, form=None):
     a over a band centred at zero, where the factors are real, else complex."""
     real = a.dtype.kind == "f" and cfg.wc == 0.0
     if form is None or (form.t.dtype.kind == "f") != real:
-        form = schur(a, "real" if real else "complex")
+        form = schur(a if real else a.astype(complex, copy=False))
     return form
 
 
@@ -307,9 +308,9 @@ class IntervalBalanced:
     ext: Extended
     gram: Balanced
 
-    def __post_init__(self):
-        chain = _EtaChain(self.gram, self.ext.config)
-        object.__setattr__(self, "_chain", chain)
+    @cached_property
+    def _chain(self) -> _EtaChain:
+        return _EtaChain(self.gram, self.ext.config)
 
     def eta(self, r: int) -> EtaTerms:
         """eta_i for i = r+1 .. n, equal bit for bit to a fresh interval_eta."""

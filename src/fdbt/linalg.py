@@ -225,14 +225,14 @@ class SchurForm(NamedTuple):
     adjoint: bool = False
 
 
-def schur(a: np.ndarray, output: str = "real") -> SchurForm:
+def schur(a: np.ndarray) -> SchurForm:
     """Schur form A = Z T Z* (gees), with the eigenvalues gees returns.
 
     T is real quasi-triangular for real A (eigenvalues in exact conjugate
-    pairs) unless output="complex" asks for a triangular T (its diagonal).
+    pairs), triangular for complex A: pass A.astype(complex) for that T.
     """
     n = a.shape[0]
-    char = "D" if output == "complex" else _char(a)
+    char = _char(a)
     if n == 0:
         z = np.zeros((0, 0), char)
         return SchurForm(z, z, np.zeros(0, complex))

@@ -23,15 +23,7 @@ from .errors import (
     PoleOnGrid,
     SingularSubstitution,
 )
-from .linalg import (
-    SchurForm,
-    add_product,
-    as_matrix,
-    gemm,
-    resolvent,
-    schur,
-    solve,
-)
+from .linalg import SchurForm, add_product, as_matrix, gemm, resolvent, schur, solve, solve_lyapunov
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +83,16 @@ class StateSpace:
     def _form(self) -> SchurForm:
         """A's Schur form in A's own arithmetic (gees), computed once."""
         return schur(self.A)
+
+    @cached_property
+    def _gramians(self) -> tuple:
+        """Whole-axis Gramians (Wc, Wo), read-only, both on the cached Schur form."""
+        wc = solve_lyapunov(self.A, gemm(self.B, self.B, hb=True), self._form)
+        adjoint = self._form._replace(adjoint=True)  # the same factors, read as A*'s form
+        wo = solve_lyapunov(self.A.conj().T, gemm(self.C, self.C, ha=True), adjoint)
+        for x in (wc, wo):
+            x.setflags(write=False)
+        return wc, wo
 
     @cached_property
     def poles(self) -> np.ndarray:

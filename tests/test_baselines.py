@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fdbt
 import oracles as orc
 from helpers import count_lapack_calls, random_stable, random_unstable, response_gap
 from fdbt import (
@@ -23,7 +24,7 @@ from fdbt import (
     standard_gramians,
     sweep,
 )
-from fdbt.baselines import prepare_band
+from fdbt.baselines import prepare_band, prepare_standard
 
 # band-limited Gramians go numerically indefinite under deep cancellation;
 # a far narrow band on a system with a nearly unreachable direction does it
@@ -57,6 +58,31 @@ class TestStandardGramians:
     def test_unstable_rejected(self):
         with pytest.raises(NotHurwitz):
             standard_gramians(random_unstable(111, 3))
+
+    def test_pair_is_read_only(self):
+        # the model keeps the pair for every caller, so no caller may edit it
+        wc, wo = standard_gramians(random_stable(110, 4))
+        for w in (wc, wo):
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+
+    def test_one_model_solves_its_pair_once(self, monkeypatch):
+        # fibt's prepare solves the pair; fgbt's band steps read the same one
+        solved = []
+        solve = fdbt.linalg.solve_lyapunov
+
+        def counted(*args):
+            solved.append(args)
+            return solve(*args)
+
+        for mod in (fdbt.linalg, fdbt.sysmodel, fdbt.baselines, fdbt.interval, fdbt.sf):
+            if getattr(mod, "solve_lyapunov", None) is solve:
+                monkeypatch.setattr(mod, "solve_lyapunov", counted)
+        sys = random_stable(112, 5)
+        prepare_standard(sys)
+        prepare_band(sys, -0.5, 0.5)
+        prepare_band(sys, 0.2, 0.9)
+        assert len(solved) == 2
 
 
 class TestFibt:
@@ -172,9 +198,9 @@ class TestFgbt:
         # one per Gramian, the PSD factors of balance_gramians: the band pair
         # is tested for indefiniteness there and nowhere else
         sys = random_stable(151, 6, m=2, complex_entries=complex_entries)
-        standard = standard_gramians(sys)
+        standard_gramians(sys)  # the pair the model keeps, not counted here
         calls = count_lapack_calls(monkeypatch)
-        prepare_band(sys, *band, standard)
+        prepare_band(sys, *band)
         assert calls["syevd"] + calls["heevd"] == 2
 
     def test_full_order_identity(self):

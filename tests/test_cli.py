@@ -312,6 +312,40 @@ class TestBounds:
         assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
+class TestNegativeLiterals:
+    """A negative float literal is a flag's value in every spelling,
+    exponent included, not an option string."""
+
+    @pytest.fixture()
+    def model_file(self, tmp_path):
+        path = str(tmp_path / "plant.json")
+        cli.write_model(path, random_stable(41, 4))
+        return path
+
+    def test_exponent_spelling_reads_as_the_plain_one(self, capsys, model_file):
+        argv = ["bounds", model_file, "--method", "int-fdbt", "--order", "2", "--w2", "0.5"]
+        plain = run_cli(capsys, argv + ["--w1", "-0.5"])
+        exponent = run_cli(capsys, argv + ["--w1", "-5e-1"])
+        assert plain[0] == 0 and exponent == plain
+
+    def test_negative_rho_is_refused_by_the_rho_rule(self, capsys, model_file):
+        code, _, stderr = run_cli(
+            capsys, ["bounds", model_file, "--method", "gspa", "--order", "2", "--rho", "-1e-3"]
+        )
+        assert code == 2
+        assert json.loads(stderr)["error"] == "invalid-parameters"
+
+    def test_sweep_from_a_negative_exponent_literal(self, capsys, tmp_path, model_file):
+        out = str(tmp_path / "s.csv")
+        code, _, _ = run_cli(
+            capsys,
+            ["sweep", model_file, "--wmin", "-1e0", "--wmax", "1", "--points", "5",
+             "--output", out],
+        )
+        assert code == 0
+        assert open(out).read().splitlines()[1].startswith("-1")
+
+
 class TestSweep:
     def test_scalar_lowpass_matches_closed_form(self, capsys, tmp_path):
         path = str(tmp_path / "lp.json")

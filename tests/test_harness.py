@@ -406,19 +406,19 @@ class TestPreparedExperiment:
         asked = []
         interval_schur = fdbt.interval.schur
 
-        def recording_schur(a, output="real"):
-            asked.append(output)
-            return interval_schur(a, output)
+        def recording_schur(a):
+            asked.append(a.dtype)
+            return interval_schur(a)
 
         monkeypatch.setattr(fdbt.interval, "schur", recording_schur)
         report = run_randomized_experiment(self.SPEC)
         assert not any("fdbt: " in rec.note for rec in report.records)
         k, b = self.SPEC.count, len(EXPERIMENT_HALF_WIDTHS)
         orders = len(EXPERIMENT_ORDERS)
-        # fibt's pair once per model, which band_gramians reuses, and per
-        # band the pair of interval_gramians
+        # fibt's pair once per model, which the model keeps for
+        # band_gramians to read, and per band the pair of interval_gramians
         assert counts["solve_lyapunov"] == 2 * k + 2 * k * b
-        assert counts["standard_gramians"] == k + k * b
+        assert counts["standard_gramians"] == k + 2 * k * b
         assert counts["band_gramians"] == k * b
         # the models are real and every band is [-x, x]: one logarithm
         # serves both edges, since log(-j x I - A) = conj(log(j x I - A))
@@ -430,7 +430,7 @@ class TestPreparedExperiment:
         # per model and band: the band-weighted realization and one factor
         # per truncation (the chain factors no order), all of them real
         assert counts["_band_factors"] == k * b * (1 + orders)
-        assert asked and "complex" not in asked
+        assert asked and set(asked) == {np.dtype(float)}
 
 
 def _evaluations(monkeypatch):

@@ -446,7 +446,7 @@ class TestKernelHandles:
         assert t.dtype == dtype and not adjoint
         assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
         assert orc.match_spectra(lam, np.linalg.eigvals(a)) <= 1e-12
-        t, z, lam, _ = schur(a, output="complex")
+        t, z, lam, _ = schur(a.astype(complex))
         assert np.array_equal(t, np.triu(t)) and t.dtype == np.complex128
         assert np.array_equal(lam, np.diagonal(t))
         x = solve(a, h[:, :2], SingularReconstruction("unused"))

@@ -191,3 +191,31 @@ def test_no_imitation_of_another_librarys_rounding():
     defined = set().union(*(_defined_names(name) for name in MODULES + ["__init__.py"]))
     assert not {"_GAUSS_LEGENDRE", "_SIGMA_CLOSED_FORM", "_svd_1x1"} & defined
     assert not any(re.search(r"leggauss|roots_legendre", text) for text in sources)
+
+
+def _parameters(tree: ast.AST, function: str | None = None) -> set:
+    """Parameter names of every function in tree, or of the named one."""
+    return {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and function in (None, node.name)
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+    }
+
+
+def test_parameters_the_inputs_already_answer():
+    # the model keeps its whole-axis Gramian pair (no caller passes it, and
+    # only sysmodel solves it), and a Schur form's arithmetic is its
+    # argument's dtype
+    trees = {
+        name: ast.parse((SRC / name).read_text(), filename=name)
+        for name in MODULES + ["__init__.py"]
+    }
+    assert not any("standard" in _parameters(tree) for tree in trees.values())
+    assert _parameters(trees["linalg.py"], "schur") == {"a"}
+    read = {
+        node.attr for node in ast.walk(trees["harness.py"]) if isinstance(node, ast.Attribute)
+    }
+    assert not {"Wc", "Wo"} & read
+    for name in ("baselines.py", "interval.py", "sf.py"):
+        assert "solve_lyapunov" not in _imported_names(name), name
