@@ -340,8 +340,8 @@ def cmd_gen_ladder(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        # a negative float literal is a value, -5e-1 as much as -0.5
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # what starts like a negative number is a value: -5e-1, -.5, -inf, -NaN
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # keep stderr machine-readable even for argparse's own complaints
     def error(self, message):

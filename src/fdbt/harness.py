@@ -230,19 +230,14 @@ class ModelCellRecord:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Aggregates over models for one cell: means of per-model ratios.
-
-    The band-limited baseline carries no bound, so eb_fgbt is NaN by
-    construction; excluded counts how many models were dropped from the
-    fgbt columns (indefinite Gramians and friends).
-    """
+    """Aggregates over models for one cell: means of per-model ratios, and
+    in *_excluded the models dropped from each method's error column."""
 
     half_width: float
     order: int
     err_fdbt_mean: float
     err_fgbt_mean: float
     eb_fdbt_mean: float
-    eb_fgbt_mean: float
     err_fdbt_frac_below_1: float
     eb_fdbt_frac_below_1: float
     models_used: int
@@ -404,7 +399,6 @@ def run_randomized_experiment(
                     err_fdbt_mean=err_fdbt_mean,
                     err_fgbt_mean=err_fgbt_mean,
                     eb_fdbt_mean=eb_fdbt_mean,
-                    eb_fgbt_mean=math.nan,
                     err_fdbt_frac_below_1=err_fdbt_frac,
                     eb_fdbt_frac_below_1=eb_fdbt_frac,
                     models_used=len(batch),

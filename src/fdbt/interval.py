@@ -46,10 +46,10 @@ from .reduction import (
     ReductionResult,
     balance,
     check_order,
-    ef_bound,
+    tail_bound,
     truncation_result,
 )
-from .sysmodel import StateSpace, is_hurwitz
+from .sysmodel import StateSpace, hinf_estimate, is_hurwitz
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +116,13 @@ def _band_factors(a: np.ndarray, cfg: IntervalConfig, form=None):
     return gemm(gemm(z, root), z, hb=True), gemm(gemm(z, n), z, hb=True)
 
 
+def _on_form(sys: StateSpace, form) -> StateSpace:
+    """sys, holding form as its cached Schur form if form is in sys's arithmetic."""
+    if sys.A.dtype == form.t.dtype:
+        sys.__dict__["_form"] = form
+    return sys
+
+
 def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> Extended:
     """Band-weighted realization: (A, M B, C M, D + C N B).
 
@@ -126,9 +133,20 @@ def build_interval_extended(sys: StateSpace, cfg: IntervalConfig) -> Extended:
     form = _band_form(sys.A, cfg, sys._form)
     m, n = _band_factors(sys.A, cfg, form)
     ext = StateSpace(sys.A, gemm(m, sys.B), gemm(sys.C, m), sys.D + gemm(gemm(sys.C, n), sys.B))
-    if ext.A.dtype == form.t.dtype:
-        ext.__dict__["_form"] = form
-    return Extended(ext, cfg)
+    return Extended(_on_form(ext, form), cfg)
+
+
+def _band_gap(sys: StateSpace, cfg: IntervalConfig, form) -> StateSpace:
+    """G_ext - G for sys's band-weighted realization G_ext, on sys's A and form.
+
+    M, N and A commute and M^2 = wd^2 X^(-1), X = (j w1 I - A)(j w2 I - A), so
+    G_ext - G = C (sI - A)^(-1) (wd^2 X^(-1) - I) B + C (j wc I - A) X^(-1) B.
+    """
+    a = sys.A
+    x = gemm(a, a) - 2.0 * jw(cfg.wc) * a - cfg.w1 * cfg.w2 * np.eye(sys.n)
+    y = solve(x, sys.B, SingularShift("a band edge frequency is an eigenvalue"))
+    gap = StateSpace(a, cfg.wd**2 * y - sys.B, sys.C, gemm(sys.C, jw(cfg.wc) * y - gemm(a, y)))
+    return _on_form(gap, form)
 
 
 def interval_gramians(ext: Extended) -> Balanced:
@@ -301,7 +319,7 @@ class IntervalBalanced:
     the eta chain reads the same record. The chain behind the in-band
     bound is shared by every order (eta_i depends on i, not on r), so
     truncating at several orders walks it once, and it solves no
-    eigenvalue problem (see _EtaChain).
+    eigenvalue problem (see _EtaChain). _gap, the input's ef gap, is shared too.
     """
 
     sys: StateSpace
@@ -311,6 +329,10 @@ class IntervalBalanced:
     @cached_property
     def _chain(self) -> _EtaChain:
         return _EtaChain(self.gram, self.ext.config)
+
+    @cached_property
+    def _gap(self) -> float:
+        return hinf_estimate(_band_gap(self.sys, self.ext.config, self.ext.sys._form))[0]
 
     def eta(self, r: int) -> EtaTerms:
         """eta_i for i = r+1 .. n, equal bit for bit to a fresh interval_eta."""
@@ -337,9 +359,8 @@ def interval_truncate(
     """Reduce a prepared system and band to order r (see interval_reduce)."""
     r = check_order(r, prep.sys.n)
     a_r = prep.gram.sys.A[:r, :r]
-    # one Schur form of a_r, in the arithmetic its band factors take,
-    # serves them and, where the reduced model keeps that arithmetic, its
-    # poles
+    # one Schur form of a_r, in its band factors' arithmetic, serves them
+    # and (_on_form) the reduced model's poles and ef gap
     form = _band_form(a_r, prep.ext.config)
     m_r, n_r = _band_factors(a_r, prep.ext.config, form)
     singular = SingularReconstruction("band factor is numerically singular")
@@ -347,9 +368,7 @@ def interval_truncate(
     # m_r^T has m_r's singular values, which the guard has just checked
     c_r = solve(m_r.T, prep.gram.sys.C[:, :r].T, singular).T
     d_r = prep.ext.sys.D - gemm(gemm(c_r, n_r), b_r)
-    reduced = StateSpace(a_r, b_r, c_r, d_r)
-    if reduced.A.dtype == form.t.dtype:
-        reduced.__dict__["_form"] = form
+    reduced = _on_form(StateSpace(a_r, b_r, c_r, d_r), form)
 
     bounds, notes = {}, ()
     if with_bounds:
@@ -384,8 +403,7 @@ def interval_reduce(
     with_bounds=False skips the eta chain and the whole-axis sweeps (the eta
     chain solves no eigenvalue problem: it costs O(k^2 (m + p)) products per
     order k from r + 1 to n). with_ef_bound=False keeps the in-band bound
-    but drops the whole-axis sweep terms: two dense H-infinity estimates
-    whose cost grows with the full order rather than the reduced one.
+    but drops the whole-axis sweep terms (see interval_ef_bound).
     """
     check_order(r, sys.n)
     return interval_truncate(prepare_interval(sys, cfg), r, with_bounds, with_ef_bound)
@@ -399,10 +417,10 @@ def interval_bound(eta: EtaTerms) -> float:
 def interval_ef_bound(prep: IntervalBalanced, reduced: StateSpace, r: int) -> float:
     """Entire-frequency bound: twice the sigma tail plus two sweep terms.
 
-    The sweep terms estimate the whole-axis gaps between the prepared
-    system and the reduced one and their band-weighted counterparts (see
-    reduction.ef_bound); both systems must be Hurwitz.
+    The sweep terms are dense-grid (lower) estimates of the whole-axis sups
+    of _band_gap of the Hurwitz reduced system and of prep's, once per band.
     """
-    return ef_bound(
-        prep.sys, prep.ext, reduced, build_interval_extended, prep.gram.sigma, r
-    )
+    if not is_hurwitz(reduced).stable:
+        raise NotHurwitz("reduced system is not Hurwitz; whole-axis sup undefined")
+    gap_red, _ = hinf_estimate(_band_gap(reduced, prep.ext.config, reduced._form))
+    return tail_bound(prep.gram.sigma, r) + prep._gap + gap_red

@@ -1,7 +1,6 @@
 """Shared plumbing for balancing-based reductions: balanced realizations,
-the band both band methods validate, truncation, the tail and
-entire-frequency bounds, and the result record all methods return,
-assembled by truncation_result alone.
+the band both band methods validate, truncation, the tail bound, and the
+result record all methods return, assembled by truncation_result alone.
 """
 
 from __future__ import annotations
@@ -11,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, NotHurwitz, OrderOutOfRange
+from .errors import InvalidParameters, OrderOutOfRange
 from .linalg import balance_gramians, rank_cutoff
-from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz
+from .sysmodel import StateSpace, is_hurwitz
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,28 +93,6 @@ def tail_bound(sigma: np.ndarray, r: int) -> float:
     if not 0 <= r <= n:
         raise OrderOutOfRange(f"order {r} outside 0..{n}")
     return 2.0 * float(np.sum(sigma[r:]))
-
-
-def ef_bound(sys: StateSpace, ext, reduced: StateSpace, build, sigma, r: int) -> float:
-    """Entire-frequency bound: twice the sigma tail plus two sweep terms.
-
-    ext is sys's extended realization (with .sys and .config), sigma its
-    balanced singular values, and build(reduced, ext.config) extends the
-    reduced system the same way. The sweep terms are dense-grid peak
-    estimates (refined lower estimates of the true sup) of the whole-axis
-    gaps between each system and its extension; all four systems must be
-    Hurwitz.
-    """
-    for label, g in (("original", sys), ("reduced", reduced)):
-        if not is_hurwitz(g).stable:
-            raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
-    ext_full, ext_red = ext.sys, build(reduced, ext.config).sys
-    for label, g in (("substituted original", ext_full), ("substituted reduced", ext_red)):
-        if not is_hurwitz(g).stable:
-            raise NotHurwitz(f"{label} system is not Hurwitz")
-    gap_full, _ = hinf_estimate(error_system(sys, ext_full))
-    gap_red, _ = hinf_estimate(error_system(reduced, ext_red))
-    return tail_bound(sigma, r) + gap_full + gap_red
 
 
 @dataclass(frozen=True, eq=False)

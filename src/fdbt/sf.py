@@ -34,12 +34,11 @@ from .reduction import (
     ReductionResult,
     balance,
     check_order,
-    ef_bound,
     leading_block,
     tail_bound,
     truncation_result,
 )
-from .sysmodel import StateSpace, is_hurwitz, moebius_realization
+from .sysmodel import StateSpace, error_system, hinf_estimate, is_hurwitz, moebius_realization
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,21 @@ def sf_ef_bound(
 ) -> float:
     """Entire-frequency bound: anchor tail plus two whole-axis sweep terms.
 
-    ext is sys's substituted realization and gram its balancing; see
-    reduction.ef_bound for the sweep terms.
+    ext is sys's substituted realization and gram its balancing. The sweep
+    terms are dense-grid (lower) estimates of the whole-axis sups of the error
+    systems of sys and ext.sys and of reduced and its substitution; all four
+    systems must be Hurwitz (NotHurwitz).
     """
-    return ef_bound(sys, ext, reduced, build_sf_extended, gram.sigma, r)
+    for label, g in (("original", sys), ("reduced", reduced)):
+        if not is_hurwitz(g).stable:
+            raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
+    ext_red = build_sf_extended(reduced, ext.config).sys
+    for label, g in (("substituted original", ext.sys), ("substituted reduced", ext_red)):
+        if not is_hurwitz(g).stable:
+            raise NotHurwitz(f"{label} system is not Hurwitz")
+    gap_full, _ = hinf_estimate(error_system(sys, ext.sys))
+    gap_red, _ = hinf_estimate(error_system(reduced, ext_red))
+    return tail_bound(gram.sigma, r) + gap_full + gap_red
 
 
 def sf_reduce(

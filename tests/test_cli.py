@@ -335,6 +335,24 @@ class TestNegativeLiterals:
         assert code == 2
         assert json.loads(stderr)["error"] == "invalid-parameters"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "int-fdbt", "--w1", "-inf", "--w2", "0.5"],
+            ["--method", "int-fdbt", "--w1", "inf", "--w2", "0.5"],
+            ["--method", "int-fdbt", "--w1", "-Infinity", "--w2", "0.5"],
+            ["--method", "gspa", "--rho", "-nan"],
+            ["--method", "sf-fdbt", "--varpi", "0", "--epsilon", "-INF"],
+        ],
+        ids=["w1-minus-inf", "w1-inf", "w1-minus-Infinity", "rho-minus-nan", "epsilon-minus-INF"],
+    )
+    def test_non_finite_literals_meet_the_parameter_rules(self, capsys, model_file, flags):
+        # whatever its sign and spelling, a non-finite value is a value, and
+        # the band, rho and epsilon rules refuse it
+        code, _, stderr = run_cli(capsys, ["bounds", model_file, "--order", "2", *flags])
+        assert code == 2
+        assert json.loads(stderr)["error"] == "invalid-parameters"
+
     def test_sweep_from_a_negative_exponent_literal(self, capsys, tmp_path, model_file):
         out = str(tmp_path / "s.csv")
         code, _, _ = run_cli(

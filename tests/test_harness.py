@@ -494,7 +494,7 @@ class TestEvaluatedOncePerGrid:
     def test_bundles_measure_by_error_sweeps_alone(self, monkeypatch, name, counted):
         # no stacked error system and no single-point probe: every number is
         # an error_sweeps report (ex1's sf-fdbt ef bounds still build their
-        # gap error systems in reduction.ef_bound, so only probes count there)
+        # gap error systems in sf.sf_ef_bound, so only probes count there)
         _scaled_ladder(monkeypatch)
         calls = []
         for fn_name in counted:
@@ -504,7 +504,7 @@ class TestEvaluatedOncePerGrid:
                 calls.append(_name)
                 return _real(*args)
 
-            for mod in (fdbt.sysmodel, fdbt.harness, fdbt.reduction):
+            for mod in (fdbt.sysmodel, fdbt.harness, fdbt.sf):
                 if getattr(mod, fn_name, None) is real:
                     monkeypatch.setattr(mod, fn_name, counting)
         reproduce_example(name)

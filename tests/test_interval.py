@@ -1,5 +1,6 @@
 """Band-restricted reduction: factors, Gramians, eta chain, bounds."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -28,6 +29,7 @@ from fdbt import (
     StateSpace,
     build_interval_extended,
     error_system,
+    evaluate,
     example_fixture,
     generate_ladder,
     interval_bound,
@@ -376,6 +378,12 @@ class TestPreparedChain:
         calls = count_lapack_calls(monkeypatch)
         interval_truncate(prep, 10)
         assert (calls["gees"], calls["geev"]) == (1, 0)
+        # off the centre a real model's factors take a complex form, which
+        # the band-weighted realization keeps for the input's ef gap
+        prep = prepare_interval(generate_ladder(31), IntervalConfig(0.2, 0.9))
+        calls = count_lapack_calls(monkeypatch)
+        interval_truncate(prep, 10)
+        assert (calls["gees"], calls["geev"]) == (1, 0)
 
     def test_failing_truncation_raises_the_band_factors_error(self):
         # a_r's own band factors refuse it before the chain is asked, with
@@ -717,3 +725,42 @@ class TestEfBound:
         res = interval_reduce(sys, cfg, 2, with_ef_bound=False)
         val = interval_ef_bound(prepare_interval(sys, cfg), res.reduced, 2)
         assert val >= res.bounds["interval"] - 1e-12
+
+    def test_reduced_system_that_is_not_hurwitz_refused(self):
+        prep = prepare_interval(random_stable(108, 4), IntervalConfig(-0.5, 0.5))
+        unstable = StateSpace(np.diag([0.5, -1.0]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+        with pytest.raises(NotHurwitz, match="^reduced system is not Hurwitz"):
+            interval_ef_bound(prep, unstable, 2)
+
+    @pytest.mark.parametrize("band", [(-0.5, 0.5), (0.2, 0.9)])
+    def test_input_gap_computed_once_per_band(self, monkeypatch, band):
+        # the input's gap is the prepared record's and the reduced model's
+        # lives on A_r: k orders take k + 1 estimates, one extension and one
+        # square root per order
+        calls = collections.Counter()
+        for name in ("hinf_estimate", "build_interval_extended", "sqrt_principal"):
+            real = getattr(fdbt.interval, name)
+            monkeypatch.setattr(
+                fdbt.interval, name, lambda *args, _n=name, _r=real: calls.update([_n]) or _r(*args)
+            )
+        prep = prepare_interval(generate_ladder(31), IntervalConfig(*band))
+        orders = (4, 8, 12)
+        assert all("ef" in interval_truncate(prep, r).bounds for r in orders)
+        assert calls == {
+            "hinf_estimate": len(orders) + 1,
+            "build_interval_extended": 1,
+            "sqrt_principal": 1 + len(orders),
+        }
+
+    def test_gap_is_the_extended_realizations_difference(self):
+        # G_ext - G on A alone: the response of the 2n-state difference
+        for sys in (random_stable(109, 5, m=2, p=2), random_stable(110, 5, complex_entries=True)):
+            for band in ((-0.5, 0.5), (0.2, 0.9)):
+                cfg = IntervalConfig(*band)
+                ext = build_interval_extended(sys, cfg).sys
+                gap = fdbt.interval._band_gap(sys, cfg, ext._form)
+                assert gap.n == sys.n
+                for w in (-3.0, -0.5, 0.0, 0.3, 0.9, 7.0):
+                    full = evaluate(ext, w)
+                    want = full - evaluate(sys, w)
+                    assert np.abs(evaluate(gap, w) - want).max() <= 1e-12 * np.abs(full).max()

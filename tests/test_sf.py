@@ -198,6 +198,13 @@ class TestReduce:
         peak = sweep(error_system(sys, res.reduced), grid, refine=True).peak_value
         assert peak <= res.bounds["ef"] * (1.0 + 1e-8)
 
+    def test_ef_bound_refuses_a_reduced_system_that_is_not_hurwitz(self):
+        sys = random_stable(62, 5)
+        ext = build_sf_extended(sys, SfConfig(varpi=0.0, epsilon=1.0))
+        unstable = StateSpace(np.diag([0.5, -1.0]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+        with pytest.raises(NotHurwitz, match="^reduced system is not Hurwitz"):
+            sf_ef_bound(sys, ext, unstable, sf_gramians(ext), 2)
+
     def test_order_out_of_range(self):
         sys = random_stable(63, 3)
         cfg = SfConfig(varpi=0.0, epsilon=1.0)

@@ -219,3 +219,15 @@ def test_parameters_the_inputs_already_answer():
     assert not {"Wc", "Wo"} & read
     for name in ("baselines.py", "interval.py", "sf.py"):
         assert "solve_lyapunov" not in _imported_names(name), name
+
+
+def test_ef_gaps_belong_to_their_methods():
+    # int-fdbt's gaps are realizations on A and A_r, so no caller passes a
+    # build callback for a reduced extension, and the shared plumbing
+    # estimates no gap: sf-fdbt builds its error systems in sf_ef_bound
+    trees = [
+        ast.parse((SRC / name).read_text(), filename=name) for name in MODULES + ["__init__.py"]
+    ]
+    assert not any("build" in _parameters(tree) for tree in trees)
+    assert not {"hinf_estimate", "error_system"} & _imported_names("reduction.py")
+    assert "error_system" not in _imported_names("interval.py")

@@ -7,8 +7,9 @@ import pytest
 
 import oracles as orc
 from helpers import damped_chain, random_stable
+import fdbt.interval as interval
 import fdbt.linalg as linalg
-import fdbt.reduction as reduction
+import fdbt.sf as sf
 import fdbt.sysmodel as sysmodel
 from fdbt import (
     DegenerateMap,
@@ -16,6 +17,7 @@ from fdbt import (
     FrequencyGrid,
     IntervalConfig,
     PoleOnGrid,
+    SfConfig,
     SingularSubstitution,
     StateSpace,
     error_sweeps,
@@ -29,6 +31,7 @@ from fdbt import (
     interval_reduce,
     is_hurwitz,
     moebius_substitute,
+    sf_reduce,
     sigma_max_at,
     sweep,
     symmetric_log_grid,
@@ -1249,7 +1252,13 @@ class TestProbeErrors:
 
 
 class TestNoStackedRealization:
-    def test_interval_reduce_builds_each_error_system_once(self, monkeypatch):
+    def test_ef_bounds_build_each_error_system_once(self, monkeypatch):
+        estimated = []
+        estimate = sysmodel.hinf_estimate
+        for module in (interval, sf):
+            monkeypatch.setattr(
+                module, "hinf_estimate", lambda sys: estimated.append(sys) or estimate(sys)
+            )
         built = []
         stacked = sysmodel.error_system
 
@@ -1258,16 +1267,18 @@ class TestNoStackedRealization:
             return built[-1]
 
         monkeypatch.setattr(sysmodel, "error_system", counting)
-        monkeypatch.setattr(reduction, "error_system", counting)
+        monkeypatch.setattr(sf, "error_system", counting)
         ladder = generate_ladder(31)
-        res = interval_reduce(ladder, IntervalConfig(-0.5, 0.5), 10)
-        # one per ef estimate: sweeping an error system builds no second one
-        assert len(built) == 2
+        assert "ef" in interval_reduce(ladder, IntervalConfig(-0.5, 0.5), 10).bounds
+        # int-fdbt's gaps are realizations on A and A_r, not error systems
+        assert built == [] and sorted(g.n for g in estimated) == [10, 31]
+        assert "ef" in sf_reduce(random_stable(62, 5), SfConfig(0.0, 1.0), 3).bounds
+        # one per sf-fdbt estimate: sweeping an error system builds no second one
+        assert estimated[2:] == built and len(built) == 2
         monkeypatch.setattr(sysmodel, "error_system", stacked)
         # and each estimate is bitwise the scalar refinement's
-        for err in built:
+        for err in estimated:
             d_limit = float(np.linalg.svd(err.D, compute_uv=False)[0])
             value, freq = _oracle_peak(err, symmetric_log_grid(err.poles, 2000), "raise")
             want = (d_limit, np.inf) if d_limit > value else (value, freq)
-            assert _peak_bytes(*hinf_estimate(err)) == _peak_bytes(*want)
-        assert res.bounds["ef"] > 0.0
+            assert _peak_bytes(*estimate(err)) == _peak_bytes(*want)
