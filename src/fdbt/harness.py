@@ -154,12 +154,12 @@ class RandomModelSpec:
     """Recipe for the randomized comparison population.
 
     Off-diagonal entries of A and all of B, C, D are standard normal;
-    diagonal entries are normal with mean diag_mean and spread diag_spread.
+    diagonal entries are normal with mean diag_mean and variance diag_spread.
     Whether 4.5 means the variance or the standard deviation is ambiguous
-    in the source experiment description; diag_spread_is_variance selects
-    the reading (variance by default). Models are SISO. Non-Hurwitz draws
-    are resampled and counted. seed must be non-negative (numpy's
-    default_rng refuses a negative one), the spread finite and positive.
+    in the source experiment description; it is read as the variance.
+    Models are SISO. Non-Hurwitz draws are resampled and counted. seed must
+    be non-negative (numpy's default_rng refuses a negative one), the spread
+    finite and positive.
     """
 
     n: int
@@ -167,7 +167,6 @@ class RandomModelSpec:
     count: int
     diag_mean: float = -5.5
     diag_spread: float = 4.5
-    diag_spread_is_variance: bool = True
 
     def __post_init__(self):
         if self.n < 1 or self.count < 1 or self.seed < 0:
@@ -179,7 +178,7 @@ class RandomModelSpec:
 def draw_random_models(spec: RandomModelSpec):
     """Draw spec.count Hurwitz systems; returns (models, resample_count)."""
     rng = np.random.default_rng(spec.seed)
-    std = math.sqrt(spec.diag_spread) if spec.diag_spread_is_variance else spec.diag_spread
+    std = math.sqrt(spec.diag_spread)
     models = []
     resamples = 0
     budget = 1000 * spec.count

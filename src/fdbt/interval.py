@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import standard_gramians
+from .baselines import prepare_standard
 from .errors import (
     InvalidParameters,
     NotHurwitz,
@@ -44,7 +44,6 @@ from .reduction import (
     Extended,
     IntervalConfig,
     ReductionResult,
-    balance,
     check_order,
     tail_bound,
     truncation_result,
@@ -155,10 +154,10 @@ def interval_gramians(ext: Extended) -> Balanced:
     The band Gramians are the standard Gramian pair of the band-weighted
     realization (state matrix unchanged, band-weighted B and C); .sys is
     that realization in their balanced coordinates. A state matrix that is
-    not Hurwitz is refused by standard_gramians (NotHurwitz); through
+    not Hurwitz is refused by prepare_standard (NotHurwitz); through
     prepare_interval, which checks the input first, that cannot happen.
     """
-    return balance(ext.sys, *standard_gramians(ext.sys))
+    return prepare_standard(ext.sys)
 
 
 class _EtaChain:

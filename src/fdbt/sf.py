@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import standard_gramians
+from .baselines import prepare_standard
 from .errors import (
     FdbtError,
     InvalidParameters,
@@ -32,7 +32,6 @@ from .reduction import (
     Balanced,
     Extended,
     ReductionResult,
-    balance,
     check_order,
     leading_block,
     tail_bound,
@@ -112,10 +111,8 @@ def sf_gramians(ext: Extended) -> Balanced:
     and .sys is the substituted realization in their balanced coordinates.
     """
     if not is_hurwitz(ext.sys).stable:
-        raise NotHurwitz(
-            "substituted system is not Hurwitz; see stability_epsilon_cap"
-        )
-    return balance(ext.sys, *standard_gramians(ext.sys))
+        raise NotHurwitz("substituted system is not Hurwitz; see stability_epsilon_cap")
+    return prepare_standard(ext.sys)
 
 
 def invert_sf_extension(trunc: StateSpace, cfg: SfConfig) -> StateSpace:
@@ -143,20 +140,23 @@ def sf_ef_bound(
 ) -> float:
     """Entire-frequency bound: anchor tail plus two whole-axis sweep terms.
 
-    ext is sys's substituted realization and gram its balancing. The sweep
-    terms are dense-grid (lower) estimates of the whole-axis sups of the error
-    systems of sys and ext.sys and of reduced and its substitution; all four
-    systems must be Hurwitz (NotHurwitz).
+    ext is sys's substituted realization and gram its balancing; reduced is
+    invert_sf_extension(trunc, ext.config), trunc = leading_block(gram.sys, r),
+    as sf_reduce builds it. The bound is the triangle inequality
+    ||G - reduced|| <= ||G - ext.sys|| + ||ext.sys - trunc|| + ||trunc - reduced||,
+    whose middle term, trunc being ext.sys balanced and truncated, is at most
+    the tail. The outer terms are dense-grid (lower) estimates of whole-axis
+    sups; all four systems must be Hurwitz (NotHurwitz).
     """
     for label, g in (("original", sys), ("reduced", reduced)):
         if not is_hurwitz(g).stable:
             raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
-    ext_red = build_sf_extended(reduced, ext.config).sys
-    for label, g in (("substituted original", ext.sys), ("substituted reduced", ext_red)):
+    trunc = leading_block(gram.sys, r)
+    for label, g in (("substituted original", ext.sys), ("substituted reduced", trunc)):
         if not is_hurwitz(g).stable:
             raise NotHurwitz(f"{label} system is not Hurwitz")
     gap_full, _ = hinf_estimate(error_system(sys, ext.sys))
-    gap_red, _ = hinf_estimate(error_system(reduced, ext_red))
+    gap_red, _ = hinf_estimate(error_system(reduced, trunc))
     return tail_bound(gram.sigma, r) + gap_full + gap_red
 
 

@@ -763,7 +763,7 @@ def symmetric_log_grid(scales: np.ndarray, points: int = 2000) -> FrequencyGrid:
     return FrequencyGrid.explicit(np.concatenate([-half, [0.0], half]))
 
 
-def hinf_estimate(sys: StateSpace, points: int = 2000):
+def hinf_estimate(sys: StateSpace):
     """Dense-grid estimate of sup over all real w of sigma_max(G(jw)).
 
     A lower estimate of the true norm: symmetric log grid spanning the
@@ -775,8 +775,7 @@ def hinf_estimate(sys: StateSpace, points: int = 2000):
     d_limit = float(_sigma_stack(sys.D[None])[0])
     if sys.n == 0:
         return d_limit, math.inf
-    grid = symmetric_log_grid(sys.poles, points)
-    report = sweep(sys, grid, refine=True)
+    report = sweep(sys, symmetric_log_grid(sys.poles), refine=True)
     if d_limit > report.peak_value:
         return d_limit, math.inf
     return report.peak_value, report.peak_frequency

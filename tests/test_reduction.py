@@ -98,16 +98,17 @@ def _builds_of(monkeypatch, module, name, full):
 
 
 def test_ef_bound_reuses_the_full_models_extension(monkeypatch):
-    # the ef bound compares each system with its extended realization; the
-    # full model's is the one the reduction already built
+    # the ef bound compares each system with its extended realization: the
+    # full model's is the one the reduction already built, and sf-fdbt's
+    # reduced model's is the truncation it was mapped back from
     sys = example_fixture("ex2").system
     sf_builds = _builds_of(monkeypatch, fdbt.sf, "build_sf_extended", sys)
     int_builds = _builds_of(monkeypatch, fdbt.interval, "build_interval_extended", sys)
     assert "ef" in sf_reduce(sys, SfConfig(varpi=0.0, epsilon=1.0), 2).bounds
     assert "ef" in interval_reduce(sys, IntervalConfig(-0.4, 0.4), 2).bounds
-    # sf-fdbt: the full model once, then the reduced one for the ef bound;
-    # int-fdbt's gaps are realizations on A and A_r, so no reduced extension
-    assert sf_builds == [True, False]
+    # one extension each, of the full model: int-fdbt's gaps are realizations
+    # on A and A_r, and sf-fdbt's reduced gap reads leading_block(gram.sys, r)
+    assert sf_builds == [True]
     assert int_builds == [True]
 
 

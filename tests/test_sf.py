@@ -20,6 +20,7 @@ from fdbt import (
     generate_ladder,
     invert_sf_extension,
     is_hurwitz,
+    leading_block,
     sf_bound,
     sf_ef_bound,
     sf_gramians,
@@ -197,6 +198,22 @@ class TestReduce:
         grid = FrequencyGrid.linear(-50.0, 50.0, 2001)
         peak = sweep(error_system(sys, res.reduced), grid, refine=True).peak_value
         assert peak <= res.bounds["ef"] * (1.0 + 1e-8)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("varpi", [0.0, 0.7])
+    def test_reduced_models_substitution_is_its_truncation(self, complex_entries, varpi):
+        # sf_ef_bound compares the reduced model with the truncation it was
+        # mapped back from: substituting the reduced model gives that back
+        sys = random_stable(66, 6, m=2, p=3, complex_entries=complex_entries)
+        cfg = SfConfig(varpi=varpi, epsilon=1.3)
+        gram = sf_gramians(build_sf_extended(sys, cfg))
+        for r in (2, 4, 5):
+            trunc = leading_block(gram.sys, r)
+            again = build_sf_extended(sf_reduce(sys, cfg, r, with_ef_bound=False).reduced, cfg)
+            for w in (-4.0, -0.9, 0.0, varpi, 0.3, 2.5, 10.0):
+                want = evaluate(trunc, w)
+                got = evaluate(again.sys, w)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (r, w)
 
     def test_ef_bound_refuses_a_reduced_system_that_is_not_hurwitz(self):
         sys = random_stable(62, 5)

@@ -221,13 +221,26 @@ def test_parameters_the_inputs_already_answer():
         assert "solve_lyapunov" not in _imported_names(name), name
 
 
+def _called_names(module: str, function: str) -> set:
+    """Names of the plain functions that the named function calls."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {
+        call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+
+
 def test_ef_gaps_belong_to_their_methods():
     # int-fdbt's gaps are realizations on A and A_r, so no caller passes a
     # build callback for a reduced extension, and the shared plumbing
-    # estimates no gap: sf-fdbt builds its error systems in sf_ef_bound
+    # estimates no gap: sf-fdbt builds its error systems in sf_ef_bound,
+    # against the truncation its reduced model was mapped back from
     trees = [
         ast.parse((SRC / name).read_text(), filename=name) for name in MODULES + ["__init__.py"]
     ]
     assert not any("build" in _parameters(tree) for tree in trees)
     assert not {"hinf_estimate", "error_system"} & _imported_names("reduction.py")
     assert "error_system" not in _imported_names("interval.py")
+    assert "build_sf_extended" not in _called_names("sf.py", "sf_ef_bound")
