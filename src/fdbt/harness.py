@@ -6,11 +6,10 @@ are recorded as data rather than raised. Bundles can be written to disk as
 CSV (sweeps, tables) and JSON (records, summaries) in the formats the CLI
 documents.
 
-The five example bundles are descriptions run by one function under one
-failure rule (_reproduced): a method whose prepare, truncate or measurement
-raises FdbtError fails alone, as a `<label> r=<r> failed: ...` note with NaN
-values, so every example, ex1 and ex2 included, records a failed method
-instead of aborting.
+The five example bundles and the randomized experiment's bands are run by
+one function under one failure rule (_measured): a method whose prepare,
+truncate or measurement raises FdbtError fails alone, with NaN values and a
+note, so every example and the experiment record it instead of aborting.
 """
 
 import json
@@ -273,7 +272,7 @@ class ExperimentReport:
 def _prepared(prepare, *args):
     """prepare(*args), or the FdbtError it raised, kept for every order.
     Every example method's prepare, truncate and measurement runs through
-    here: the one place their errors are caught (see _reproduced)."""
+    here: the one place their errors are caught (see _measured)."""
     try:
         return prepare(*args)
     except FdbtError as exc:
@@ -290,38 +289,31 @@ def _truncated(truncate, prepared, r, **flags):
 def _model_records(index: int, model: StateSpace, half_widths, orders):
     # Gramians, balancing and the eta chain depend on the model and the
     # band, not on the order: prepare once, truncate per order. The int-fdbt
-    # ef bound is never read here, so it is not computed. Every reduced
-    # model of one band is swept in one pass, which evaluates the model once.
+    # ef bound is never read here, so it is not computed. Each band is one
+    # example for _measured, whose one sweep evaluates the model once.
     rows = []
     standard = prepare_standard(model)
     fibt = {r: fibt_truncate(standard, r) for r in orders}
     for wl in half_widths:
-        grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
         fdbt = _prepared(prepare_interval, model, IntervalConfig(-wl, wl))
         fgbt = _prepared(prepare_band, model, -wl, wl)
-        reduced = {}  # (method, r) -> reduced model, for the methods that ran
-        bound_fdbt = dict.fromkeys(orders, math.nan)
-        notes = {r: [] for r in orders}
+        int_fdbt = partial(_truncated, interval_truncate, fdbt, with_ef_bound=False)
+        methods = (
+            _Method("fibt", orders, fibt.__getitem__),
+            _Method("fdbt", orders, int_fdbt),
+            _Method("fgbt", orders, partial(_truncated, fgbt_truncate, fgbt)),
+        )
+        grid = FrequencyGrid.linear(-wl, wl, EXPERIMENT_GRID_POINTS)
+        results, got, _ = _measured(_Example("random", model, methods, grid, {}))
+        failed = {run: res for run, res in results.items() if isinstance(res, FdbtError)}
         for r in orders:
-            reduced["fibt", r] = fibt[r].reduced
-            try:
-                res = _truncated(interval_truncate, fdbt, r, with_ef_bound=False)
-                reduced["fdbt", r] = res.reduced
-                bound_fdbt[r] = float(res.bounds["interval"])
-            except FdbtError as exc:
-                notes[r].append(f"fdbt: {exc}")
-            try:
-                reduced["fgbt", r] = _truncated(fgbt_truncate, fgbt, r).reduced
-            except FdbtError as exc:
-                notes[r].append(f"fgbt: {exc}")
-        reports = _error_sweeps(model, list(reduced.values()), grid)
-        peaks = {key: rep.peak_value for key, rep in zip(reduced, reports)}
-        for r in orders:
-            peak_fibt = peaks["fibt", r]
-            peak_fdbt = peaks.get(("fdbt", r), math.nan)
-            peak_fgbt = peaks.get(("fgbt", r), math.nan)
+            peak_fibt, peak_fdbt, peak_fgbt = (
+                math.nan if (m, r) in failed else got[m, r]["peak"].peak_value for m in methods
+            )
+            run = methods[1], r  # int-fdbt's
+            bound_fdbt = math.nan if run in failed else float(results[run].bounds["interval"])
             bound_fibt = float(fibt[r].bounds["ef"])
-            note = notes[r]
+            note = [f"{m.label}: {failed[m, r]}" for m in methods if (m, r) in failed]
             usable = peak_fibt > 0.0 and math.isfinite(peak_fibt)
             if not usable:
                 note.append("fibt peak degenerate; ratios undefined")
@@ -334,10 +326,10 @@ def _model_records(index: int, model: StateSpace, half_widths, orders):
                     peak_fdbt=float(peak_fdbt),
                     peak_fgbt=float(peak_fgbt),
                     bound_fibt=bound_fibt,
-                    bound_fdbt=bound_fdbt[r],
+                    bound_fdbt=bound_fdbt,
                     err_fdbt=float(peak_fdbt / peak_fibt) if usable else math.nan,
                     err_fgbt=float(peak_fgbt / peak_fibt) if usable else math.nan,
-                    eb_fdbt=float(bound_fdbt[r] / bound_fibt) if bound_fibt > 0 else math.nan,
+                    eb_fdbt=float(bound_fdbt / bound_fibt) if bound_fibt > 0 else math.nan,
                     note="; ".join(note),
                 )
             )
@@ -352,37 +344,29 @@ def _mean_and_majority(values):
     return float(np.mean(vals)), float(np.mean(vals < 1.0)), int(vals.size)
 
 
-def run_randomized_experiment(
-    spec: RandomModelSpec,
-    wl_list=EXPERIMENT_HALF_WIDTHS,
-    r_list=EXPERIMENT_ORDERS,
-) -> ExperimentReport:
+def run_randomized_experiment(spec: RandomModelSpec) -> ExperimentReport:
     """Table-style comparison over a seeded random population.
 
-    Each cell reports means of per-model ratios (mean of ratios, not ratio
-    of means) plus the fraction of models where the ratio is below one.
-    Models where a method failed are excluded from that method's columns
-    only, with the exclusion counted. Models run one after another in
-    index order. Each model is prepared once for fibt and once per
+    Cells are EXPERIMENT_HALF_WIDTHS x EXPERIMENT_ORDERS, read at call time;
+    each reports means of per-model ratios (mean of ratios, not ratio of
+    means) plus the fraction of models where the ratio is below one. A
+    method failed under the one failure rule (_measured) excludes the model
+    from that method's columns only, with the exclusion counted. Models
+    run one after another in index order. Each model is prepared once for fibt and once per
     half-width for int-fdbt and fgbt, then truncated at every order; the
     int-fdbt whole-axis ef bound, which no cell reads, is not computed.
     """
-    wl_list = tuple(float(w) for w in wl_list)
-    r_list = tuple(int(r) for r in r_list)
-    if not wl_list or not r_list:
-        raise InvalidParameters("need at least one half-width and one order")
-    if not all(0 < w < math.inf for w in wl_list):
-        raise InvalidParameters("half-widths must be finite and positive")
-    if any(not 1 <= r < spec.n for r in r_list):
+    half_widths, orders = EXPERIMENT_HALF_WIDTHS, EXPERIMENT_ORDERS
+    if any(not 1 <= r < spec.n for r in orders):
         raise InvalidParameters(f"orders must satisfy 1 <= r < n = {spec.n}")
 
     models, resamples = draw_random_models(spec)
-    per_model = [_model_records(i, m, wl_list, r_list) for i, m in enumerate(models)]
+    per_model = [_model_records(i, m, half_widths, orders) for i, m in enumerate(models)]
     records = tuple(row for rows in per_model for row in rows)
 
     cells = []
-    for wl in wl_list:
-        for r in r_list:
+    for wl in half_widths:
+        for r in orders:
             batch = [c for c in records if c.half_width == wl and c.order == r]
             err_fdbt_mean, err_fdbt_frac, n_fdbt = _mean_and_majority(
                 [c.err_fdbt for c in batch]
@@ -407,8 +391,8 @@ def run_randomized_experiment(
             )
     return ExperimentReport(
         spec=spec,
-        half_widths=wl_list,
-        orders=r_list,
+        half_widths=half_widths,
+        orders=orders,
         resamples=resamples,
         records=records,
         cells=tuple(cells),
@@ -584,7 +568,7 @@ class _Method:
 
 @dataclass(frozen=True)
 class _Example:
-    """One example scenario as data, run by _reproduced.
+    """One example scenario as data, run by _measured.
 
     Each method's error is swept over grid (its sweep file, named by sweep;
     with full_response the plant's response too), err0 is read off that
@@ -606,23 +590,22 @@ class _Example:
     tables: dict = field(default_factory=dict)
 
 
-def _reproduced(ex: _Example) -> ExampleBundle:
-    """Run, measure and record every method of one example at its orders.
+def _measured(ex: _Example):
+    """Run every method of one example at its orders and measure each run.
 
-    The one failure rule: an FdbtError from a method's prepare, truncate or
-    measurement (its DC error included) fails that method at that order
-    alone, with a `<label> r=<r> failed: ...` note, NaN values (stable 0.0),
-    no sweep file and no record; an assertion that reads any of its values
-    is false. Each grid is swept once for all the methods it measures.
-    Records follow the methods' order within each order: a method's own
-    bound (interval, sf) first, its ef record after.
+    The one failure rule: an FdbtError from a run's prepare, truncate or
+    measurement (its DC error included) fails that run alone. Each grid is
+    swept once for its live runs, each model alone when a refining probe
+    meets a pole; a DC, neighbourhood or ef grid is built only when some
+    run asks for it. Returns (results, got, sweeps): each run's
+    ReductionResult or failing FdbtError in run order, its reports by what
+    they measured, and sweeps["response_full"] when ex.full_response asks.
     """
     orders = dict.fromkeys(r for method in ex.methods for r in method.orders)
     runs = [(method, r) for r in orders for method in ex.methods if r in method.orders]
-    # each run's ReductionResult, or the FdbtError that failed it
     results = {run: _prepared(run[0].reduce, run[1]) for run in runs}
     got = {run: {} for run in runs}  # run -> what was measured -> its report
-    sweeps, records, values, notes, failed = {}, [], {}, [], set()
+    sweeps = {}
 
     def live(family=None):
         ok = [run for run in runs if not isinstance(results[run], FdbtError)]
@@ -646,15 +629,27 @@ def _reproduced(ex: _Example) -> ExampleBundle:
         keep(what, chosen, reports)
 
     measure("peak", ex.grid, live(), ex.full_response)
-    chosen = live("err0")
-    models = [results[run].reduced for run in chosen]
-    keep("err0", chosen, _dc_reports(ex.plant, models, [got[run]["peak"] for run in chosen]))
-    measure("peak_nbhd", ex.nbhd, live("peak_nbhd"))
-    chosen = [run for run in live() if run[0].ef and "ef" in results[run].bounds]
-    measure("ef", symmetric_log_grid(ex.plant.poles, ex.ef_points), chosen)
+    if chosen := live("err0"):
+        models = [results[run].reduced for run in chosen]
+        keep("err0", chosen, _dc_reports(ex.plant, models, [got[run]["peak"] for run in chosen]))
+    if chosen := live("peak_nbhd"):
+        measure("peak_nbhd", ex.nbhd, chosen)
+    if chosen := [run for run in live() if run[0].ef and "ef" in results[run].bounds]:
+        measure("ef", symmetric_log_grid(ex.plant.poles, ex.ef_points), chosen)
+    return results, got, sweeps
 
-    for run in runs:
-        (method, r), result = run, results[run]
+
+def _reproduced(ex: _Example) -> ExampleBundle:
+    """Record every method of one example at its orders as _measured ran
+    them: a failed run is a `<label> r=<r> failed: ...` note, NaN values
+    (stable 0.0), no sweep file and no record, and an assertion reading any
+    of its values is false. Records follow the methods' order within each
+    order: a method's own bound (interval, sf) first, its ef record after.
+    """
+    results, got, sweeps = _measured(ex)
+    records, values, notes, failed = [], {}, [], set()
+    for run, result in results.items():
+        method, r = run
         tag = ex.tag.format(label=method.label, r=r)
         keys = {
             family: f"interval_bound_r{r}" if family == "interval_bound" else f"{family}_{tag}"
@@ -703,7 +698,7 @@ def _ex1() -> _Example:
     sys = example_fixture("ex1").system
     standard = _prepared(prepare_standard, sys)
     # fibt always carries an ef bound, gspa only at rho = 0, sf-fdbt only
-    # when both models are Hurwitz
+    # when sf_ef_bound can compute it
     reduce = {"fibt": partial(_truncated, fibt_truncate, standard)}
     for rho in EX1_GSPA_RHOS:
         label = f"gspa_rho{rho:g}".replace(".", "p")

@@ -262,6 +262,27 @@ class TestReduce:
         assert code == 3
         assert json.loads(stderr)["error"] == "not-hurwitz"
 
+    @pytest.mark.parametrize("seed, epsilon, order", [(33, "1e-3", "6"), (1, "1e-6", "3")])
+    def test_sf_fdbt_without_an_ef_bound_still_writes_the_model(
+        self, capsys, tmp_path, seed, epsilon, order
+    ):
+        # the optional ef bound cannot be computed here (a non-Hurwitz
+        # truncated substitution, a pole on its estimate's grid): a warning,
+        # not a numerical failure
+        path, out = str(tmp_path / "plant.json"), tmp_path / "red.json"
+        cli.write_model(path, random_stable(seed, 8))
+        code, stdout, _ = run_cli(
+            capsys,
+            ["reduce", path, "--method", "sf-fdbt", "--order", order, "--varpi", "0",
+             "--epsilon", epsilon, "--output", str(out)],
+        )
+        assert code == 0 and out.exists()
+        payload = json.loads(stdout)
+        assert set(payload["bounds"]) == {"sf"} and payload["stable"] is True
+        assert any(w.startswith("ef bound unavailable: ") for w in payload["warnings"])
+        reduced, _ = cli.load_model(str(out))
+        assert reduced.n == int(order)
+
     def test_symmetrize_mirrors_the_band(self, capsys, tmp_path, model_file):
         path, sys = model_file
         out = str(tmp_path / "red.json")

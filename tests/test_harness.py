@@ -123,10 +123,17 @@ class TestRandomModels:
             draw_random_models(spec)
 
 
+def _experiment(monkeypatch, spec, half_widths, orders):
+    """run_randomized_experiment(spec) over the cells half_widths x orders."""
+    monkeypatch.setattr(fdbt.harness, "EXPERIMENT_HALF_WIDTHS", half_widths)
+    monkeypatch.setattr(fdbt.harness, "EXPERIMENT_ORDERS", orders)
+    return run_randomized_experiment(spec)
+
+
 @pytest.fixture(scope="module")
 def mini_report():
-    spec = RandomModelSpec(n=4, seed=5, count=2)
-    return run_randomized_experiment(spec, wl_list=(0.4,), r_list=(1, 2))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _experiment(monkeypatch, RandomModelSpec(n=4, seed=5, count=2), (0.4,), (1, 2))
 
 
 class TestExperiment:
@@ -173,10 +180,10 @@ class TestExperiment:
         assert rec.peak_fibt >= coarse * (1.0 - 1e-12)
         assert rec.peak_fibt <= dense * (1.0 + 1e-3)
 
-    def test_report_json_deterministic(self):
+    def test_report_json_deterministic(self, monkeypatch):
         spec = RandomModelSpec(n=3, seed=6, count=2)
-        a = run_randomized_experiment(spec, wl_list=(0.2,), r_list=(1,))
-        b = run_randomized_experiment(spec, wl_list=(0.2,), r_list=(1,))
+        a = _experiment(monkeypatch, spec, (0.2,), (1,))
+        b = _experiment(monkeypatch, spec, (0.2,), (1,))
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
@@ -231,7 +238,7 @@ class TestExperimentFailures:
         monkeypatch.setattr(harness, "prepare_interval", prepare_interval)
         monkeypatch.setattr(harness, "interval_truncate", interval_truncate)
         monkeypatch.setattr(harness, "_error_sweeps", error_sweeps)
-        report = run_randomized_experiment(self.SPEC, wl_list=(0.4,), r_list=(1, 2))
+        report = _experiment(monkeypatch, self.SPEC, (0.4,), (1, 2))
         # a failed prepare is re-raised by _truncated at every order, so the
         # truncation never runs on model 1
         assert sorted(truncated) == [(i, r) for i in (0, 2, 3) for r in (1, 2)]
@@ -278,6 +285,47 @@ class TestExperimentFailures:
             used = [records[i, r].err_fgbt for i in range(4)]
             assert cell.err_fgbt_mean == pytest.approx(np.nanmean(used))
 
+    def test_a_probe_that_meets_a_pole_fails_its_method_alone(self, monkeypatch):
+        # the second fgbt truncation (model 0, r = 2) overflows at its
+        # refining probe, so the band's one sweep raises PoleOnGrid and each
+        # model is swept alone
+        clean = _experiment(monkeypatch, self.SPEC, (0.4,), (1, 2))
+        harness = fdbt.harness
+        real_truncate, real_point = harness.fgbt_truncate, fdbt.sysmodel._point_response
+        fgbt_models, probed = [], []
+
+        def fgbt_truncate(prep, r):
+            result = real_truncate(prep, r)
+            fgbt_models.append(result.reduced)
+            return result
+
+        def point_response(sys, s):
+            if sys is fgbt_models[1]:
+                probed.append(s)
+                return np.full((1, 1), np.inf + 0j)
+            return real_point(sys, s)
+
+        monkeypatch.setattr(harness, "fgbt_truncate", fgbt_truncate)
+        monkeypatch.setattr(fdbt.sysmodel, "_point_response", point_response)
+        report = _experiment(monkeypatch, self.SPEC, (0.4,), (1, 2))
+        assert probed
+        hit = report.records[1]
+        assert (hit.model_index, hit.order) == (0, 2)
+        assert hit.note.startswith("fgbt: response overflowed at s = ")
+        assert math.isnan(hit.peak_fgbt) and math.isnan(hit.err_fgbt)
+        assert report.cell(0.4, 2).fgbt_excluded == 1
+        for got, want in zip(report.records, clean.records):
+            for key, value in vars(want).items():
+                if got is hit and (key.endswith("fgbt") or key == "note"):
+                    continue
+                other = getattr(got, key)
+                if isinstance(value, float):
+                    # bitwise, NaN included: a model swept alone reads as in
+                    # the band's one sweep
+                    assert np.float64(other).tobytes() == np.float64(value).tobytes(), key
+                else:
+                    assert other == value, key
+
     def test_truncated_reraises_a_failed_prepare_at_every_order(self):
         failure = SingularShift("prepare failed")
         calls = []
@@ -287,26 +335,15 @@ class TestExperimentFailures:
             assert info.value is failure
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "wl_list, r_list, message",
-        [
-            ((), (1,), "need at least one half-width and one order"),
-            ((0.4,), (), "need at least one half-width and one order"),
-            ((0.4, 0.0), (1,), "half-widths must be finite and positive"),
-            ((math.inf,), (1,), "half-widths must be finite and positive"),
-            ((0.4, math.nan), (1,), "half-widths must be finite and positive"),
-            ((0.4,), (1, 4), "orders must satisfy 1 <= r < n = 4"),
-            ((0.4,), (0,), "orders must satisfy 1 <= r < n = 4"),
-        ],
-    )
-    def test_refused_before_any_model_is_drawn(self, monkeypatch, wl_list, r_list, message):
+    @pytest.mark.parametrize("orders", [(1, 4), (0,)])
+    def test_refused_before_any_model_is_drawn(self, monkeypatch, orders):
         def draw(spec):
             raise AssertionError("models drawn")
 
         monkeypatch.setattr(fdbt.harness, "draw_random_models", draw)
         with pytest.raises(InvalidParameters) as info:
-            run_randomized_experiment(self.SPEC, wl_list=wl_list, r_list=r_list)
-        assert str(info.value) == message
+            _experiment(monkeypatch, self.SPEC, (0.4,), orders)
+        assert str(info.value) == "orders must satisfy 1 <= r < n = 4"
 
 
 def _records_by_public_calls(models, half_widths, orders):

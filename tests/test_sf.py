@@ -237,6 +237,25 @@ class TestReduce:
         assert any("ef bound unavailable" in w for w in res.warnings)
 
 
+    @pytest.mark.parametrize(
+        "seed, epsilon, r, why",
+        [
+            (33, 1e-3, 6, "substituted reduced system is not Hurwitz"),
+            (1, 1e-6, 3, "grid frequency 0.0 coincides with a pole"),
+        ],
+    )
+    def test_an_ef_bound_it_cannot_compute_leaves_the_reduction(self, seed, epsilon, r, why):
+        # the truncated substitution is not Hurwitz, or the gap estimate
+        # meets a pole: the reduced model and its sf bound stand
+        sys, cfg = random_stable(seed, 8), SfConfig(0.0, epsilon)
+        res = sf_reduce(sys, cfg, r)
+        plain = sf_reduce(sys, cfg, r, with_ef_bound=False)
+        assert set(res.bounds) == {"sf"} and res.stable
+        assert np.float64(res.bounds["sf"]).tobytes() == np.float64(plain.bounds["sf"]).tobytes()
+        assert np.array_equal(res.reduced.A, plain.reduced.A)
+        assert res.warnings == plain.warnings + (f"ef bound unavailable: {why}",)
+
+
 class TestGramians:
     def test_scalar_gramian_value(self):
         # Lyapunov for the worked scalar extension: 2*(-1/2) W + (1/2)^2 = 0
@@ -273,3 +292,10 @@ class TestEpsilonSweep:
         (row,) = epsilon_sweep(sys, 0.5, 1, [2.0])
         assert row.epsilon == 2.0
         assert row.sf_bound > 0 and row.ef_bound is not None
+
+    def test_a_row_that_fails_only_through_ef_keeps_its_sf_bound(self):
+        sys = random_stable(33, 8)
+        (row,) = epsilon_sweep(sys, 0.0, 6, [1e-3])
+        plain = sf_reduce(sys, SfConfig(0.0, 1e-3), 6, with_ef_bound=False)
+        assert row.sf_bound == plain.bounds["sf"] and row.ef_bound is None
+        assert row.note.endswith("ef bound unavailable: substituted reduced system is not Hurwitz")

@@ -244,3 +244,17 @@ def test_ef_gaps_belong_to_their_methods():
     assert not {"hinf_estimate", "error_system"} & _imported_names("reduction.py")
     assert "error_system" not in _imported_names("interval.py")
     assert "build_sf_extended" not in _called_names("sf.py", "sf_ef_bound")
+
+
+def test_the_experiment_measures_on_the_one_reproduction_path():
+    # the experiment's cells are the harness constants, and each band's
+    # runs are run, swept and failed by _measured, as the examples' are
+    tree = ast.parse((SRC / "harness.py").read_text(), filename="harness.py")
+    assert _parameters(tree, "run_randomized_experiment") == {"spec"}
+    (records,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_model_records"
+    ]
+    read = {node.id for node in ast.walk(records) if isinstance(node, ast.Name)}
+    assert "_measured" in read and not {"_error_sweeps", "error_sweeps"} & read
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(records))
