@@ -10,6 +10,7 @@ so identical invocations produce identical bytes.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys as _sys
@@ -49,7 +50,10 @@ def _entry(value, where):
     )
     if not ok:
         raise DimensionMismatch(f"{where} must be a [re, im] number pair")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:  # an integer beyond float64's range: refused as 1e400 is
+        return complex(math.inf)
 
 
 def _matrix_from_rows(rows, label, nrows, ncols):

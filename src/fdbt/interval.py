@@ -372,10 +372,11 @@ def interval_truncate(
     bounds, notes = {}, ()
     if with_bounds:
         bounds["interval"] = interval_bound(prep.eta(r))
-        if with_ef_bound and is_hurwitz(reduced).stable:
-            bounds["ef"] = interval_ef_bound(prep, reduced, r)
-        elif with_ef_bound:
-            notes = ("ef bound unavailable: reduced system not Hurwitz",)
+        if with_ef_bound:
+            try:
+                bounds["ef"] = interval_ef_bound(prep, reduced, r)
+            except NotHurwitz as exc:
+                notes = (f"ef bound unavailable: {exc}",)
     return truncation_result(prep.gram, "int-fdbt", reduced, bounds, notes)
 
 

@@ -137,8 +137,8 @@ def add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def resolvent(t: np.ndarray, left: np.ndarray, right: np.ndarray, d: np.ndarray):
-    """The probe s ↦ left·(sI − T)⁻¹·right + d, a p × m complex array, for
-    the upper (quasi-)triangular factor T of a Schur form.
+    """The probe s ↦ left·(sI − T)⁻¹·right + d, a p × m complex array with
+    p, m ≥ 1, for the upper (quasi-)triangular factor T of a Schur form.
 
     Everything that does not depend on s (layouts, the BLAS and LAPACK
     handles, the right-hand sides) is fixed here once, so a probe makes one
@@ -179,8 +179,6 @@ def resolvent(t: np.ndarray, left: np.ndarray, right: np.ndarray, d: np.ndarray)
 
         return probe
 
-    if not d.size:  # no inputs or no outputs: scipy's gemm refuses an empty c
-        return lambda s: np.zeros(d.shape, complex)
     tf = np.asfortranarray(t)
     rhs = np.zeros((n, 2 * m), order="F")
     rhs[:, ::2] = -right

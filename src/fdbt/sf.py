@@ -169,8 +169,8 @@ def sf_reduce(
     Substitute, balance, keep the leading r states, map back. r = n is
     allowed and returns a realization response-identical to the input.
     The anchor bound is always attached; the entire-frequency bound only
-    when sf_ef_bound can compute it (otherwise a warning notes why it is
-    missing, and the reduction stands).
+    when sf_ef_bound can compute it (otherwise a warning carries its
+    refusal, and the reduction stands).
     """
     r = check_order(r, sys.n)
     ext = build_sf_extended(sys, cfg)
@@ -179,14 +179,10 @@ def sf_reduce(
 
     bounds, notes = {"sf": sf_bound(gram, r)}, ()
     if with_ef_bound:
-        # the back-mapped model has no stability guarantee
-        if is_hurwitz(reduced).stable and is_hurwitz(sys).stable:
-            try:
-                bounds["ef"] = sf_ef_bound(sys, ext, reduced, gram, r)
-            except (NotHurwitz, PoleOnGrid) as exc:
-                notes = (f"ef bound unavailable: {exc}",)
-        else:
-            notes = ("ef bound unavailable: whole-axis sup needs Hurwitz systems",)
+        try:
+            bounds["ef"] = sf_ef_bound(sys, ext, reduced, gram, r)
+        except (NotHurwitz, PoleOnGrid) as exc:
+            notes = (f"ef bound unavailable: {exc}",)
     return truncation_result(gram, "sf-fdbt", reduced, bounds, notes)
 
 

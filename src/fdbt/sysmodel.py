@@ -30,7 +30,7 @@ from .linalg import SchurForm, add_product, as_matrix, gemm, resolvent, schur, s
 class StateSpace:
     """Immutable state-space realization (A, B, C, D).
 
-    n = 0 is legal and means a pure feed-through: G(jw) = D everywhere.
+    n = 0, m = 0 or p = 0 is legal: such a static system is G(jw) = D everywhere.
     Matrices are validated and marked read-only on construction. The dtype
     is chosen once, for all four: float64 when every imaginary part is
     exactly zero, complex128 otherwise.
@@ -149,10 +149,13 @@ class Stability(NamedTuple):
 
 def is_hurwitz(sys: StateSpace) -> Stability:
     """Whether all poles lie strictly in the open left half-plane."""
-    if sys.n == 0:
-        return Stability(True, math.inf)
-    worst = float(np.max(sys.poles.real))
+    worst = float(np.max(sys.poles.real, initial=-math.inf))
     return Stability(worst < 0.0, -worst)
+
+
+def _static(sys: StateSpace) -> bool:
+    """Whether sys responds D at every point: no states, inputs or outputs."""
+    return sys.n == 0 or sys.D.size == 0
 
 
 def _pole_tolerance(*parts: StateSpace) -> float:
@@ -161,8 +164,8 @@ def _pole_tolerance(*parts: StateSpace) -> float:
 
 
 def _pole_distances(sys: StateSpace, points: np.ndarray) -> np.ndarray:
-    """Distance of each complex evaluation point to the spectrum of A."""
-    if sys.n == 0:
+    """Distance of each point to A's spectrum; inf for a static system (_static)."""
+    if _static(sys):
         return np.full(points.shape, math.inf)
     return np.min(np.abs(points[:, None] - sys.poles[None, :]), axis=1)
 
@@ -196,7 +199,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
     """Responses C (sI - A)^(-1) B + D at a vector of complex points s.
 
     No pole screening here; callers check first. Returns a complex array
-    of shape (k, p, m), a static system's (n = 0) included.
+    of shape (k, p, m), a static system's (_static: D) included.
     Works on the system's cached Schur form A = Z T Z*: each point solves
     (sI - T) x = Z* B by back substitution and returns (C Z) x + D, so a
     point costs O(n^2 m) once the system is factored. The C Z rows sit on
@@ -224,7 +227,7 @@ def _response_stack(sys: StateSpace, points: np.ndarray) -> np.ndarray:
         return _response_stack(parts[1], points) - _response_stack(parts[0], points)
     k = points.shape[0]
     n, p, m = sys.n, sys.p, sys.m
-    if n == 0:
+    if _static(sys):
         return np.broadcast_to(sys.D, (k, p, m)).astype(complex)
     t, cz, zb = sys._schur_form
     rows = np.vstack([cz, t])
@@ -277,7 +280,7 @@ def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
     """The response C (sI - A)^(-1) B + D at one point s, unscreened.
 
     An error system returns the difference of its two parts' responses. A
-    static system (n = 0) returns D as complex data, as every other system
+    static system (_static) returns D as complex data, as every other system
     does, so a probe round that mixes it with dynamic systems reduces all
     of them in one arithmetic, bit for bit as alone (see _refined).
     Any other system calls its cached resolvent (see linalg.resolvent):
@@ -288,9 +291,7 @@ def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
     parts = sys.__dict__.get("_parts")
     if parts is not None:
         return _point_response(parts[1], s) - _point_response(parts[0], s)
-    if sys.n == 0:
-        return sys.D.astype(complex)
-    return sys._resolvent(s)
+    return sys.D.astype(complex) if _static(sys) else sys._resolvent(s)
 
 
 def _split(sys: StateSpace) -> tuple:
@@ -303,10 +304,11 @@ def _split(sys: StateSpace) -> tuple:
 def _screens(targets) -> tuple:
     """(poles, tol) for probing targets, each a tuple of parts (see _split).
 
-    Row i of poles holds the poles of all parts of target i, padded with
-    inf; tol[i] is the target's pole tolerance.
+    Row i of poles holds the poles of target i's parts that are not static
+    (_static), padded with inf; tol[i] is the target's pole tolerance.
     """
-    rows = [np.concatenate([part.poles for part in parts]) for parts in targets]
+    rows = [[part.poles for part in parts if not _static(part)] for parts in targets]
+    rows = [np.concatenate(row) if row else np.zeros(0) for row in rows]
     poles = np.full((len(rows), max([1] + [row.size for row in rows])), np.inf, complex)
     for padded, row in zip(poles, rows):
         padded[: row.size] = row
@@ -770,10 +772,10 @@ def hinf_estimate(sys: StateSpace):
     pole magnitudes, the peak search between the grid peak's neighbours
     (see sweep), and sigma_max(D) as the w -> +/-inf candidate (frequency
     reported as inf), all reduced by the one sigma_max kernel. Returns
-    (value, frequency).
+    (value, frequency); a static system's (_static) is (sigma_max(D), inf).
     """
     d_limit = float(_sigma_stack(sys.D[None])[0])
-    if sys.n == 0:
+    if _static(sys):
         return d_limit, math.inf
     report = sweep(sys, symmetric_log_grid(sys.poles), refine=True)
     if d_limit > report.peak_value:

@@ -112,6 +112,21 @@ class TestModelFiles:
         with pytest.raises(DimensionMismatch):
             cli.model_from_dict(doc)
 
+    @pytest.mark.parametrize("literal", ["-1" + "0" * 400, "-1e400"], ids=["integer", "exponent"])
+    def test_an_entry_beyond_float64_is_refused_as_non_finite(self, capsys, tmp_path, literal):
+        # a 401-digit integer is as far out of float64's range as its
+        # exponent spelling, and meets the same refusal, not a traceback
+        doc = cli.model_to_dict(random_stable(31, 2))
+        doc["A"][0][0] = ["ENTRY", 0]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc).replace('"ENTRY"', literal))
+        code, out, err = run_cli(capsys, ["bounds", str(path), "--method", "fibt", "--order", "1"])
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "dimension-mismatch",
+            "message": "matrix A contains non-finite entries",
+        }
+
     def test_document_must_be_object(self):
         with pytest.raises(DimensionMismatch):
             cli.model_from_dict([1, 2, 3])

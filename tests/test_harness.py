@@ -99,10 +99,6 @@ class TestRandomModels:
         with pytest.raises(InvalidParameters):
             RandomModelSpec(n=3, seed=1, count=0)
         with pytest.raises(InvalidParameters):
-            RandomModelSpec(n=3, seed=1, count=5, diag_spread=0.0)
-        with pytest.raises(InvalidParameters):
-            RandomModelSpec(n=3, seed=1, count=5, diag_spread=math.inf)
-        with pytest.raises(InvalidParameters):
             RandomModelSpec(n=3, seed=-1, count=5)
 
     def test_deterministic_and_hurwitz(self):
@@ -116,11 +112,11 @@ class TestRandomModels:
             assert ma.B.tobytes() == mb.B.tobytes()
             assert is_hurwitz(ma).stable
 
-    def test_resample_budget_enforced(self):
+    def test_resample_budget_enforced(self, monkeypatch):
         # a diagonal mean of +60 makes Hurwitz draws essentially impossible
-        spec = RandomModelSpec(n=3, seed=2, count=1, diag_mean=60.0)
+        monkeypatch.setattr(fdbt.harness, "EXPERIMENT_DIAG_MEAN", 60.0)
         with pytest.raises(ConvergenceFailure):
-            draw_random_models(spec)
+            draw_random_models(RandomModelSpec(n=3, seed=2, count=1))
 
 
 def _experiment(monkeypatch, spec, half_widths, orders):

@@ -732,6 +732,19 @@ class TestEfBound:
         with pytest.raises(NotHurwitz, match="^reduced system is not Hurwitz"):
             interval_ef_bound(prep, unstable, 2)
 
+    def test_a_refused_bound_leaves_the_reduction_with_its_refusal(self, monkeypatch):
+        # interval_truncate asks no stability question of its own: the
+        # bound's NotHurwitz is the warning, and the in-band bound stands
+        def refuse(prep, reduced, r):
+            raise NotHurwitz("the bound's own refusal")
+
+        monkeypatch.setattr(fdbt.interval, "interval_ef_bound", refuse)
+        sys, cfg = random_stable(108, 4), IntervalConfig(-0.5, 0.5)
+        res = interval_reduce(sys, cfg, 2)
+        plain = interval_reduce(sys, cfg, 2, with_ef_bound=False)
+        assert set(res.bounds) == {"interval"} and res.bounds == plain.bounds
+        assert res.warnings == plain.warnings + ("ef bound unavailable: the bound's own refusal",)
+
     @pytest.mark.parametrize("band", [(-0.5, 0.5), (0.2, 0.9)])
     def test_input_gap_computed_once_per_band(self, monkeypatch, band):
         # the input's gap is the prepared record's and the reduced model's

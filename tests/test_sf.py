@@ -17,6 +17,7 @@ from fdbt import (
     epsilon_sweep,
     error_system,
     evaluate,
+    example_fixture,
     generate_ladder,
     invert_sf_extension,
     is_hurwitz,
@@ -234,7 +235,17 @@ class TestReduce:
         cap = stability_epsilon_cap(sys, 0.0)
         res = sf_reduce(sys, SfConfig(varpi=0.0, epsilon=0.9 * cap), 2)
         assert "sf" in res.bounds and "ef" not in res.bounds
-        assert any("ef bound unavailable" in w for w in res.warnings)
+        why = "original system is not Hurwitz; whole-axis sup undefined"
+        assert res.warnings[-1] == f"ef bound unavailable: {why}"
+
+    def test_an_unstable_reduced_model_is_refused_by_the_ef_bound_itself(self):
+        # ex1's epsilon-sweep row at 10^-0.2: the back-mapped model is not
+        # Hurwitz, and the warning carries sf_ef_bound's own refusal
+        sys = example_fixture("ex1").system
+        res = sf_reduce(sys, SfConfig(0.0, 0.6309573444801932), 3)
+        assert set(res.bounds) == {"sf"} and not res.stable
+        why = "reduced system is not Hurwitz; whole-axis sup undefined"
+        assert res.warnings[-1] == f"ef bound unavailable: {why}"
 
 
     @pytest.mark.parametrize(

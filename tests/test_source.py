@@ -258,3 +258,21 @@ def test_the_experiment_measures_on_the_one_reproduction_path():
     read = {node.id for node in ast.walk(records) if isinstance(node, ast.Name)}
     assert "_measured" in read and not {"_error_sweeps", "error_sweeps"} & read
     assert not any(isinstance(node, ast.Try) for node in ast.walk(records))
+
+
+def test_one_home_per_rule():
+    # each reduction leaves its ef bound's stability question to the bound,
+    # a response without inputs or outputs is sysmodel._static's answer,
+    # not the resolvent's, and the experiment's model law is its constants
+    assert "is_hurwitz" not in _called_names("sf.py", "sf_reduce")
+    assert "is_hurwitz" not in _called_names("interval.py", "interval_truncate")
+    def top_level(module, name):
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        (node,) = [n for n in tree.body if getattr(n, "name", None) == name]
+        return node
+
+    resolvent = top_level("linalg.py", "resolvent")
+    assert "size" not in {n.attr for n in ast.walk(resolvent) if isinstance(n, ast.Attribute)}
+    spec = top_level("harness.py", "RandomModelSpec")
+    fields = [n.target.id for n in spec.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["n", "seed", "count"]

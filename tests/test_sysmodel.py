@@ -35,6 +35,7 @@ from fdbt import (
     sigma_max_at,
     sweep,
     symmetric_log_grid,
+    verify_bound,
 )
 
 
@@ -434,6 +435,44 @@ class TestWholeAxisEstimate:
         assert val == pytest.approx(2.0 + 1e-3, rel=1e-3)
         # the estimate must never undershoot the w -> inf level
         assert val >= 2.0
+
+
+def _no_io(m, p, kind):
+    """A 3-state model with m inputs and p outputs, one of them 0: static."""
+    a = np.diag([-1.0, -2.0, -3.0]) + (0.5j * np.eye(3) if kind == "complex" else 0.0)
+    return StateSpace(a, np.ones((3, m)), np.ones((p, 3)), np.zeros((p, m)))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("m, p", [(0, 1), (1, 0), (0, 0)])
+class TestStaticModels:
+    """A model with states but no inputs or no outputs responds D, an empty
+    matrix, at every point: every sweep, refined or not, and every estimate
+    reads zero, and none raises."""
+
+    GRID = FrequencyGrid.linear(-1.0, 1.0, 5)
+
+    def test_sweeps_to_zero(self, m, p, kind):
+        for refine in (False, True):
+            rep = sweep(_no_io(m, p, kind), self.GRID, refine=refine)
+            assert rep.sigma_max.tolist() == [0.0] * 5 and rep.skipped == ()
+            assert (rep.peak_value, rep.peak_frequency) == (0.0, -1.0)
+
+    def test_whole_axis_estimate_is_its_feedthrough(self, m, p, kind):
+        assert hinf_estimate(_no_io(m, p, kind)) == (0.0, np.inf)
+
+    def test_a_reduction_errs_by_zero(self, m, p, kind):
+        # fibt's reduced model can park a pole on the axis (Wc = 0 without
+        # inputs); a static model's response has no pole to skip
+        sys = _no_io(m, p, kind)
+        result = fibt_reduce(sys, 1)
+        for refine in (False, True):
+            (rep,) = error_sweeps(sys, [result.reduced], self.GRID, refine=refine)
+            assert rep.peak_value == 0.0 and rep.skipped == ()
+        assert hinf_estimate(error_system(sys, result.reduced)) == (0.0, np.inf)
+        rec = verify_bound(sys, result, self.GRID, "ef")
+        assert (rec.bound, rec.peak, rec.passed, rec.skipped) == (0.0, 0.0, True, ())
+        assert evaluate(result.reduced, 0.0).shape == (p, m)
 
 
 # 57 axis points plus two points off the axis, in the right half-plane
