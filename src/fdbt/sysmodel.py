@@ -281,8 +281,8 @@ def _point_response(sys: StateSpace, s: complex) -> np.ndarray:
 
     An error system returns the difference of its two parts' responses. A
     static system (_static) returns D as complex data, as every other system
-    does, so a probe round that mixes it with dynamic systems reduces all
-    of them in one arithmetic, bit for bit as alone (see _refined).
+    and _response_stack do, so its probes reduce to sigma_max in the
+    arithmetic of its grid points.
     Any other system calls its cached resolvent (see linalg.resolvent):
     one BLAS trsv per input column on a complex triangular T, or one real
     LAPACK trsyl per input column on a real quasi-triangular T, then one
@@ -301,64 +301,45 @@ def _split(sys: StateSpace) -> tuple:
     return (sys,) if parts is None else (parts[1], parts[0])
 
 
-def _screens(targets) -> tuple:
-    """(poles, tol) for probing targets, each a tuple of parts (see _split).
-
-    Row i of poles holds the poles of target i's parts that are not static
-    (_static), padded with inf; tol[i] is the target's pole tolerance.
-    """
-    rows = [[part.poles for part in parts if not _static(part)] for parts in targets]
-    rows = [np.concatenate(row) if row else np.zeros(0) for row in rows]
-    poles = np.full((len(rows), max([1] + [row.size for row in rows])), np.inf, complex)
-    for padded, row in zip(poles, rows):
-        padded[: row.size] = row
-    return poles, np.array([_pole_tolerance(*parts) for parts in targets])
+def _screen(parts) -> tuple:
+    """(poles, tol) for probing parts (see _split): the poles of the parts
+    that are not static (_static), and their pole tolerance."""
+    poles = [part.poles for part in parts if not _static(part)]
+    return (np.concatenate(poles) if poles else np.zeros(0)), _pole_tolerance(*parts)
 
 
-def _probe(targets, points, poles, tol) -> list:
-    """Screened responses of targets[i] at points[i].
-
-    targets are tuples of parts (see _split) with one p x m shape, points
-    Python complex numbers jw on the imaginary axis, and poles and tol the
-    targets' rows of _screens. All probes are screened against the poles
-    as one array, then each is evaluated by _point_response (one resolvent
-    call per part) and all are checked for finiteness as one array. Raises PoleOnGrid at the
-    first probe, in order, that lies within tolerance of a pole or whose
-    response overflows (a real form's probe that trsyl had to perturb
-    counts as overflowed); probes after a pole hit are not evaluated.
-    """
-    near = np.abs(np.array(points)[:, None] - poles).min(axis=1) < tol
-    stop = int(np.argmax(near)) if near.any() else len(points)
-    responses = []
-    for parts, s in zip(targets[:stop], points[:stop]):
-        resp = _point_response(parts[0], s)
-        responses.append(resp if len(parts) == 1 else resp - _point_response(parts[1], s))
-    if responses:
-        finite = np.isfinite(np.array(responses)).all(axis=(1, 2))
-        if not finite.all():
-            s = points[int(np.argmin(finite))]
-            raise PoleOnGrid(f"response overflowed at s = {s}", omega=s.imag)
-    if stop < len(points):
-        s = points[stop]
-        raise PoleOnGrid(
-            f"evaluation point {s} is within tolerance of a pole", omega=s.imag
-        )
-    return responses
+def _probe(parts, s: complex, poles: np.ndarray, tol: float) -> np.ndarray:
+    """Screened response of parts (see _split) at one point s = jw, poles
+    and tol their _screen. Raises PoleOnGrid within tolerance of a pole,
+    unevaluated, or where the response overflows (a real form's point that
+    trsyl had to perturb included)."""
+    if np.any(np.abs(s - poles) < tol):
+        raise PoleOnGrid(f"evaluation point {s} is within tolerance of a pole", omega=s.imag)
+    resp = _point_response(parts[0], s)
+    if len(parts) > 1:
+        resp = resp - _point_response(parts[1], s)
+    if not np.isfinite(resp).all():
+        raise PoleOnGrid(f"response overflowed at s = {s}", omega=s.imag)
+    return resp
 
 
 def evaluate(sys: StateSpace, omega: float) -> np.ndarray:
-    """Frequency response C (jwI - A)^(-1) B + D: a one-point _probe on the
-    cached Schur form (of each part, for an error system). Raises
-    PoleOnGrid within tolerance of a pole or where the response overflows.
+    """Frequency response C (jwI - A)^(-1) B + D: a _probe on the cached
+    Schur form (of each part, for an error system). Refuses a non-finite
+    omega (DimensionMismatch); raises PoleOnGrid within tolerance of a pole
+    or where the response overflows.
     """
-    targets = [_split(sys)]
-    return _probe(targets, [1j * float(omega)], *_screens(targets))[0]
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise DimensionMismatch(f"frequency must be finite, got {omega}")
+    parts = _split(sys)
+    return _probe(parts, 1j * omega, *_screen(parts))
 
 
 def sigma_max_at(sys: StateSpace, omega: float) -> float:
     """Largest singular value of the response at one frequency, by the one
     sigma_max kernel (_sigma_stack). Refinement does not call it: a refined
-    sweep probes all of its models at once (see _refined)."""
+    sweep probes its parts directly, with no error system (see _refined)."""
     return float(_sigma_stack(evaluate(sys, omega)[None])[0])
 
 
@@ -476,12 +457,12 @@ _REFINE_REL_TOL = 1e-6
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _peak_search(a: float, fa: float, x: float, fx: float, b: float, fb: float):
-    """Maximize sigma_max on [a, b] from its grid samples (a, fa), (x, fx),
-    (b, fb): x the grid peak, a and b its nearest finite neighbours (x
-    itself on the grid's edge). A generator: it yields one probe frequency
-    per round, is sent its sigma_max, and returns the best sample (w, v),
-    a grid sample where no probe beat it.
+def _peak_search(f, a: float, fa: float, x: float, fx: float, b: float, fb: float):
+    """Maximize f, sigma_max at a frequency, on [a, b] from its grid
+    samples (a, fa), (x, fx), (b, fb): x the grid peak, a and b its
+    nearest finite neighbours (x itself on the grid's edge). Calls f once
+    per probe and returns the best sample (w, v), a grid sample where no
+    probe beat it.
 
     With width = _REFINE_REL_TOL * max(1, |a|, |b|), a bracket within width
     is not probed. An edge peak (x = a or b) probes the point width inside
@@ -499,7 +480,7 @@ def _peak_search(a: float, fa: float, x: float, fx: float, b: float, fb: float):
         if b - a <= width:
             return x, fx
         inner = x + width if x == a else x - width
-        f_inner = yield inner
+        f_inner = f(inner)
         if f_inner <= fx:
             return x, fx
         v, fv = (b, fb) if x == a else (a, fa)
@@ -530,7 +511,7 @@ def _peak_search(a: float, fa: float, x: float, fx: float, b: float, fb: float):
             e = a - x if x >= m else b - x
             d = _CGOLD * e
         u = x + (d if abs(d) >= tol else (tol if d >= 0.0 else -tol))
-        fu = yield u
+        fu = f(u)
         if fu >= fx:
             a, b = (x, b) if u >= x else (a, x)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -579,46 +560,34 @@ def _grid_report(grid, bad, responses, on_pole) -> SweepReport:
 
 
 def _refined(reports: list, targets: list) -> list:
-    """reports, updated in place, with every peak sharpened by its own
-    _peak_search, all run in lockstep.
+    """reports, updated in place, with each peak sharpened by its own
+    _peak_search, run to the end, one report after another.
 
     targets[i] is report i's swept system as a tuple of parts (see _split),
-    or None to leave report i as it is. A peak moves to its search's best
-    sample only where that exceeds the grid peak. Each round's probe of
-    every search still running is screened by one _probe call and reduced
-    by one sigma_max kernel call. A search's arithmetic is its own, so its
-    result does not depend on the others; only which probe raises first
-    (in _probe's order) can.
+    or None to leave report i as it is. Each probe is one _probe of the
+    parts, screened against their poles, reduced by the sigma_max kernel,
+    so the first probe in order that meets a pole or overflows raises. A
+    peak moves to its search's best sample only where that exceeds the
+    grid peak.
     """
-    picks, searches = [], []
     for i, (rep, parts) in enumerate(zip(reports, targets)):
         if parts is None or math.isnan(rep.peak_value):
             continue
         finite = np.flatnonzero(~np.isnan(rep.sigma_max))
         j = int(np.searchsorted(rep.grid.points[finite], rep.peak_frequency))
         k = finite[[max(j - 1, 0), j, min(j + 1, finite.size - 1)]]
-        if k[2] > k[0]:
-            samples = np.stack([rep.grid.points[k], rep.sigma_max[k]], axis=1)
-            picks.append(i)
-            searches.append(_peak_search(*samples.ravel().tolist()))
-    poles, tol = _screens([targets[i] for i in picks])
-    sent = dict.fromkeys(range(len(picks)))
-    while True:
-        asked = {}
-        for row, value in sent.items():
-            try:
-                asked[row] = searches[row].send(value)
-            except StopIteration as done:
-                (w, v), i = done.value, picks[row]
-                if v > reports[i].peak_value:
-                    reports[i] = replace(reports[i], peak_value=v, peak_frequency=w)
-        if not asked:
-            return reports
-        rows = list(asked)
-        parts = [targets[picks[row]] for row in rows]
-        points = [1j * w for w in asked.values()]
-        sig = _sigma_stack(np.array(_probe(parts, points, poles[rows], tol[rows])))
-        sent = dict(zip(rows, sig.tolist()))
+        if k[2] == k[0]:
+            continue
+        screen = _screen(parts)
+
+        def f(w):
+            return float(_sigma_stack(_probe(parts, 1j * w, *screen)[None])[0])
+
+        samples = np.stack([rep.grid.points[k], rep.sigma_max[k]], axis=1)
+        w, v = _peak_search(f, *samples.ravel().tolist())
+        if v > rep.peak_value:
+            reports[i] = replace(rep, peak_value=v, peak_frequency=w)
+    return reports
 
 
 def sweep(
@@ -670,13 +639,13 @@ def error_sweeps(
     left, and is subtracted from the plant's responses there. A None model
     stands for the plant itself and gets the plant's own grid report from
     the same responses, never refined.
-    With refine=True the peaks of all models are refined together by one
-    lockstep search (_refined): each round probes every model still
-    searching, plant minus model at one point each, and reduces all of the
-    probes by one sigma_max kernel call. Every model's grid report is made,
-    in order, before any probe, so under on_pole="raise" the first model
-    with a pole (or an overflow) on the grid raises, and a probe that hits
-    a pole or overflows raises only after every grid has passed.
+    With refine=True each model's peak is then refined by its own search
+    (_refined), model after model, each probe the plant minus the model at
+    one point. Every model's grid report is made, in order, before any
+    probe, so under on_pole="raise" the first model with a pole (or an
+    overflow) on the grid raises, and a probe that hits a pole or
+    overflows raises only after every grid has passed: the first model, in
+    order, whose search meets one.
     """
     _check_on_pole(on_pole)
     s_points = 1j * grid.points

@@ -383,8 +383,7 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 def peak_search(f: Callable[[float], float], a, fa, x, fx, b, fb, rel_tol=1e-6):
     """Maximize f on [a, b] from the grid samples (a, fa), (x, fx), (b, fb),
     x the grid peak (x = a or x = b at the grid's edge); returns the best
-    sample. One probe at a time, in the order fdbt's lockstep search makes
-    them.
+    sample. One probe at a time, in the order fdbt's search makes them.
 
     A bracket within width = rel_tol * max(1, |a|, |b|) is not probed. An
     edge peak probes the point width inside the edge and keeps the edge's

@@ -12,8 +12,10 @@ from fdbt import (
     InvalidParameters,
     NotHurwitz,
     OrderOutOfRange,
+    PoleOnGrid,
     StateSpace,
     band_gramians,
+    error_sweeps,
     error_system,
     evaluate,
     fgbt_reduce,
@@ -114,6 +116,21 @@ class TestFibt:
     def test_order_validated(self):
         with pytest.raises(OrderOutOfRange):
             fibt_reduce(random_stable(127, 3), 0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PoleOnGrid,
+        reason="truncating a model whose controllability Gramian is zero keeps a "
+        "zero block, A_r = [[0]], a pole at w = 0 though the reduced response is D "
+        "(the FOUND line in CHANGES.md); ROADMAP item 6 truncates from the "
+        "leading factors",
+    )
+    def test_zero_gramian_truncation_sweeps_as_its_response(self):
+        # the plant responds D = 0.5 everywhere, and so does its truncation
+        sys = StateSpace(np.diag([-1.0, -2.0, -3.0]), np.zeros((3, 1)), np.ones((1, 3)), [[0.5]])
+        reduced = fibt_reduce(sys, 1).reduced
+        (rep,) = error_sweeps(sys, [reduced], FrequencyGrid.linear(-1.0, 1.0, 5))
+        assert rep.peak_value == 0.0
 
 
 class TestGspa:

@@ -113,8 +113,8 @@ def test_every_method_stays_in_one_pool(one_pool):
 
 
 def test_lockstep_refinement_stays_in_one_pool(one_pool):
-    # six models of a 2-input, 3-output plant, all refined together: the
-    # probes' p x m SVDs stay on numpy, every solve on scipy's BLAS
+    # six models of a 2-input, 3-output plant, each peak refined by its own
+    # search: the probes' p x m SVDs stay on numpy, every solve on scipy's BLAS
     rng = np.random.default_rng(118)
     a = rng.standard_normal((20, 20))
     a -= (np.max(scipy.linalg.eigvals(a).real) + 0.3) * np.eye(20)

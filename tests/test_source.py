@@ -276,3 +276,13 @@ def test_one_home_per_rule():
     spec = top_level("harness.py", "RandomModelSpec")
     fields = [n.target.id for n in spec.body if isinstance(n, ast.AnnAssign)]
     assert fields == ["n", "seed", "count"]
+
+
+def test_one_search_per_peak():
+    # each refined peak runs its own Brent search to the end, calling its
+    # probe function f: no generator protocol and no padded pole rows
+    tree = ast.parse((SRC / "sysmodel.py").read_text(), filename="sysmodel.py")
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(tree))
+    assert "_screens" not in _defined_names("sysmodel.py")
+    (search,) = [node for node in tree.body if getattr(node, "name", None) == "_peak_search"]
+    assert search.args.args[0].arg == "f"

@@ -186,6 +186,15 @@ class TestEvaluation:
             sigma_max_at(_oscillator(), 1.0)
         assert info.value.omega == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kernel", [evaluate, sigma_max_at])
+    def test_non_finite_frequency_is_refused(self, kernel, omega):
+        # not a pole: an invalid input, refused as FrequencyGrid refuses one
+        sys = generate_ladder(5)
+        for target in (sys, error_system(sys, fibt_reduce(sys, 2).reduced)):
+            with pytest.raises(DimensionMismatch, match="frequency must be finite"):
+                kernel(target, omega)
+
     def test_error_system_is_the_difference(self):
         full = random_stable(6, 5)
         red = random_stable(7, 2)
@@ -947,8 +956,9 @@ def _constant_model(m, p, d):
 
 
 class TestLockstepRefinement:
-    """error_sweeps refines every model's peak in one lockstep search; each
-    peak must be bitwise the scalar search's (tests/oracles.py)."""
+    """error_sweeps refines each model's peak by its own search, model
+    after model; each peak must be bitwise the scalar search's
+    (tests/oracles.py), alone or in a batch."""
 
     def _check(self, full, models, grid, on_pole="skip"):
         """Compare every refined report with the oracle; return the reports
@@ -1019,19 +1029,16 @@ class TestLockstepRefinement:
             for grid in (FrequencyGrid.explicit([-h, 0.0, h]), FrequencyGrid.explicit([-h, h])):
                 samples = _samples(sweep(low, grid))
                 got, want = [], []
-                search = sysmodel._peak_search(*samples)
-                try:
-                    w = next(search)
-                    while True:
-                        got.append(w)
-                        w = search.send(sigma_max_at(low, w))
-                except StopIteration as done:
-                    result = done.value
+
+                def probe(w):
+                    got.append(w)
+                    return sigma_max_at(low, w)
 
                 def f(w):
                     want.append(w)
                     return orc.sigma_max_at(low, w)
 
+                result = sysmodel._peak_search(probe, *samples)
                 assert _peak_bytes(*result) == _peak_bytes(*orc.peak_search(f, *samples))
                 assert got == want and len(got) >= 2
                 self._check(zero, [low, low], grid)
@@ -1071,7 +1078,7 @@ class TestLockstepRefinement:
         )
         assert rep.peak_value > np.nanmax(rep.sigma_max)
 
-    def test_one_kernel_call_per_search_round(self, monkeypatch):
+    def test_one_kernel_call_per_grid_and_per_probe(self, monkeypatch):
         # the experiment's batch: 9 models of a 4-state plant over one band
         full = random_stable(117, 4)
         band = (-0.5, 0.5)
@@ -1088,7 +1095,6 @@ class TestLockstepRefinement:
         # an edge peak whose sigma_max falls away from the edge costs one
         # probe, the point inside the edge
         assert sum(edge) == 6 and all(c == 1 for c, e in zip(counts, edge) if e)
-        rounds = max(counts)
         kernel_calls, probes = [], []
         kernel, point = sysmodel._sigma_stack, sysmodel._point_response
 
@@ -1105,16 +1111,13 @@ class TestLockstepRefinement:
         monkeypatch.setattr(sysmodel, "sigma_max_at", lambda *a: pytest.fail("probe"))
         monkeypatch.setattr(sysmodel, "error_system", lambda *a: pytest.fail("stacked"))
         error_sweeps(full, models, grid, refine=True, on_pole="skip")
-        # one call per model's grid, then one per round of the search
-        assert kernel_calls[:9] == [512] * 9
-        assert len(kernel_calls) == 9 + rounds
-        assert kernel_calls[9] == 9
-        assert sum(kernel_calls[9:]) == sum(counts)
-        # each probe evaluates the plant and the model, as one at a time;
-        # the golden-section search this one replaced made 372 point
-        # responses in 19 rounds on this batch
+        # one call per model's grid, then one per probe
+        assert kernel_calls == [512] * 9 + [1] * sum(counts)
+        # each probe evaluates the plant and the model once; the
+        # golden-section search this one replaced made 372 point responses
+        # on this batch, and up to 19 probes in one model's search
         assert len(probes) == 2 * sum(counts) <= 372 // 2
-        assert rounds <= 19 // 2
+        assert max(counts) <= 19 // 2
 
     def test_refined_sweep_of_a_static_plant(self):
         # n = 0: every grid point and every probe is D (as complex data), so
@@ -1231,13 +1234,12 @@ class TestProbeErrors:
                 with pytest.raises(PoleOnGrid, match=match) as got:
                     error_sweeps(full, models, grid, refine=True, on_pole=on_pole)
             scalar = [self._scalar_raise(error_system(full, red), grid) for red in models]
-        # the first round any probe raises in (one probe per model a
-        # round), and its first model
-        rounds = [index for index, _, _ in scalar]
-        _, message, omega = scalar[rounds.index(min(rounds))]
+        # each search runs to its end before the next model's starts, so
+        # the first model's search raises, whichever meets a pole soonest
+        _, message, omega = scalar[0]
         assert (str(got.value), got.value.omega) == (message, omega)
         assert omega not in grid.points and abs(omega - 1.0) < 0.04
-        return rounds
+        return [index for index, _, _ in scalar]
 
     def test_probe_within_widened_tolerance(self, monkeypatch):
         plant = self._resonant()
@@ -1248,9 +1250,11 @@ class TestProbeErrors:
             sysmodel, "_pole_tolerance", lambda *parts: 0.04 if parts[-1] is wide else 1e-3
         )
         models = [_empty_model(1, 1, [[0.0]]), fibt_reduce(plant, 1).reduced, wide]
-        rounds = self._check(plant, models, self.GRID, "within tolerance of a pole")
-        # a later model raises first: its probe comes in an earlier round
-        assert rounds.index(min(rounds)) == 2 and rounds[0] > rounds[2]
+        probes = self._check(plant, models, self.GRID, "within tolerance of a pole")
+        # the first model raises, though the last one's search meets its
+        # pole in fewer probes; in reverse order the last one raises
+        assert probes[0] > probes[2]
+        self._check(plant, models[::-1], self.GRID, "within tolerance of a pole")
         self._check(plant, models[:2], self.GRID, "within tolerance of a pole")
         with pytest.raises(PoleOnGrid, match="within tolerance") as info:
             sweep(plant, self.GRID, refine=True)
