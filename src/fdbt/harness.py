@@ -31,7 +31,7 @@ from .baselines import (
 from .errors import ConvergenceFailure, FdbtError, InvalidParameters
 from .interval import IntervalConfig, interval_truncate, prepare_interval
 from .reduction import ReductionResult
-from .sf import SfConfig, epsilon_sweep, sf_reduce
+from .sf import SfConfig, epsilon_sweep, prepare_sf, sf_truncate
 from .sysmodel import (
     FrequencyGrid,
     StateSpace,
@@ -701,7 +701,8 @@ def _ex1() -> _Example:
         label = f"gspa_rho{rho:g}".replace(".", "p")
         reduce[label] = partial(_truncated, gspa_truncate, standard, rho=rho)
     for eps in EX1_SF_EPSILONS:
-        reduce[f"sf_eps{eps:g}".replace(".", "p")] = partial(sf_reduce, sys, SfConfig(0.0, eps))
+        sf = _prepared(prepare_sf, sys, SfConfig(0.0, eps))
+        reduce[f"sf_eps{eps:g}".replace(".", "p")] = partial(_truncated, sf_truncate, sf)
     methods = tuple(_Method(label, (3,), fn, ("err0",), ef=True) for label, fn in reduce.items())
     sf_3_5 = [f"err0_sf_eps{e:g}".replace(".", "p") for e in EX1_SF_EPSILONS if 3.0 <= e <= 5.0]
     return _Example(
@@ -747,12 +748,13 @@ def _ex3_case1() -> _Example:
     standard = _prepared(prepare_standard, sys)
     # nothing here reads ef, and whether it is computed hangs on a stability
     # verdict rounding decides; the shift-point bound is the one of record
-    sf = partial(sf_reduce, sys, SfConfig(0.0, LADDER_SF_EPSILON), with_ef_bound=False)
+    sf = _prepared(prepare_sf, sys, SfConfig(0.0, LADDER_SF_EPSILON))
+    sf_fdbt = partial(_truncated, sf_truncate, sf, with_ef_bound=False)
     both, baseline = ("err0", "peak_nbhd"), (LADDER_BASELINE_ORDER,)
     methods = (
         _Method("fibt_r181", baseline, partial(_truncated, fibt_truncate, standard), both, True),
         _Method("gspa_r181", baseline, partial(_truncated, gspa_truncate, standard), both),
-        _Method("sf_r51", (LADDER_SF_ORDER,), sf, both),
+        _Method("sf_r51", (LADDER_SF_ORDER,), sf_fdbt, both),
     )
     return _Example(
         "ex3_case1", sys, methods, FrequencyGrid.linear(-2.0, 2.0, LADDER_GRID_POINTS),

@@ -1,21 +1,22 @@
 """Balanced truncation anchored at a single frequency (the "sf" method).
 
-The original realization is substituted through the linear-fractional
-frequency map s -> j varpi + epsilon (s - j varpi)/(s - j varpi + epsilon),
-damped by epsilon > 0 and fixing the anchor j varpi, balanced and truncated
-there, then mapped back through the inverse map (sysmodel.moebius_realization
-realizes both). Twice the truncated tail of the substituted singular values
-bounds the error at the anchor frequency itself; adding two whole-axis
-sweep terms extends it to an entire-frequency bound. The substitution also
+prepare_sf substitutes the original realization through the frequency map
+s -> j varpi + epsilon (s - j varpi)/(s - j varpi + epsilon), damped by
+epsilon > 0 and fixing the anchor j varpi, and balances it there, once per
+system and anchor; sf_truncate keeps the leading states and maps them back
+through the inverse map (sysmodel.moebius_realization realizes both). Twice
+the truncated tail of the substituted singular values bounds the error at
+the anchor itself; two whole-axis sweep terms, the first the prepared
+record's, extend it to an entire-frequency bound. The substitution also
 stabilizes: for an unstable pole there is a computable epsilon cap below
-which the substituted system is Hurwitz, so unstable plants can be reduced
-at the anchor too.
+which the substituted system is Hurwitz, so unstable plants reduce too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,11 +107,7 @@ def stability_epsilon_cap(sys: StateSpace, varpi: float) -> float:
 
 
 def sf_gramians(ext: Extended) -> Balanced:
-    """The substituted system balanced on its standard Gramian pair.
-
-    sigma holds the substituted singular values in non-increasing order,
-    and .sys is the substituted realization in their balanced coordinates.
-    """
+    """The substituted system balanced on its standard Gramian pair."""
     if not is_hurwitz(ext.sys).stable:
         raise NotHurwitz("substituted system is not Hurwitz; see stability_epsilon_cap")
     return prepare_standard(ext.sys)
@@ -136,29 +133,61 @@ def sf_bound(gram: Balanced, r: int) -> float:
     return tail_bound(gram.sigma, r)
 
 
-def sf_ef_bound(
-    sys: StateSpace, ext: Extended, reduced: StateSpace, gram: Balanced, r: int
-) -> float:
+@dataclass(frozen=True, eq=False)
+class SfBalanced:
+    """The order-independent part of sf-fdbt for one system and anchor: the
+    input, its substituted realization (Hurwitz, as sf_gramians found) and
+    that realization balanced. _gap, the ef bound's full gap ||G - ext.sys||,
+    is shared by every order sf_truncate cuts from the record.
+    """
+
+    sys: StateSpace
+    ext: Extended
+    gram: Balanced
+
+    @cached_property
+    def _gap(self) -> float:
+        return hinf_estimate(error_system(self.sys, self.ext.sys))[0]
+
+
+def prepare_sf(sys: StateSpace, cfg: SfConfig) -> SfBalanced:
+    """Everything sf-fdbt computes before it picks an order (SfBalanced)."""
+    ext = build_sf_extended(sys, cfg)
+    return SfBalanced(sys, ext, sf_gramians(ext))
+
+
+def sf_truncate(prep: SfBalanced, r: int, with_ef_bound: bool = True) -> ReductionResult:
+    """Reduce a prepared system and anchor to order r (see sf_reduce)."""
+    r = check_order(r, prep.sys.n)
+    reduced = invert_sf_extension(leading_block(prep.gram.sys, r), prep.ext.config)
+    bounds, notes = {"sf": sf_bound(prep.gram, r)}, ()
+    if with_ef_bound:
+        try:
+            bounds["ef"] = sf_ef_bound(prep, reduced, r)
+        except (NotHurwitz, PoleOnGrid) as exc:
+            notes = (f"ef bound unavailable: {exc}",)
+    return truncation_result(prep.gram, "sf-fdbt", reduced, bounds, notes)
+
+
+def sf_ef_bound(prep: SfBalanced, reduced: StateSpace, r: int) -> float:
     """Entire-frequency bound: anchor tail plus two whole-axis sweep terms.
 
-    ext is sys's substituted realization and gram its balancing; reduced is
-    invert_sf_extension(trunc, ext.config), trunc = leading_block(gram.sys, r),
-    as sf_reduce builds it. The bound is the triangle inequality
+    reduced is trunc = leading_block(prep.gram.sys, r) mapped back, as
+    sf_truncate builds it. The bound is the triangle inequality
     ||G - reduced|| <= ||G - ext.sys|| + ||ext.sys - trunc|| + ||trunc - reduced||,
     whose middle term, trunc being ext.sys balanced and truncated, is at most
     the tail. The outer terms are dense-grid (lower) estimates of whole-axis
-    sups; all four systems must be Hurwitz (NotHurwitz).
+    sups, the first prep._gap; G, reduced and trunc must be Hurwitz.
     """
-    for label, g in (("original", sys), ("reduced", reduced)):
+    for label, g in (("original", prep.sys), ("reduced", reduced)):
         if not is_hurwitz(g).stable:
             raise NotHurwitz(f"{label} system is not Hurwitz; whole-axis sup undefined")
-    trunc = leading_block(gram.sys, r)
-    for label, g in (("substituted original", ext.sys), ("substituted reduced", trunc)):
-        if not is_hurwitz(g).stable:
-            raise NotHurwitz(f"{label} system is not Hurwitz")
-    gap_full, _ = hinf_estimate(error_system(sys, ext.sys))
+    trunc = leading_block(prep.gram.sys, r)
+    if not is_hurwitz(trunc).stable:
+        raise NotHurwitz("substituted reduced system is not Hurwitz")
+    gap_full = prep._gap
     gap_red, _ = hinf_estimate(error_system(reduced, trunc))
-    return tail_bound(gram.sigma, r) + gap_full + gap_red
+    return tail_bound(prep.gram.sigma, r) + gap_full + gap_red
 
 
 def sf_reduce(
@@ -166,24 +195,15 @@ def sf_reduce(
 ) -> ReductionResult:
     """Reduce to order r with the single-frequency method.
 
-    Substitute, balance, keep the leading r states, map back. r = n is
-    allowed and returns a realization response-identical to the input.
-    The anchor bound is always attached; the entire-frequency bound only
-    when sf_ef_bound can compute it (otherwise a warning carries its
-    refusal, and the reduction stands).
+    Substitute, balance, keep the leading r states, map back: this is
+    sf_truncate(prepare_sf(sys, cfg), r, ...), so reducing one system and
+    anchor at several orders should prepare once. r = n returns a model
+    response-identical to the input. The anchor bound is always attached;
+    the entire-frequency bound only when sf_ef_bound can compute it
+    (otherwise a warning carries its refusal, and the reduction stands).
     """
-    r = check_order(r, sys.n)
-    ext = build_sf_extended(sys, cfg)
-    gram = sf_gramians(ext)
-    reduced = invert_sf_extension(leading_block(gram.sys, r), cfg)
-
-    bounds, notes = {"sf": sf_bound(gram, r)}, ()
-    if with_ef_bound:
-        try:
-            bounds["ef"] = sf_ef_bound(sys, ext, reduced, gram, r)
-        except (NotHurwitz, PoleOnGrid) as exc:
-            notes = (f"ef bound unavailable: {exc}",)
-    return truncation_result(gram, "sf-fdbt", reduced, bounds, notes)
+    check_order(r, sys.n)
+    return sf_truncate(prepare_sf(sys, cfg), r, with_ef_bound)
 
 
 @dataclass(frozen=True)
@@ -206,17 +226,10 @@ def epsilon_sweep(sys: StateSpace, varpi: float, r: int, epsilons) -> list:
     rows = []
     for eps in epsilons:
         try:
-            cfg = SfConfig(varpi=varpi, epsilon=float(eps))
-            result = sf_reduce(sys, cfg, r, with_ef_bound=True)
+            result = sf_reduce(sys, SfConfig(varpi=varpi, epsilon=float(eps)), r)
         except FdbtError as exc:
             rows.append(EpsilonRow(float(eps), None, None, note=str(exc)))
-            continue
-        rows.append(
-            EpsilonRow(
-                float(eps),
-                result.bounds.get("sf"),
-                result.bounds.get("ef"),
-                note="; ".join(result.warnings),
-            )
-        )
+        else:
+            bounds, note = result.bounds, "; ".join(result.warnings)
+            rows.append(EpsilonRow(float(eps), bounds["sf"], bounds.get("ef"), note))
     return rows

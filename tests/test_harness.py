@@ -49,6 +49,7 @@ from fdbt.harness import (
     EXPERIMENT_HALF_WIDTHS,
     EXPERIMENT_ORDERS,
     ModelCellRecord,
+    _beats,
     _dc_reports,
     _truncated,
 )
@@ -90,6 +91,21 @@ class TestVerifyBound:
         )
         rec = verify_bound(sys, doctored, FrequencyGrid.linear(-2, 2, 101), "ef")
         assert not rec.passed and rec.margin < 0
+
+    def test_slack_covers_rounding_only(self):
+        # a bound 1e-9 below its peak passes, one 1e-6 relative below fails
+        sys = random_stable(203, 4)
+        res = fibt_reduce(sys, 2)
+        grid = FrequencyGrid.linear(-2, 2, 101)
+        peak = verify_bound(sys, res, grid, "ef").peak
+        for bound, passed in ((peak - 1e-9, True), (peak * (1.0 - 1e-6), False)):
+            assert verify_bound(sys, replace(res, bounds={"ef": bound}), grid).passed is passed
+
+
+def test_a_win_is_a_lower_peak_up_to_rounding():
+    # or any peak against a competitor that is not Hurwitz
+    assert _beats(1.0 + 1e-9, 1.0) and not _beats(1.0 + 1e-6, 1.0)
+    assert _beats(2.0, 1.0, other_stable=0.0)
 
 
 class TestRandomModels:
@@ -527,7 +543,7 @@ class TestEvaluatedOncePerGrid:
     def test_bundles_measure_by_error_sweeps_alone(self, monkeypatch, name, counted):
         # no stacked error system and no single-point probe: every number is
         # an error_sweeps report (ex1's sf-fdbt ef bounds still build their
-        # gap error systems in sf.sf_ef_bound, so only probes count there)
+        # gap error systems in fdbt.sf, so only probes count there)
         _scaled_ladder(monkeypatch)
         calls = []
         for fn_name in counted:
@@ -646,8 +662,8 @@ class TestOneFailureRule:
 
     def test_ex1_one_sf_epsilon(self, bundles, monkeypatch, capsys, tmp_path):
         reference = bundles.get("ex1")
-        monkeypatch.setattr(fdbt.harness, "sf_reduce", _planted(
-            fdbt.harness.sf_reduce, lambda sys, cfg, r: cfg.epsilon == 4.0
+        monkeypatch.setattr(fdbt.harness, "sf_truncate", _planted(
+            fdbt.harness.sf_truncate, lambda prep, r: prep.ext.config.epsilon == 4.0
         ))
         bundle = reproduce_example("ex1")
         failed = [("sf_eps4", 3, "error_sf_eps4_r3", ["err0_sf_eps4"])]
@@ -713,7 +729,7 @@ class TestOneFailureRule:
 
     def test_every_method_of_ex1(self, bundles, monkeypatch, capsys, tmp_path):
         reference = bundles.get("ex1")
-        for name in ("fibt_truncate", "gspa_truncate", "sf_reduce"):
+        for name in ("fibt_truncate", "gspa_truncate", "sf_truncate"):
             monkeypatch.setattr(fdbt.harness, name, _planted(getattr(fdbt.harness, name)))
         bundle = reproduce_example("ex1")
         labels = [key.removeprefix("err0_") for key in reference.values]
@@ -1021,7 +1037,7 @@ class TestBundles:
         "ROADMAP item 1 marks such orders",
     )
     def test_ex3_case1_marks_the_sf_order_below_rank(self, bundles):
-        # sf_reduce warns that order 51 keeps directions below numerical rank
+        # sf_truncate warns that order 51 keeps directions below numerical rank
         rank = re.compile(r"order 51 keeps \d+ directions below numerical rank")
         assert any(rank.search(note) for note in bundles.get("ex3_case1").notes)
 

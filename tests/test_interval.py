@@ -32,6 +32,7 @@ from fdbt import (
     evaluate,
     example_fixture,
     generate_ladder,
+    hinf_estimate,
     interval_bound,
     interval_ef_bound,
     interval_eta,
@@ -44,7 +45,7 @@ from fdbt import (
 )
 from fdbt.baselines import prepare_standard
 from fdbt.linalg import check_off_branch_cut, rank_cutoff
-from fdbt.reduction import Balanced
+from fdbt.reduction import Balanced, tail_bound
 from fdbt.interval import (
     IntervalBalanced,
     _band_factors,
@@ -725,6 +726,30 @@ class TestEfBound:
         res = interval_reduce(sys, cfg, 2, with_ef_bound=False)
         val = interval_ef_bound(prepare_interval(sys, cfg), res.reduced, 2)
         assert val >= res.bounds["interval"] - 1e-12
+
+    @pytest.mark.parametrize(
+        "seed, band, term",
+        [
+            (65, (-0.5, 0.5), "reduced gap"),  # peak 1.5x the others
+            (12, (-5.0, 5.0), "tail"),  # 33x
+            (45, (-0.5, 0.5), "full gap"),  # 44x
+        ],
+    )
+    def test_ef_bound_needs_every_term(self, seed, band, term):
+        # the error peak (a grid lower estimate of the whole-axis sup) is
+        # within 10% of ef = tail + full gap + reduced gap and above the sum
+        # of the other two terms at r = 1: ef scaled by 0.7, or without this
+        # term, would fall below it
+        sys = random_stable(seed, 8)
+        prep = prepare_interval(sys, IntervalConfig(*band))
+        res = interval_truncate(prep, 1)
+        ef = res.bounds["ef"]
+        tail, full = tail_bound(prep.gram.sigma, 1), prep._gap
+        terms = {"tail": tail, "full gap": full, "reduced gap": ef - tail - full}
+        peak, _ = hinf_estimate(error_system(sys, res.reduced))
+        assert res.warnings == ()
+        assert 0.9 * ef <= peak <= ef
+        assert peak > ef - terms[term]
 
     def test_reduced_system_that_is_not_hurwitz_refused(self):
         prep = prepare_interval(random_stable(108, 4), IntervalConfig(-0.5, 0.5))

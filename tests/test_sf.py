@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fdbt.sf
 import oracles as orc
 from helpers import random_stable, random_unstable, response_gap
 from fdbt import (
@@ -19,6 +20,7 @@ from fdbt import (
     evaluate,
     example_fixture,
     generate_ladder,
+    hinf_estimate,
     invert_sf_extension,
     is_hurwitz,
     leading_block,
@@ -30,6 +32,8 @@ from fdbt import (
     stability_epsilon_cap,
     sweep,
 )
+from fdbt.reduction import tail_bound
+from fdbt.sf import prepare_sf, sf_truncate
 
 SCALAR = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 
@@ -216,12 +220,50 @@ class TestReduce:
                 got = evaluate(again.sys, w)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (r, w)
 
+    @pytest.mark.parametrize(
+        "seed, complex_entries, cfg, r, term",
+        [
+            (8, True, SfConfig(-1.3, 3.0), 3, "reduced gap"),  # peak 37x the others
+            (12, False, SfConfig(0.0, 10.0), 1, "tail"),  # 12x
+            (22, False, SfConfig(0.0, 1.0), 1, "full gap"),  # 10x
+        ],
+    )
+    def test_ef_bound_needs_every_term(self, seed, complex_entries, cfg, r, term):
+        # the error peak (a grid lower estimate of the whole-axis sup) is
+        # within 10% of ef = tail + full gap + reduced gap and above the sum
+        # of the other two terms: ef scaled by 0.7, or without this term,
+        # would fall below it
+        sys = random_stable(seed, 8, complex_entries=complex_entries)
+        prep = prepare_sf(sys, cfg)
+        res = sf_truncate(prep, r)
+        ef = res.bounds["ef"]
+        tail, full = tail_bound(prep.gram.sigma, r), prep._gap
+        terms = {"tail": tail, "full gap": full, "reduced gap": ef - tail - full}
+        peak, _ = hinf_estimate(error_system(sys, res.reduced))
+        assert res.warnings == ()
+        assert 0.9 * ef <= peak <= ef
+        assert peak > ef - terms[term]
+
+    def test_full_gap_estimated_once_per_record(self, monkeypatch):
+        # k orders of one record take k + 1 estimates, and each bound is
+        # bit for bit sf_reduce's
+        calls, real = [], fdbt.sf.hinf_estimate
+        monkeypatch.setattr(fdbt.sf, "hinf_estimate", lambda g: calls.append(g) or real(g))
+        sys, cfg, orders = random_stable(62, 8), SfConfig(0.4, 1.5), (2, 4, 6)
+        prep = prepare_sf(sys, cfg)
+        got = [sf_truncate(prep, r) for r in orders]
+        assert len(calls) == len(orders) + 1
+        for r, res in zip(orders, got):
+            want = sf_reduce(sys, cfg, r)
+            assert set(res.bounds) == {"sf", "ef"}
+            for key, value in want.bounds.items():
+                assert np.float64(res.bounds[key]).tobytes() == np.float64(value).tobytes()
+
     def test_ef_bound_refuses_a_reduced_system_that_is_not_hurwitz(self):
-        sys = random_stable(62, 5)
-        ext = build_sf_extended(sys, SfConfig(varpi=0.0, epsilon=1.0))
+        prep = prepare_sf(random_stable(62, 5), SfConfig(varpi=0.0, epsilon=1.0))
         unstable = StateSpace(np.diag([0.5, -1.0]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
         with pytest.raises(NotHurwitz, match="^reduced system is not Hurwitz"):
-            sf_ef_bound(sys, ext, unstable, sf_gramians(ext), 2)
+            sf_ef_bound(prep, unstable, 2)
 
     def test_order_out_of_range(self):
         sys = random_stable(63, 3)

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import json
 import pathlib
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fdbt"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+MUTANTS = SRC.parent.parent / "tools" / "mutants.json"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -246,6 +248,11 @@ def test_ef_gaps_belong_to_their_methods():
     assert "build_sf_extended" not in _called_names("sf.py", "sf_ef_bound")
 
 
+def test_sf_fdbt_is_a_prepare_step_and_a_truncate_step():
+    # as int-fdbt: one record per system and anchor, truncated per order
+    assert _called_names("sf.py", "sf_reduce") == {"check_order", "prepare_sf", "sf_truncate"}
+
+
 def test_the_experiment_measures_on_the_one_reproduction_path():
     # the experiment's cells are the harness constants, and each band's
     # runs are run, swept and failed by _measured, as the examples' are
@@ -264,7 +271,7 @@ def test_one_home_per_rule():
     # each reduction leaves its ef bound's stability question to the bound,
     # a response without inputs or outputs is sysmodel._static's answer,
     # not the resolvent's, and the experiment's model law is its constants
-    assert "is_hurwitz" not in _called_names("sf.py", "sf_reduce")
+    assert "is_hurwitz" not in _called_names("sf.py", "sf_truncate")
     assert "is_hurwitz" not in _called_names("interval.py", "interval_truncate")
     def top_level(module, name):
         tree = ast.parse((SRC / module).read_text(), filename=module)
@@ -286,3 +293,17 @@ def test_one_search_per_peak():
     assert "_screens" not in _defined_names("sysmodel.py")
     (search,) = [node for node in tree.body if getattr(node, "name", None) == "_peak_search"]
     assert search.args.args[0].arg == "f"
+
+
+def test_every_mutant_names_one_place_in_src():
+    # tools/mutants.py replaces each entry's text in a copy of the tree: a
+    # text that no longer occurs exactly once would mutate nothing, or the
+    # wrong place, and the mutant would prove nothing
+    mutants = json.loads(MUTANTS.read_text())
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    root = SRC.parent.parent
+    assert len({m["name"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m["find"] != m["replace"] and m["breaks"], m["name"]
+        assert (root / m["file"]).read_text().count(m["find"]) == 1, m["name"]
+        assert sum(text.count(m["find"]) for text in sources) == 1, m["name"]

@@ -444,6 +444,9 @@ class TestWholeAxisEstimate:
         assert val == pytest.approx(2.0 + 1e-3, rel=1e-3)
         # the estimate must never undershoot the w -> inf level
         assert val >= 2.0
+        # G(s) = 1 - 0.5/(s + 1) climbs from 0.5 at w = 0 towards D = 1 and
+        # never reaches it: only the w -> inf candidate gives the sup
+        assert hinf_estimate(StateSpace([[-1.0]], [[1.0]], [[-0.5]], [[1.0]])) == (1.0, np.inf)
 
 
 def _no_io(m, p, kind):
