@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameters, NotHurwitz, SingularResidualization
-from .linalg import gemm, hermitize, log_principal, solve
+from .linalg import SchurForm, gemm, hermitize, log_principal, solve, triangular
 from .reduction import (
     Balanced,
     IntervalConfig,
@@ -111,14 +111,18 @@ def gspa_reduce(sys: StateSpace, r: int, rho: float = 0.0) -> ReductionResult:
     return gspa_truncate(prepare_standard(sys), r, rho)
 
 
-def _log_shift(a: np.ndarray, w: float) -> np.ndarray:
-    """log(j w I - A), principal branch."""
-    return log_principal(1j * w * np.eye(a.shape[0], dtype=complex) - a)
+def _log_shift(a: np.ndarray, form: SchurForm, w: float) -> np.ndarray:
+    """log(j w I - A), principal branch, on A's triangular Schur form
+    A = Z T Z*: j w I - A = Z (j w I - T) Z* has eigenvalues j w - lam."""
+    t, z, lam, _ = form
+    eye = np.eye(a.shape[0])
+    shifted = SchurForm(1j * w * eye - t, z, 1j * w - lam)
+    return log_principal(1j * w * eye - a, shifted)
 
 
-def _band_primitive(a: np.ndarray, w1: float, w2: float) -> np.ndarray:
+def _band_primitive(a: np.ndarray, form: SchurForm, w1: float, w2: float) -> np.ndarray:
     """(1/2pi) integral over [w1, w2] of (j nu I - A)^(-1) d nu, closed form."""
-    return 1j / (2.0 * math.pi) * (_log_shift(a, w1) - _log_shift(a, w2))
+    return 1j / (2.0 * math.pi) * (_log_shift(a, form, w1) - _log_shift(a, form, w2))
 
 
 def band_gramians(sys: StateSpace, w1: float, w2: float):
@@ -133,29 +137,32 @@ def band_gramians(sys: StateSpace, w1: float, w2: float):
     For a real A, log(-j x I - A) = conj(log(j x I - A)), so a band mirrored
     about zero needs the logarithms at its positive edges only, and S is
     real: Im log(j x I - A) / pi for [-x, x], and the difference of two such
-    terms for a one-sided band. The band is validated by IntervalConfig,
-    the rule int-fdbt applies too. Either Gramian may come out indefinite;
-    the pair is returned as computed, and balancing it (prepare_band)
-    raises IndefiniteGramian, not a repair. Wc and Wo are sys's whole-axis
-    pair, which the model solves once (standard_gramians).
+    terms for a one-sided band. Every logarithm is taken on sys's cached
+    Schur form, made triangular once per call (linalg.triangular), so no
+    band edge runs a gees of its own. The band is validated by
+    IntervalConfig, the rule int-fdbt applies too. Either Gramian may come
+    out indefinite; the pair is returned as computed, and balancing it
+    (prepare_band) raises IndefiniteGramian, not a repair. Wc and Wo are
+    sys's whole-axis pair, which the model solves once (standard_gramians).
     """
     band = IntervalConfig(w1, w2)
     w1, w2 = band.w1, band.w2
     wc, wo = standard_gramians(sys)
     a = sys.A
+    form = triangular(sys._form)
     mirrored = w1 == -w2 or not w1 <= 0.0 <= w2
     if mirrored and not np.iscomplexobj(a):
         lo, hi = (0.0, w2) if w1 == -w2 else sorted((abs(w1), abs(w2)))
-        s = _log_shift(a, hi).imag / math.pi
+        s = _log_shift(a, form, hi).imag / math.pi
         if lo > 0.0:
-            s = s - _log_shift(a, lo).imag / math.pi
+            s = s - _log_shift(a, form, lo).imag / math.pi
     else:
         if w1 <= 0.0 <= w2:
             pieces = [(w1, w2)]
         else:
             lo, hi = sorted((abs(w1), abs(w2)))
             pieces = [(-hi, -lo), (lo, hi)]
-        s = sum(_band_primitive(a, x1, x2) for (x1, x2) in pieces)
+        s = sum(_band_primitive(a, form, x1, x2) for (x1, x2) in pieces)
     wc_band = hermitize(gemm(s, wc) + gemm(wc, s, hb=True))
     wo_band = hermitize(gemm(s, wo, ha=True) + gemm(wo, s))
     return wc_band, wo_band

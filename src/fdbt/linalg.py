@@ -17,10 +17,13 @@ form, trsyl on a real quasi-triangular one), Hermitian eigensolves
 linear solves (gesv, after a gesdd rank test when guarded), and the
 matrix square root and logarithm, both on a Schur form fdbt computes
 itself: the band factors pass sqrt_principal their form's
-quasi-triangular factor, and log_principal factors its argument by gees
-first and runs fdbt's own inverse scaling and squaring on the triangular
-factor (square roots by scipy's sqrtm, powers by gemm, Padé terms by
-trtrs at Gauss-Legendre nodes fdbt computes by syevd). scipy's own
+quasi-triangular factor, and log_principal runs fdbt's own inverse
+scaling and squaring on a triangular form of its argument, the caller's
+(fgbt passes the shifted form of the model's own one) or else one gees
+(square roots by scipy's sqrtm, powers by gemm, Padé terms by trtrs at
+Gauss-Legendre nodes fdbt computes by syevd). triangular makes a real
+quasi-triangular form complex triangular by rsf2csf's rotations, built
+from the eigenvalues the form holds. scipy's own
 solve_continuous_lyapunov and matrix logarithm multiply with numpy's dot
 internally, so neither is called. This is the only module of fdbt that
 imports scipy. numpy keeps elementwise work: the diagonal steps of a
@@ -238,6 +241,37 @@ def schur(a: np.ndarray) -> SchurForm:
         _routine("gees", char)(_no_sort, a, lwork=_lwork(char, n)), "Schur form"
     )
     return SchurForm(out[0], out[-2], out[2] + 1j * out[3] if char == "d" else out[2])
+
+
+def triangular(form: SchurForm) -> SchurForm:
+    """form with a triangular T, and the same eigenvalues and adjoint.
+
+    A real quasi-triangular T with 2×2 blocks goes complex, Z with it, as
+    scipy's rsf2csf takes it: one Givens rotation per block, the lowest
+    block first, that moves the block's eigenvalue λ = lam[k] to T[k, k].
+    rsf2csf recomputes each block's eigenvalues (one eigvals call per
+    block); here they are read off lam, and the rotations are elementwise.
+    Any other T is triangular already, and form comes back as it is.
+    """
+    t, z, lam, adjoint = form
+    if t.dtype.kind != "f" or not np.any(np.diagonal(t, -1)):
+        return form
+    blocks = np.flatnonzero(np.diagonal(t, -1))
+    t, z = t.astype(complex), z.astype(complex)
+    for k in blocks[::-1]:
+        # G = [[c̄, s], [−s, c]] zeroes T[k + 1, k]: T ← G T G*, Z ← Z G*
+        mu, sub = lam[k] - t[k + 1, k + 1], t[k + 1, k].real
+        r = math.hypot(abs(mu), sub)
+        c, s = mu / r, sub / r
+        top, bottom = t[k, k:].copy(), t[k + 1, k:]
+        t[k, k:] = c.conjugate() * top + s * bottom
+        t[k + 1, k:] = c * bottom - s * top
+        for x, rows in ((t, k + 2), (z, z.shape[0])):
+            left, right = x[:rows, k].copy(), x[:rows, k + 1]
+            x[:rows, k] = c * left + s * right
+            x[:rows, k + 1] = c.conjugate() * right - s * left
+        t[k + 1, k] = 0.0
+    return SchurForm(t, z, lam, adjoint)
 
 
 def eigh(a: np.ndarray):
@@ -543,25 +577,26 @@ def _log_triangular(t0: np.ndarray) -> np.ndarray:
     return u
 
 
-def log_principal(m) -> np.ndarray:
+def log_principal(m, form: SchurForm | None = None) -> np.ndarray:
     """Principal matrix logarithm (eigenvalue imaginary parts in (−π, π)).
 
     Real input, off the branch cut, has a real logarithm and gets one.
     Computed on the Schur form M = Z T Z* (Higham, Functions of Matrices,
-    2008, ch. 11): a real Schur form with 2×2 blocks is made triangular by
-    rsf2csf, _log_triangular takes the logarithm U of the triangular T by
-    inverse scaling and squaring, and log M = Z U Z*. Every step is
-    deterministic (exact norms, no random estimator), and every product,
-    square root and solve runs on scipy's BLAS and LAPACK.
+    2008, ch. 11): the form is made triangular (triangular),
+    _log_triangular takes the logarithm U of the triangular T by inverse
+    scaling and squaring, and log M = Z U Z*. form, a Schur form of M
+    (real quasi-triangular or complex triangular), spares the gees; the
+    branch-cut guard reads its eigenvalues. Every step is deterministic
+    (exact norms, no random estimator), and every product, square root and
+    solve runs on scipy's BLAS and LAPACK.
     """
     m = as_matrix(m, "M")
     _require_square(m, "M")
     if m.shape[0] == 0:
         return np.zeros((0, 0), m.dtype)
-    t, z, lam, _ = schur(m)
-    check_off_branch_cut(lam, "principal logarithm")
-    if np.any(np.diagonal(t, -1)):
-        t, z = scipy.linalg.rsf2csf(t, z)
+    form = schur(m) if form is None else form
+    check_off_branch_cut(form.lam, "principal logarithm")
+    t, z, *_ = triangular(form)
     x = gemm(gemm(z, _log_triangular(t)), z, hb=True)
     # the imaginary part of a real matrix's principal logarithm is rounding
     x = np.ascontiguousarray(x.real if m.dtype.kind == "f" else x)

@@ -223,7 +223,7 @@ class TestMatrixFunctions:
 
 def _real_with_pairs(seed, n):
     # real, spectrum in the right half-plane with complex-conjugate pairs:
-    # the real Schur form has 2x2 blocks, so the rsf2csf path runs
+    # the real Schur form has 2x2 blocks, so triangular's rotations run
     rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(n // 2):
@@ -269,6 +269,48 @@ class TestLogarithmOnSchurForm:
     def test_rerun_is_bitwise_identical(self):
         m = _real_with_pairs(3, 9)
         assert log_principal(m).tobytes() == log_principal(m).tobytes()
+
+    FORMS = [
+        ("real-pairs", _real_with_pairs, 7, "real"),
+        ("real-spectrum", _real_with_real_spectrum, 6, "real"),
+        ("complex", _shifted_complex, 6, "complex"),
+        ("real-pairs-complex-form", _real_with_pairs, 7, "complex"),
+    ]
+
+    @pytest.mark.parametrize("kind, make, n, output", FORMS, ids=[f[0] for f in FORMS])
+    def test_given_form_matches_own_gees(self, kind, make, n, output):
+        # a Schur form from scipy's own schur in place of log_principal's gees
+        m = make(4, n)
+        t, z = scipy.linalg.schur(m, output=output)
+        assert np.any(np.diagonal(t, -1)) == (kind == "real-pairs")
+        form = linalg.SchurForm(t, z, scipy.linalg.eigvals(t))
+        lg = log_principal(m, form)
+        ref = log_principal(m)
+        assert lg.dtype == ref.dtype == m.dtype
+        assert np.linalg.norm(lg - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_given_form_on_the_branch_cut(self, dtype):
+        # the guard reads the given form's eigenvalues
+        t = np.array([[2.0, 1.0], [0.0, -0.5]], dtype=dtype)
+        form = linalg.SchurForm(t, np.eye(2, dtype=dtype), np.diagonal(t).astype(complex))
+        with pytest.raises(BranchCutViolation):
+            log_principal(t, form)
+
+    @pytest.mark.parametrize("n", [2, 7, 10])
+    def test_triangular_matches_rsf2csf(self, n):
+        m = _real_with_pairs(5, n)
+        form = schur(m)
+        t, z, lam, adjoint = linalg.triangular(form)
+        assert t.dtype.kind == "c" and not np.any(np.tril(t, -1))
+        assert lam is form.lam and adjoint is form.adjoint
+        assert np.linalg.norm(z @ t @ z.conj().T - m) <= 1e-12 * np.linalg.norm(m)
+        ref_t, ref_z = scipy.linalg.rsf2csf(form.t, form.z)
+        assert np.linalg.norm(t - ref_t) <= 1e-12 * np.linalg.norm(ref_t)
+        assert np.linalg.norm(z - ref_z) <= 1e-12 * np.sqrt(n)
+        # a triangular form is returned as it is
+        for done in (schur(_real_with_real_spectrum(5, 6)), schur(_shifted_complex(5, 6))):
+            assert linalg.triangular(done).t is done.t
 
 
 def _triangular(delta, real=False, n=5, seed=0):

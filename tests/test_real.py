@@ -19,7 +19,7 @@ import fdbt.baselines
 import fdbt.interval
 import fdbt.linalg
 import fdbt.reduction
-from helpers import random_stable
+from helpers import count_lapack_calls, random_stable
 from fdbt import (
     FdbtError,
     FrequencyGrid,
@@ -167,13 +167,13 @@ def test_real_path_matches_complex_path(sys, method, r):
 
 
 def test_rank_deficient_direction_keeps_leading_rows():
-    # Model 13 of the n = 4, seed 5 experiment: over [-0.2, 0.2] its fourth
-    # fgbt Hankel value is exactly 0 in real arithmetic (flagged) but 1e-18
-    # on the complex path (not flagged). Only the flagged row of T^-1 may
-    # come from a pseudo-inverse; the leading rows, and so every truncation
-    # that drops the flagged direction, must match the complex path.
+    # Model 15 of the n = 4, seed 5 experiment: over [-0.2, 0.2] its fourth
+    # fgbt Hankel value is 7e-27 in real arithmetic (flagged) but 4e-18 on
+    # the complex path (not flagged). Only the flagged row of T^-1 may come
+    # from a pseudo-inverse; the leading rows, and so every truncation that
+    # drops the flagged direction, must match the complex path.
     models, _ = draw_random_models(RandomModelSpec(n=4, seed=5, count=20))
-    sys = models[13]
+    sys = models[15]
     grid = FrequencyGrid.linear(-0.2, 0.2, 201)
     real = prepare_band(sys, -0.2, 0.2)
     cplx = prepare_band(_phase_rotated(sys, 1), -0.2, 0.2)
@@ -183,7 +183,7 @@ def test_rank_deficient_direction_keeps_leading_rows():
         reduced = fgbt_truncate(prep, r).reduced
         return sweep(error_system(sys, reduced), grid).peak_value
 
-    # the complex path's peaks, as before real balancing: 5.30e-10 and 5e-16
+    # the complex path's peaks: 3.65e-10 and 1.0e-15
     assert peak(real, 2) == pytest.approx(peak(cplx, 2), rel=1e-6)
     assert peak(real, 3) <= 1e-14
 
@@ -223,7 +223,9 @@ class TestPairedLogarithms:
         calls = []
         log = fdbt.baselines.log_principal
         monkeypatch.setattr(
-            fdbt.baselines, "log_principal", lambda m: calls.append(1) or log(m)
+            fdbt.baselines,
+            "log_principal",
+            lambda m, form=None: calls.append(1) or log(m, form),
         )
         sys = random_stable(60, 6, m=2, p=2)
         for data, count in ((sys, real_logs), (_phase_rotated(sys, 4), complex_logs)):
@@ -235,6 +237,22 @@ class TestPairedLogarithms:
         # only a band mirrored about zero has real Gramians for real data
         real_pair = band_gramians(sys, w1, w2)
         assert np.isrealobj(real_pair[0]) == (kind != "asymmetric")
+
+    @pytest.mark.parametrize("kind", list(BANDS))
+    def test_logarithms_read_the_cached_form(self, monkeypatch, kind):
+        # once the model holds its Schur form, no band edge factors
+        # j w I - A again: the logarithms run on that form, made triangular
+        sys = random_stable(60, 6, m=2, p=2)
+        assert np.any(np.diagonal(sys._form.t, -1))  # 2x2 blocks: rotations run
+        models = (sys, _phase_rotated(sys, 4))
+        for data in models:
+            fdbt.baselines.standard_gramians(data)  # caches the form and the pair
+        calls = count_lapack_calls(monkeypatch)
+        for data in models:
+            calls.clear()
+            prepare_band(data, *self.BANDS[kind])
+            assert calls["gees"] == 0
+            assert calls["trtrs"] > 0  # the logarithms did run
 
 
 @pytest.mark.parametrize(

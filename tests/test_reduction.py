@@ -139,7 +139,7 @@ def test_warnings_come_in_one_order():
     assert not result.stable
     assert result.warnings == (
         "reduced system is not Hurwitz",
-        f"70 {RANK}",
+        f"71 {RANK}",
         NO_FGBT_BOUND,
     )
 
